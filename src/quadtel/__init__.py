@@ -9,124 +9,15 @@ force, and reproduces the efficiency comparison against contemporary
 multidirectional protocols.
 """
 
-from .channel import (
-    BellKind,
-    ChannelLayout,
-    bell_state,
-    build_channel_analytic,
-    ghz_state,
-    prepare_channel_circuit,
-    relabel,
-)
-from .corrections import (
-    CorrectionEntry,
-    CorrectionKey,
-    EtaIndex,
-    PauliFactor,
-    collapse_single_sender,
-    derive_correction,
-    eta_state,
-    match_eta,
-    table_lookup,
-    verify_tables,
-)
-from .harness import (
-    EfficiencyRecord,
-    adjudicate_expansion_prefactor,
-    classical_cost,
-    intrinsic_efficiency,
-    reproduce_comparison_table,
-)
-from .protocol import (
-    ClassicalMessage,
-    DenseState,
-    InfoState,
-    OutcomeRecord,
-    Party,
-    ProtocolReport,
-    StructuredState,
-    assemble_global,
-    pre_broadcast_state,
-    run_exhaustive,
-    run_protocol,
-    run_protocol_reduced,
-)
-from .statevector import (
-    DensityMatrix,
-    ImpossibleBranchError,
-    StateVector,
-    apply_1q,
-    apply_cnot,
-    apply_pauli_word,
-    bsm,
-    bsm_probabilities,
-    dm_fidelity,
-    distance,
-    fidelity,
-    init_basis,
-    measure_probabilities,
-    measure_qubit,
-    overlap,
-    pair_state,
-    partial_trace,
-    permute_qubits,
-    tensor,
-)
+from .protocol import InfoState, OutcomeRecord, ProtocolReport, run_exhaustive, run_protocol
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BellKind",
-    "ChannelLayout",
-    "ClassicalMessage",
-    "CorrectionEntry",
-    "CorrectionKey",
-    "DenseState",
-    "DensityMatrix",
-    "EfficiencyRecord",
-    "EtaIndex",
-    "ImpossibleBranchError",
     "InfoState",
     "OutcomeRecord",
-    "Party",
-    "PauliFactor",
     "ProtocolReport",
-    "StateVector",
-    "StructuredState",
-    "adjudicate_expansion_prefactor",
-    "apply_1q",
-    "apply_cnot",
-    "apply_pauli_word",
-    "assemble_global",
-    "bell_state",
-    "bsm",
-    "bsm_probabilities",
-    "build_channel_analytic",
-    "classical_cost",
-    "collapse_single_sender",
-    "derive_correction",
-    "distance",
-    "dm_fidelity",
-    "eta_state",
-    "fidelity",
-    "ghz_state",
-    "init_basis",
-    "intrinsic_efficiency",
-    "match_eta",
-    "measure_probabilities",
-    "measure_qubit",
-    "overlap",
-    "pair_state",
-    "partial_trace",
-    "permute_qubits",
-    "pre_broadcast_state",
-    "prepare_channel_circuit",
-    "relabel",
-    "reproduce_comparison_table",
     "run_exhaustive",
     "run_protocol",
-    "run_protocol_reduced",
-    "table_lookup",
-    "tensor",
-    "verify_tables",
+    "__version__",
 ]

@@ -20,7 +20,6 @@ the sender-side qubit of pair j at index 2j, the receiver-side qubit at
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Mapping
 
@@ -32,7 +31,6 @@ from .statevector import (
     apply_cnot,
     init_basis,
     pair_state,
-    permute_qubits,
     tensor,
 )
 
@@ -113,20 +111,16 @@ def build_channel_analytic(k: int, branch_sign: int = 1, *, allow_large: bool = 
     return StateVector(2 * k + 1, amps, copy=False)
 
 
-@dataclass
 class ChannelLayout:
     """Names for the channel register of an n_pairs-pair protocol.
 
-    ``label_map`` sends both the numeric construction labels (1-based, as in
-    the circuit description) and the protocol role labels to qubit indices.
-    Role labels exist for up to four sender blocks: sender block i owns
-    ("S{i}", "S{i}'"), its receiver owns ("R{i}", "R{i}'"), and "E" is the
-    controller.  For the full 8-pair channel the classic single-letter roles
-    (A, A', P, Q, B, ...) are included as aliases.
+    ``labels`` sends both the numeric construction labels (1-based, as in the
+    circuit description) and the protocol role labels to qubit indices; label
+    L is qubit L-1.  Role labels exist for up to four sender blocks: sender
+    block i owns ("S{i}", "S{i}'"), its receiver owns ("R{i}", "R{i}'"), and
+    "E" is the controller.  For the full 8-pair channel the classic
+    single-letter roles (A, A', P, Q, B, ...) are included as aliases.
     """
-
-    n_pairs: int
-    label_map: dict = field(default_factory=dict)
 
     _CLASSIC_ROLES = (
         ("A", "P", "A'", "Q"),
@@ -135,59 +129,27 @@ class ChannelLayout:
         ("D", "V", "D'", "W"),
     )
 
-    def __post_init__(self):
-        if self.n_pairs < 1:
+    def __init__(self, n_pairs: int):
+        if n_pairs < 1:
             raise ValueError("need at least one pair")
-        if not self.label_map:
-            self.label_map = self._standard_map()
-        n = 2 * self.n_pairs + 1
-        numeric = [self.label_map.get(label) for label in range(1, n + 1)]
-        if sorted(numeric) != list(range(n)):  # type: ignore[arg-type]
-            raise ValueError("numeric labels 1..2k+1 must map onto every channel qubit exactly once")
-        if any(not 0 <= v < n for v in self.label_map.values()):
-            raise ValueError("label map targets must be valid channel qubits")
-
-    def _standard_map(self) -> dict:
-        n = 2 * self.n_pairs + 1
-        m: dict = {label: label - 1 for label in range(1, n + 1)}
-        m["E"] = n - 1
-        if self.n_pairs % 2 == 0:
-            for i in range(self.n_pairs // 2):
-                s, r, s2, r2 = (f"S{i}", f"R{i}", f"S{i}'", f"R{i}'")
-                m[s], m[r], m[s2], m[r2] = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
-                if self.n_pairs == 8:
-                    a, p, a2, q = self._CLASSIC_ROLES[i]
-                    m[a], m[p], m[a2], m[q] = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
-        return m
+        self.n_pairs = n_pairs
+        n = 2 * n_pairs + 1
+        self.labels: dict = {label: label - 1 for label in range(1, n + 1)}
+        self.labels["E"] = n - 1
+        if n_pairs % 2 == 0:
+            for i in range(n_pairs // 2):
+                roles = [(f"S{i}", f"R{i}", f"S{i}'", f"R{i}'")]
+                if n_pairs == 8:
+                    roles.append(self._CLASSIC_ROLES[i])
+                for names in roles:
+                    self.labels.update(zip(names, range(4 * i, 4 * i + 4)))
 
     @property
     def controller(self) -> int:
-        return self.label_map["E"]
+        return self.labels["E"]
 
     def pair_qubits(self, j: int) -> tuple[int, int]:
         """(sender-side, receiver-side) qubits of pair j."""
         if not 0 <= j < self.n_pairs:
             raise IndexError(f"pair {j} out of range")
-        return self.label_map[2 * j + 1], self.label_map[2 * j + 2]
-
-    def sender_qubits(self, i: int) -> tuple[int, int]:
-        """The two sender-side channel qubits of sender block i."""
-        return self.pair_qubits(2 * i)[0], self.pair_qubits(2 * i + 1)[0]
-
-    def receiver_qubits(self, i: int) -> tuple[int, int]:
-        """The two receiver-side channel qubits of sender block i."""
-        return self.pair_qubits(2 * i)[1], self.pair_qubits(2 * i + 1)[1]
-
-
-def relabel(state: StateVector, layout: ChannelLayout) -> StateVector:
-    """Permute a channel state from construction order into layout positions.
-
-    The input must be in construction order (numeric label L at qubit L-1);
-    the output places label L at ``layout.label_map[L]``.  The standard
-    layout is the identity permutation.
-    """
-    n = 2 * layout.n_pairs + 1
-    if state.n_qubits != n:
-        raise ValueError(f"state has {state.n_qubits} qubits, layout expects {n}")
-    perm = [layout.label_map[label + 1] for label in range(n)]
-    return permute_qubits(state, perm)
+        return 2 * j, 2 * j + 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import harness
+from . import harness, protocol
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -23,8 +23,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prepare-channel", help="build the entangled channel and verify it")
     p.add_argument("--pairs", type=int, default=8, help="Bell pair count (default 8)")
-    p.add_argument("--verify", action="store_true", default=True,
-                   help="compare circuit against direct assembly (default on)")
     p.add_argument("--out", help="write the JSON report here")
 
     p = sub.add_parser("run", help="execute protocol runs")
@@ -34,10 +32,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="sampled:16",
                    help="sampled:N | forced:SPEC | exhaustive (SPEC: 2s Bell symbols plus z, "
                         "e.g. k+,l-,k+,k+,1)")
-    p.add_argument("--engine", default="structured", choices=("dense", "structured"))
+    p.add_argument("--engine", default="structured", choices=protocol.ENGINES)
     p.add_argument("--allow-large-dense", action="store_true",
                    help="opt in to dense states above 16 qubits")
-    p.add_argument("--workers", type=int, default=1, help="threads for exhaustive branches")
     p.add_argument("--out", help="write the JSON report here")
 
     p = sub.add_parser("verify-tables", help="re-derive the correction tables and catalog map")
@@ -58,7 +55,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "prepare-channel":
-            report = harness.cmd_prepare_channel(args.pairs, verify=args.verify)
+            report = harness.cmd_prepare_channel(args.pairs)
         elif args.command == "run":
             report = harness.cmd_run(
                 senders=args.senders,
@@ -67,7 +64,6 @@ def main(argv=None) -> int:
                 mode=args.mode,
                 engine=args.engine,
                 allow_large_dense=args.allow_large_dense,
-                workers=args.workers,
             )
         elif args.command == "verify-tables":
             report = harness.cmd_verify_tables(seed=args.seed)

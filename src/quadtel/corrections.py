@@ -24,9 +24,9 @@ import numpy as np
 
 from .channel import build_channel_analytic
 from .statevector import (
-    BELL_OUTCOME_BITS,
     PAULI_FACTOR_MATRICES,
     StateVector,
+    bell_receiver_amplitudes,
     bsm,
     fidelity,
     measure_qubit,
@@ -191,12 +191,9 @@ TABLE_SECOND_PAIR = _build(_TABLE_SECOND_PAIR)
 
 RECEIVERS = ("fancy1", "fancy2", "fancy3", "fancy4")
 
-RECEIVER_TABLES: Mapping[str, Mapping[tuple[int, int, int], CorrectionEntry]] = {
-    "fancy1": TABLE_FIRST_PAIR,
-    "fancy2": TABLE_FIRST_PAIR,
-    "fancy3": TABLE_SECOND_PAIR,
-    "fancy4": TABLE_SECOND_PAIR,
-}
+RECEIVER_TABLES: Mapping[str, Mapping[tuple[int, int, int], CorrectionEntry]] = dict(
+    zip(RECEIVERS, (TABLE_FIRST_PAIR, TABLE_FIRST_PAIR, TABLE_SECOND_PAIR, TABLE_SECOND_PAIR))
+)
 
 
 def table_lookup(receiver: str, key: CorrectionKey | tuple[int, int, int]) -> CorrectionEntry:
@@ -232,12 +229,7 @@ def collapse_single_sender(coeffs: Sequence[complex], g: int, h: int, z: int) ->
     _, _, state = bsm(state, 0, 2, forced=g)
     _, _, state = bsm(state, 1, 4, forced=h)
     _, _, state = measure_qubit(state, 6, forced=z)
-    bits_g, bits_h = BELL_OUTCOME_BITS[g], BELL_OUTCOME_BITS[h]
-    fixed = bits_g[0] | (bits_h[0] << 1) | (bits_g[1] << 2) | (bits_h[1] << 4) | (z << 6)
-    out = np.empty(4, dtype=complex)
-    for a in (0, 1):
-        for b in (0, 1):
-            out[2 * a + b] = state.amps[fixed | (a << 3) | (b << 5)]
+    out = bell_receiver_amplitudes(state.amps.reshape(2, 64)[z], g, h)
     residual = np.linalg.norm(out)
     if abs(residual - 1) > 1e-10:
         raise RuntimeError(f"collapse left amplitude outside the receiver pair (norm {residual})")
@@ -314,7 +306,6 @@ _ETA_TERMS: tuple[tuple[tuple[int, int], ...], ...] = (
 )
 
 N_PATTERNS = len(_ETA_TERMS)
-BLOCK_NAMES = ("p", "r", "t", "v")
 
 
 @dataclass(frozen=True)
@@ -460,7 +451,7 @@ def verify_tables(rng: np.random.Generator | None = None) -> TableVerificationRe
                 }
             )
     columns_identical = all(
-        table_lookup("fancy1", key) == table_lookup(r, key) for key in keys for r in RECEIVERS
+        table_lookup(RECEIVERS[0], key) == table_lookup(r, key) for key in keys for r in RECEIVERS
     )
     eye = np.eye(4)
     self_inverse = all(

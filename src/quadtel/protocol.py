@@ -22,7 +22,6 @@ controller sits at qubit 6s.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -40,6 +39,7 @@ from .statevector import (
     apply_1q,
     apply_cnot,
     apply_pauli_word,
+    bell_receiver_amplitudes,
     bsm,
     dm_fidelity,
     init_basis,
@@ -62,19 +62,12 @@ class Party(str, Enum):
     BOB = "bob"
     CHARLIE = "charlie"
     DAVID = "david"
-    FANCY1 = "fancy1"
-    FANCY2 = "fancy2"
-    FANCY3 = "fancy3"
-    FANCY4 = "fancy4"
+    FANCY1, FANCY2, FANCY3, FANCY4 = corrections.RECEIVERS
     ELLE = "elle"
 
 
 SENDERS = (Party.ALICE, Party.BOB, Party.CHARLIE, Party.DAVID)
 RECEIVERS = (Party.FANCY1, Party.FANCY2, Party.FANCY3, Party.FANCY4)
-
-
-def receiver_for(sender: Party) -> Party:
-    return RECEIVERS[SENDERS.index(sender)]
 
 
 @dataclass
@@ -87,6 +80,8 @@ class InfoState:
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.coeffs.shape != (4,):
             raise ValueError(f"expected 4 coefficients, got {self.coeffs.shape}")
+        if not np.all(np.isfinite(self.coeffs)):
+            raise ValueError("message coefficients must be finite")
         norm = np.linalg.norm(self.coeffs)
         if abs(norm - 1) > 1e-10:
             raise ValueError(f"message state is not normalized (norm {norm!r})")
@@ -245,9 +240,6 @@ class DenseState:
             keep += [self.layout.channel_receiver(i, 1), self.layout.channel_receiver(i, 0)]
         return partial_trace(self.state, keep)
 
-    def to_dense(self) -> StateVector:
-        return self.state.copy()
-
 
 class StructuredState:
     """Branch-factorized protocol state.
@@ -367,9 +359,7 @@ class StructuredState:
     def to_dense(self, *, allow_large: bool = False) -> StateVector:
         n = 6 * self.s + 1
         amps = np.zeros(1 << n, dtype=complex)
-        for b in (0, 1):
-            if self.weights[b] == 0:
-                continue
+        for b in self._alive():
             branch = tensor(*self.blocks[b], init_basis(1, b), allow_large=allow_large)
             amps += self.weights[b] * branch.amps
         return StateVector(n, amps, copy=False)
@@ -459,17 +449,6 @@ def run_protocol(
     )
 
 
-def run_protocol_reduced(
-    s: int,
-    inputs: Sequence[InfoState],
-    **kwargs,
-) -> ProtocolReport:
-    """Reduced-scale protocol with s sender/receiver pairs (s in 1..4)."""
-    if len(inputs) != s:
-        raise ValueError(f"expected {s} message states, got {len(inputs)}")
-    return run_protocol(inputs, **kwargs)
-
-
 def enumerate_records(s: int) -> list[OutcomeRecord]:
     """All 4^(2s) x 2 forced outcome records in canonical order."""
     records = []
@@ -484,20 +463,14 @@ def run_exhaustive(
     *,
     engine: str = "structured",
     allow_large_dense: bool = False,
-    workers: int = 1,
 ) -> list[ProtocolReport]:
     """Run every measurement branch; reports come back in canonical order."""
     s = _validate_inputs(inputs)
     base = assemble_global(inputs, engine, allow_large_dense=allow_large_dense)
-    records = enumerate_records(s)
-
-    def one(record: OutcomeRecord) -> ProtocolReport:
-        return run_protocol(inputs, engine=engine, forced=record, state=base.copy())
-
-    if workers <= 1:
-        return [one(r) for r in records]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, records))
+    return [
+        run_protocol(inputs, engine=engine, forced=record, state=base.copy())
+        for record in enumerate_records(s)
+    ]
 
 
 def pre_broadcast_state(
@@ -540,17 +513,12 @@ def expansion_block_coefficients(info: InfoState) -> tuple[np.ndarray, float]:
         block = _block_state(info, kind)
         block = apply_1q(apply_cnot(block, 0, 2), "H", 0)
         block = apply_1q(apply_cnot(block, 1, 4), "H", 1)
-        amps = block.amps
         for g in range(4):
             for h in range(4):
-                bg, bh = BELL_OUTCOME_BITS[g], BELL_OUTCOME_BITS[h]
-                fixed = bg[0] | (bh[0] << 1) | (bg[1] << 2) | (bh[1] << 4)
-                v = np.array(
-                    [amps[fixed | (a << 3) | (b << 5)] for a in (0, 1) for b in (0, 1)]
-                )
+                v = bell_receiver_amplitudes(block.amps, g, h)
                 mag = np.linalg.norm(v)
                 mags[z, g, h] = mag
-                entry = corrections.table_lookup("fancy1", (g, h, z))
+                entry = corrections.table_lookup(corrections.RECEIVERS[0], (g, h, z))
                 expected = entry.unitary().conj().T @ info.coeffs
                 align = abs(np.vdot(expected, v)) / mag
                 worst = max(worst, abs(1.0 - align))

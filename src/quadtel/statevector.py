@@ -49,6 +49,18 @@ PAULI_FACTOR_MATRICES: Mapping[str, np.ndarray] = {
 BELL_OUTCOME_BITS: tuple[tuple[int, int], ...] = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
+def bell_receiver_amplitudes(block_amps: np.ndarray, g: int, h: int) -> np.ndarray:
+    """Receiver amplitudes of a measured 6-qubit sender block, index 2a+b.
+
+    The block is [message, message', channel sender, receiver, sender',
+    receiver'] after the Bell basis changes on (0, 2) and (1, 4); (g, h) are
+    the two Bell outcomes and a, b the receiver and receiver' bits.
+    """
+    (g0, g1), (h0, h1) = BELL_OUTCOME_BITS[g], BELL_OUTCOME_BITS[h]
+    fixed = g0 | (h0 << 1) | (g1 << 2) | (h1 << 4)
+    return block_amps[[fixed | (a << 3) | (b << 5) for a in (0, 1) for b in (0, 1)]]
+
+
 class ImpossibleBranchError(RuntimeError):
     """A measurement was forced onto a zero-probability branch."""
 

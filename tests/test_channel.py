@@ -1,5 +1,5 @@
 """Channel construction tests: Bell states, circuit vs analytic equivalence,
-marginals, measurement support, and relabeling."""
+marginals, measurement support, and register naming."""
 import numpy as np
 import pytest
 
@@ -101,40 +101,12 @@ def test_bsm_support_on_channel_pairs():
         assert np.allclose(probs, [0.5, 0, 0, 0.5], atol=1e-12)
 
 
-def test_relabel_identity_layout_is_noop():
-    state = ch.prepare_channel_circuit(2)
-    out = ch.relabel(state, ch.ChannelLayout(2))
-    assert sv.distance(out, state) == 0
-
-
-def test_relabel_roundtrip_through_swapped_layout():
-    state = ch.prepare_channel_circuit(2)
-    swapped_map = ch.ChannelLayout(2).label_map.copy()
-    swapped_map[1], swapped_map[2] = swapped_map[2], swapped_map[1]
-    layout = ch.ChannelLayout(2, label_map=swapped_map)
-    once = ch.relabel(state, layout)
-    assert sv.distance(once, state) > 0.1
-    twice = sv.permute_qubits(once, [1, 0, 2, 3, 4])
-    assert sv.distance(twice, state) < 1e-15
-
-
-def test_relabeled_channel_still_supports_pair_bsm():
-    # move pair 1 in front of pair 0 and check the measurement support follows
-    m = {1: 2, 2: 3, 3: 0, 4: 1, 5: 4, "E": 4}
-    layout = ch.ChannelLayout(2, label_map=m)
-    state = ch.relabel(ch.prepare_channel_circuit(2), layout)
-    for j in range(2):
-        snd, rcv = layout.pair_qubits(j)
-        probs = sv.bsm_probabilities(state, snd, rcv)
-        assert np.allclose(probs, [0.5, 0, 0, 0.5], atol=1e-12)
-
-
 def test_layout_validation():
     with pytest.raises(ValueError):
-        ch.ChannelLayout(2, label_map={1: 0, 2: 0, 3: 1, 4: 2, 5: 3, "E": 4})
+        ch.ChannelLayout(0)
     layout = ch.ChannelLayout(8)
-    assert layout.label_map["A"] == 0 and layout.label_map["P"] == 1
-    assert layout.label_map["D'"] == 14 and layout.label_map["W"] == 15
+    assert layout.labels["A"] == 0 and layout.labels["P"] == 1
+    assert layout.labels["D'"] == 14 and layout.labels["W"] == 15
     assert layout.controller == 16
     with pytest.raises(IndexError):
         layout.pair_qubits(8)

@@ -186,10 +186,13 @@ def test_reports_are_byte_identical_for_same_config():
     assert a != c
 
 
-def test_exhaustive_report_independent_of_worker_count():
-    a = hz.render_report(hz.cmd_run(senders=1, mode="exhaustive", workers=1))
-    b = hz.render_report(hz.cmd_run(senders=1, mode="exhaustive", workers=3))
-    assert a == b
+def test_exhaustive_report_branches_match_forced_reports():
+    # each branch of the exhaustive sweep is reported as a forced run of the
+    # same record would report it, whatever the sweep ran before it
+    swept = hz.cmd_run(senders=1, seed=9, mode="exhaustive")
+    for branch in swept["branches"]:
+        forced = hz.cmd_run(senders=1, seed=9, mode="forced:" + branch["outcome"]["symbols"])
+        assert forced["branches"] == [branch]
 
 
 def test_summarize_mentions_every_assertion():
@@ -238,6 +241,28 @@ def test_cli_rejects_bad_input_file(tmp_path, capsys):
     assert code == 2
     assert "not normalized" in capsys.readouterr().err
     assert "error" in json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("mode", ["sampled:2", "forced:k+,k+,0"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cli_rejects_non_finite_input(tmp_path, capsys, bad, mode):
+    path = tmp_path / "bad.json"
+    write_inputs(path, [np.array([bad, 0.0, 0.0, 0.0], dtype=complex)])
+    code = cli.main(["run", "--senders", "1", "--input", str(path), "--mode", mode])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sender 0:") and "finite" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_cli_rejects_non_list_senders(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"senders": 5}))
+    code = cli.main(["run", "--senders", "1", "--input", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "list" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_cli_verify_tables_and_expansion(tmp_path):

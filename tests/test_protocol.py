@@ -32,6 +32,12 @@ def test_info_state_rejects_unnormalized():
         pr.InfoState(np.array([1.0, 1.0, 0.0, 0.0]))
 
 
+def test_info_state_rejects_non_finite():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            pr.InfoState(np.array([bad, 0.0, 0.0, 0.0]))
+
+
 def test_info_state_random_is_normalized():
     info = pr.InfoState.random(np.random.default_rng(1))
     assert abs(np.linalg.norm(info.coeffs) - 1) < 1e-12
@@ -200,11 +206,14 @@ def test_engines_produce_identical_reports():
                 assert abs(fa - fb) < 1e-10
 
 
-def test_exhaustive_worker_count_does_not_change_results():
-    inputs = make_inputs(1, 52)
-    seq = pr.run_exhaustive(inputs, workers=1)
-    par = pr.run_exhaustive(inputs, workers=4)
-    assert [r.to_dict() for r in seq] == [r.to_dict() for r in par]
+def test_exhaustive_shared_base_matches_fresh_state_per_branch():
+    # run_exhaustive copies one prepared state per branch; no branch may see
+    # another's measurements through that shared base
+    for s in (1, 2):
+        inputs = make_inputs(s, 52 + s)
+        swept = pr.run_exhaustive(inputs, engine="structured")
+        fresh = [pr.run_protocol(inputs, forced=r) for r in pr.enumerate_records(s)]
+        assert [r.to_dict() for r in swept] == [r.to_dict() for r in fresh]
 
 
 # --------------------------------------------------------- order independence
@@ -295,17 +304,17 @@ def test_transcript_counts_twenty_bits_for_four_senders():
     for i, sender in enumerate(pr.SENDERS):
         mine = [m for m in bsm_msgs if m.sender is sender]
         assert len(mine) == 2
-        assert all(m.recipient is pr.receiver_for(sender) for m in mine)
+        assert all(m.recipient is pr.RECEIVERS[i] for m in mine)
     assert {m.recipient for m in ctrl_msgs} == set(pr.RECEIVERS)
     assert all(m.sender is pr.Party.ELLE for m in ctrl_msgs)
 
 
 def test_reduced_transcript_scales_with_sender_count():
     inputs = make_inputs(2, 91)
-    report = pr.run_protocol_reduced(2, inputs, forced=pr.OutcomeRecord((0,) * 4, 0))
+    report = pr.run_protocol(inputs, forced=pr.OutcomeRecord((0,) * 4, 0))
     assert report.classical_bits_sent == 2 * 4 + 2
     with pytest.raises(ValueError):
-        pr.run_protocol_reduced(3, inputs, forced=pr.OutcomeRecord((0,) * 4, 0))
+        pr.run_protocol(inputs, forced=pr.OutcomeRecord((0,) * 6, 0))
 
 
 # ------------------------------------------------------------- sampled mode

@@ -189,6 +189,19 @@ def test_bell_bit_map_derivation():
     assert tuple(derived[k] for k in range(4)) == sv.BELL_OUTCOME_BITS
 
 
+def test_bell_receiver_amplitudes_pick_the_measured_block():
+    st = random_state(6, np.random.default_rng(48))
+    for g in range(4):
+        for h in range(4):
+            _, _, post = sv.bsm(st, 0, 2, forced=g)
+            _, _, post = sv.bsm(post, 1, 4, forced=h)
+            out = sv.bell_receiver_amplitudes(post.amps, g, h)
+            assert abs(np.linalg.norm(out) - 1) < 1e-12
+            idx = sv.bell_receiver_amplitudes(np.arange(64), g, h)
+            # order 2a+b with a on qubit 3 and b on qubit 5
+            assert [((i >> 3) & 1, (i >> 5) & 1) for i in idx] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
 @pytest.mark.parametrize("kind", range(4))
 def test_bsm_identifies_prepared_bell_states(kind):
     st = sv.StateVector(2, bell_amps(kind))

@@ -4,7 +4,10 @@ Subcommands map one-to-one onto the harness drivers: channel verification,
 protocol runs, correction-table verification, efficiency reproduction, and
 the expansion-normalization check.  Every subcommand prints a pass/fail
 summary and optionally writes the full JSON report; the exit code is 0 only
-if every assertion in the report passed.
+if every assertion in the report passed, 1 if one failed, and 2 if the
+command could not produce a report (bad input, an impossible forced branch,
+or a table or catalog that cannot be derived), which prints one ``error:``
+line and writes a failure report to ``--out``.
 """
 from __future__ import annotations
 
@@ -12,6 +15,11 @@ import argparse
 import sys
 
 from . import harness, protocol
+from .corrections import CatalogMatchError, TableDerivationError
+from .statevector import ImpossibleBranchError
+
+# Errors that end a command without a report: exit 2, never a traceback.
+COMMAND_ERRORS = (ValueError, OSError, ImpossibleBranchError, TableDerivationError, CatalogMatchError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,7 +79,7 @@ def main(argv=None) -> int:
             report = harness.cmd_efficiency()
         else:
             report = harness.cmd_verify_expansion(seed=args.seed)
-    except (ValueError, OSError) as exc:
+    except COMMAND_ERRORS as exc:
         failure = {"error": str(exc), "command": args.command}
         print(f"error: {exc}", file=sys.stderr)
         if getattr(args, "out", None):

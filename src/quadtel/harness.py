@@ -299,9 +299,12 @@ def cmd_run(
             )
         ]
     elif mode.startswith("sampled:"):
-        count = int(mode[len("sampled:"):])
+        try:
+            count = int(mode[len("sampled:"):])
+        except ValueError:
+            count = 0
         if count < 1:
-            raise ValueError("sampled mode needs a positive count")
+            raise ValueError(f"bad mode {mode!r}: sampled mode is sampled:N with an integer N >= 1")
         rng = np.random.default_rng(seed + 0x5A17)
         reports = [
             protocol.run_protocol(

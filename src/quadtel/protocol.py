@@ -12,7 +12,15 @@ Two interchangeable engines execute the same protocol:
 * ``structured``: the controller superposition kept as two weighted branches,
   each branch a product of per-sender 6-qubit blocks.  This is exact, covers
   the full four-sender protocol in microseconds, and reconstructs the dense
-  state on demand.
+  state on demand.  Its Bell measurement is one block kernel: a gather and a
+  sign vector, derived at import from the CNOT/H definitions, give the
+  basis-changed block grouped by the two measured bits, and the 2x2 joint
+  probabilities drive both draws.  Its corrections are signed permutations
+  of the 64 block amplitudes.
+
+The dense engine runs the public ``statevector`` kernels gate by gate and is
+the independent check on the structured one: the tests compare the two
+engines' reports and sampled draws.
 
 Register order (dense engine and block-local alike): sender block i occupies
 qubits 6i..6i+5 as [message first, message second, channel sender-side,
@@ -21,7 +29,9 @@ controller sits at qubit 6s.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -32,8 +42,10 @@ from . import corrections
 from .channel import BELL_COEFFS, BELL_SYMBOLS, BellKind
 from .statevector import (
     BELL_OUTCOME_BITS,
+    GATES_1Q,
     DensityMatrix,
     MIN_BRANCH_PROBABILITY,
+    PAULI_FACTOR_MATRICES,
     ImpossibleBranchError,
     StateVector,
     apply_1q,
@@ -43,7 +55,6 @@ from .statevector import (
     bsm,
     dm_fidelity,
     init_basis,
-    measure_probabilities,
     measure_qubit,
     pair_state,
     partial_trace,
@@ -241,6 +252,52 @@ class DenseState:
         return partial_trace(self.state, keep)
 
 
+def _bell_basis_gather(a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gather form of the Bell basis change CNOT(a->b), H(a) on a 6-qubit block.
+
+    Returns ``(dest, src0, src1, sign)``, each of shape (2, 2, 16) and indexed
+    by (bit a, bit b, remaining bits): the changed block holds
+    ``(amps[src0] + sign * amps[src1]) / sqrt2`` at the indices ``dest``.
+    """
+    x, y, rest = np.unravel_index(np.arange(64), (2, 2, 16))
+    dest = (x << a) | (y << b)
+    for k, q in enumerate(q for q in range(6) if q not in (a, b)):
+        dest |= ((rest >> k) & 1) << q
+    # H(a) takes output bit a = x from the CNOT output at a = 0 and a = 1 with
+    # weights H[x, 0] = 1/sqrt2 and H[x, 1]; CNOT(a->b) leaves the a = 0 half
+    # in place and takes the a = 1 half from the index with bit b flipped.
+    h = GATES_1Q["H"]
+    src0 = dest & ~(1 << a)
+    src1 = (dest | (1 << a)) ^ (1 << b)
+    sign = (h[x, 1] / h[x, 0]).real
+    return tuple(arr.reshape(2, 2, 16) for arr in (dest, src0, src1, sign))
+
+
+# One gather per sender pair (which = 0, 1): message qubit ``which`` and
+# channel-sender qubit ``2 + 2 * which`` of the block.
+_BELL_GATHERS = tuple(_bell_basis_gather(which, 2 + 2 * which) for which in (0, 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _correction_permutation(first: str, second: str, phase_pi: bool) -> tuple[np.ndarray, np.ndarray]:
+    """A correction word on block qubits 3 and 5 as a signed permutation.
+
+    Returns ``(src, coeff)``: the corrected block is ``coeff * amps[src]``.
+    """
+    # little-endian block: qubit 5 is the most significant kron factor
+    op = np.kron(
+        np.kron(PAULI_FACTOR_MATRICES[second], np.eye(2)),
+        np.kron(PAULI_FACTOR_MATRICES[first], np.eye(8)),
+    )
+    if phase_pi:
+        op = -op
+    src = np.abs(op).argmax(axis=1)
+    coeff = op[np.arange(64), src]
+    for arr in (src, coeff):
+        arr.flags.writeable = False
+    return src, coeff
+
+
 class StructuredState:
     """Branch-factorized protocol state.
 
@@ -275,14 +332,18 @@ class StructuredState:
     def _alive(self) -> list[int]:
         return [b for b in (0, 1) if abs(self.weights[b]) ** 2 > MIN_BRANCH_PROBABILITY]
 
-    def _measure_block_bit(self, i: int, local_q: int, *, forced=None, rng=None) -> tuple[int, float]:
-        branch_probs = {}
+    def _measure_bit(self, i: int, local_q: int, probs: dict, *, forced=None, rng=None):
+        """Measure one block qubit, given (P0, P1) for it in each branch of ``probs``.
+
+        Draws the bit (one ``rng.random()`` when sampled), zeroes the branches
+        that cannot give it and reweights the rest.  Returns the bit, its
+        probability and the kept branches, whose blocks the caller collapses.
+        """
         totals = [0.0, 0.0]
-        for b in self._alive():
-            p0, p1 = measure_probabilities(self.blocks[b][i], local_q)
-            branch_probs[b] = (p0, p1)
-            totals[0] += abs(self.weights[b]) ** 2 * p0
-            totals[1] += abs(self.weights[b]) ** 2 * p1
+        for b, p in probs.items():
+            w2 = abs(self.weights[b]) ** 2
+            totals[0] += w2 * p[0]
+            totals[1] += w2 * p[1]
         if forced is not None:
             bit = forced
         else:
@@ -292,27 +353,34 @@ class StructuredState:
         prob = totals[bit]
         if prob <= MIN_BRANCH_PROBABILITY:
             raise ImpossibleBranchError(f"block {i} qubit {local_q} outcome {bit} has probability {prob:.3e}")
-        for b in self._alive():
-            if branch_probs[b][bit] <= MIN_BRANCH_PROBABILITY:
-                self.weights[b] = 0.0
-                continue
-            _, p_b, self.blocks[b][i] = measure_qubit(self.blocks[b][i], local_q, forced=bit)
-            self.weights[b] *= np.sqrt(p_b)
-        self.weights /= np.sqrt(prob)
-        return bit, prob
+        kept = [b for b, p in probs.items() if p[bit] > MIN_BRANCH_PROBABILITY]
+        for b, p in probs.items():
+            self.weights[b] = self.weights[b] * math.sqrt(p[bit]) if b in kept else 0.0
+        self.weights /= math.sqrt(prob)
+        return bit, prob, kept
 
     def bsm_pair(self, j: int, *, forced=None, rng=None) -> tuple[int, float]:
         i, which = divmod(j, 2)
         a, b = which, 2 + 2 * which  # block-local message and channel-sender qubits
-        for br in self._alive():
-            self.blocks[br][i] = apply_1q(apply_cnot(self.blocks[br][i], a, b), "H", a)
         fa = fb = None
         if forced is not None:
             if forced not in range(4):
                 raise ValueError(f"Bell outcome must be in 0..3, got {forced}")
             fa, fb = BELL_OUTCOME_BITS[forced]
-        bit_a, pa = self._measure_block_bit(i, a, forced=fa, rng=rng)
-        bit_b, pb = self._measure_block_bit(i, b, forced=fb, rng=rng)
+        dest, src0, src1, sign = _BELL_GATHERS[which]
+        changed, joint = {}, {}
+        for br in self._alive():
+            amps = self.blocks[br][i].amps
+            changed[br] = (amps[src0] + sign * amps[src1]) * _SQRT2_INV
+            joint[br] = (np.abs(changed[br]) ** 2).sum(axis=2).tolist()  # [bit a][bit b]
+        marginal = {br: (sum(p[0]), sum(p[1])) for br, p in joint.items()}
+        bit_a, pa, kept = self._measure_bit(i, a, marginal, forced=fa, rng=rng)
+        conditional = {br: [p / marginal[br][bit_a] for p in joint[br][bit_a]] for br in kept}
+        bit_b, pb, kept = self._measure_bit(i, b, conditional, forced=fb, rng=rng)
+        for br in kept:
+            amps = np.zeros(64, dtype=complex)
+            amps[dest[bit_a, bit_b]] = changed[br][bit_a, bit_b] / math.sqrt(joint[br][bit_a][bit_b])
+            self.blocks[br][i] = StateVector(6, amps, copy=False)
         return BELL_OUTCOME_BITS.index((bit_a, bit_b)), pa * pb
 
     def measure_controller(self, *, forced=None, rng=None) -> tuple[int, float]:
@@ -333,12 +401,9 @@ class StructuredState:
         return z, prob
 
     def apply_correction(self, i: int, entry: corrections.CorrectionEntry) -> None:
-        word = [(entry.first.value, 3), (entry.second.value, 5)]
+        src, coeff = _correction_permutation(entry.first.value, entry.second.value, entry.phase_pi)
         for b in self._alive():
-            blk = apply_pauli_word(self.blocks[b][i], word)
-            if entry.phase_pi:
-                blk = StateVector(blk.n_qubits, -blk.amps, copy=False)
-            self.blocks[b][i] = blk
+            self.blocks[b][i] = StateVector(6, coeff * self.blocks[b][i].amps[src], copy=False)
 
     def receiver_dm(self, i: int) -> DensityMatrix:
         mat = np.zeros((4, 4), dtype=complex)

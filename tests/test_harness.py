@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from quadtel import cli
+from quadtel import corrections as co
 from quadtel import harness as hz
 from quadtel import protocol as pr
+from quadtel import statevector as sv
 
 
 # ---------------------------------------------------------------- efficiency
@@ -263,6 +265,36 @@ def test_cli_rejects_non_list_senders(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "list" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("mode", ["sampled:abc", "sampled:0", "sampled:", "sampled:2.5"])
+def test_cli_rejects_bad_sampled_count(capsys, mode):
+    code = cli.main(["run", "--senders", "1", "--mode", mode])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(mode) in err and "sampled:N" in err and "N >= 1" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("error", [sv.ImpossibleBranchError, co.TableDerivationError, co.CatalogMatchError])
+@pytest.mark.parametrize("argv, cmd_name", [
+    (["run", "--senders", "1"], "cmd_run"),
+    (["verify-tables"], "cmd_verify_tables"),
+    (["verify-expansion"], "cmd_verify_expansion"),
+])
+def test_cli_reports_engine_and_table_errors_as_bad_input(tmp_path, capsys, monkeypatch, error, argv, cmd_name):
+    def fail(**kwargs):
+        raise error("block 0 qubit 2 outcome 1 has probability 0.000e+00")
+
+    monkeypatch.setattr(hz, cmd_name, fail)
+    out = tmp_path / "report.json"
+    code = cli.main(argv + ["--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: block 0 qubit 2 outcome 1 has probability 0.000e+00\n"
+    assert "Traceback" not in captured.out + captured.err
+    assert json.loads(out.read_text()) == {
+        "command": argv[0], "error": "block 0 qubit 2 outcome 1 has probability 0.000e+00"}
 
 
 def test_cli_verify_tables_and_expansion(tmp_path):

@@ -171,6 +171,50 @@ def test_forced_record_validation():
         pr.run_protocol(inputs)  # no rng in sampled mode
 
 
+# ------------------------------------------------------ structured BSM kernel
+
+def random_block(rng):
+    v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    return sv.StateVector(6, v / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("outcome", [0, 1, 2, 3, None])
+@pytest.mark.parametrize("j", range(4))
+def test_block_kernel_matches_generic_bsm(j, outcome):
+    # structured bsm_pair against the generic sequence CNOT, H, measure_qubit
+    # x2 on the same two-branch state of random blocks, written out densely;
+    # outcome None samples both routes from one seed
+    rng = np.random.default_rng(100 + j)
+    w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    blocks = [[random_block(rng) for _ in range(2)] for _ in range(2)]
+    state = pr.StructuredState(2, w / np.linalg.norm(w), blocks)
+    i, which = divmod(j, 2)
+    a, b = 6 * i + which, 6 * i + 2 + 2 * which
+    fa, fb = (None, None) if outcome is None else sv.BELL_OUTCOME_BITS[outcome]
+    rng_generic, rng_kernel = np.random.default_rng(7 + j), np.random.default_rng(7 + j)
+    generic = sv.apply_1q(sv.apply_cnot(state.to_dense(), a, b), "H", a)
+    bit_a, p_a, generic = sv.measure_qubit(generic, a, forced=fa, rng=rng_generic)
+    bit_b, p_b, generic = sv.measure_qubit(generic, b, forced=fb, rng=rng_generic)
+    got, prob = state.bsm_pair(j, forced=outcome, rng=rng_kernel)
+    assert got == sv.BELL_OUTCOME_BITS.index((bit_a, bit_b))
+    assert abs(prob - p_a * p_b) < 1e-15
+    assert sv.distance(state.to_dense(), generic) < 1e-13
+    assert abs(np.sum(np.abs(state.weights) ** 2) - 1) < 1e-13
+
+
+def test_block_kernel_names_an_impossible_outcome():
+    # pair (0, 2) of block 1 holds k+, so its BSM can only read k+: k- fails
+    # on the message qubit, l+ on the channel qubit
+    rng = np.random.default_rng(110)
+    amps = np.zeros(64, dtype=complex)
+    amps[0b000000] = amps[0b000101] = 2 ** -0.5
+    for outcome, where in ((1, "block 1 qubit 0 outcome 1"), (2, "block 1 qubit 2 outcome 1")):
+        blocks = [[random_block(rng), sv.StateVector(6, amps)] for _ in range(2)]
+        state = pr.StructuredState(2, [2 ** -0.5, 2 ** -0.5], blocks)
+        with pytest.raises(sv.ImpossibleBranchError, match=f"^{where} has probability"):
+            state.bsm_pair(2, forced=outcome)
+
+
 # ----------------------------------------------------------- exhaustive runs
 
 @pytest.mark.parametrize("engine", ["dense", "structured"])
@@ -204,6 +248,41 @@ def test_engines_produce_identical_reports():
             assert abs(a.branch_probability - b.branch_probability) < 1e-12
             for fa, fb in zip(a.per_receiver_fidelity, b.per_receiver_fidelity):
                 assert abs(fa - fb) < 1e-10
+
+
+# Engine agreement on one branch, for probabilities and fidelities alike.
+# Both are sums and products of a few dozen terms of order 1, so the engines
+# stay a few ulps apart (measured at s=3: 3e-19 and 4e-16); the bound leaves
+# more than an order of magnitude above that.
+ENGINE_AGREEMENT_TOL = 1e-14
+
+
+def assert_reports_agree(a, b):
+    assert a.outcome == b.outcome and a.transcript == b.transcript
+    assert abs(a.branch_probability - b.branch_probability) < ENGINE_AGREEMENT_TOL
+    assert np.abs(np.subtract(a.per_receiver_fidelity, b.per_receiver_fidelity)).max() < ENGINE_AGREEMENT_TOL
+
+
+def test_engines_agree_on_forced_branches_at_three_senders():
+    inputs = make_inputs(3, 62)
+    rng = np.random.default_rng(63)
+    for _ in range(3):
+        record = pr.OutcomeRecord(tuple(int(b) for b in rng.integers(0, 4, 6)), int(rng.integers(2)))
+        dense = pr.run_protocol(inputs, engine="dense", forced=record, allow_large_dense=True)
+        structured = pr.run_protocol(inputs, forced=record)
+        assert_reports_agree(dense, structured)
+
+
+def test_engines_draw_identical_sampled_outcomes():
+    # both engines draw one rng.random() per measured bit, message qubit
+    # first, so one seed gives both the same branches
+    inputs = make_inputs(2, 64)
+    dense_rng, structured_rng = np.random.default_rng(65), np.random.default_rng(65)
+    for _ in range(24):
+        dense = pr.run_protocol(inputs, engine="dense", rng=dense_rng)
+        structured = pr.run_protocol(inputs, rng=structured_rng)
+        assert_reports_agree(dense, structured)
+    assert dense_rng.random() == structured_rng.random()
 
 
 def test_exhaustive_shared_base_matches_fresh_state_per_branch():
@@ -327,11 +406,25 @@ def test_sampled_runs_reproduce_with_same_seed():
     assert all(f > 1 - 1e-9 for f in a.per_receiver_fidelity)
 
 
+# 99.9th percentile of the chi-square law with 31 degrees of freedom (32
+# outcomes, one constraint): a sampler that draws the uniform law fails one
+# seed in a thousand, and the seed below is pinned.
+CHI2_31_DOF_999 = 61.10
+
+
 def test_sampled_outcomes_cover_the_outcome_space():
     inputs = make_inputs(1, 93)
     rng = np.random.default_rng(7)
     seen = {pr.run_protocol(inputs, rng=rng).outcome for _ in range(64)}
     assert len(seen) > 10
+    # goodness of fit: every single-sender branch has probability 1/32
+    records = pr.enumerate_records(1)
+    n = 64 * len(records)
+    counts = np.zeros(len(records))
+    for _ in range(n):
+        counts[records.index(pr.run_protocol(inputs, rng=rng).outcome)] += 1
+    expected = n / len(records)
+    assert ((counts - expected) ** 2 / expected).sum() < CHI2_31_DOF_999
 
 
 # --------------------------------------------------- expansion coefficients

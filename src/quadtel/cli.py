@@ -5,9 +5,10 @@ protocol runs, correction-table verification, efficiency reproduction, and
 the expansion-normalization check.  Every subcommand prints a pass/fail
 summary and optionally writes the full JSON report; the exit code is 0 only
 if every assertion in the report passed, 1 if one failed, and 2 if the
-command could not produce a report (bad input, an impossible forced branch,
-or a table or catalog that cannot be derived), which prints one ``error:``
-line and writes a failure report to ``--out``.
+command could not produce or write a report (bad input, an impossible forced
+branch, a table or catalog that cannot be derived, or an ``--out`` path that
+cannot be written), which prints one ``error:`` line and, when the command
+failed, writes a failure report to ``--out``.
 """
 from __future__ import annotations
 
@@ -80,10 +81,18 @@ def main(argv=None) -> int:
         else:
             report = harness.cmd_verify_expansion(seed=args.seed)
     except COMMAND_ERRORS as exc:
-        failure = {"error": str(exc), "command": args.command}
         print(f"error: {exc}", file=sys.stderr)
-        if getattr(args, "out", None):
-            harness.write_report(failure, args.out)
+        if args.out:
+            try:
+                harness.write_report({"error": str(exc), "command": args.command}, args.out)
+            except OSError as write_exc:
+                print(f"error: cannot write the failure report: {write_exc}", file=sys.stderr)
+        return 2
+    try:
+        harness.write_report(report, args.out)
+    except OSError as exc:
+        # the path that cannot take the report cannot take a failure report either
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
     print(harness.summarize(report))
@@ -92,7 +101,6 @@ def main(argv=None) -> int:
         print(f"{n_branches} branch record(s)")
     ok = harness.report_passed(report)
     print("OK" if ok else "FAILED")
-    harness.write_report(report, args.out)
     return 0 if ok else 1
 
 

@@ -277,6 +277,8 @@ def cmd_run(
     allow_large_dense: bool = False,
 ) -> dict:
     """Protocol runs under one of the three modes, with per-branch records."""
+    if seed < 0:
+        raise ValueError(f"bad --seed {seed}: the seed is a non-negative integer")
     if input_file is not None:
         inputs = load_input_file(input_file)
         if len(inputs) != senders:

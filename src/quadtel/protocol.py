@@ -215,7 +215,9 @@ class DenseState:
         for z, kind in enumerate((BellKind.KAPPA_PLUS, BellKind.LAMBDA_MINUS)):
             blocks = [_block_state(info, kind) for info in inputs]
             branches.append(tensor(*blocks, init_basis(1, z), allow_large=allow_large))
-        amps = (branches[0].amps + branches[1].amps) * _SQRT2_INV
+        amps = branches[0].amps  # fresh from tensor, so summed and scaled in place
+        amps += branches[1].amps
+        amps *= _SQRT2_INV
         return cls(s, StateVector(6 * s + 1, amps, copy=False))
 
     def copy(self) -> "DenseState":
@@ -239,7 +241,8 @@ class DenseState:
         ]
         self.state = apply_pauli_word(self.state, word)
         if entry.phase_pi:
-            self.state = StateVector(self.state.n_qubits, -self.state.amps, copy=False)
+            # the word's result is a fresh array that nothing else holds
+            np.negative(self.state.amps, out=self.state.amps)
 
     def receiver_dm(self, i: int) -> DensityMatrix:
         keep = (self.layout.channel_receiver(i, 1), self.layout.channel_receiver(i, 0))

@@ -276,6 +276,32 @@ def test_cli_rejects_bad_sampled_count(capsys, mode):
     assert len(err.splitlines()) == 1
 
 
+def test_cli_unwritable_out_is_bad_input(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    code = cli.main(["run", "--senders", "2", "--engine", "dense", "--mode", "forced:k+,k+,k+,k+,0",
+                     "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(out) in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert "OK" not in captured.out
+    # a failing command whose failure report cannot be written either
+    code = cli.main(["run", "--senders", "1", "--mode", "sampled:0", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad mode") and "failure report" in err
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("mode", ["sampled:2", "exhaustive", "forced:k+,k+,0"])
+def test_cli_rejects_negative_seed(capsys, mode):
+    code = cli.main(["run", "--senders", "1", "--seed", "-5", "--mode", mode])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--seed -5" in err and "non-negative integer" in err
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("error", [sv.ImpossibleBranchError, co.TableDerivationError, co.CatalogMatchError])
 @pytest.mark.parametrize("argv, cmd_name", [
     (["run", "--senders", "1"], "cmd_run"),

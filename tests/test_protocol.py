@@ -66,6 +66,21 @@ def test_structured_matches_dense_assembly():
         assert sv.distance(structured.to_dense(), dense.state) < 1e-10
 
 
+def test_dense_phase_correction_leaves_earlier_copies_untouched():
+    from quadtel import corrections as co
+
+    state = pr.assemble_global(make_inputs(1, 17), "dense")
+    entry = next(e for e in co.TABLE_FIRST_PAIR.values() if e.phase_pi)
+    kept = state.copy()
+    snapshot = kept.state.amps.copy()
+    state.apply_correction(0, entry)
+    assert np.array_equal(kept.state.amps, snapshot)
+    assert not np.shares_memory(state.state.amps, kept.state.amps)
+    word = [(entry.first.value, state.layout.channel_receiver(0, 0)),
+            (entry.second.value, state.layout.channel_receiver(0, 1))]
+    assert np.array_equal(state.state.amps, -sv.apply_pauli_word(kept.state, word).amps)
+
+
 def test_dense_assembly_matches_channel_module_construction():
     """Cross-check the protocol register against the channel builder.
 

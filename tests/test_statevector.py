@@ -338,6 +338,101 @@ def test_gate_kernels_match_matrix_oracle():
             assert np.linalg.norm(got - want) < 1e-12
 
 
+# ------------------------------------------------ kernels on multi-slab states
+
+# 2^17 amplitudes are several of the kernels' slabs (2^14 amplitude pairs), so
+# these cases walk the slab loops that 3-qubit states never leave.  The
+# textbook expressions work on whole reshaped views and must agree bit for bit.
+SLAB_N = 17
+SLAB_CNOT_PAIRS = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 4), (3, 12), (12, 3), (7, 10), (13, 14),
+                   (14, 13), (0, 16), (16, 0), (15, 16), (16, 15), (8, 9)]
+
+
+@pytest.fixture(scope="module")
+def slab_state():
+    return random_state(SLAB_N, np.random.default_rng(53))
+
+
+def pure_call(kernel, state, *args, **kwargs):
+    """Call a kernel and check that it left its input amplitudes as they were."""
+    before = state.amps.copy()
+    result = kernel(state, *args, **kwargs)
+    assert before.tobytes() == state.amps.tobytes()
+    return result
+
+
+def textbook_1q(amps, m, q):
+    v = amps.reshape(-1, 2, 1 << q)
+    out = np.empty_like(v)
+    out[:, 0, :] = m[0, 0] * v[:, 0, :] + m[0, 1] * v[:, 1, :]
+    out[:, 1, :] = m[1, 0] * v[:, 0, :] + m[1, 1] * v[:, 1, :]
+    return out.reshape(-1)
+
+
+def textbook_probabilities(amps, q):
+    v = amps.reshape(-1, 2, 1 << q)
+    return tuple(float(np.sum(np.abs(v[:, bit, :]) ** 2)) for bit in (0, 1))
+
+
+def textbook_collapse(amps, q, bit, prob):
+    v = amps.reshape(-1, 2, 1 << q)
+    out = np.zeros_like(v)
+    out[:, bit, :] = v[:, bit, :] / np.sqrt(prob)
+    return out.reshape(-1)
+
+
+@pytest.mark.parametrize("q", range(SLAB_N))
+def test_one_qubit_kernels_on_multi_slab_state(slab_state, q):
+    amps = slab_state.amps
+    for name in ("H", "X", "Z"):
+        got = pure_call(sv.apply_1q, slab_state, name, q).amps
+        assert np.array_equal(got, textbook_1q(amps, sv.GATES_1Q[name], q))
+    other = (q + 9) % SLAB_N
+    for f in ("I", "X", "Z", "XZ"):
+        got = pure_call(sv.apply_pauli_word, slab_state, [(f, q)]).amps
+        assert np.array_equal(got, textbook_1q(amps, sv.PAULI_FACTOR_MATRICES[f], q))
+        # a later factor works in place on the word's own output
+        got = pure_call(sv.apply_pauli_word, slab_state, [(f, q), ("XZ", other), (f, q)]).amps
+        want = amps
+        for g, r in [(f, q), ("XZ", other), (f, q)]:
+            want = textbook_1q(want, sv.PAULI_FACTOR_MATRICES[g], r)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("q", range(SLAB_N))
+def test_measurement_kernels_on_multi_slab_state(slab_state, q):
+    amps = slab_state.amps
+    probs = pure_call(sv.measure_probabilities, slab_state, q)
+    assert probs == textbook_probabilities(amps, q)
+    for bit in (0, 1):
+        got_bit, prob, collapsed = pure_call(sv.measure_qubit, slab_state, q, forced=bit)
+        assert (got_bit, prob) == (bit, probs[bit])
+        assert np.array_equal(collapsed.amps, textbook_collapse(amps, q, bit, prob))
+
+
+@pytest.mark.parametrize("control, target", SLAB_CNOT_PAIRS)
+def test_cnot_on_multi_slab_state(slab_state, control, target):
+    idx = np.arange(1 << SLAB_N)
+    source = np.where((idx >> control) & 1, idx ^ (1 << target), idx)
+    got = pure_call(sv.apply_cnot, slab_state, control, target).amps
+    assert np.array_equal(got, slab_state.amps[source])
+
+
+def test_measure_qubit_on_one_qubit_state():
+    s = sv.StateVector(1, [0.6, 0.8j])
+    for bit in (0, 1):
+        got_bit, prob, collapsed = pure_call(sv.measure_qubit, s, 0, forced=bit)
+        assert (got_bit, prob) == (bit, textbook_probabilities(s.amps, 0)[bit])
+        assert np.array_equal(collapsed.amps, textbook_collapse(s.amps, 0, bit, prob))
+        assert collapsed.amps[bit] != 0 and collapsed.amps[1 - bit] == 0
+
+
+def test_empty_pauli_word_returns_a_fresh_copy():
+    s = random_state(3, np.random.default_rng(59))
+    got = pure_call(sv.apply_pauli_word, s, [])
+    assert np.array_equal(got.amps, s.amps) and not np.shares_memory(got.amps, s.amps)
+
+
 def test_norm_preserved_by_random_circuits():
     rng = np.random.default_rng(37)
     s = random_state(4, rng)

@@ -68,15 +68,15 @@ def _pair_low(kind: BellKind | int) -> StateVector:
     return pair_state(BELL_COEFFS[BellKind(kind)], "first_low")
 
 
-def ghz_state(n_qubits: int, *, allow_large: bool = False) -> StateVector:
+def ghz_state(n_qubits: int) -> StateVector:
     """(|0...0> + |1...1>)/sqrt2 via H on the top qubit and a CNOT fan-out."""
-    state = apply_1q(init_basis(n_qubits, 0, allow_large=allow_large), "H", n_qubits - 1)
+    state = apply_1q(init_basis(n_qubits, 0), "H", n_qubits - 1)
     for target in range(n_qubits - 1):
         state = apply_cnot(state, n_qubits - 1, target)
     return state
 
 
-def prepare_channel_circuit(k: int, *, allow_large: bool = False) -> StateVector:
+def prepare_channel_circuit(k: int) -> StateVector:
     """Gate-level construction of the k-pair channel on 2k+1 qubits.
 
     Steps: GHZ over all qubits (controller on top), then H on each
@@ -85,7 +85,7 @@ def prepare_channel_circuit(k: int, *, allow_large: bool = False) -> StateVector
     """
     if k < 1:
         raise ValueError(f"need at least one pair, got {k}")
-    state = ghz_state(2 * k + 1, allow_large=allow_large)
+    state = ghz_state(2 * k + 1)
     for j in range(k):
         state = apply_1q(state, "H", 2 * j + 1)
     for j in range(k):
@@ -93,7 +93,7 @@ def prepare_channel_circuit(k: int, *, allow_large: bool = False) -> StateVector
     return state
 
 
-def build_channel_analytic(k: int, branch_sign: int = 1, *, allow_large: bool = False) -> StateVector:
+def build_channel_analytic(k: int, branch_sign: int = 1) -> StateVector:
     """Direct tensor assembly of the k-pair channel, no gates involved.
 
     Returns (kappa+^k |0>_E + sign * lambda-^k |1>_E)/sqrt2.  The circuit
@@ -105,8 +105,8 @@ def build_channel_analytic(k: int, branch_sign: int = 1, *, allow_large: bool = 
         raise ValueError(f"branch sign must be +1 or -1, got {branch_sign}")
     kappa = [_pair_low(BellKind.KAPPA_PLUS)] * k
     lam = [_pair_low(BellKind.LAMBDA_MINUS)] * k
-    branch0 = tensor(*kappa, init_basis(1, 0), allow_large=allow_large)
-    branch1 = tensor(*lam, init_basis(1, 1), allow_large=allow_large)
+    branch0 = tensor(*kappa, init_basis(1, 0))
+    branch1 = tensor(*lam, init_basis(1, 1))
     amps = (branch0.amps + branch_sign * branch1.amps) * _SQRT2_INV
     return StateVector(2 * k + 1, amps, copy=False)
 

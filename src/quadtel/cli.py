@@ -17,7 +17,7 @@ import sys
 
 from . import harness, protocol
 from .corrections import CatalogMatchError, TableDerivationError
-from .statevector import ImpossibleBranchError
+from .statevector import HARD_QUBIT_CAP, ImpossibleBranchError
 
 # Errors that end a command without a report: exit 2, never a traceback.
 COMMAND_ERRORS = (ValueError, OSError, ImpossibleBranchError, TableDerivationError, CatalogMatchError)
@@ -43,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "e.g. k+,l-,k+,k+,1)")
     p.add_argument("--engine", default="structured", choices=protocol.ENGINES)
     p.add_argument("--allow-large-dense", action="store_true",
-                   help="opt in to dense states above 16 qubits")
+                   help=f"opt in to dense states above {protocol.DENSE_OPT_IN_QUBITS} qubits "
+                        f"(up to {HARD_QUBIT_CAP})")
     p.add_argument("--out", help="write the JSON report here")
 
     p = sub.add_parser("verify-tables", help="re-derive the correction tables and catalog map")

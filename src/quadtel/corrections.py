@@ -37,6 +37,11 @@ from .statevector import (
 
 MATCH_TOLERANCE = 1e-9
 
+# Random messages a derived correction word must restore.  A generic message
+# is an eigenvector of no non-trivial two-qubit Pauli product, so one already
+# singles out the word; the other two guard against a near-degenerate draw.
+N_PROBES = 3
+
 
 class PauliFactor(str, Enum):
     """Single-qubit correction factor; XZ is the product X·Z (Z first)."""
@@ -240,12 +245,11 @@ def derive_correction(
     key: CorrectionKey | tuple[int, int, int],
     *,
     rng: np.random.Generator | None = None,
-    n_inputs: int = 3,
 ) -> CorrectionEntry:
     """Search all 16 factor pairs for the one that undoes a forced collapse.
 
-    Runs the single-sender simulator on ``n_inputs`` independent random
-    message states; the unique pair restoring every input with fidelity 1 is
+    Runs the single-sender simulator on N_PROBES independent random message
+    states; the unique pair restoring every input with fidelity 1 is
     returned.  The phase flag records whether that word maps the simulated
     collapse to minus the input on a reference message.
     """
@@ -253,9 +257,7 @@ def derive_correction(
         key = CorrectionKey(*key)
     if rng is None:
         rng = np.random.default_rng(0x5EED)
-    if n_inputs < 3:
-        raise ValueError("need at least 3 probe inputs to pin the word uniquely")
-    probes = [_random_coeffs(rng) for _ in range(n_inputs)]
+    probes = [_random_coeffs(rng) for _ in range(N_PROBES)]
     collapses = [collapse_single_sender(c, key.g, key.h, key.z) for c in probes]
     matches = []
     for first, second in itertools.product(PauliFactor, repeat=2):
@@ -340,12 +342,8 @@ def eta_state(idx: EtaIndex | tuple[int, int], coeffs: Sequence[complex]) -> Sta
     return StateVector(2, amps, copy=False)
 
 
-def match_eta(
-    collapsed: StateVector,
-    coeffs: Sequence[complex],
-    block: int = 0,
-) -> tuple[EtaIndex, complex]:
-    """Identify the unique catalog pattern equal to ``collapsed`` up to phase.
+def match_eta(collapsed: StateVector, coeffs: Sequence[complex]) -> tuple[EtaIndex, complex]:
+    """Identify the unique block-0 catalog pattern equal to ``collapsed`` up to phase.
 
     Returns the index and the relative phase <catalog|collapsed>.  Degenerate
     message coefficients can make several patterns coincide; generic inputs
@@ -355,14 +353,17 @@ def match_eta(
         raise ValueError("collapse states are two-qubit states")
     hits = []
     for i in range(1, N_PATTERNS + 1):
-        idx = EtaIndex(block, i)
+        idx = EtaIndex(0, i)
         ov = overlap(eta_state(idx, coeffs), collapsed)
         if abs(ov) > 1 - MATCH_TOLERANCE:
             hits.append((idx, complex(ov)))
     if not hits:
         raise CatalogMatchError("collapse state matches no catalog pattern")
     if len(hits) > 1:
-        raise CatalogMatchError(f"collapse state matches several patterns: {[h[0] for h in hits]}")
+        patterns = [idx.index_in_block for idx, _ in hits]
+        raise CatalogMatchError(
+            f"collapse state matches several patterns {patterns}: the message coefficients are degenerate"
+        )
     return hits[0]
 
 
@@ -377,10 +378,12 @@ def eta_assignment(
             rng = np.random.default_rng(0xE7A)
         coeffs = _random_coeffs(rng)
     assignment = {}
-    for g, h, z in itertools.product(range(4), range(4), (0, 1)):
-        collapsed = collapse_single_sender(coeffs, g, h, z)
-        idx, _ = match_eta(collapsed, coeffs, block=0)
-        assignment[(g, h, z)] = idx.index_in_block
+    for key in itertools.product(range(4), range(4), (0, 1)):
+        try:
+            idx, _ = match_eta(collapse_single_sender(coeffs, *key), coeffs)
+        except CatalogMatchError as exc:
+            raise CatalogMatchError(f"key (g, h, z) = {key}: {exc}") from None
+        assignment[key] = idx.index_in_block
     return assignment
 
 

@@ -218,10 +218,9 @@ def summarize(report: dict) -> str:
 
 def cmd_prepare_channel(pairs: int) -> dict:
     """Build the channel by circuit and by direct assembly, and compare."""
-    allow_large = 2 * pairs + 1 > 16
-    circuit = prepare_channel_circuit(pairs, allow_large=allow_large)
+    circuit = prepare_channel_circuit(pairs)
     sign = (-1) ** pairs
-    analytic = build_channel_analytic(pairs, sign, allow_large=allow_large)
+    analytic = build_channel_analytic(pairs, sign)
     return {
         "config": {"command": "prepare-channel", "pairs": pairs},
         "seed": None,
@@ -267,6 +266,11 @@ def load_input_file(path: str) -> list[protocol.InfoState]:
     return states
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"bad --seed {seed}: the seed is a non-negative integer")
+
+
 def cmd_run(
     *,
     senders: int,
@@ -277,8 +281,7 @@ def cmd_run(
     allow_large_dense: bool = False,
 ) -> dict:
     """Protocol runs under one of the three modes, with per-branch records."""
-    if seed < 0:
-        raise ValueError(f"bad --seed {seed}: the seed is a non-negative integer")
+    _check_seed(seed)
     if input_file is not None:
         inputs = load_input_file(input_file)
         if len(inputs) != senders:
@@ -350,6 +353,7 @@ def cmd_run(
 
 def cmd_verify_tables(seed: int = 0) -> dict:
     """Correction-table oracle sweep plus the collapse-catalog checks."""
+    _check_seed(seed)
     result = corrections.verify_tables(np.random.default_rng(seed + 0x7AB))
     assertions = [
         check_close("table_word_matches", float(result.n_total), float(result.n_matched), 0.0),
@@ -400,6 +404,7 @@ def cmd_efficiency() -> dict:
 
 def cmd_verify_expansion(seed: int = 0) -> dict:
     """Adjudicate the global-expansion prefactor on seeded random messages."""
+    _check_seed(seed)
     rng = np.random.default_rng(seed + 0xE4)
     result = adjudicate_expansion_prefactor(rng=rng)
     small = PREFACTOR_CANDIDATES["1/(256*sqrt(2))"]

@@ -7,8 +7,8 @@ controller measurement, and the table-driven Pauli corrections.
 
 Two interchangeable engines execute the same protocol:
 
-* ``dense``: one statevector over all 6s+1 qubits (needs the large-state
-  opt-in beyond two senders);
+* ``dense``: one statevector over all 6s+1 qubits (beyond two senders it
+  needs the caller's opt-in, checked once in ``assemble_global``);
 * ``structured``: the controller superposition kept as two weighted branches,
   each branch a product of per-sender 6-qubit blocks.  This is exact, covers
   the full four-sender protocol in microseconds, and reconstructs the dense
@@ -25,7 +25,8 @@ engines' reports and sampled draws.
 Register order (dense engine and block-local alike): sender block i occupies
 qubits 6i..6i+5 as [message first, message second, channel sender-side,
 channel receiver-side, channel sender-side', channel receiver-side'], and the
-controller sits at qubit 6s.
+controller sits at qubit 6s.  ``_BELL_PAIRS`` and ``_RECEIVER_QUBITS`` name
+the block-local positions once; the dense engine adds 6i.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ from .channel import BELL_COEFFS, BELL_SYMBOLS, BellKind
 from .statevector import (
     BELL_OUTCOME_BITS,
     GATES_1Q,
+    HARD_QUBIT_CAP,
     DensityMatrix,
     MIN_BRANCH_PROBABILITY,
     PAULI_FACTOR_MATRICES,
@@ -66,6 +68,21 @@ _SQRT2_INV = 1.0 / np.sqrt(2.0)
 MAX_SENDERS = 4
 
 ENGINES = ("dense", "structured")
+
+# Largest dense-engine state run without the caller's opt-in
+# (``allow_large_dense``, the CLI's ``--allow-large-dense``): two senders, 13
+# qubits, fit; a four-sender dense state is 25 qubits, 512 MiB, and each of
+# its kernels allocates as much again.
+DENSE_OPT_IN_QUBITS = 16
+
+# Block-local qubits of a sender block.  Bell pair ``which`` (0, 1) measures
+# the message qubit and the channel sender-side qubit _BELL_PAIRS[which]; the
+# correction's first and second factors act on the receiver-side qubits
+# _RECEIVER_QUBITS, and a receiver's density matrix keeps them in
+# _RECEIVER_KEEP order, so that its index is 2a+b with a on the first.
+_BELL_PAIRS = ((0, 2), (1, 4))
+_RECEIVER_QUBITS = (3, 5)
+_RECEIVER_KEEP = _RECEIVER_QUBITS[::-1]
 
 
 class Party(str, Enum):
@@ -177,27 +194,6 @@ def _block_state(info: InfoState, kind: BellKind) -> StateVector:
     return tensor(pair_state(info.coeffs, "first_low"), pair, pair)
 
 
-class _Layout:
-    """Qubit indices of the block-contiguous protocol register."""
-
-    def __init__(self, s: int):
-        self.s = s
-        self.n_qubits = 6 * s + 1
-
-    def message(self, i: int, which: int) -> int:
-        return 6 * i + which
-
-    def channel_sender(self, i: int, which: int) -> int:
-        return 6 * i + 2 + 2 * which
-
-    def channel_receiver(self, i: int, which: int) -> int:
-        return 6 * i + 3 + 2 * which
-
-    @property
-    def controller(self) -> int:
-        return 6 * self.s
-
-
 class DenseState:
     """Dense-engine protocol state over the full 6s+1 qubit register."""
 
@@ -205,16 +201,15 @@ class DenseState:
 
     def __init__(self, s: int, state: StateVector):
         self.s = s
-        self.layout = _Layout(s)
         self.state = state
 
     @classmethod
-    def prepare(cls, inputs: Sequence[InfoState], *, allow_large: bool = False) -> "DenseState":
+    def prepare(cls, inputs: Sequence[InfoState]) -> "DenseState":
         s = _validate_inputs(inputs)
         branches = []
         for z, kind in enumerate((BellKind.KAPPA_PLUS, BellKind.LAMBDA_MINUS)):
             blocks = [_block_state(info, kind) for info in inputs]
-            branches.append(tensor(*blocks, init_basis(1, z), allow_large=allow_large))
+            branches.append(tensor(*blocks, init_basis(1, z)))
         amps = branches[0].amps  # fresh from tensor, so summed and scaled in place
         amps += branches[1].amps
         amps *= _SQRT2_INV
@@ -225,33 +220,27 @@ class DenseState:
 
     def bsm_pair(self, j: int, *, forced=None, rng=None) -> tuple[int, float]:
         i, which = divmod(j, 2)
-        a = self.layout.message(i, which)
-        b = self.layout.channel_sender(i, which)
+        a, b = (6 * i + q for q in _BELL_PAIRS[which])
         outcome, prob, self.state = bsm(self.state, a, b, forced=forced, rng=rng)
         return outcome, prob
 
     def measure_controller(self, *, forced=None, rng=None) -> tuple[int, float]:
-        z, prob, self.state = measure_qubit(self.state, self.layout.controller, forced=forced, rng=rng)
+        z, prob, self.state = measure_qubit(self.state, 6 * self.s, forced=forced, rng=rng)
         return z, prob
 
     def apply_correction(self, i: int, entry: corrections.CorrectionEntry) -> None:
-        word = [
-            (entry.first.value, self.layout.channel_receiver(i, 0)),
-            (entry.second.value, self.layout.channel_receiver(i, 1)),
-        ]
+        factors = (entry.first.value, entry.second.value)
+        word = [(factor, 6 * i + q) for factor, q in zip(factors, _RECEIVER_QUBITS)]
         self.state = apply_pauli_word(self.state, word)
         if entry.phase_pi:
             # the word's result is a fresh array that nothing else holds
             np.negative(self.state.amps, out=self.state.amps)
 
     def receiver_dm(self, i: int) -> DensityMatrix:
-        keep = (self.layout.channel_receiver(i, 1), self.layout.channel_receiver(i, 0))
-        return partial_trace(self.state, keep)
+        return partial_trace(self.state, [6 * i + q for q in _RECEIVER_KEEP])
 
     def pre_broadcast_dm(self) -> DensityMatrix:
-        keep = []
-        for i in range(self.s):
-            keep += [self.layout.channel_receiver(i, 1), self.layout.channel_receiver(i, 0)]
+        keep = [6 * i + q for i in range(self.s) for q in _RECEIVER_KEEP]
         return partial_trace(self.state, keep)
 
 
@@ -276,14 +265,13 @@ def _bell_basis_gather(a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return tuple(arr.reshape(2, 2, 16) for arr in (dest, src0, src1, sign))
 
 
-# One gather per sender pair (which = 0, 1): message qubit ``which`` and
-# channel-sender qubit ``2 + 2 * which`` of the block.
-_BELL_GATHERS = tuple(_bell_basis_gather(which, 2 + 2 * which) for which in (0, 1))
+# One gather per sender pair (which = 0, 1).
+_BELL_GATHERS = tuple(_bell_basis_gather(a, b) for a, b in _BELL_PAIRS)
 
 
 @functools.lru_cache(maxsize=None)
 def _correction_permutation(first: str, second: str, phase_pi: bool) -> tuple[np.ndarray, np.ndarray]:
-    """A correction word on block qubits 3 and 5 as a signed permutation.
+    """A correction word on the block's _RECEIVER_QUBITS (3, 5) as a signed permutation.
 
     Returns ``(src, coeff)``: the corrected block is ``coeff * amps[src]``.
     """
@@ -364,7 +352,7 @@ class StructuredState:
 
     def bsm_pair(self, j: int, *, forced=None, rng=None) -> tuple[int, float]:
         i, which = divmod(j, 2)
-        a, b = which, 2 + 2 * which  # block-local message and channel-sender qubits
+        a, b = _BELL_PAIRS[which]
         fa = fb = None
         if forced is not None:
             if forced not in range(4):
@@ -411,7 +399,7 @@ class StructuredState:
     def receiver_dm(self, i: int) -> DensityMatrix:
         mat = np.zeros((4, 4), dtype=complex)
         for b in self._alive():
-            mat += abs(self.weights[b]) ** 2 * partial_trace(self.blocks[b][i], (5, 3)).mat
+            mat += abs(self.weights[b]) ** 2 * partial_trace(self.blocks[b][i], _RECEIVER_KEEP).mat
         return DensityMatrix(2, mat)
 
     def pre_broadcast_dm(self) -> DensityMatrix:
@@ -420,15 +408,15 @@ class StructuredState:
         for b in self._alive():
             rho = np.array([[1.0]], dtype=complex)
             for i in range(self.s):
-                rho = np.kron(partial_trace(self.blocks[b][i], (5, 3)).mat, rho)
+                rho = np.kron(partial_trace(self.blocks[b][i], _RECEIVER_KEEP).mat, rho)
             mat += abs(self.weights[b]) ** 2 * rho
         return DensityMatrix(2 * self.s, mat)
 
-    def to_dense(self, *, allow_large: bool = False) -> StateVector:
+    def to_dense(self) -> StateVector:
         n = 6 * self.s + 1
         amps = np.zeros(1 << n, dtype=complex)
         for b in self._alive():
-            branch = tensor(*self.blocks[b], init_basis(1, b), allow_large=allow_large)
+            branch = tensor(*self.blocks[b], init_basis(1, b))
             amps += self.weights[b] * branch.amps
         return StateVector(n, amps, copy=False)
 
@@ -439,12 +427,22 @@ def assemble_global(
     *,
     allow_large_dense: bool = False,
 ):
-    """Initial global state (messages plus channel) under the chosen engine."""
-    if engine == "dense":
-        return DenseState.prepare(inputs, allow_large=allow_large_dense)
+    """Initial global state (messages plus channel) under the chosen engine.
+
+    The dense engine refuses states above DENSE_OPT_IN_QUBITS qubits unless
+    ``allow_large_dense`` is set; this is the one place that policy is checked.
+    """
     if engine == "structured":
         return StructuredState.prepare(inputs)
-    raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINES}")
+    if engine != "dense":
+        raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINES}")
+    n_qubits = 6 * _validate_inputs(inputs) + 1
+    if n_qubits > DENSE_OPT_IN_QUBITS and not allow_large_dense:
+        raise ValueError(
+            f"dense state of {n_qubits} qubits exceeds the {DENSE_OPT_IN_QUBITS}-qubit default; "
+            f"pass --allow-large-dense to opt in up to {HARD_QUBIT_CAP}"
+        )
+    return DenseState.prepare(inputs)
 
 
 def _build_transcript(s: int, outcomes: Sequence[int], z: int) -> tuple[tuple[ClassicalMessage, ...], int]:
@@ -546,7 +544,6 @@ def pre_broadcast_state(
     bell_outcomes: Sequence[int],
     *,
     engine: str = "structured",
-    allow_large_dense: bool = False,
 ) -> DensityMatrix:
     """Receiver-side density matrix after all sender measurements but before
     the controller's broadcast.
@@ -557,7 +554,7 @@ def pre_broadcast_state(
     s = _validate_inputs(inputs)
     if len(bell_outcomes) != 2 * s:
         raise ValueError(f"expected {2 * s} Bell outcomes, got {len(bell_outcomes)}")
-    state = assemble_global(inputs, engine, allow_large_dense=allow_large_dense)
+    state = assemble_global(inputs, engine)
     for j, outcome in enumerate(bell_outcomes):
         state.bsm_pair(j, forced=outcome)
     return state.pre_broadcast_dm()
@@ -579,8 +576,8 @@ def expansion_block_coefficients(info: InfoState) -> tuple[np.ndarray, float]:
     worst = 0.0
     for z, kind in enumerate((BellKind.KAPPA_PLUS, BellKind.LAMBDA_MINUS)):
         block = _block_state(info, kind)
-        block = apply_1q(apply_cnot(block, 0, 2), "H", 0)
-        block = apply_1q(apply_cnot(block, 1, 4), "H", 1)
+        for a, b in _BELL_PAIRS:
+            block = apply_1q(apply_cnot(block, a, b), "H", a)
         for g in range(4):
             for h in range(4):
                 v = bell_receiver_amplitudes(block.amps, g, h)

@@ -18,10 +18,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-# Dense allocation limits.  States above DEFAULT_QUBIT_CAP qubits need the
-# explicit allow_large opt-in; HARD_QUBIT_CAP (2^26 amplitudes, ~1 GiB) is
-# never exceeded.
-DEFAULT_QUBIT_CAP = 16
+# Largest dense state any kernel allocates: 2^26 amplitudes, 1 GiB of
+# complex128.  How large a state a caller may ask for below it is the
+# caller's policy (the protocol's dense engine has its own opt-in).
 HARD_QUBIT_CAP = 26
 
 # Forcing a branch below this Born probability is treated as impossible.
@@ -124,11 +123,9 @@ class DensityMatrix:
         return complex(np.trace(self.mat))
 
 
-def _check_size(n_qubits: int, allow_large: bool) -> None:
-    cap = HARD_QUBIT_CAP if allow_large else DEFAULT_QUBIT_CAP
-    if n_qubits > cap:
-        hint = "" if allow_large else " (pass allow_large=True to opt in up to 26)"
-        raise ValueError(f"dense state of {n_qubits} qubits exceeds the {cap}-qubit cap{hint}")
+def _check_size(n_qubits: int) -> None:
+    if n_qubits > HARD_QUBIT_CAP:
+        raise ValueError(f"dense state of {n_qubits} qubits exceeds the {HARD_QUBIT_CAP}-qubit cap")
 
 
 def _check_qubit(state: StateVector, q: int) -> None:
@@ -141,9 +138,9 @@ def _axis(n: int, q: int) -> int:
     return n - 1 - q
 
 
-def init_basis(n_qubits: int, basis_index: int, *, allow_large: bool = False) -> StateVector:
+def init_basis(n_qubits: int, basis_index: int) -> StateVector:
     """Computational basis state |basis_index> on n_qubits qubits."""
-    _check_size(n_qubits, allow_large)
+    _check_size(n_qubits)
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
     if not 0 <= basis_index < (1 << n_qubits):
@@ -400,12 +397,12 @@ def dm_fidelity(dm: DensityMatrix, target: StateVector) -> float:
     return float(np.real(np.vdot(target.amps, dm.mat @ target.amps)))
 
 
-def tensor(*states: StateVector, allow_large: bool = False) -> StateVector:
+def tensor(*states: StateVector) -> StateVector:
     """Tensor product; the first argument occupies the lowest qubit indices."""
     if not states:
         raise ValueError("tensor needs at least one state")
     n = sum(s.n_qubits for s in states)
-    _check_size(n, allow_large)
+    _check_size(n)
     amps = states[0].amps
     for s in states[1:]:
         amps = np.kron(s.amps, amps)

@@ -127,7 +127,7 @@ def test_criterion_6_catalog_coverage():
     coeffs = random_inputs(1, 600)[0].coeffs
     for g, h, z in itertools.product(range(4), range(4), (0, 1)):
         collapsed = co.collapse_single_sender(coeffs, g, h, z)
-        idx, phase = co.match_eta(collapsed, coeffs, block=0)  # raises if not unique
+        idx, phase = co.match_eta(collapsed, coeffs)  # raises if not unique
         assert abs(abs(phase) - 1) < 1e-9
         hits.setdefault(idx.index_in_block, []).append((g, h, z))
     two_to_one = sorted(hits) == list(range(1, 17)) and all(len(v) == 2 for v in hits.values())

@@ -24,7 +24,7 @@ def test_bell_states_are_orthonormal():
 
 
 def test_ghz_checkpoint_two_amplitudes():
-    s = ch.ghz_state(17, allow_large=True)
+    s = ch.ghz_state(17)
     nz = np.flatnonzero(np.abs(s.amps) > 1e-14)
     assert list(nz) == [0, 2**17 - 1]
     assert np.allclose(s.amps[nz], 1 / RT2)
@@ -65,23 +65,24 @@ def test_circuit_matches_analytic_with_alternating_sign(k):
 
 
 def test_full_channel_circuit_matches_analytic():
-    got = ch.prepare_channel_circuit(8, allow_large=True)
-    want = ch.build_channel_analytic(8, +1, allow_large=True)
+    got = ch.prepare_channel_circuit(8)
+    want = ch.build_channel_analytic(8, +1)
     assert sv.distance(got, want) < 1e-12
 
 
 def test_channel_norm_and_size_cap():
     assert abs(ch.prepare_channel_circuit(3).norm() - 1) < 1e-12
-    with pytest.raises(ValueError):
-        ch.prepare_channel_circuit(8)  # 17 qubits needs the opt-in
-    with pytest.raises(ValueError):
-        ch.build_channel_analytic(8)
+    # 13 pairs are 27 qubits, one over the kernels' hard cap
+    with pytest.raises(ValueError, match="27 qubits exceeds the 26-qubit cap"):
+        ch.prepare_channel_circuit(13)
+    with pytest.raises(ValueError, match="27 qubits exceeds the 26-qubit cap"):
+        ch.build_channel_analytic(13)
     with pytest.raises(ValueError):
         ch.build_channel_analytic(2, branch_sign=2)
 
 
 def test_pair_marginals_are_half_half_bell_mixture():
-    state = ch.prepare_channel_circuit(8, allow_large=True)
+    state = ch.prepare_channel_circuit(8)
     kp = ch.bell_state(ch.BellKind.KAPPA_PLUS).amps
     lm = ch.bell_state(ch.BellKind.LAMBDA_MINUS).amps
     mix = 0.5 * np.outer(kp, kp.conj()) + 0.5 * np.outer(lm, lm.conj())
@@ -93,7 +94,7 @@ def test_pair_marginals_are_half_half_bell_mixture():
 
 
 def test_bsm_support_on_channel_pairs():
-    state = ch.prepare_channel_circuit(8, allow_large=True)
+    state = ch.prepare_channel_circuit(8)
     layout = ch.ChannelLayout(8)
     for j in range(8):
         snd, rcv = layout.pair_qubits(j)

@@ -150,6 +150,16 @@ def test_match_eta_rejects_unmatched_state():
         co.match_eta(StateVector(2, other), c)
 
 
+def test_eta_assignment_names_the_degenerate_key():
+    # with the message |00> the first key's collapse matches four patterns
+    with pytest.raises(co.CatalogMatchError) as err:
+        co.eta_assignment([1, 0, 0, 0])
+    assert str(err.value) == (
+        "key (g, h, z) = (0, 0, 0): collapse state matches several patterns [13, 14, 15, 16]: "
+        "the message coefficients are degenerate"
+    )
+
+
 def test_every_single_sender_collapse_is_cataloged():
     c = random_coeffs(29)
     counts = {}

@@ -229,7 +229,9 @@ def test_cli_large_dense_needs_flag(capsys):
     code = cli.main(["run", "--senders", "3", "--mode", "forced:k+,k+,k+,k+,k+,k+,0",
                      "--engine", "dense"])
     assert code == 2
-    assert "exceeds" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exceeds" in err and "--allow-large-dense" in err
+    assert len(err.splitlines()) == 1
     code = cli.main(["run", "--senders", "3", "--mode", "forced:k+,k+,k+,k+,k+,k+,0",
                      "--engine", "dense", "--allow-large-dense"])
     assert code == 0
@@ -293,13 +295,19 @@ def test_cli_unwritable_out_is_bad_input(tmp_path, capsys):
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("mode", ["sampled:2", "exhaustive", "forced:k+,k+,0"])
-def test_cli_rejects_negative_seed(capsys, mode):
-    code = cli.main(["run", "--senders", "1", "--seed", "-5", "--mode", mode])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "--seed -5" in err and "non-negative integer" in err
-    assert len(err.splitlines()) == 1
+@pytest.mark.parametrize("argv", [
+    ["run", "--senders", "1", "--mode", "sampled:2"],
+    ["run", "--senders", "1", "--mode", "exhaustive"],
+    ["run", "--senders", "1", "--mode", "forced:k+,k+,0"],
+    ["verify-tables"],
+    ["verify-expansion"],
+], ids=["sampled:2", "exhaustive", "forced:k+,k+,0", "verify-tables", "verify-expansion"])
+def test_cli_rejects_negative_seed(capsys, argv):
+    for seed in ("-3", "-3000"):
+        code = cli.main(argv + ["--seed", seed])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: bad --seed {seed}: the seed is a non-negative integer\n"
 
 
 @pytest.mark.parametrize("error", [sv.ImpossibleBranchError, co.TableDerivationError, co.CatalogMatchError])

@@ -76,8 +76,7 @@ def test_dense_phase_correction_leaves_earlier_copies_untouched():
     state.apply_correction(0, entry)
     assert np.array_equal(kept.state.amps, snapshot)
     assert not np.shares_memory(state.state.amps, kept.state.amps)
-    word = [(entry.first.value, state.layout.channel_receiver(0, 0)),
-            (entry.second.value, state.layout.channel_receiver(0, 1))]
+    word = [(entry.first.value, 3), (entry.second.value, 5)]  # block 0's receiver qubits
     assert np.array_equal(state.state.amps, -sv.apply_pauli_word(kept.state, word).amps)
 
 
@@ -122,7 +121,7 @@ def test_channel_pair_marginals_in_assembled_state():
 
 def test_dense_cap_enforced_for_large_runs():
     inputs = make_inputs(3, 3)  # 19 qubits dense
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="19 qubits exceeds the 16-qubit default; pass --allow-large-dense"):
         pr.assemble_global(inputs, "dense")
     state = pr.assemble_global(inputs, "dense", allow_large_dense=True)
     assert state.state.n_qubits == 19

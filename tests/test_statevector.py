@@ -1,6 +1,7 @@
 """Statevector engine tests: gate kernels vs explicit matrices, measurement,
 Bell measurement bit-map derivation, overlaps and partial traces."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ def test_init_basis_single_zero():
 
 
 def test_init_basis_seventeen_zeros():
-    s = sv.init_basis(17, 0, allow_large=True)
+    s = sv.init_basis(17, 0)
     assert s.amps[0] == 1 and np.count_nonzero(s.amps) == 1
 
 
@@ -49,8 +50,17 @@ def test_init_basis_range_errors():
         sv.init_basis(2, 4)
     with pytest.raises(IndexError):
         sv.init_basis(2, -1)
-    with pytest.raises(ValueError):
-        sv.init_basis(17, 0)  # over the default cap without opt-in
+    # one qubit over the hard cap is refused before the 2 GiB allocation
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="27 qubits exceeds the 26-qubit cap"):
+            sv.init_basis(sv.HARD_QUBIT_CAP + 1, 0)
+        with pytest.raises(ValueError, match="27 qubits exceeds the 26-qubit cap"):
+            sv.tensor(sv.init_basis(14, 0), sv.init_basis(13, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ------------------------------------------------------------------- 1q gates
@@ -97,7 +107,7 @@ def test_cnot_builds_bell_pair():
 
 
 def test_cnot_fanout_builds_17_qubit_ghz():
-    s = sv.apply_1q(sv.init_basis(17, 0, allow_large=True), "H", 16)
+    s = sv.apply_1q(sv.init_basis(17, 0), "H", 16)
     for t in range(16):
         s = sv.apply_cnot(s, 16, t)
     nz = np.flatnonzero(np.abs(s.amps) > 1e-14)
@@ -149,7 +159,7 @@ def test_measure_bell_pair_is_unbiased():
 
 
 def test_measure_ghz_forced_zero_collapses_everything():
-    s = sv.apply_1q(sv.init_basis(17, 0, allow_large=True), "H", 16)
+    s = sv.apply_1q(sv.init_basis(17, 0), "H", 16)
     for t in range(16):
         s = sv.apply_cnot(s, 16, t)
     bit, prob, post = sv.measure_qubit(s, 16, forced=0)

@@ -110,46 +110,3 @@ def build_channel_analytic(k: int, branch_sign: int = 1) -> StateVector:
     amps = (branch0.amps + branch_sign * branch1.amps) * _SQRT2_INV
     return StateVector(2 * k + 1, amps, copy=False)
 
-
-class ChannelLayout:
-    """Names for the channel register of an n_pairs-pair protocol.
-
-    ``labels`` sends both the numeric construction labels (1-based, as in the
-    circuit description) and the protocol role labels to qubit indices; label
-    L is qubit L-1.  Role labels exist for up to four sender blocks: sender
-    block i owns ("S{i}", "S{i}'"), its receiver owns ("R{i}", "R{i}'"), and
-    "E" is the controller.  For the full 8-pair channel the classic
-    single-letter roles (A, A', P, Q, B, ...) are included as aliases.
-    """
-
-    _CLASSIC_ROLES = (
-        ("A", "P", "A'", "Q"),
-        ("B", "R", "B'", "S"),
-        ("C", "T", "C'", "U"),
-        ("D", "V", "D'", "W"),
-    )
-
-    def __init__(self, n_pairs: int):
-        if n_pairs < 1:
-            raise ValueError("need at least one pair")
-        self.n_pairs = n_pairs
-        n = 2 * n_pairs + 1
-        self.labels: dict = {label: label - 1 for label in range(1, n + 1)}
-        self.labels["E"] = n - 1
-        if n_pairs % 2 == 0:
-            for i in range(n_pairs // 2):
-                roles = [(f"S{i}", f"R{i}", f"S{i}'", f"R{i}'")]
-                if n_pairs == 8:
-                    roles.append(self._CLASSIC_ROLES[i])
-                for names in roles:
-                    self.labels.update(zip(names, range(4 * i, 4 * i + 4)))
-
-    @property
-    def controller(self) -> int:
-        return self.labels["E"]
-
-    def pair_qubits(self, j: int) -> tuple[int, int]:
-        """(sender-side, receiver-side) qubits of pair j."""
-        if not 0 <= j < self.n_pairs:
-            raise IndexError(f"pair {j} out of range")
-        return 2 * j, 2 * j + 1

@@ -24,6 +24,7 @@ import numpy as np
 
 from .channel import build_channel_analytic
 from .statevector import (
+    NORM_TOL,
     PAULI_FACTOR_MATRICES,
     StateVector,
     bell_receiver_amplitudes,
@@ -236,7 +237,7 @@ def collapse_single_sender(coeffs: Sequence[complex], g: int, h: int, z: int) ->
     _, _, state = measure_qubit(state, 6, forced=z)
     out = bell_receiver_amplitudes(state.amps.reshape(2, 64)[z], g, h)
     residual = np.linalg.norm(out)
-    if abs(residual - 1) > 1e-10:
+    if abs(residual - 1) > NORM_TOL:
         raise RuntimeError(f"collapse left amplitude outside the receiver pair (norm {residual})")
     return StateVector(2, out, copy=False)
 

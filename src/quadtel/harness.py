@@ -21,9 +21,17 @@ import numpy as np
 
 from . import corrections, protocol
 from .channel import BELL_SYMBOLS, build_channel_analytic, prepare_channel_circuit
-from .statevector import distance
+from .statevector import NORM_TOL, distance
 
 REPORT_DECIMALS = 4
+
+# Assertion tolerances.  Each sits orders of magnitude above the float64
+# round-off in the quantity it checks and far below the size of a real fault.
+FIDELITY_TOL = 1e-9  # 1 - fidelity or 1 - |cosine|: a wrong correction word costs O(1)
+PROBABILITY_TOL = 1e-12  # one branch probability; the smallest expected one, 2^-17, is 7.6e-6
+PROBABILITY_SUM_TOL = 1e-10  # summing 2^17 branch probabilities can drift by 2^17 * 2^-53 = 1.5e-11
+AMPLITUDE_TOL = 1e-12  # a state distance or term coefficient; the prefactor candidates differ by 8.3e-3
+SUM_SQ_TOL = 1e-9  # 2^17 squared term coefficients against 1; the wrong prefactor implies 16
 
 
 @dataclass(frozen=True)
@@ -145,13 +153,13 @@ def adjudicate_expansion_prefactor(
             "value": value,
             "implied_sum_sq": n_terms * value**2,
             "matches_measured_coefficient": bool(
-                abs(coeff_min - value) < 1e-12 and abs(coeff_max - value) < 1e-12
+                abs(coeff_min - value) < AMPLITUDE_TOL and abs(coeff_max - value) < AMPLITUDE_TOL
             ),
         }
         for name, value in PREFACTOR_CANDIDATES.items()
     }
     normalizing = [
-        name for name, c in candidates.items() if abs(c["implied_sum_sq"] - 1.0) < 1e-9
+        name for name, c in candidates.items() if abs(c["implied_sum_sq"] - 1.0) < SUM_SQ_TOL
     ]
     return {
         "n_terms": n_terms,
@@ -225,8 +233,8 @@ def cmd_prepare_channel(pairs: int) -> dict:
         "config": {"command": "prepare-channel", "pairs": pairs},
         "seed": None,
         "assertions": [
-            check_close("circuit_vs_analytic_distance", 0.0, distance(circuit, analytic), 1e-12),
-            check_close("circuit_norm", 1.0, circuit.norm(), 1e-10),
+            check_close("circuit_vs_analytic_distance", 0.0, distance(circuit, analytic), AMPLITUDE_TOL),
+            check_close("circuit_norm", 1.0, circuit.norm(), NORM_TOL),
         ],
         "branches": [],
         "efficiency": [],
@@ -323,8 +331,8 @@ def cmd_run(
     min_fid = min(min(r.per_receiver_fidelity) for r in reports)
     worst_prob_dev = max(abs(r.branch_probability - expected_prob) for r in reports)
     assertions = [
-        check_close("post_correction_fidelity_min", 1.0, min_fid, 1e-9),
-        check_close("branch_probability_uniform_dev", 0.0, worst_prob_dev, 1e-12),
+        check_close("post_correction_fidelity_min", 1.0, min_fid, FIDELITY_TOL),
+        check_close("branch_probability_uniform_dev", 0.0, worst_prob_dev, PROBABILITY_TOL),
         check_close(
             "classical_bits_per_run",
             float(expected_bits),
@@ -334,7 +342,7 @@ def cmd_run(
     ]
     if mode == "exhaustive":
         total = sum(r.branch_probability for r in reports)
-        assertions.append(check_close("branch_probability_sum", 1.0, total, 1e-10))
+        assertions.append(check_close("branch_probability_sum", 1.0, total, PROBABILITY_SUM_TOL))
     return {
         "config": {
             "command": "run",
@@ -409,24 +417,24 @@ def cmd_verify_expansion(seed: int = 0) -> dict:
     result = adjudicate_expansion_prefactor(rng=rng)
     small = PREFACTOR_CANDIDATES["1/(256*sqrt(2))"]
     assertions = [
-        check_close("sum_of_squared_coefficients", 1.0, result["measured_sum_sq"], 1e-9),
+        check_close("sum_of_squared_coefficients", 1.0, result["measured_sum_sq"], SUM_SQ_TOL),
         check_close(
             "term_coefficient_vs_normalizing_prefactor",
             small,
             result["measured_coefficient_range"][1],
-            1e-12,
+            AMPLITUDE_TOL,
         ),
         check_close(
             "term_coefficient_uniformity",
             0.0,
             result["measured_coefficient_range"][1] - result["measured_coefficient_range"][0],
-            1e-12,
+            AMPLITUDE_TOL,
         ),
         check_flag(
             "unique_normalizing_prefactor_found",
             result["normalizing_prefactor"] == "1/(256*sqrt(2))",
         ),
-        check_close("collapse_direction_vs_tables", 0.0, result["worst_direction_deviation"], 1e-9),
+        check_close("collapse_direction_vs_tables", 0.0, result["worst_direction_deviation"], FIDELITY_TOL),
     ]
     return {
         "config": {"command": "verify-expansion"},

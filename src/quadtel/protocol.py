@@ -47,6 +47,7 @@ from .statevector import (
     HARD_QUBIT_CAP,
     DensityMatrix,
     MIN_BRANCH_PROBABILITY,
+    NORM_TOL,
     PAULI_FACTOR_MATRICES,
     ImpossibleBranchError,
     StateVector,
@@ -111,7 +112,7 @@ class InfoState:
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("message coefficients must be finite")
         norm = np.linalg.norm(self.coeffs)
-        if abs(norm - 1) > 1e-10:
+        if abs(norm - 1) > NORM_TOL:
             raise ValueError(f"message state is not normalized (norm {norm!r})")
 
     @classmethod
@@ -289,6 +290,25 @@ def _correction_permutation(first: str, second: str, phase_pi: bool) -> tuple[np
     return src, coeff
 
 
+def _bell_split(block: StateVector, which: int) -> tuple:
+    """A block's Bell measurement on its sender pair ``which``.
+
+    Returns ``(changed, joint, marginal, children)``: the basis-changed
+    amplitudes indexed (bit a, bit b, rest), the joint probabilities
+    [bit a][bit b], the bit-a marginals, and an empty dict in which
+    ``bsm_pair`` keeps the collapsed blocks by (bit a, bit b).
+    """
+    _, src0, src1, sign = _BELL_GATHERS[which]
+    changed = (block.amps[src0] + sign * block.amps[src1]) * _SQRT2_INV
+    joint = (np.abs(changed) ** 2).sum(axis=2).tolist()
+    return changed, joint, (sum(joint[0]), sum(joint[1])), {}
+
+
+def _corrected(block: StateVector, entry: corrections.CorrectionEntry) -> StateVector:
+    src, coeff = _correction_permutation(entry.first.value, entry.second.value, entry.phase_pi)
+    return StateVector(6, coeff * block.amps[src], copy=False)
+
+
 class StructuredState:
     """Branch-factorized protocol state.
 
@@ -297,6 +317,13 @@ class StructuredState:
     normalized and ``sum |weight|^2 = 1``, so reconstructing
     ``sum_z weight_z (blocks_z tensor |z>)`` reproduces the dense state
     amplitude for amplitude.
+
+    A block is never written once created: an operation replaces it in
+    ``blocks``.  So ``copy()`` shares the blocks, and a state and all its
+    copies share one cache of what each block yields, since that depends on
+    the block alone: its Bell splits and their collapsed children, its
+    corrected forms and its receiver-pair matrix.  A state never copied
+    keeps no cache, as no other branch could reuse its entries.
     """
 
     engine = "structured"
@@ -306,6 +333,10 @@ class StructuredState:
         self.weights = np.asarray(weights, dtype=complex)
         self.blocks = blocks  # blocks[branch][sender]
         self.controller_z = controller_z
+        # Made by the first copy().  Keyed by block objects, which hash by
+        # identity; holding the keys keeps their blocks alive, so no key's id
+        # can be reused.
+        self._cache = None
 
     @classmethod
     def prepare(cls, inputs: Sequence[InfoState]) -> "StructuredState":
@@ -317,8 +348,12 @@ class StructuredState:
         return cls(s, [_SQRT2_INV, _SQRT2_INV], blocks)
 
     def copy(self) -> "StructuredState":
-        blocks = [[blk.copy() for blk in branch] for branch in self.blocks]
-        return StructuredState(self.s, self.weights.copy(), blocks, self.controller_z)
+        if self._cache is None:
+            self._cache = {}
+        blocks = [list(branch) for branch in self.blocks]
+        twin = StructuredState(self.s, self.weights.copy(), blocks, self.controller_z)
+        twin._cache = self._cache
+        return twin
 
     def _alive(self) -> list[int]:
         return [b for b in (0, 1) if abs(self.weights[b]) ** 2 > MIN_BRANCH_PROBABILITY]
@@ -350,6 +385,15 @@ class StructuredState:
         self.weights /= math.sqrt(prob)
         return bit, prob, kept
 
+    def _shared(self, key, make, *args):
+        """``make(*args)``, computed once per key for a state and its copies."""
+        if self._cache is None:
+            return make(*args)
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = make(*args)
+        return value
+
     def bsm_pair(self, j: int, *, forced=None, rng=None) -> tuple[int, float]:
         i, which = divmod(j, 2)
         a, b = _BELL_PAIRS[which]
@@ -358,20 +402,23 @@ class StructuredState:
             if forced not in range(4):
                 raise ValueError(f"Bell outcome must be in 0..3, got {forced}")
             fa, fb = BELL_OUTCOME_BITS[forced]
-        dest, src0, src1, sign = _BELL_GATHERS[which]
-        changed, joint = {}, {}
+        splits = {}
         for br in self._alive():
-            amps = self.blocks[br][i].amps
-            changed[br] = (amps[src0] + sign * amps[src1]) * _SQRT2_INV
-            joint[br] = (np.abs(changed[br]) ** 2).sum(axis=2).tolist()  # [bit a][bit b]
-        marginal = {br: (sum(p[0]), sum(p[1])) for br, p in joint.items()}
+            block = self.blocks[br][i]
+            splits[br] = self._shared((block, which), _bell_split, block, which)
+        marginal = {br: split[2] for br, split in splits.items()}
         bit_a, pa, kept = self._measure_bit(i, a, marginal, forced=fa, rng=rng)
-        conditional = {br: [p / marginal[br][bit_a] for p in joint[br][bit_a]] for br in kept}
+        conditional = {br: [p / marginal[br][bit_a] for p in splits[br][1][bit_a]] for br in kept}
         bit_b, pb, kept = self._measure_bit(i, b, conditional, forced=fb, rng=rng)
         for br in kept:
-            amps = np.zeros(64, dtype=complex)
-            amps[dest[bit_a, bit_b]] = changed[br][bit_a, bit_b] / math.sqrt(joint[br][bit_a][bit_b])
-            self.blocks[br][i] = StateVector(6, amps, copy=False)
+            changed, joint, _, children = splits[br]
+            child = children.get((bit_a, bit_b))
+            if child is None:
+                amps = np.zeros(64, dtype=complex)
+                dest = _BELL_GATHERS[which][0]
+                amps[dest[bit_a, bit_b]] = changed[bit_a, bit_b] / math.sqrt(joint[bit_a][bit_b])
+                child = children[bit_a, bit_b] = StateVector(6, amps, copy=False)
+            self.blocks[br][i] = child
         return BELL_OUTCOME_BITS.index((bit_a, bit_b)), pa * pb
 
     def measure_controller(self, *, forced=None, rng=None) -> tuple[int, float]:
@@ -392,14 +439,17 @@ class StructuredState:
         return z, prob
 
     def apply_correction(self, i: int, entry: corrections.CorrectionEntry) -> None:
-        src, coeff = _correction_permutation(entry.first.value, entry.second.value, entry.phase_pi)
         for b in self._alive():
-            self.blocks[b][i] = StateVector(6, coeff * self.blocks[b][i].amps[src], copy=False)
+            block = self.blocks[b][i]
+            self.blocks[b][i] = self._shared((block, entry), _corrected, block, entry)
+
+    def _receiver_mat(self, block: StateVector) -> np.ndarray:
+        return self._shared(block, partial_trace, block, _RECEIVER_KEEP).mat
 
     def receiver_dm(self, i: int) -> DensityMatrix:
         mat = np.zeros((4, 4), dtype=complex)
         for b in self._alive():
-            mat += abs(self.weights[b]) ** 2 * partial_trace(self.blocks[b][i], _RECEIVER_KEEP).mat
+            mat += abs(self.weights[b]) ** 2 * self._receiver_mat(self.blocks[b][i])
         return DensityMatrix(2, mat)
 
     def pre_broadcast_dm(self) -> DensityMatrix:
@@ -408,7 +458,7 @@ class StructuredState:
         for b in self._alive():
             rho = np.array([[1.0]], dtype=complex)
             for i in range(self.s):
-                rho = np.kron(partial_trace(self.blocks[b][i], _RECEIVER_KEEP).mat, rho)
+                rho = np.kron(self._receiver_mat(self.blocks[b][i]), rho)
             mat += abs(self.weights[b]) ** 2 * rho
         return DensityMatrix(2 * self.s, mat)
 

@@ -26,6 +26,11 @@ HARD_QUBIT_CAP = 26
 # Forcing a branch below this Born probability is treated as impossible.
 MIN_BRANCH_PROBABILITY = 1e-15
 
+# How far from 1 a state's norm may be: numpy's pairwise sums keep round-off
+# in the norm of a normalized state orders of magnitude below this, while an
+# unnormalized input or amplitude left outside a register misses it by far.
+NORM_TOL = 1e-10
+
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV

@@ -1,5 +1,5 @@
 """Channel construction tests: Bell states, circuit vs analytic equivalence,
-marginals, measurement support, and register naming."""
+marginals and measurement support."""
 import numpy as np
 import pytest
 
@@ -86,28 +86,16 @@ def test_pair_marginals_are_half_half_bell_mixture():
     kp = ch.bell_state(ch.BellKind.KAPPA_PLUS).amps
     lm = ch.bell_state(ch.BellKind.LAMBDA_MINUS).amps
     mix = 0.5 * np.outer(kp, kp.conj()) + 0.5 * np.outer(lm, lm.conj())
-    layout = ch.ChannelLayout(8)
     for j in range(8):
-        snd, rcv = layout.pair_qubits(j)
+        snd, rcv = 2 * j, 2 * j + 1
         dm = sv.partial_trace(state, [rcv, snd])  # index = 2*sender_bit + receiver_bit
         assert np.abs(dm.mat - mix).max() < 1e-12
 
 
 def test_bsm_support_on_channel_pairs():
     state = ch.prepare_channel_circuit(8)
-    layout = ch.ChannelLayout(8)
     for j in range(8):
-        snd, rcv = layout.pair_qubits(j)
+        snd, rcv = 2 * j, 2 * j + 1
         probs = sv.bsm_probabilities(state, snd, rcv)
         assert np.allclose(probs, [0.5, 0, 0, 0.5], atol=1e-12)
 
-
-def test_layout_validation():
-    with pytest.raises(ValueError):
-        ch.ChannelLayout(0)
-    layout = ch.ChannelLayout(8)
-    assert layout.labels["A"] == 0 and layout.labels["P"] == 1
-    assert layout.labels["D'"] == 14 and layout.labels["W"] == 15
-    assert layout.controller == 16
-    with pytest.raises(IndexError):
-        layout.pair_qubits(8)

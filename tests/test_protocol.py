@@ -2,6 +2,8 @@
 equivalence, controller gating, transcripts, and order independence."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadtel import channel as ch
 from quadtel import protocol as pr
@@ -300,13 +302,53 @@ def test_engines_draw_identical_sampled_outcomes():
 
 
 def test_exhaustive_shared_base_matches_fresh_state_per_branch():
-    # run_exhaustive copies one prepared state per branch; no branch may see
-    # another's measurements through that shared base
-    for s in (1, 2):
+    # run_exhaustive runs each branch on a copy of one prepared state, and the
+    # copies share its blocks and one block cache; no branch may see another's
+    # measurements through them.  Every branch at s=1, 2; 64 seeded ones at s=3
+    rng = np.random.default_rng(55)
+    for s in (1, 2, 3):
         inputs = make_inputs(s, 52 + s)
+        records = pr.enumerate_records(s)
         swept = pr.run_exhaustive(inputs, engine="structured")
-        fresh = [pr.run_protocol(inputs, forced=r) for r in pr.enumerate_records(s)]
-        assert [r.to_dict() for r in swept] == [r.to_dict() for r in fresh]
+        picks = range(len(records)) if s < 3 else rng.choice(len(records), 64, replace=False)
+        for k in picks:
+            assert swept[k].to_dict() == pr.run_protocol(inputs, forced=records[k]).to_dict()
+
+
+def block_bytes(state):
+    return [[blk.amps.tobytes() for blk in branch] for branch in state.blocks]
+
+
+def test_structured_copies_leave_the_base_and_each_other_alone():
+    # sweeping every branch on copies of a base leaves its blocks and weights
+    # as prepared, and two copies forced to different outcomes share no block
+    inputs = make_inputs(2, 56)
+    base = pr.StructuredState.prepare(inputs)
+    prepared, weights = block_bytes(base), base.weights.tobytes()
+    for record in pr.enumerate_records(2):
+        pr.run_protocol(inputs, forced=record, state=base.copy())
+    assert block_bytes(base) == prepared
+    assert base.weights.tobytes() == weights and base.controller_z is None
+    one, two = base.copy(), base.copy()
+    pr.run_protocol(inputs, forced=pr.OutcomeRecord((0, 1, 2, 3), 0), state=one)
+    pr.run_protocol(inputs, forced=pr.OutcomeRecord((3, 2, 1, 0), 1), state=two)
+    held = [{id(blk) for branch in state.blocks for blk in branch} for state in (base, one, two)]
+    assert not (held[0] & held[1] or held[0] & held[2] or held[1] & held[2])
+
+
+def test_structured_correction_cache_keeps_each_word_apart():
+    # copies share one cache of corrected blocks; each word applied to the
+    # same shared block must still give that word's result
+    from quadtel import corrections as co
+
+    base = pr.StructuredState.prepare(make_inputs(1, 18))
+    for entry in dict.fromkeys(co.TABLE_FIRST_PAIR.values()):
+        twin = base.copy()
+        twin.apply_correction(0, entry)
+        word = [(entry.first.value, 3), (entry.second.value, 5)]  # the block's receiver qubits
+        for corrected, prepared in zip(twin.blocks, base.blocks):
+            want = sv.apply_pauli_word(prepared[0], word).amps
+            assert np.array_equal(corrected[0].amps, -want if entry.phase_pi else want)
 
 
 # --------------------------------------------------------- order independence
@@ -326,6 +368,42 @@ def test_bsm_order_does_not_change_report():
         assert shuffled.transcript == base.transcript
     with pytest.raises(ValueError):
         pr.run_protocol(inputs, forced=record, bsm_order=[0] * 8)
+
+
+@pytest.fixture(scope="module")
+def filled_bases():
+    """Per sender count: the messages and a prepared state whose block cache
+    other branches have filled, in canonical and in reversed BSM order."""
+    rng = np.random.default_rng(71)
+    bases = {}
+    for s in range(1, pr.MAX_SENDERS + 1):
+        inputs = make_inputs(s, 71 + s)
+        base = pr.StructuredState.prepare(inputs)
+        for order in (None, list(range(2 * s))[::-1]):
+            for _ in range(16):
+                pr.run_protocol(inputs, rng=rng, bsm_order=order, state=base.copy())
+        bases[s] = inputs, base
+    return bases
+
+
+@st.composite
+def forced_runs(draw):
+    s = draw(st.integers(1, pr.MAX_SENDERS))
+    bell = draw(st.lists(st.integers(0, 3), min_size=2 * s, max_size=2 * s))
+    record = pr.OutcomeRecord(tuple(bell), draw(st.integers(0, 1)))
+    return s, record, draw(st.permutations(range(2 * s)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(run=forced_runs())
+def test_cached_copy_matches_fresh_state_in_any_order(filled_bases, run):
+    # a block's cached Bell split, correction and reduced matrix are what a
+    # fresh state computes for it, whatever order the measurements run in
+    s, record, order = run
+    inputs, base = filled_bases[s]
+    cached = pr.run_protocol(inputs, forced=record, bsm_order=order, state=base.copy())
+    fresh = pr.run_protocol(inputs, forced=record, bsm_order=order)
+    assert cached.to_dict() == fresh.to_dict()
 
 
 # ------------------------------------------------------------------- gating

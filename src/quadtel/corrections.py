@@ -8,14 +8,15 @@ built directly on the statevector and channel modules (deliberately not the
 protocol engines, so the two routes stay independent).  ``verify_tables``
 sweeps every key and receiver and reports agreement.
 
-The catalog lists the 16 two-qubit collapse patterns per sender block (64
-entries over the four blocks); ``match_eta`` identifies which pattern a
-simulated collapse realizes, which builds the outcome -> pattern map the
-tables imply but never state.
+The catalog has 16 two-qubit collapse patterns, repeated for each sender
+block with that sender's symbols; ``match_eta`` identifies which pattern
+(1..16) a simulated collapse realizes, which builds the outcome -> pattern
+map the tables imply but never state.
 """
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -36,7 +37,12 @@ from .statevector import (
     tensor,
 )
 
-MATCH_TOLERANCE = 1e-9
+# Thresholds of the oracle.  Each true value is 1 (or exact) to round-off,
+# about 1e-15, and a wrong pattern or word is off by O(1) on a generic message.
+MATCH_TOLERANCE = 1e-9  # 1 - |overlap| of a catalog match; distinct patterns overlap far less
+RESTORE_TOL = 1e-10  # 1 - fidelity of a probe restored by a candidate correction word
+PHASE_TOL = 1e-9  # distance of the restored probe's phase from +1 or -1
+SELF_INVERSE_TOL = 1e-12  # entries of U.U - (+-1); products of 0/+-1 matrices are exact
 
 # Random messages a derived correction word must restore.  A generic message
 # is an eigenvector of no non-trivial two-qubit Pauli product, so one already
@@ -55,21 +61,6 @@ class PauliFactor(str, Enum):
     @property
     def matrix(self) -> np.ndarray:
         return PAULI_FACTOR_MATRICES[self.value]
-
-
-@dataclass(frozen=True)
-class CorrectionKey:
-    """(first BSM outcome, second BSM outcome, controller bit) for one receiver."""
-
-    g: int
-    h: int
-    z: int
-
-    def __post_init__(self):
-        if self.g not in range(4) or self.h not in range(4):
-            raise ValueError(f"Bell outcomes must be in 0..3, got ({self.g}, {self.h})")
-        if self.z not in (0, 1):
-            raise ValueError(f"controller bit must be 0 or 1, got {self.z}")
 
 
 @dataclass(frozen=True)
@@ -202,14 +193,14 @@ RECEIVER_TABLES: Mapping[str, Mapping[tuple[int, int, int], CorrectionEntry]] = 
 )
 
 
-def table_lookup(receiver: str, key: CorrectionKey | tuple[int, int, int]) -> CorrectionEntry:
+def table_lookup(receiver: str, key: tuple[int, int, int]) -> CorrectionEntry:
     """Transcribed correction for a receiver given (g, h, z)."""
-    name = str(receiver)
-    if name not in RECEIVER_TABLES:
+    if receiver not in RECEIVER_TABLES:
         raise KeyError(f"unknown receiver {receiver!r}, expected one of {RECEIVERS}")
-    if not isinstance(key, CorrectionKey):
-        key = CorrectionKey(*key)
-    return RECEIVER_TABLES[name][(key.g, key.h, key.z)]
+    try:
+        return RECEIVER_TABLES[receiver][key]
+    except (KeyError, TypeError):
+        raise ValueError(f"no correction for (g, h, z) = {key!r}: g, h in 0..3 and z in 0, 1") from None
 
 
 # --------------------------------------------------------------------------
@@ -217,6 +208,7 @@ def table_lookup(receiver: str, key: CorrectionKey | tuple[int, int, int]) -> Co
 # --------------------------------------------------------------------------
 
 def _random_coeffs(rng: np.random.Generator) -> np.ndarray:
+    """A random normalized two-qubit message: Gaussian real and imaginary parts."""
     c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     return c / np.linalg.norm(c)
 
@@ -242,11 +234,7 @@ def collapse_single_sender(coeffs: Sequence[complex], g: int, h: int, z: int) ->
     return StateVector(2, out, copy=False)
 
 
-def derive_correction(
-    key: CorrectionKey | tuple[int, int, int],
-    *,
-    rng: np.random.Generator | None = None,
-) -> CorrectionEntry:
+def derive_correction(key: tuple[int, int, int], *, rng: np.random.Generator) -> CorrectionEntry:
     """Search all 16 factor pairs for the one that undoes a forced collapse.
 
     Runs the single-sender simulator on N_PROBES independent random message
@@ -254,29 +242,25 @@ def derive_correction(
     returned.  The phase flag records whether that word maps the simulated
     collapse to minus the input on a reference message.
     """
-    if not isinstance(key, CorrectionKey):
-        key = CorrectionKey(*key)
-    if rng is None:
-        rng = np.random.default_rng(0x5EED)
     probes = [_random_coeffs(rng) for _ in range(N_PROBES)]
-    collapses = [collapse_single_sender(c, key.g, key.h, key.z) for c in probes]
+    collapses = [collapse_single_sender(c, *key) for c in probes]
     matches = []
     for first, second in itertools.product(PauliFactor, repeat=2):
         entry = CorrectionEntry(first, second)
         if all(
             fidelity(StateVector(2, entry.unitary() @ st.amps), StateVector(2, c))
-            > 1 - 1e-10
+            > 1 - RESTORE_TOL
             for st, c in zip(collapses, probes)
         ):
             matches.append(entry)
     if not matches:
-        raise TableDerivationError(f"no factor pair restores the inputs for key {key}")
+        raise TableDerivationError(f"no factor pair restores the inputs for key (g, h, z) = {key}")
     if len(matches) > 1:
-        raise TableDerivationError(f"ambiguous factor pairs {matches} for key {key}")
+        raise TableDerivationError(f"ambiguous factor pairs {matches} for key (g, h, z) = {key}")
     entry = matches[0]
     scalar = overlap(StateVector(2, probes[0]), StateVector(2, entry.unitary() @ collapses[0].amps))
-    if abs(abs(scalar) - 1) > 1e-9 or abs(scalar.imag) > 1e-9:
-        raise TableDerivationError(f"correction for {key} produced a non-real phase {scalar}")
+    if abs(abs(scalar) - 1) > PHASE_TOL or abs(scalar.imag) > PHASE_TOL:
+        raise TableDerivationError(f"correction for (g, h, z) = {key} produced a non-real phase {scalar}")
     return CorrectionEntry(entry.first, entry.second, phase_pi=scalar.real < 0)
 
 
@@ -284,11 +268,11 @@ def derive_correction(
 # Collapsed-state catalog
 # --------------------------------------------------------------------------
 
-# The 16 catalog patterns per sender block.  Position c of a pattern holds
-# (ket index 2a+b, sign) for message coefficient c, transcribed row for row;
-# blocks 2, 3 and 4 repeat the same patterns for the other senders' symbols.
-# The printed catalog labels its first entry "2" twice; the first printed
-# entry is stored as pattern 1 here.
+# The 16 catalog patterns.  Position c of a pattern holds (ket index 2a+b,
+# sign) for message coefficient c, transcribed row for row from the first
+# sender block; the other blocks repeat the same patterns with their own
+# senders' symbols.  The printed catalog labels its first entry "2" twice;
+# the first printed entry is stored as pattern 1 here.
 _ETA_TERMS: tuple[tuple[tuple[int, int], ...], ...] = (
     ((3, +1), (2, -1), (1, -1), (0, +1)),
     ((3, +1), (2, +1), (1, -1), (0, -1)),
@@ -311,80 +295,51 @@ _ETA_TERMS: tuple[tuple[tuple[int, int], ...], ...] = (
 N_PATTERNS = len(_ETA_TERMS)
 
 
-@dataclass(frozen=True)
-class EtaIndex:
-    """Catalog coordinates: sender block 0..3, pattern 1..16 within it."""
-
-    block: int
-    index_in_block: int
-
-    def __post_init__(self):
-        if self.block not in range(4):
-            raise ValueError(f"block must be 0..3, got {self.block}")
-        if not 1 <= self.index_in_block <= N_PATTERNS:
-            raise ValueError(f"pattern index must be 1..16, got {self.index_in_block}")
-
-    @property
-    def catalog_index(self) -> int:
-        """1-based position in the 64-entry catalog."""
-        return self.block * N_PATTERNS + self.index_in_block
-
-
-def eta_state(idx: EtaIndex | tuple[int, int], coeffs: Sequence[complex]) -> StateVector:
-    """Catalog state ``idx`` with the given message coefficients substituted."""
-    if not isinstance(idx, EtaIndex):
-        idx = EtaIndex(*idx)
+def eta_state(pattern: int, coeffs: Sequence[complex]) -> StateVector:
+    """Catalog pattern 1..16 with the given message coefficients substituted."""
+    if not 1 <= pattern <= N_PATTERNS:
+        raise ValueError(f"pattern must be 1..{N_PATTERNS}, got {pattern}")
     c = np.asarray(coeffs, dtype=complex)
     if c.shape != (4,):
         raise ValueError(f"expected 4 coefficients, got {c.shape}")
     amps = np.zeros(4, dtype=complex)
-    for coeff_pos, (ket, sign) in enumerate(_ETA_TERMS[idx.index_in_block - 1]):
+    for coeff_pos, (ket, sign) in enumerate(_ETA_TERMS[pattern - 1]):
         amps[ket] += sign * c[coeff_pos]
     return StateVector(2, amps, copy=False)
 
 
-def match_eta(collapsed: StateVector, coeffs: Sequence[complex]) -> tuple[EtaIndex, complex]:
-    """Identify the unique block-0 catalog pattern equal to ``collapsed`` up to phase.
+def match_eta(collapsed: StateVector, coeffs: Sequence[complex]) -> tuple[int, complex]:
+    """Identify the unique catalog pattern equal to ``collapsed`` up to phase.
 
-    Returns the index and the relative phase <catalog|collapsed>.  Degenerate
-    message coefficients can make several patterns coincide; generic inputs
-    keep the match unique.
+    Returns the pattern 1..16 and the relative phase <catalog|collapsed>.
+    Degenerate message coefficients can make several patterns coincide;
+    generic inputs keep the match unique.
     """
     if collapsed.n_qubits != 2:
         raise ValueError("collapse states are two-qubit states")
     hits = []
-    for i in range(1, N_PATTERNS + 1):
-        idx = EtaIndex(0, i)
-        ov = overlap(eta_state(idx, coeffs), collapsed)
+    for pattern in range(1, N_PATTERNS + 1):
+        ov = overlap(eta_state(pattern, coeffs), collapsed)
         if abs(ov) > 1 - MATCH_TOLERANCE:
-            hits.append((idx, complex(ov)))
+            hits.append((pattern, complex(ov)))
     if not hits:
         raise CatalogMatchError("collapse state matches no catalog pattern")
     if len(hits) > 1:
-        patterns = [idx.index_in_block for idx, _ in hits]
+        patterns = [pattern for pattern, _ in hits]
         raise CatalogMatchError(
             f"collapse state matches several patterns {patterns}: the message coefficients are degenerate"
         )
     return hits[0]
 
 
-def eta_assignment(
-    coeffs: Sequence[complex] | None = None,
-    *,
-    rng: np.random.Generator | None = None,
-) -> dict[tuple[int, int, int], int]:
+def eta_assignment(coeffs: Sequence[complex]) -> dict[tuple[int, int, int], int]:
     """Empirical (g, h, z) -> pattern map from the 32 single-sender collapses."""
-    if coeffs is None:
-        if rng is None:
-            rng = np.random.default_rng(0xE7A)
-        coeffs = _random_coeffs(rng)
     assignment = {}
     for key in itertools.product(range(4), range(4), (0, 1)):
         try:
-            idx, _ = match_eta(collapse_single_sender(coeffs, *key), coeffs)
+            assignment[key], _ = match_eta(collapse_single_sender(coeffs, *key), coeffs)
         except CatalogMatchError as exc:
             raise CatalogMatchError(f"key (g, h, z) = {key}: {exc}") from None
-        assignment[key] = idx.index_in_block
     return assignment
 
 
@@ -392,49 +347,12 @@ def eta_assignment(
 # Verification sweep
 # --------------------------------------------------------------------------
 
-@dataclass
-class TableVerificationReport:
-    """Outcome of the full 32-key x 4-receiver oracle sweep."""
+def verify_tables(rng: np.random.Generator) -> dict:
+    """Re-derive all 32 corrections and compare with every transcribed column.
 
-    comparisons: list
-    n_matched: int
-    n_total: int
-    receiver_columns_identical: bool
-    self_inverse_ok: bool
-    eta_map: dict
-    eta_total: bool
-    eta_two_to_one: bool
-    notes: list
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.n_matched == self.n_total
-            and self.receiver_columns_identical
-            and self.self_inverse_ok
-            and self.eta_total
-            and self.eta_two_to_one
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "comparisons": self.comparisons,
-            "n_matched": self.n_matched,
-            "n_total": self.n_total,
-            "receiver_columns_identical": self.receiver_columns_identical,
-            "self_inverse_ok": self.self_inverse_ok,
-            "eta_map": {f"{g},{h},{z}": v for (g, h, z), v in sorted(self.eta_map.items())},
-            "eta_total": self.eta_total,
-            "eta_two_to_one": self.eta_two_to_one,
-            "notes": self.notes,
-            "all_ok": self.all_ok,
-        }
-
-
-def verify_tables(rng: np.random.Generator | None = None) -> TableVerificationReport:
-    """Re-derive all 32 corrections and compare with every transcribed column."""
-    if rng is None:
-        rng = np.random.default_rng(0x7AB1E)
+    Returns the report's ``tables`` section: the 128 comparisons, the
+    cross-table and self-inverse checks, the catalog map and ``all_ok``.
+    """
     comparisons = []
     n_matched = 0
     keys = [(g, h, z) for g, h in itertools.product(range(4), repeat=2) for z in (0, 1)]
@@ -459,25 +377,28 @@ def verify_tables(rng: np.random.Generator | None = None) -> TableVerificationRe
     )
     eye = np.eye(4)
     self_inverse = all(
-        np.allclose(e.unitary() @ e.unitary(), eye, atol=1e-12)
-        or np.allclose(e.unitary() @ e.unitary(), -eye, atol=1e-12)
+        np.allclose(e.unitary() @ e.unitary(), eye, atol=SELF_INVERSE_TOL)
+        or np.allclose(e.unitary() @ e.unitary(), -eye, atol=SELF_INVERSE_TOL)
         for e in TABLE_FIRST_PAIR.values()
     )
-    assignment = eta_assignment(rng=rng)
-    counts = {i: 0 for i in range(1, N_PATTERNS + 1)}
-    for pattern in assignment.values():
-        counts[pattern] += 1
-    return TableVerificationReport(
-        comparisons=comparisons,
-        n_matched=n_matched,
-        n_total=len(keys) * len(RECEIVERS),
-        receiver_columns_identical=columns_identical,
-        self_inverse_ok=self_inverse,
-        eta_map=assignment,
-        eta_total=len(assignment) == 32,
-        eta_two_to_one=all(c == 2 for c in counts.values()),
-        notes=[
+    assignment = eta_assignment(_random_coeffs(rng))
+    n_total = len(keys) * len(RECEIVERS)
+    eta_total = len(assignment) == 32
+    eta_two_to_one = Counter(assignment.values()) == {i: 2 for i in range(1, N_PATTERNS + 1)}
+    return {
+        "comparisons": comparisons,
+        "n_matched": n_matched,
+        "n_total": n_total,
+        "receiver_columns_identical": columns_identical,
+        "self_inverse_ok": self_inverse,
+        "eta_map": {f"{g},{h},{z}": v for (g, h, z), v in sorted(assignment.items())},
+        "eta_total": eta_total,
+        "eta_two_to_one": eta_two_to_one,
+        "notes": [
             "catalog prints its first entry with a duplicated label; it is stored as pattern 1",
             "word comparisons ignore global phase; phase flags are reported separately",
         ],
-    )
+        "all_ok": (
+            n_matched == n_total and columns_identical and self_inverse and eta_total and eta_two_to_one
+        ),
+    }

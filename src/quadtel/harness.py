@@ -107,11 +107,7 @@ PREFACTOR_CANDIDATES = {
 }
 
 
-def adjudicate_expansion_prefactor(
-    inputs: Sequence[protocol.InfoState] | None = None,
-    *,
-    rng: np.random.Generator | None = None,
-) -> dict:
+def adjudicate_expansion_prefactor(inputs: Sequence[protocol.InfoState]) -> dict:
     """Numerically expand the global state over every (outcomes, z) term.
 
     Every sender block is projected onto all 16 Bell outcome pairs per
@@ -120,10 +116,6 @@ def adjudicate_expansion_prefactor(
     states which candidate prefactor matches the measured (uniform) term
     coefficient and whether the squared coefficients sum to one.
     """
-    if inputs is None:
-        if rng is None:
-            rng = np.random.default_rng(0xC0EF)
-        inputs = [protocol.InfoState.random(rng) for _ in range(4)]
     if len(inputs) != protocol.MAX_SENDERS:
         raise ValueError("the expansion is defined for the full four-sender state")
 
@@ -264,12 +256,17 @@ def load_input_file(path: str) -> list[protocol.InfoState]:
         raise ValueError("input file must be an object whose 'senders' key holds a list")
     states = []
     for i, raw in enumerate(data["senders"]):
-        arr = np.asarray(raw, dtype=float)
-        if arr.shape != (4, 2):
-            raise ValueError(f"sender {i}: expected 4 [re, im] pairs, got shape {arr.shape}")
+        pairs = isinstance(raw, list) and len(raw) == 4
+        if not (pairs and all(isinstance(p, list) and len(p) == 2 for p in raw)):
+            raise ValueError(f"sender {i}: expected 4 [re, im] pairs")
+        # numpy would read "0.5" and true as numbers; the schema says JSON numbers
+        bad = [x for p in raw for x in p if type(x) not in (int, float)]
+        if bad:
+            raise ValueError(f"sender {i}: coefficients must be JSON numbers, got {json.dumps(bad[0])}")
         try:
+            arr = np.asarray(raw, dtype=float)
             states.append(protocol.InfoState(arr[:, 0] + 1j * arr[:, 1]))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"sender {i}: {exc}") from None
     return states
 
@@ -364,11 +361,11 @@ def cmd_verify_tables(seed: int = 0) -> dict:
     _check_seed(seed)
     result = corrections.verify_tables(np.random.default_rng(seed + 0x7AB))
     assertions = [
-        check_close("table_word_matches", float(result.n_total), float(result.n_matched), 0.0),
-        check_flag("receiver_columns_identical", result.receiver_columns_identical),
-        check_flag("entries_self_inverse_up_to_sign", result.self_inverse_ok),
-        check_flag("catalog_map_total", result.eta_total),
-        check_flag("catalog_map_two_to_one", result.eta_two_to_one),
+        check_close("table_word_matches", float(result["n_total"]), float(result["n_matched"]), 0.0),
+        check_flag("receiver_columns_identical", result["receiver_columns_identical"]),
+        check_flag("entries_self_inverse_up_to_sign", result["self_inverse_ok"]),
+        check_flag("catalog_map_total", result["eta_total"]),
+        check_flag("catalog_map_two_to_one", result["eta_two_to_one"]),
     ]
     return {
         "config": {"command": "verify-tables"},
@@ -376,7 +373,7 @@ def cmd_verify_tables(seed: int = 0) -> dict:
         "assertions": assertions,
         "branches": [],
         "efficiency": [],
-        "tables": result.to_dict(),
+        "tables": result,
     }
 
 
@@ -414,7 +411,7 @@ def cmd_verify_expansion(seed: int = 0) -> dict:
     """Adjudicate the global-expansion prefactor on seeded random messages."""
     _check_seed(seed)
     rng = np.random.default_rng(seed + 0xE4)
-    result = adjudicate_expansion_prefactor(rng=rng)
+    result = adjudicate_expansion_prefactor([protocol.InfoState.random(rng) for _ in range(4)])
     small = PREFACTOR_CANDIDATES["1/(256*sqrt(2))"]
     assertions = [
         check_close("sum_of_squared_coefficients", 1.0, result["measured_sum_sq"], SUM_SQ_TOL),

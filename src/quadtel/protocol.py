@@ -117,8 +117,7 @@ class InfoState:
 
     @classmethod
     def random(cls, rng: np.random.Generator) -> "InfoState":
-        c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        return cls(c / np.linalg.norm(c))
+        return cls(corrections._random_coeffs(rng))
 
     def target_state(self) -> StateVector:
         """The message as a 2-qubit state on index 2a+b (first symbol high)."""

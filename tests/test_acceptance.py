@@ -112,13 +112,13 @@ def test_criterion_5_correction_table_verification():
     result = co.verify_tables(np.random.default_rng(500))
     elapsed = time.monotonic() - t0
     ok = (
-        result.n_matched == 128
-        and result.n_total == 128
-        and result.self_inverse_ok
-        and result.receiver_columns_identical
+        result["n_matched"] == 128
+        and result["n_total"] == 128
+        and result["self_inverse_ok"]
+        and result["receiver_columns_identical"]
         and elapsed < 30.0
     )
-    _line(5, ok, f"{result.n_matched}/128 word matches, self-inverse ok, "
+    _line(5, ok, f"{result['n_matched']}/128 word matches, self-inverse ok, "
                  f"receiver columns identical, {elapsed:.2f}s (< 30s)")
 
 
@@ -127,9 +127,9 @@ def test_criterion_6_catalog_coverage():
     coeffs = random_inputs(1, 600)[0].coeffs
     for g, h, z in itertools.product(range(4), range(4), (0, 1)):
         collapsed = co.collapse_single_sender(coeffs, g, h, z)
-        idx, phase = co.match_eta(collapsed, coeffs)  # raises if not unique
+        pattern, phase = co.match_eta(collapsed, coeffs)  # raises if not unique
         assert abs(abs(phase) - 1) < 1e-9
-        hits.setdefault(idx.index_in_block, []).append((g, h, z))
+        hits.setdefault(pattern, []).append((g, h, z))
     two_to_one = sorted(hits) == list(range(1, 17)) and all(len(v) == 2 for v in hits.values())
     stable = co.eta_assignment(coeffs) == co.eta_assignment(random_inputs(1, 601)[0].coeffs)
     ok = two_to_one and stable

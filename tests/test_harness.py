@@ -57,7 +57,8 @@ def test_comparison_table_deviations():
 # ---------------------------------------------------------------- expansion
 
 def test_expansion_prefactor_adjudication():
-    result = hz.adjudicate_expansion_prefactor(rng=np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    result = hz.adjudicate_expansion_prefactor([pr.InfoState.random(rng) for _ in range(4)])
     assert result["n_terms"] == 131072
     assert abs(result["measured_sum_sq"] - 1) < 1e-9
     lo, hi = result["measured_coefficient_range"]
@@ -125,6 +126,16 @@ def test_load_input_file_rejects_bad_shape(tmp_path):
         hz.load_input_file(str(path))
     path.write_text(json.dumps({"nope": []}))
     with pytest.raises(ValueError, match="senders"):
+        hz.load_input_file(str(path))
+    path.write_text(json.dumps({"senders": [[[1.0, 0.0], [0.0], [0.0, 0.0], [0.0, 0.0]]]}))
+    with pytest.raises(ValueError, match="sender 0: expected 4 \\[re, im\\] pairs"):
+        hz.load_input_file(str(path))
+
+
+def test_load_input_file_rejects_integer_beyond_float(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"senders": [[[1' + "0" * 400 + ', 0], [0, 0], [0, 0], [0, 0]]]}')
+    with pytest.raises(ValueError, match="sender 0: int too large"):
         hz.load_input_file(str(path))
 
 
@@ -267,6 +278,20 @@ def test_cli_rejects_non_list_senders(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "list" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("sender, bad", [
+    ([["0.5", "0"], ["0.5", "0"], ["0.5", "0"], ["0.5", "0"]], '"0.5"'),
+    ([[True, 0], [0, 0], [0, 0], [0, 0]], "true"),
+], ids=["strings", "booleans"])
+def test_cli_rejects_non_number_coefficients(tmp_path, capsys, sender, bad):
+    # numpy would convert both to floats; only JSON numbers are coefficients
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"senders": [sender]}))
+    code = cli.main(["run", "--senders", "1", "--input", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: sender 0: coefficients must be JSON numbers, got {bad}\n"
 
 
 @pytest.mark.parametrize("mode", ["sampled:abc", "sampled:0", "sampled:", "sampled:2.5"])

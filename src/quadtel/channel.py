@@ -58,16 +58,6 @@ BELL_COEFFS: Mapping[BellKind, np.ndarray] = {
 BELL_SYMBOLS = ("k+", "k-", "l+", "l-")
 
 
-def bell_state(kind: BellKind | int) -> StateVector:
-    """Two-qubit Bell state with the first pair member on qubit 1."""
-    return pair_state(BELL_COEFFS[BellKind(kind)], "first_high")
-
-
-def _pair_low(kind: BellKind | int) -> StateVector:
-    # channel registers store the first (sender-side) member at the lower index
-    return pair_state(BELL_COEFFS[BellKind(kind)], "first_low")
-
-
 def ghz_state(n_qubits: int) -> StateVector:
     """(|0...0> + |1...1>)/sqrt2 via H on the top qubit and a CNOT fan-out."""
     state = apply_1q(init_basis(n_qubits, 0), "H", n_qubits - 1)
@@ -103,8 +93,8 @@ def build_channel_analytic(k: int, branch_sign: int = 1) -> StateVector:
         raise ValueError(f"need at least one pair, got {k}")
     if branch_sign not in (1, -1):
         raise ValueError(f"branch sign must be +1 or -1, got {branch_sign}")
-    kappa = [_pair_low(BellKind.KAPPA_PLUS)] * k
-    lam = [_pair_low(BellKind.LAMBDA_MINUS)] * k
+    kappa = [pair_state(BELL_COEFFS[BellKind.KAPPA_PLUS])] * k
+    lam = [pair_state(BELL_COEFFS[BellKind.LAMBDA_MINUS])] * k
     branch0 = tensor(*kappa, init_basis(1, 0))
     branch1 = tensor(*lam, init_basis(1, 1))
     amps = (branch0.amps + branch_sign * branch1.amps) * _SQRT2_INV

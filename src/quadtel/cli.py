@@ -5,10 +5,10 @@ protocol runs, correction-table verification, efficiency reproduction, and
 the expansion-normalization check.  Every subcommand prints a pass/fail
 summary and optionally writes the full JSON report; the exit code is 0 only
 if every assertion in the report passed, 1 if one failed, and 2 if the
-command could not produce or write a report (bad input, an impossible forced
-branch, a table or catalog that cannot be derived, or an ``--out`` path that
-cannot be written), which prints one ``error:`` line and, when the command
-failed, writes a failure report to ``--out``.
+command could not produce or write a report (a usage error, bad input, an
+impossible forced branch, a table or catalog that cannot be derived, or an
+``--out`` path that cannot be written), which prints one ``error:`` line and,
+when the command failed, writes a failure report to ``--out``.
 """
 from __future__ import annotations
 
@@ -23,8 +23,16 @@ from .statevector import HARD_QUBIT_CAP, ImpossibleBranchError
 COMMAND_ERRORS = (ValueError, OSError, ImpossibleBranchError, TableDerivationError, CatalogMatchError)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line and exit code 2; the
+    subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadtel",
         description="Simultaneous multiparty controlled teleportation simulator",
     )
@@ -82,12 +90,13 @@ def main(argv=None) -> int:
         else:
             report = harness.cmd_verify_expansion(seed=args.seed)
     except COMMAND_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = f"error: {exc}"
         if args.out:
             try:
                 harness.write_report({"error": str(exc), "command": args.command}, args.out)
             except OSError as write_exc:
-                print(f"error: cannot write the failure report: {write_exc}", file=sys.stderr)
+                message += f"; cannot write the failure report: {write_exc}"
+        print(message, file=sys.stderr)
         return 2
     try:
         harness.write_report(report, args.out)

@@ -222,7 +222,7 @@ def collapse_single_sender(coeffs: Sequence[complex], g: int, h: int, z: int) ->
     as a 2-qubit state on index 2a+b (a = the qubit paired with message
     qubit 0).
     """
-    info = pair_state(np.asarray(coeffs, dtype=complex), "first_low")
+    info = pair_state(np.asarray(coeffs, dtype=complex))
     state = tensor(info, build_channel_analytic(2, +1))
     _, _, state = bsm(state, 0, 2, forced=g)
     _, _, state = bsm(state, 1, 4, forced=h)

@@ -14,7 +14,6 @@ configuration and seed give byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,21 +33,15 @@ AMPLITUDE_TOL = 1e-12  # a state distance or term coefficient; the prefactor can
 SUM_SQ_TOL = 1e-9  # 2^17 squared term coefficients against 1; the wrong prefactor implies 16
 
 
-@dataclass(frozen=True)
-class EfficiencyRecord:
-    """Quantum/classical resource counts with the resulting percentage yield."""
+def intrinsic_efficiency(q_s: int, q_u: int, b_t: int) -> float:
+    """Percentage yield tau = 100 * q_s / (q_u + b_t).
 
-    q_s: int  # quantum information bits transmitted
-    q_u: int  # channel qubits consumed
-    b_t: int  # classical bits transmitted
-    tau: float  # 100 * q_s / (q_u + b_t)
-
-
-def intrinsic_efficiency(q_s: int, q_u: int, b_t: int) -> EfficiencyRecord:
-    """Exact percentage of message qubits over total consumed resources."""
+    q_s counts the quantum information bits transmitted, q_u the channel
+    qubits consumed and b_t the classical bits transmitted.
+    """
     if min(q_s, q_u, b_t) <= 0:
         raise ValueError("resource counts must be positive")
-    return EfficiencyRecord(q_s, q_u, b_t, 100.0 * q_s / (q_u + b_t))
+    return 100.0 * q_s / (q_u + b_t)
 
 
 def classical_cost(n_bsm: int, n_sm: int, n_receivers: int) -> int:
@@ -78,7 +71,7 @@ def reproduce_comparison_table() -> list[dict]:
     rows = []
     for label, senders, receivers, q_s, q_u, n_bsm, n_sm, published, tol in COMPARISON_ROWS:
         b_t = classical_cost(n_bsm, n_sm, receivers)
-        record = intrinsic_efficiency(q_s, q_u, b_t)
+        tau = intrinsic_efficiency(q_s, q_u, b_t)
         rows.append(
             {
                 "label": label,
@@ -87,11 +80,11 @@ def reproduce_comparison_table() -> list[dict]:
                 "q_s": q_s,
                 "q_u": q_u,
                 "b_t": b_t,
-                "computed_tau": record.tau,
+                "computed_tau": tau,
                 "published_tau": published,
-                "deviation": abs(record.tau - published),
+                "deviation": abs(tau - published),
                 "tolerance": tol,
-                "within_tolerance": abs(record.tau - published) <= tol,
+                "within_tolerance": abs(tau - published) <= tol,
             }
         )
     return rows
@@ -265,7 +258,9 @@ def load_input_file(path: str) -> list[protocol.InfoState]:
             raise ValueError(f"sender {i}: coefficients must be JSON numbers, got {json.dumps(bad[0])}")
         try:
             arr = np.asarray(raw, dtype=float)
-            states.append(protocol.InfoState(arr[:, 0] + 1j * arr[:, 1]))
+            with np.errstate(invalid="ignore"):  # 1j * inf; InfoState rejects the result
+                coeffs = arr[:, 0] + 1j * arr[:, 1]
+            states.append(protocol.InfoState(coeffs))
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"sender {i}: {exc}") from None
     return states

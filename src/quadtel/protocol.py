@@ -20,7 +20,10 @@ Two interchangeable engines execute the same protocol:
 
 The dense engine runs the public ``statevector`` kernels gate by gate and is
 the independent check on the structured one: the tests compare the two
-engines' reports and sampled draws.
+engines' reports and sampled draws.  Both draw every measured bit through
+``statevector._draw_bit`` (forced, or one ``rng.random()`` against
+p1/(p0+p1)) and map Bell outcomes to bits through ``_bell_bits``, so one seed
+gives both engines the same outcomes.
 
 Register order (dense engine and block-local alike): sender block i occupies
 qubits 6i..6i+5 as [message first, message second, channel sender-side,
@@ -42,15 +45,16 @@ import numpy as np
 from . import corrections
 from .channel import BELL_COEFFS, BELL_SYMBOLS, BellKind
 from .statevector import (
-    BELL_OUTCOME_BITS,
     GATES_1Q,
     HARD_QUBIT_CAP,
     DensityMatrix,
     MIN_BRANCH_PROBABILITY,
     NORM_TOL,
     PAULI_FACTOR_MATRICES,
-    ImpossibleBranchError,
     StateVector,
+    _bell_bits,
+    _bell_outcome,
+    _draw_bit,
     apply_1q,
     apply_cnot,
     apply_pauli_word,
@@ -85,6 +89,10 @@ _BELL_PAIRS = ((0, 2), (1, 4))
 _RECEIVER_QUBITS = (3, 5)
 _RECEIVER_KEEP = _RECEIVER_QUBITS[::-1]
 
+# Block qubit names for ImpossibleBranchError, made once so that a measured
+# bit does not format its own.
+_QUBIT_NAMES = tuple(tuple(f"block {i} qubit {q}" for q in range(6)) for i in range(MAX_SENDERS))
+
 
 class Party(str, Enum):
     ALICE = "alice"
@@ -111,7 +119,8 @@ class InfoState:
             raise ValueError(f"expected 4 coefficients, got {self.coeffs.shape}")
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("message coefficients must be finite")
-        norm = np.linalg.norm(self.coeffs)
+        with np.errstate(over="ignore"):  # coefficients above 1e154 overflow it to inf
+            norm = float(np.linalg.norm(self.coeffs))
         if abs(norm - 1) > NORM_TOL:
             raise ValueError(f"message state is not normalized (norm {norm!r})")
 
@@ -129,19 +138,16 @@ class OutcomeRecord:
     """Bell outcomes of the 2s sender measurements plus the controller bit."""
 
     bell: tuple[int, ...]
-    z: int | None = None
+    z: int
 
     def __post_init__(self):
         if not all(b in range(4) for b in self.bell):
             raise ValueError(f"Bell outcomes must be in 0..3: {self.bell}")
-        if self.z not in (None, 0, 1):
+        if self.z not in (0, 1):
             raise ValueError(f"controller bit must be 0 or 1, got {self.z}")
 
     def symbols(self) -> str:
-        parts = [BELL_SYMBOLS[b] for b in self.bell]
-        if self.z is not None:
-            parts.append(str(self.z))
-        return ",".join(parts)
+        return ",".join([BELL_SYMBOLS[b] for b in self.bell] + [str(self.z)])
 
 
 @dataclass(frozen=True)
@@ -190,8 +196,8 @@ def _validate_inputs(inputs: Sequence[InfoState]) -> int:
 
 def _block_state(info: InfoState, kind: BellKind) -> StateVector:
     """Six-qubit sender block: message pair plus two channel pairs of ``kind``."""
-    pair = pair_state(BELL_COEFFS[kind], "first_low")
-    return tensor(pair_state(info.coeffs, "first_low"), pair, pair)
+    pair = pair_state(BELL_COEFFS[kind])
+    return tensor(pair_state(info.coeffs), pair, pair)
 
 
 class DenseState:
@@ -327,11 +333,10 @@ class StructuredState:
 
     engine = "structured"
 
-    def __init__(self, s, weights, blocks, controller_z=None):
+    def __init__(self, s, weights, blocks):
         self.s = s
         self.weights = np.asarray(weights, dtype=complex)
         self.blocks = blocks  # blocks[branch][sender]
-        self.controller_z = controller_z
         # Made by the first copy().  Keyed by block objects, which hash by
         # identity; holding the keys keeps their blocks alive, so no key's id
         # can be reused.
@@ -350,7 +355,7 @@ class StructuredState:
         if self._cache is None:
             self._cache = {}
         blocks = [list(branch) for branch in self.blocks]
-        twin = StructuredState(self.s, self.weights.copy(), blocks, self.controller_z)
+        twin = StructuredState(self.s, self.weights.copy(), blocks)
         twin._cache = self._cache
         return twin
 
@@ -360,24 +365,16 @@ class StructuredState:
     def _measure_bit(self, i: int, local_q: int, probs: dict, *, forced=None, rng=None):
         """Measure one block qubit, given (P0, P1) for it in each branch of ``probs``.
 
-        Draws the bit (one ``rng.random()`` when sampled), zeroes the branches
-        that cannot give it and reweights the rest.  Returns the bit, its
-        probability and the kept branches, whose blocks the caller collapses.
+        Draws the bit with ``_draw_bit``, zeroes the branches that cannot give
+        it and reweights the rest.  Returns the bit, its probability and the
+        kept branches, whose blocks the caller collapses.
         """
         totals = [0.0, 0.0]
         for b, p in probs.items():
             w2 = abs(self.weights[b]) ** 2
             totals[0] += w2 * p[0]
             totals[1] += w2 * p[1]
-        if forced is not None:
-            bit = forced
-        else:
-            if rng is None:
-                raise ValueError("sampled measurement needs an explicit rng")
-            bit = 1 if rng.random() < totals[1] / (totals[0] + totals[1]) else 0
-        prob = totals[bit]
-        if prob <= MIN_BRANCH_PROBABILITY:
-            raise ImpossibleBranchError(f"block {i} qubit {local_q} outcome {bit} has probability {prob:.3e}")
+        bit, prob = _draw_bit(totals[0], totals[1], _QUBIT_NAMES[i][local_q], forced=forced, rng=rng)
         kept = [b for b, p in probs.items() if p[bit] > MIN_BRANCH_PROBABILITY]
         for b, p in probs.items():
             self.weights[b] = self.weights[b] * math.sqrt(p[bit]) if b in kept else 0.0
@@ -396,11 +393,7 @@ class StructuredState:
     def bsm_pair(self, j: int, *, forced=None, rng=None) -> tuple[int, float]:
         i, which = divmod(j, 2)
         a, b = _BELL_PAIRS[which]
-        fa = fb = None
-        if forced is not None:
-            if forced not in range(4):
-                raise ValueError(f"Bell outcome must be in 0..3, got {forced}")
-            fa, fb = BELL_OUTCOME_BITS[forced]
+        fa, fb = (None, None) if forced is None else _bell_bits(forced)
         splits = {}
         for br in self._alive():
             block = self.blocks[br][i]
@@ -418,24 +411,15 @@ class StructuredState:
                 amps[dest[bit_a, bit_b]] = changed[bit_a, bit_b] / math.sqrt(joint[bit_a][bit_b])
                 child = children[bit_a, bit_b] = StateVector(6, amps, copy=False)
             self.blocks[br][i] = child
-        return BELL_OUTCOME_BITS.index((bit_a, bit_b)), pa * pb
+        return _bell_outcome(bit_a, bit_b), pa * pb
 
     def measure_controller(self, *, forced=None, rng=None) -> tuple[int, float]:
         probs = np.abs(self.weights) ** 2
-        if forced is not None:
-            z = forced
-        else:
-            if rng is None:
-                raise ValueError("sampled measurement needs an explicit rng")
-            z = 1 if rng.random() < probs[1] / probs.sum() else 0
-        prob = float(probs[z])
-        if prob <= MIN_BRANCH_PROBABILITY:
-            raise ImpossibleBranchError(f"controller outcome {z} has probability {prob:.3e}")
+        z, prob = _draw_bit(probs[0], probs[1], "controller", forced=forced, rng=rng)
         phase = self.weights[z] / abs(self.weights[z])
         self.weights = np.array([0.0, 0.0], dtype=complex)
         self.weights[z] = phase
-        self.controller_z = z
-        return z, prob
+        return z, float(prob)
 
     def apply_correction(self, i: int, entry: corrections.CorrectionEntry) -> None:
         for b in self._alive():
@@ -518,19 +502,17 @@ def run_protocol(
 ) -> ProtocolReport:
     """Execute one full protocol run and score every receiver.
 
-    ``forced`` pins all measurement outcomes (its controller bit must be
-    set); otherwise outcomes are sampled from ``rng``.  ``bsm_order`` permutes
-    the execution order of the sender measurements (the report is order
-    independent); messages are always reported in canonical party order.
-    ``state`` lets exhaustive sweeps reuse a prepared copy.
+    ``forced`` pins all measurement outcomes; otherwise outcomes are sampled
+    from ``rng``.  ``bsm_order`` permutes the execution order of the sender
+    measurements (the report is order independent); messages are always
+    reported in canonical party order.  ``state`` lets exhaustive sweeps
+    reuse a prepared copy.
     """
     s = _validate_inputs(inputs)
     n_bsm = 2 * s
     if forced is not None:
         if len(forced.bell) != n_bsm:
             raise ValueError(f"forced record has {len(forced.bell)} Bell outcomes, expected {n_bsm}")
-        if forced.z is None:
-            raise ValueError("forced record must include the controller bit")
     elif rng is None:
         raise ValueError("sampled mode needs an explicit rng")
     if state is None:

@@ -77,6 +77,18 @@ _SHORT_AXES = 4
 BELL_OUTCOME_BITS: tuple[tuple[int, int], ...] = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
+def _bell_bits(outcome: int) -> tuple[int, int]:
+    """The (first qubit, second qubit) bits that Bell outcome 0..3 leaves."""
+    if outcome not in (0, 1, 2, 3):
+        raise ValueError(f"Bell outcome must be in 0..3, got {outcome}")
+    return BELL_OUTCOME_BITS[outcome]
+
+
+def _bell_outcome(bit_a: int, bit_b: int) -> int:
+    """The Bell outcome that left the bits (bit_a, bit_b); inverse of _bell_bits."""
+    return BELL_OUTCOME_BITS.index((bit_a, bit_b))
+
+
 def bell_receiver_amplitudes(block_amps: np.ndarray, g: int, h: int) -> np.ndarray:
     """Receiver amplitudes of a measured 6-qubit sender block, index 2a+b.
 
@@ -84,13 +96,42 @@ def bell_receiver_amplitudes(block_amps: np.ndarray, g: int, h: int) -> np.ndarr
     receiver'] after the Bell basis changes on (0, 2) and (1, 4); (g, h) are
     the two Bell outcomes and a, b the receiver and receiver' bits.
     """
-    (g0, g1), (h0, h1) = BELL_OUTCOME_BITS[g], BELL_OUTCOME_BITS[h]
+    (g0, g1), (h0, h1) = _bell_bits(g), _bell_bits(h)
     fixed = g0 | (h0 << 1) | (g1 << 2) | (h1 << 4)
     return block_amps[[fixed | (a << 3) | (b << 5) for a in (0, 1) for b in (0, 1)]]
 
 
 class ImpossibleBranchError(RuntimeError):
     """A measurement was forced onto a zero-probability branch."""
+
+
+def _draw_bit(
+    p0: float,
+    p1: float,
+    where: str,
+    *,
+    forced: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> tuple[int, float]:
+    """The measurement rule of both engines: one bit, forced or sampled.
+
+    (p0, p1) are the outcome weights.  A sampled bit takes one uniform draw
+    from ``rng`` and is 1 when the draw is below p1 / (p0 + p1).  Returns the
+    bit and its weight, and refuses a bit whose weight is at most
+    MIN_BRANCH_PROBABILITY; ``where`` names the measured qubit in that error.
+    """
+    if forced is not None:
+        if forced not in (0, 1):
+            raise ValueError(f"forced outcome must be 0 or 1, got {forced}")
+        bit = forced
+    elif rng is None:
+        raise ValueError("sampled measurement needs an explicit rng")
+    else:
+        bit = 1 if rng.random() < p1 / (p0 + p1) else 0
+    prob = p1 if bit else p0
+    if prob <= MIN_BRANCH_PROBABILITY:
+        raise ImpossibleBranchError(f"{where} outcome {bit} has probability {prob:.3e}")
+    return bit, prob
 
 
 class StateVector:
@@ -288,17 +329,7 @@ def measure_qubit(
     Exactly one of ``forced`` (the requested outcome) or ``rng`` must be given.
     """
     p0, p1 = measure_probabilities(state, q)
-    if forced is not None:
-        if forced not in (0, 1):
-            raise ValueError(f"forced outcome must be 0 or 1, got {forced}")
-        bit = forced
-    else:
-        if rng is None:
-            raise ValueError("sampled measurement needs an explicit rng")
-        bit = 1 if rng.random() < p1 else 0
-    prob = (p0, p1)[bit]
-    if prob <= MIN_BRANCH_PROBABILITY:
-        raise ImpossibleBranchError(f"outcome {bit} on qubit {q} has probability {prob:.3e}")
+    bit, prob = _draw_bit(p0, p1, f"qubit {q}", forced=forced, rng=rng)
     v = state.amps.reshape(-1, 2, 1 << q)
     # np.zeros takes pages the OS hands out zeroed, so the discarded half is
     # never written (nor, for a high qubit, even touched)
@@ -307,20 +338,6 @@ def measure_qubit(
     for hi, lo in _slabs((v.shape[0], v.shape[2])):
         np.divide(v[hi, bit, lo], scale, out=out[hi, bit, lo])
     return bit, prob, StateVector(state.n_qubits, out.reshape(-1), copy=False)
-
-
-def bsm_probabilities(state: StateVector, a: int, b: int) -> tuple[float, float, float, float]:
-    """Probabilities of the four Bell outcomes for a BSM on (a, b), a first."""
-    base = apply_1q(apply_cnot(state, a, b), "H", a)
-    n = base.n_qubits
-    v = np.abs(base.amps.reshape([2] * n)) ** 2
-    probs = []
-    for bit_a, bit_b in BELL_OUTCOME_BITS:
-        sl = [slice(None)] * n
-        sl[_axis(n, a)] = bit_a
-        sl[_axis(n, b)] = bit_b
-        probs.append(float(np.sum(v[tuple(sl)])))
-    return tuple(probs)  # type: ignore[return-value]
 
 
 def bsm(
@@ -342,17 +359,11 @@ def bsm(
     """
     if a == b:
         raise ValueError("BSM qubits must differ")
+    fa, fb = (None, None) if forced is None else _bell_bits(forced)
     st = apply_1q(apply_cnot(state, a, b), "H", a)
-    if forced is not None:
-        if forced not in (0, 1, 2, 3):
-            raise ValueError(f"Bell outcome must be in 0..3, got {forced}")
-        fa, fb = BELL_OUTCOME_BITS[forced]
-    else:
-        fa = fb = None
     bit_a, pa, st = measure_qubit(st, a, forced=fa, rng=rng)
     bit_b, pb, st = measure_qubit(st, b, forced=fb, rng=rng)
-    outcome = BELL_OUTCOME_BITS.index((bit_a, bit_b))
-    return outcome, pa * pb, st
+    return _bell_outcome(bit_a, bit_b), pa * pb, st
 
 
 def overlap(a: StateVector, b: StateVector) -> complex:
@@ -428,19 +439,13 @@ def permute_qubits(state: StateVector, perm: Sequence[int]) -> StateVector:
     return StateVector(n, out, copy=False)
 
 
-def pair_state(coeffs: Sequence[complex], order: str = "first_high") -> StateVector:
-    """Two-qubit state from labeled-pair coefficients.
+def pair_state(coeffs: Sequence[complex]) -> StateVector:
+    """Two-qubit state of a labeled pair, as pairs sit inside registers.
 
-    ``coeffs[2a + b]`` is the amplitude of |a> on the first pair member and
-    |b> on the second.  order="first_high" puts the first member on qubit 1
-    (so the amplitude array equals ``coeffs``); order="first_low" puts it on
-    qubit 0, which is how labeled pairs sit inside channel registers.
+    ``coeffs[2a + b]`` is the amplitude of |a> on the first pair member, which
+    goes on qubit 0, and |b> on the second, on qubit 1.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.shape != (4,):
         raise ValueError(f"expected 4 coefficients, got {c.shape}")
-    if order == "first_high":
-        return StateVector(2, c)
-    if order == "first_low":
-        return StateVector(2, c[[0, 2, 1, 3]])
-    raise ValueError(f"unknown order {order!r}")
+    return StateVector(2, c[[0, 2, 1, 3]])

@@ -10,16 +10,16 @@ RT2 = np.sqrt(2.0)
 
 
 def test_bell_state_amplitude_tables():
-    assert np.allclose(ch.bell_state(ch.BellKind.KAPPA_PLUS).amps, [1 / RT2, 0, 0, 1 / RT2])
-    assert np.allclose(ch.bell_state(ch.BellKind.KAPPA_MINUS).amps, [1 / RT2, 0, 0, -1 / RT2])
-    assert np.allclose(ch.bell_state(ch.BellKind.LAMBDA_PLUS).amps, [0, 1 / RT2, 1 / RT2, 0])
-    assert np.allclose(ch.bell_state(ch.BellKind.LAMBDA_MINUS).amps, [0, 1 / RT2, -1 / RT2, 0])
+    assert np.allclose(ch.BELL_COEFFS[ch.BellKind.KAPPA_PLUS], [1 / RT2, 0, 0, 1 / RT2])
+    assert np.allclose(ch.BELL_COEFFS[ch.BellKind.KAPPA_MINUS], [1 / RT2, 0, 0, -1 / RT2])
+    assert np.allclose(ch.BELL_COEFFS[ch.BellKind.LAMBDA_PLUS], [0, 1 / RT2, 1 / RT2, 0])
+    assert np.allclose(ch.BELL_COEFFS[ch.BellKind.LAMBDA_MINUS], [0, 1 / RT2, -1 / RT2, 0])
 
 
 def test_bell_states_are_orthonormal():
-    for a in range(4):
-        for b in range(4):
-            got = sv.overlap(ch.bell_state(a), ch.bell_state(b))
+    for a in ch.BellKind:
+        for b in ch.BellKind:
+            got = np.vdot(ch.BELL_COEFFS[a], ch.BELL_COEFFS[b])
             assert abs(got - (1 if a == b else 0)) < 1e-12
 
 
@@ -83,8 +83,8 @@ def test_channel_norm_and_size_cap():
 
 def test_pair_marginals_are_half_half_bell_mixture():
     state = ch.prepare_channel_circuit(8)
-    kp = ch.bell_state(ch.BellKind.KAPPA_PLUS).amps
-    lm = ch.bell_state(ch.BellKind.LAMBDA_MINUS).amps
+    kp = ch.BELL_COEFFS[ch.BellKind.KAPPA_PLUS]
+    lm = ch.BELL_COEFFS[ch.BellKind.LAMBDA_MINUS]
     mix = 0.5 * np.outer(kp, kp.conj()) + 0.5 * np.outer(lm, lm.conj())
     for j in range(8):
         snd, rcv = 2 * j, 2 * j + 1
@@ -96,6 +96,10 @@ def test_bsm_support_on_channel_pairs():
     state = ch.prepare_channel_circuit(8)
     for j in range(8):
         snd, rcv = 2 * j, 2 * j + 1
-        probs = sv.bsm_probabilities(state, snd, rcv)
-        assert np.allclose(probs, [0.5, 0, 0, 0.5], atol=1e-12)
+        for kind in (ch.BellKind.KAPPA_PLUS, ch.BellKind.LAMBDA_MINUS):
+            _, prob, _ = sv.bsm(state, snd, rcv, forced=kind)
+            assert abs(prob - 0.5) < 1e-12
+        for kind in (ch.BellKind.KAPPA_MINUS, ch.BellKind.LAMBDA_PLUS):
+            with pytest.raises(sv.ImpossibleBranchError):
+                sv.bsm(state, snd, rcv, forced=kind)
 

@@ -1,9 +1,16 @@
 """Harness tests: efficiency numbers, comparison table, expansion
 adjudication, input parsing, report schema determinism, and the CLI."""
+import contextlib
+import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadtel import cli
 from quadtel import corrections as co
@@ -15,20 +22,18 @@ from quadtel import statevector as sv
 # ---------------------------------------------------------------- efficiency
 
 def test_efficiency_three_party_row():
-    rec = hz.intrinsic_efficiency(3, 7, 9)
-    assert rec.tau == 18.75
+    assert hz.intrinsic_efficiency(3, 7, 9) == 18.75
 
 
 def test_efficiency_ten_qubit_row():
-    rec = hz.intrinsic_efficiency(4, 10, 16)
-    assert abs(rec.tau - 15.384615384615385) < 1e-12
+    assert abs(hz.intrinsic_efficiency(4, 10, 16) - 15.384615384615385) < 1e-12
 
 
 def test_efficiency_this_work_row_rounding_slip():
-    rec = hz.intrinsic_efficiency(8, 17, 20)
-    assert abs(rec.tau - 800 / 37) < 1e-12
+    tau = hz.intrinsic_efficiency(8, 17, 20)
+    assert abs(tau - 800 / 37) < 1e-12
     # the published 21.65 is a rounding slip away from 8/37
-    assert abs(rec.tau - 21.65) < 0.05 and abs(rec.tau - 21.65) > 0.01
+    assert abs(tau - 21.65) < 0.05 and abs(tau - 21.65) > 0.01
 
 
 def test_efficiency_rejects_nonpositive_counts():
@@ -39,7 +44,7 @@ def test_efficiency_rejects_nonpositive_counts():
 def test_classical_cost_rows():
     assert hz.classical_cost(3, 1, 3) == 9
     assert hz.classical_cost(4, 1, 4) == 12
-    assert abs(hz.intrinsic_efficiency(4, 9, hz.classical_cost(4, 1, 4)).tau - 19.047619047619047) < 1e-12
+    assert abs(hz.intrinsic_efficiency(4, 9, hz.classical_cost(4, 1, 4)) - 19.047619047619047) < 1e-12
     assert hz.classical_cost(8, 1, 4) == 20
     assert hz.classical_cost(4, 2, 4) == 16
 
@@ -317,7 +322,24 @@ def test_cli_unwritable_out_is_bad_input(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad mode") and "failure report" in err
+    assert len(err.splitlines()) == 1
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("argv, names", [
+    ([], "command"),
+    (["run", "--senders", "7"], "--senders"),
+    (["run", "--seed", "x"], "--seed"),
+    (["run", "--bogus"], "--bogus"),
+], ids=["no-subcommand", "senders-7", "seed-x", "unknown-option"])
+def test_cli_usage_errors_are_one_line(capsys, argv, names):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and names in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -370,3 +392,81 @@ def test_cli_seed_reproducibility(tmp_path):
     assert cli.main(["run", "--senders", "2", "--seed", "7", "--mode", "sampled:5",
                      "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# ------------------------------------------------------- CLI robustness
+
+# JSON values of any shape, and sender lists of the right shape holding any
+# floats, half of them scaled to unit norm
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+_VECTORS = st.lists(st.lists(st.floats(), min_size=8, max_size=8), min_size=0, max_size=4)
+_TAIL = st.lists(st.sampled_from(["--bogus", "extra", "--seed", "--mode", "--senders", "-1", "--help"]),
+                 max_size=2)
+
+
+@st.composite
+def _input_json(draw):
+    if draw(st.booleans()):
+        return draw(_JSON)
+    vectors = draw(_VECTORS)
+    if draw(st.booleans()):
+        with np.errstate(all="ignore"):
+            vectors = [list(np.asarray(v) / (np.linalg.norm(v) or 1.0)) for v in vectors]
+    return {"senders": [[[v[2 * k], v[2 * k + 1]] for k in range(4)] for v in vectors]}
+
+
+@st.composite
+def _cli_call(draw):
+    """argv within 13 dense qubits and 512 branches, plus an optional input file."""
+    command = draw(st.sampled_from(
+        ["run", "prepare-channel", "verify-tables", "verify-expansion", "efficiency", "bogus", None]))
+    argv = [] if command is None else [command]
+    payload = None
+    if command == "run":
+        engine = draw(st.sampled_from(pr.ENGINES))
+        senders = draw(st.integers(1, 2 if engine == "dense" else 4))
+        modes = [st.integers(-1, 8).map(lambda n: f"sampled:{n}"), st.text(max_size=6),
+                 st.lists(st.sampled_from(["k+", "k-", "l+", "l-", "0", "1", "2", "x"]),
+                          max_size=10).map(lambda parts: "forced:" + ",".join(parts))]
+        if senders <= (1 if engine == "dense" else 2):
+            modes.append(st.just("exhaustive"))
+        argv += ["--senders", str(senders), "--engine", engine, "--mode", draw(st.one_of(modes))]
+        if draw(st.booleans()):
+            argv.append("--allow-large-dense")
+        if draw(st.booleans()):
+            payload = draw(_input_json())
+    elif command == "prepare-channel":
+        argv += ["--pairs", str(draw(st.integers(-1, 6)))]
+    if command in ("run", "verify-tables", "verify-expansion") and draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(-5, 2 ** 40)))]
+    out = draw(st.sampled_from([None, "report.json", "missing/report.json"]))
+    return argv, payload, out, draw(_TAIL)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(call=_cli_call())
+def test_cli_never_fails_with_a_traceback(call):
+    argv, payload, out, tail = call
+    with tempfile.TemporaryDirectory() as tmp:
+        if payload is not None:
+            (Path(tmp) / "in.json").write_text(json.dumps(payload))
+            argv = argv + ["--input", str(Path(tmp) / "in.json")]
+        if out is not None:
+            argv = argv + ["--out", str(Path(tmp) / out)]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings():
+            # a warning would print lines of its own to the CLI's stderr
+            warnings.simplefilter("error")
+            try:
+                code = cli.main(argv + tail)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -91,7 +91,7 @@ def test_dense_assembly_matches_channel_module_construction():
     """
     inputs = make_inputs(2, 31)
     chan = ch.build_channel_analytic(4, +1)
-    msgs = [sv.pair_state(i.coeffs, "first_low") for i in inputs]
+    msgs = [sv.pair_state(i.coeffs) for i in inputs]
     flat = sv.tensor(*msgs, chan)
     # message pair i sits at 2i,2i+1; channel qubit c at 4 + c in `flat`
     perm = [0, 1, 6, 7, 2, 3, 8, 9, 10, 11, 4 + 8]
@@ -108,8 +108,8 @@ def test_dense_assembly_matches_channel_module_construction():
 def test_channel_pair_marginals_in_assembled_state():
     inputs = make_inputs(1, 7)
     structured = pr.assemble_global(inputs, "structured")
-    kp = ch.bell_state(0).amps
-    lm = ch.bell_state(3).amps
+    kp = ch.BELL_COEFFS[ch.BellKind.KAPPA_PLUS]
+    lm = ch.BELL_COEFFS[ch.BellKind.LAMBDA_MINUS]
     mix = 0.5 * np.outer(kp, kp.conj()) + 0.5 * np.outer(lm, lm.conj())
     for which in (0, 1):
         keep = (3 + 2 * which, 2 + 2 * which)  # (receiver-side, sender-side)
@@ -254,18 +254,6 @@ def test_exhaustive_two_senders_structured():
     assert min(min(r.per_receiver_fidelity) for r in reports) > 1 - 1e-9
 
 
-def test_engines_produce_identical_reports():
-    for s in (1, 2):
-        inputs = make_inputs(s, 60 + s)
-        dense = pr.run_exhaustive(inputs, engine="dense")
-        structured = pr.run_exhaustive(inputs, engine="structured")
-        for a, b in zip(dense, structured):
-            assert a.outcome == b.outcome
-            assert abs(a.branch_probability - b.branch_probability) < 1e-12
-            for fa, fb in zip(a.per_receiver_fidelity, b.per_receiver_fidelity):
-                assert abs(fa - fb) < 1e-10
-
-
 # Engine agreement on one branch, for probabilities and fidelities alike.
 # Both are sums and products of a few dozen terms of order 1, so the engines
 # stay a few ulps apart (measured at s=3: 3e-19 and 4e-16); the bound leaves
@@ -277,6 +265,16 @@ def assert_reports_agree(a, b):
     assert a.outcome == b.outcome and a.transcript == b.transcript
     assert abs(a.branch_probability - b.branch_probability) < ENGINE_AGREEMENT_TOL
     assert np.abs(np.subtract(a.per_receiver_fidelity, b.per_receiver_fidelity)).max() < ENGINE_AGREEMENT_TOL
+
+
+def test_engines_produce_identical_reports():
+    for s in (1, 2):
+        inputs = make_inputs(s, 60 + s)
+        dense = pr.run_exhaustive(inputs, engine="dense")
+        structured = pr.run_exhaustive(inputs, engine="structured")
+        assert len(dense) == len(structured)
+        for a, b in zip(dense, structured):
+            assert_reports_agree(a, b)
 
 
 def test_engines_agree_on_forced_branches_at_three_senders():
@@ -328,7 +326,7 @@ def test_structured_copies_leave_the_base_and_each_other_alone():
     for record in pr.enumerate_records(2):
         pr.run_protocol(inputs, forced=record, state=base.copy())
     assert block_bytes(base) == prepared
-    assert base.weights.tobytes() == weights and base.controller_z is None
+    assert base.weights.tobytes() == weights
     one, two = base.copy(), base.copy()
     pr.run_protocol(inputs, forced=pr.OutcomeRecord((0, 1, 2, 3), 0), state=one)
     pr.run_protocol(inputs, forced=pr.OutcomeRecord((3, 2, 1, 0), 1), state=two)

@@ -224,8 +224,9 @@ def test_bsm_on_00_splits_between_kappa_outcomes():
     s00 = sv.init_basis(2, 0)
     expected = [abs(np.vdot(bell_amps(k), s00.amps)) ** 2 for k in range(4)]
     assert np.allclose(expected, [0.5, 0.5, 0, 0], atol=1e-12)
-    probs = sv.bsm_probabilities(s00, 1, 0)
-    assert np.allclose(probs, expected, atol=1e-12)
+    for k in (0, 1):
+        _, prob, _ = sv.bsm(s00, 1, 0, forced=k)
+        assert abs(prob - expected[k]) < 1e-12
     for k in (2, 3):
         with pytest.raises(sv.ImpossibleBranchError):
             sv.bsm(s00, 1, 0, forced=k)
@@ -234,7 +235,7 @@ def test_bsm_on_00_splits_between_kappa_outcomes():
 def test_bsm_completeness_on_random_states():
     rng = np.random.default_rng(17)
     s = random_state(4, rng)
-    probs = sv.bsm_probabilities(s, 0, 3)
+    probs = [sv.bsm(s, 0, 3, forced=k)[1] for k in range(4)]
     assert abs(sum(probs) - 1) < 1e-12
 
 
@@ -508,10 +509,8 @@ def test_permute_qubits_rejects_non_bijection():
         sv.permute_qubits(sv.init_basis(2, 0), [0, 0])
 
 
-def test_pair_state_orders():
+def test_pair_state_puts_the_first_member_on_qubit_0():
     c = np.array([0.1, 0.2, 0.3, 0.4], dtype=complex)
     c /= np.linalg.norm(c)
-    high = sv.pair_state(c, "first_high")
-    low = sv.pair_state(c, "first_low")
-    assert np.allclose(high.amps, c)
-    assert sv.distance(sv.permute_qubits(high, [1, 0]), low) < 1e-15
+    # coefficient 2a+b belongs at basis index a + 2b
+    assert np.array_equal(sv.pair_state(c).amps, c[[0, 2, 1, 3]])

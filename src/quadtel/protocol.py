@@ -16,7 +16,8 @@ Two interchangeable engines execute the same protocol:
   sign vector, derived at import from the CNOT/H definitions, give the
   basis-changed block grouped by the two measured bits, and the 2x2 joint
   probabilities drive both draws.  Its corrections are signed permutations
-  of the 64 block amplitudes.
+  of the 64 block amplitudes.  Blocks are never written, so each block
+  (``_Block``) keeps what it yields and every state holding it reuses that.
 
 The dense engine runs the public ``statevector`` kernels gate by gate and is
 the independent check on the structured one: the tests compare the two
@@ -37,7 +38,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -94,17 +94,7 @@ _RECEIVER_KEEP = _RECEIVER_QUBITS[::-1]
 _QUBIT_NAMES = tuple(tuple(f"block {i} qubit {q}" for q in range(6)) for i in range(MAX_SENDERS))
 
 
-class Party(str, Enum):
-    ALICE = "alice"
-    BOB = "bob"
-    CHARLIE = "charlie"
-    DAVID = "david"
-    FANCY1, FANCY2, FANCY3, FANCY4 = corrections.RECEIVERS
-    ELLE = "elle"
-
-
-SENDERS = (Party.ALICE, Party.BOB, Party.CHARLIE, Party.DAVID)
-RECEIVERS = (Party.FANCY1, Party.FANCY2, Party.FANCY3, Party.FANCY4)
+SENDERS = ("alice", "bob", "charlie", "david")
 
 
 @dataclass
@@ -141,22 +131,13 @@ class OutcomeRecord:
     z: int
 
     def __post_init__(self):
-        if not all(b in range(4) for b in self.bell):
-            raise ValueError(f"Bell outcomes must be in 0..3: {self.bell}")
-        if self.z not in (0, 1):
-            raise ValueError(f"controller bit must be 0 or 1, got {self.z}")
+        if not all(b in range(4) and not isinstance(b, bool) for b in self.bell):
+            raise ValueError(f"Bell outcomes must be integers in 0..3: {self.bell}")
+        if self.z not in (0, 1) or isinstance(self.z, bool):
+            raise ValueError(f"controller bit must be the integer 0 or 1, got {self.z!r}")
 
     def symbols(self) -> str:
         return ",".join([BELL_SYMBOLS[b] for b in self.bell] + [str(self.z)])
-
-
-@dataclass(frozen=True)
-class ClassicalMessage:
-    sender: Party
-    recipient: Party
-    kind: str  # "bsm" or "controller"
-    value: int
-    bits: int
 
 
 @dataclass
@@ -164,7 +145,7 @@ class ProtocolReport:
     outcome: OutcomeRecord
     branch_probability: float
     per_receiver_fidelity: tuple[float, ...]
-    transcript: tuple[ClassicalMessage, ...]
+    transcript: tuple[dict, ...]  # report records: from, to, kind, value, bits
     classical_bits_sent: int
     engine: str
 
@@ -176,11 +157,7 @@ class ProtocolReport:
             "per_receiver_fidelity": list(self.per_receiver_fidelity),
             "classical_bits_sent": self.classical_bits_sent,
             "engine": self.engine,
-            "transcript": [
-                {"from": m.sender.value, "to": m.recipient.value, "kind": m.kind,
-                 "value": m.value, "bits": m.bits}
-                for m in self.transcript
-            ],
+            "transcript": list(self.transcript),
         }
 
 
@@ -194,10 +171,10 @@ def _validate_inputs(inputs: Sequence[InfoState]) -> int:
     return s
 
 
-def _block_state(info: InfoState, kind: BellKind) -> StateVector:
+def _block_state(info: InfoState, kind: BellKind) -> "_Block":
     """Six-qubit sender block: message pair plus two channel pairs of ``kind``."""
     pair = pair_state(BELL_COEFFS[kind])
-    return tensor(pair_state(info.coeffs), pair, pair)
+    return _Block(tensor(pair_state(info.coeffs), pair, pair).amps)
 
 
 class DenseState:
@@ -275,17 +252,16 @@ def _bell_basis_gather(a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 _BELL_GATHERS = tuple(_bell_basis_gather(a, b) for a, b in _BELL_PAIRS)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _correction_permutation(first: str, second: str, phase_pi: bool) -> tuple[np.ndarray, np.ndarray]:
-    """A correction word on the block's _RECEIVER_QUBITS (3, 5) as a signed permutation.
+    """A correction word on the block's _RECEIVER_QUBITS as a signed permutation.
 
     Returns ``(src, coeff)``: the corrected block is ``coeff * amps[src]``.
     """
-    # little-endian block: qubit 5 is the most significant kron factor
-    op = np.kron(
-        np.kron(PAULI_FACTOR_MATRICES[second], np.eye(2)),
-        np.kron(PAULI_FACTOR_MATRICES[first], np.eye(8)),
-    )
+    factors = [np.eye(2)] * 6
+    for name, q in zip((first, second), _RECEIVER_QUBITS):
+        factors[q] = PAULI_FACTOR_MATRICES[name]
+    op = functools.reduce(lambda low, high: np.kron(high, low), factors)  # qubit 0 lowest, as in tensor()
     if phase_pi:
         op = -op
     src = np.abs(op).argmax(axis=1)
@@ -295,23 +271,64 @@ def _correction_permutation(first: str, second: str, phase_pi: bool) -> tuple[np
     return src, coeff
 
 
-def _bell_split(block: StateVector, which: int) -> tuple:
-    """A block's Bell measurement on its sender pair ``which``.
+class _Block(StateVector):
+    """A sender block, which keeps what it yields.
 
-    Returns ``(changed, joint, marginal, children)``: the basis-changed
-    amplitudes indexed (bit a, bit b, rest), the joint probabilities
-    [bit a][bit b], the bit-a marginals, and an empty dict in which
-    ``bsm_pair`` keeps the collapsed blocks by (bit a, bit b).
+    A block is never written once created, so its results depend on it
+    alone.  Each is computed on first use and kept: the Bell split per
+    sender pair, the collapsed child per pair and outcome, the corrected
+    form per correction entry, and the receiver-pair matrix.  Every state
+    that holds the block (a prepared state and all its copies) reuses them.
     """
-    _, src0, src1, sign = _BELL_GATHERS[which]
-    changed = (block.amps[src0] + sign * block.amps[src1]) * _SQRT2_INV
-    joint = (np.abs(changed) ** 2).sum(axis=2).tolist()
-    return changed, joint, (sum(joint[0]), sum(joint[1])), {}
 
+    __slots__ = ("_splits", "_children", "_corrected_by", "_receiver_rho")
 
-def _corrected(block: StateVector, entry: corrections.CorrectionEntry) -> StateVector:
-    src, coeff = _correction_permutation(entry.first.value, entry.second.value, entry.phase_pi)
-    return StateVector(6, coeff * block.amps[src], copy=False)
+    def __init__(self, amps: np.ndarray):
+        super().__init__(6, amps, copy=False)
+        self._splits = [None, None]
+        self._children = {}
+        self._corrected_by = {}
+        self._receiver_rho = None
+
+    def bell_split(self, which: int) -> tuple:
+        """The Bell measurement on sender pair ``which``.
+
+        Returns ``(changed, joint, marginal)``: the basis-changed amplitudes
+        indexed (bit a, bit b, rest), the joint probabilities [bit a][bit b]
+        and the bit-a marginals.
+        """
+        split = self._splits[which]
+        if split is None:
+            _, src0, src1, sign = _BELL_GATHERS[which]
+            changed = (self.amps[src0] + sign * self.amps[src1]) * _SQRT2_INV
+            joint = (np.abs(changed) ** 2).sum(axis=2).tolist()
+            split = self._splits[which] = changed, joint, (sum(joint[0]), sum(joint[1]))
+        return split
+
+    def collapsed(self, which: int, bit_a: int, bit_b: int) -> "_Block":
+        """The normalized block after sender pair ``which`` reads (bit a, bit b)."""
+        key = which, bit_a, bit_b
+        child = self._children.get(key)
+        if child is None:
+            changed, joint, _ = self.bell_split(which)
+            amps = np.zeros(64, dtype=complex)
+            amps[_BELL_GATHERS[which][0][bit_a, bit_b]] = changed[bit_a, bit_b] / math.sqrt(joint[bit_a][bit_b])
+            child = self._children[key] = _Block(amps)
+        return child
+
+    def corrected(self, entry: corrections.CorrectionEntry) -> "_Block":
+        """The block after ``entry``'s word on its receiver qubits."""
+        block = self._corrected_by.get(entry)
+        if block is None:
+            src, coeff = _correction_permutation(entry.first.value, entry.second.value, entry.phase_pi)
+            block = self._corrected_by[entry] = _Block(coeff * self.amps[src])
+        return block
+
+    def receiver_mat(self) -> np.ndarray:
+        """The receiver pair's reduced density matrix, indexed 2a+b."""
+        if self._receiver_rho is None:
+            self._receiver_rho = partial_trace(self, _RECEIVER_KEEP).mat
+        return self._receiver_rho
 
 
 class StructuredState:
@@ -324,11 +341,9 @@ class StructuredState:
     amplitude for amplitude.
 
     A block is never written once created: an operation replaces it in
-    ``blocks``.  So ``copy()`` shares the blocks, and a state and all its
-    copies share one cache of what each block yields, since that depends on
-    the block alone: its Bell splits and their collapsed children, its
-    corrected forms and its receiver-pair matrix.  A state never copied
-    keeps no cache, as no other branch could reuse its entries.
+    ``blocks``.  So ``copy()`` shares the blocks, and with them the results
+    each ``_Block`` keeps: a fresh state and a copy run the same code, and
+    copies reuse what earlier branches computed.
     """
 
     engine = "structured"
@@ -336,11 +351,7 @@ class StructuredState:
     def __init__(self, s, weights, blocks):
         self.s = s
         self.weights = np.asarray(weights, dtype=complex)
-        self.blocks = blocks  # blocks[branch][sender]
-        # Made by the first copy().  Keyed by block objects, which hash by
-        # identity; holding the keys keeps their blocks alive, so no key's id
-        # can be reused.
-        self._cache = None
+        self.blocks = blocks  # blocks[branch][sender], each a _Block
 
     @classmethod
     def prepare(cls, inputs: Sequence[InfoState]) -> "StructuredState":
@@ -352,12 +363,7 @@ class StructuredState:
         return cls(s, [_SQRT2_INV, _SQRT2_INV], blocks)
 
     def copy(self) -> "StructuredState":
-        if self._cache is None:
-            self._cache = {}
-        blocks = [list(branch) for branch in self.blocks]
-        twin = StructuredState(self.s, self.weights.copy(), blocks)
-        twin._cache = self._cache
-        return twin
+        return StructuredState(self.s, self.weights.copy(), [list(branch) for branch in self.blocks])
 
     def _alive(self) -> list[int]:
         return [b for b in (0, 1) if abs(self.weights[b]) ** 2 > MIN_BRANCH_PROBABILITY]
@@ -381,36 +387,17 @@ class StructuredState:
         self.weights /= math.sqrt(prob)
         return bit, prob, kept
 
-    def _shared(self, key, make, *args):
-        """``make(*args)``, computed once per key for a state and its copies."""
-        if self._cache is None:
-            return make(*args)
-        value = self._cache.get(key)
-        if value is None:
-            value = self._cache[key] = make(*args)
-        return value
-
     def bsm_pair(self, j: int, *, forced=None, rng=None) -> tuple[int, float]:
         i, which = divmod(j, 2)
         a, b = _BELL_PAIRS[which]
         fa, fb = (None, None) if forced is None else _bell_bits(forced)
-        splits = {}
-        for br in self._alive():
-            block = self.blocks[br][i]
-            splits[br] = self._shared((block, which), _bell_split, block, which)
+        splits = {br: self.blocks[br][i].bell_split(which) for br in self._alive()}
         marginal = {br: split[2] for br, split in splits.items()}
         bit_a, pa, kept = self._measure_bit(i, a, marginal, forced=fa, rng=rng)
         conditional = {br: [p / marginal[br][bit_a] for p in splits[br][1][bit_a]] for br in kept}
         bit_b, pb, kept = self._measure_bit(i, b, conditional, forced=fb, rng=rng)
         for br in kept:
-            changed, joint, _, children = splits[br]
-            child = children.get((bit_a, bit_b))
-            if child is None:
-                amps = np.zeros(64, dtype=complex)
-                dest = _BELL_GATHERS[which][0]
-                amps[dest[bit_a, bit_b]] = changed[bit_a, bit_b] / math.sqrt(joint[bit_a][bit_b])
-                child = children[bit_a, bit_b] = StateVector(6, amps, copy=False)
-            self.blocks[br][i] = child
+            self.blocks[br][i] = self.blocks[br][i].collapsed(which, bit_a, bit_b)
         return _bell_outcome(bit_a, bit_b), pa * pb
 
     def measure_controller(self, *, forced=None, rng=None) -> tuple[int, float]:
@@ -423,16 +410,12 @@ class StructuredState:
 
     def apply_correction(self, i: int, entry: corrections.CorrectionEntry) -> None:
         for b in self._alive():
-            block = self.blocks[b][i]
-            self.blocks[b][i] = self._shared((block, entry), _corrected, block, entry)
-
-    def _receiver_mat(self, block: StateVector) -> np.ndarray:
-        return self._shared(block, partial_trace, block, _RECEIVER_KEEP).mat
+            self.blocks[b][i] = self.blocks[b][i].corrected(entry)
 
     def receiver_dm(self, i: int) -> DensityMatrix:
         mat = np.zeros((4, 4), dtype=complex)
         for b in self._alive():
-            mat += abs(self.weights[b]) ** 2 * self._receiver_mat(self.blocks[b][i])
+            mat += abs(self.weights[b]) ** 2 * self.blocks[b][i].receiver_mat()
         return DensityMatrix(2, mat)
 
     def pre_broadcast_dm(self) -> DensityMatrix:
@@ -441,7 +424,7 @@ class StructuredState:
         for b in self._alive():
             rho = np.array([[1.0]], dtype=complex)
             for i in range(self.s):
-                rho = np.kron(self._receiver_mat(self.blocks[b][i]), rho)
+                rho = np.kron(self.blocks[b][i].receiver_mat(), rho)
             mat += abs(self.weights[b]) ** 2 * rho
         return DensityMatrix(2 * self.s, mat)
 
@@ -478,16 +461,18 @@ def assemble_global(
     return DenseState.prepare(inputs)
 
 
-def _build_transcript(s: int, outcomes: Sequence[int], z: int) -> tuple[tuple[ClassicalMessage, ...], int]:
-    messages = []
-    for i in range(s):
-        for which in (0, 1):
-            messages.append(
-                ClassicalMessage(SENDERS[i], RECEIVERS[i], "bsm", outcomes[2 * i + which], bits=2)
-            )
-    for i in range(s):
-        messages.append(ClassicalMessage(Party.ELLE, RECEIVERS[i], "controller", z, bits=1))
-    return tuple(messages), sum(m.bits for m in messages)
+def _build_transcript(s: int, outcomes: Sequence[int], z: int) -> tuple[dict, ...]:
+    """The run's classical messages as report records, in canonical party order:
+    each sender's two Bell outcomes to its receiver, then Elle's bit to every receiver."""
+    receivers = corrections.RECEIVERS
+    bsm_messages = [
+        {"from": SENDERS[i], "to": receivers[i], "kind": "bsm", "value": outcomes[2 * i + which], "bits": 2}
+        for i in range(s) for which in (0, 1)
+    ]
+    controller_messages = [
+        {"from": "elle", "to": receivers[i], "kind": "controller", "value": z, "bits": 1} for i in range(s)
+    ]
+    return tuple(bsm_messages + controller_messages)
 
 
 def run_protocol(
@@ -530,10 +515,10 @@ def run_protocol(
     z, prob_z = state.measure_controller(forced=forced.z if forced else None, rng=rng)
     probability *= prob_z
 
-    transcript, bits = _build_transcript(s, outcomes, z)
+    transcript = _build_transcript(s, outcomes, z)
     fidelities = []
     for i in range(s):
-        entry = corrections.table_lookup(RECEIVERS[i].value, (outcomes[2 * i], outcomes[2 * i + 1], z))
+        entry = corrections.table_lookup(corrections.RECEIVERS[i], (outcomes[2 * i], outcomes[2 * i + 1], z))
         state.apply_correction(i, entry)
         fidelities.append(dm_fidelity(state.receiver_dm(i), inputs[i].target_state()))
     return ProtocolReport(
@@ -541,7 +526,7 @@ def run_protocol(
         branch_probability=probability,
         per_receiver_fidelity=tuple(fidelities),
         transcript=transcript,
-        classical_bits_sent=bits,
+        classical_bits_sent=sum(m["bits"] for m in transcript),
         engine=state.engine,
     )
 

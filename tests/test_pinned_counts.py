@@ -2,9 +2,10 @@
 
 ``perfbench/workloads.py`` pins exact traced call counts per workload unit,
 and the benchmark checks them only in its traced runs.  Here the first
-``oracles`` round and one ``sample-s4`` command run under
-``perfbench/spans.py``, both imported as they are, in a subprocess: the
-tracer rebinds quadtel's functions for the rest of the process.
+``oracles`` round, one ``sample-s4`` command and one ``sweep-s3`` command
+run under ``perfbench/spans.py``, both imported as they are, in a
+subprocess: the tracer rebinds quadtel's functions for the rest of the
+process.
 """
 import importlib.util
 import json
@@ -16,6 +17,9 @@ from quadtel import protocol
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# The workloads whose first unit runs traced here.
+UNITS = ("oracles", "sample-s4", "sweep-s3")
+
 TRACED_UNITS = r"""
 import collections, contextlib, io, json, sys
 from pathlib import Path
@@ -26,7 +30,7 @@ from quadtel import cli
 
 tracer = spans.Tracer()
 spans.install(tracer)
-names = ("oracles", "sample-s4")
+names = sys.argv[4:]
 for unit, name in enumerate(names):
     tracer.current_unit = unit
     for cmd in next(iter(workloads.WORKLOADS[name].units(Path(sys.argv[3]), 0))):
@@ -59,11 +63,11 @@ def test_engines_define_every_traced_method():
 def test_traced_units_keep_the_pinned_call_counts(tmp_path):
     (tmp_path / "reports").mkdir()
     proc = subprocess.run(
-        [sys.executable, "-c", TRACED_UNITS, str(ROOT / "src"), str(ROOT / "perfbench"), str(tmp_path)],
+        [sys.executable, "-c", TRACED_UNITS, str(ROOT / "src"), str(ROOT / "perfbench"), str(tmp_path), *UNITS],
         capture_output=True, text=True, timeout=120, check=False,
     )
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
     workloads = _perfbench_module("workloads")
-    for name in ("oracles", "sample-s4"):
+    for name in UNITS:
         assert got[name] == workloads.WORKLOADS[name].expected_calls, name

@@ -50,6 +50,10 @@ def test_outcome_record_validation():
         pr.OutcomeRecord((0, 4), 0)
     with pytest.raises(ValueError):
         pr.OutcomeRecord((0, 0), 2)
+    with pytest.raises(ValueError, match="controller bit"):
+        pr.OutcomeRecord((0, 0), True)  # a bool would print as "True" in the symbols
+    with pytest.raises(ValueError, match="Bell outcomes"):
+        pr.OutcomeRecord((True, 0), 0)
     assert pr.OutcomeRecord((0, 1, 2, 3), 1).symbols() == "k+,k-,l+,l-,1"
 
 
@@ -191,7 +195,7 @@ def test_forced_record_validation():
 
 def random_block(rng):
     v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    return sv.StateVector(6, v / np.linalg.norm(v))
+    return pr._Block(v / np.linalg.norm(v))
 
 
 @pytest.mark.parametrize("outcome", [0, 1, 2, 3, None])
@@ -225,7 +229,7 @@ def test_block_kernel_names_an_impossible_outcome():
     amps = np.zeros(64, dtype=complex)
     amps[0b000000] = amps[0b000101] = 2 ** -0.5
     for outcome, where in ((1, "block 1 qubit 0 outcome 1"), (2, "block 1 qubit 2 outcome 1")):
-        blocks = [[random_block(rng), sv.StateVector(6, amps)] for _ in range(2)]
+        blocks = [[random_block(rng), pr._Block(amps)] for _ in range(2)]
         state = pr.StructuredState(2, [2 ** -0.5, 2 ** -0.5], blocks)
         with pytest.raises(sv.ImpossibleBranchError, match=f"^{where} has probability"):
             state.bsm_pair(2, forced=outcome)
@@ -301,8 +305,9 @@ def test_engines_draw_identical_sampled_outcomes():
 
 def test_exhaustive_shared_base_matches_fresh_state_per_branch():
     # run_exhaustive runs each branch on a copy of one prepared state, and the
-    # copies share its blocks and one block cache; no branch may see another's
-    # measurements through them.  Every branch at s=1, 2; 64 seeded ones at s=3
+    # copies share its blocks and what each block keeps; no branch may see
+    # another's measurements through them.  Every branch at s=1, 2; 64
+    # seeded ones at s=3
     rng = np.random.default_rng(55)
     for s in (1, 2, 3):
         inputs = make_inputs(s, 52 + s)
@@ -335,7 +340,7 @@ def test_structured_copies_leave_the_base_and_each_other_alone():
 
 
 def test_structured_correction_cache_keeps_each_word_apart():
-    # copies share one cache of corrected blocks; each word applied to the
+    # copies share each block's corrected forms; each word applied to the
     # same shared block must still give that word's result
     from quadtel import corrections as co
 
@@ -343,7 +348,7 @@ def test_structured_correction_cache_keeps_each_word_apart():
     for entry in dict.fromkeys(co.TABLE_FIRST_PAIR.values()):
         twin = base.copy()
         twin.apply_correction(0, entry)
-        word = [(entry.first.value, 3), (entry.second.value, 5)]  # the block's receiver qubits
+        word = list(zip((entry.first.value, entry.second.value), pr._RECEIVER_QUBITS))
         for corrected, prepared in zip(twin.blocks, base.blocks):
             want = sv.apply_pauli_word(prepared[0], word).amps
             assert np.array_equal(corrected[0].amps, -want if entry.phase_pi else want)
@@ -370,8 +375,8 @@ def test_bsm_order_does_not_change_report():
 
 @pytest.fixture(scope="module")
 def filled_bases():
-    """Per sender count: the messages and a prepared state whose block cache
-    other branches have filled, in canonical and in reversed BSM order."""
+    """Per sender count: the messages and a prepared state whose blocks hold
+    the results of other branches, run in canonical and in reversed BSM order."""
     rng = np.random.default_rng(71)
     bases = {}
     for s in range(1, pr.MAX_SENDERS + 1):
@@ -395,13 +400,15 @@ def forced_runs(draw):
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(run=forced_runs())
 def test_cached_copy_matches_fresh_state_in_any_order(filled_bases, run):
-    # a block's cached Bell split, correction and reduced matrix are what a
-    # fresh state computes for it, whatever order the measurements run in
+    # a block's kept Bell split, correction and reduced matrix are what a
+    # fresh state computes for it, whatever order the measurements run in;
+    # and any order gives the canonical order's report
     s, record, order = run
     inputs, base = filled_bases[s]
     cached = pr.run_protocol(inputs, forced=record, bsm_order=order, state=base.copy())
     fresh = pr.run_protocol(inputs, forced=record, bsm_order=order)
     assert cached.to_dict() == fresh.to_dict()
+    assert_reports_agree(fresh, pr.run_protocol(inputs, forced=record))
 
 
 # ------------------------------------------------------------------- gating
@@ -463,19 +470,21 @@ def test_guessing_the_controller_bit_fails_on_average():
 # ---------------------------------------------------------------- transcript
 
 def test_transcript_counts_twenty_bits_for_four_senders():
+    from quadtel import corrections as co
+
     inputs = make_inputs(4, 90)
     report = pr.run_protocol(inputs, forced=pr.OutcomeRecord((0,) * 8, 0))
     assert report.classical_bits_sent == 20
-    bsm_msgs = [m for m in report.transcript if m.kind == "bsm"]
-    ctrl_msgs = [m for m in report.transcript if m.kind == "controller"]
-    assert len(bsm_msgs) == 8 and all(m.bits == 2 for m in bsm_msgs)
-    assert len(ctrl_msgs) == 4 and all(m.bits == 1 for m in ctrl_msgs)
-    for i, sender in enumerate(pr.SENDERS):
-        mine = [m for m in bsm_msgs if m.sender is sender]
+    bsm_msgs = [m for m in report.transcript if m["kind"] == "bsm"]
+    ctrl_msgs = [m for m in report.transcript if m["kind"] == "controller"]
+    assert len(bsm_msgs) == 8 and all(m["bits"] == 2 for m in bsm_msgs)
+    assert len(ctrl_msgs) == 4 and all(m["bits"] == 1 for m in ctrl_msgs)
+    for sender, receiver in zip(pr.SENDERS, co.RECEIVERS):
+        mine = [m for m in bsm_msgs if m["from"] == sender]
         assert len(mine) == 2
-        assert all(m.recipient is pr.RECEIVERS[i] for m in mine)
-    assert {m.recipient for m in ctrl_msgs} == set(pr.RECEIVERS)
-    assert all(m.sender is pr.Party.ELLE for m in ctrl_msgs)
+        assert all(m["to"] == receiver for m in mine)
+    assert {m["to"] for m in ctrl_msgs} == set(co.RECEIVERS)
+    assert all(m["from"] == "elle" for m in ctrl_msgs)
 
 
 def test_reduced_transcript_scales_with_sender_count():

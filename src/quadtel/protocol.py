@@ -142,6 +142,13 @@ class OutcomeRecord:
 
 @dataclass
 class ProtocolReport:
+    """One run's outcome and scores.
+
+    The transcript's records are shared by every report of the process (see
+    ``_BSM_MESSAGES``), and ``to_dict`` hands out the same records: they are
+    read-only report data.
+    """
+
     outcome: OutcomeRecord
     branch_probability: float
     per_receiver_fidelity: tuple[float, ...]
@@ -343,14 +350,16 @@ class StructuredState:
     A block is never written once created: an operation replaces it in
     ``blocks``.  So ``copy()`` shares the blocks, and with them the results
     each ``_Block`` keeps: a fresh state and a copy run the same code, and
-    copies reuse what earlier branches computed.
+    copies reuse what earlier branches computed.  ``weights`` is a 2-tuple of
+    Python complex numbers that operations replace, so copies share it too.
     """
 
     engine = "structured"
 
     def __init__(self, s, weights, blocks):
         self.s = s
-        self.weights = np.asarray(weights, dtype=complex)
+        w0, w1 = weights
+        self.weights = (complex(w0), complex(w1))
         self.blocks = blocks  # blocks[branch][sender], each a _Block
 
     @classmethod
@@ -363,7 +372,7 @@ class StructuredState:
         return cls(s, [_SQRT2_INV, _SQRT2_INV], blocks)
 
     def copy(self) -> "StructuredState":
-        return StructuredState(self.s, self.weights.copy(), [list(branch) for branch in self.blocks])
+        return StructuredState(self.s, self.weights, [list(branch) for branch in self.blocks])
 
     def _alive(self) -> list[int]:
         return [b for b in (0, 1) if abs(self.weights[b]) ** 2 > MIN_BRANCH_PROBABILITY]
@@ -374,6 +383,11 @@ class StructuredState:
         Draws the bit with ``_draw_bit``, zeroes the branches that cannot give
         it and reweights the rest.  Returns the bit, its probability and the
         kept branches, whose blocks the caller collapses.
+
+        The weights are Python complex numbers, rounded as numpy's complex128
+        was: ``abs(w) ** 2`` is numpy's value, and numpy divides a complex by
+        a real as a product with the reciprocal, so the renormalization is
+        ``w * (1.0 / d)``, not ``w / d``.
         """
         totals = [0.0, 0.0]
         for b, p in probs.items():
@@ -382,9 +396,11 @@ class StructuredState:
             totals[1] += w2 * p[1]
         bit, prob = _draw_bit(totals[0], totals[1], _QUBIT_NAMES[i][local_q], forced=forced, rng=rng)
         kept = [b for b, p in probs.items() if p[bit] > MIN_BRANCH_PROBABILITY]
+        weights = list(self.weights)
         for b, p in probs.items():
-            self.weights[b] = self.weights[b] * math.sqrt(p[bit]) if b in kept else 0.0
-        self.weights /= math.sqrt(prob)
+            weights[b] = weights[b] * math.sqrt(p[bit]) if b in kept else 0j
+        scale = 1.0 / math.sqrt(prob)
+        self.weights = (weights[0] * scale, weights[1] * scale)
         return bit, prob, kept
 
     def bsm_pair(self, j: int, *, forced=None, rng=None) -> tuple[int, float]:
@@ -401,11 +417,11 @@ class StructuredState:
         return _bell_outcome(bit_a, bit_b), pa * pb
 
     def measure_controller(self, *, forced=None, rng=None) -> tuple[int, float]:
-        probs = np.abs(self.weights) ** 2
+        probs = np.abs(self.weights) ** 2  # numpy's array abs: Python's abs rounds otherwise on a third of values
         z, prob = _draw_bit(probs[0], probs[1], "controller", forced=forced, rng=rng)
-        phase = self.weights[z] / abs(self.weights[z])
-        self.weights = np.array([0.0, 0.0], dtype=complex)
-        self.weights[z] = phase
+        weights = [0j, 0j]
+        weights[z] = self.weights[z] * (1.0 / abs(self.weights[z]))
+        self.weights = tuple(weights)
         return z, float(prob)
 
     def apply_correction(self, i: int, entry: corrections.CorrectionEntry) -> None:
@@ -461,18 +477,26 @@ def assemble_global(
     return DenseState.prepare(inputs)
 
 
+# Every classical message a run can send, as its report record:
+# _BSM_MESSAGES[i][value] from sender i and _CONTROLLER_MESSAGES[i][z] from
+# Elle, both to receiver i.  Transcripts hold these records, never copies.
+_BSM_MESSAGES = tuple(
+    tuple({"from": SENDERS[i], "to": corrections.RECEIVERS[i], "kind": "bsm", "value": value, "bits": 2}
+          for value in range(4))
+    for i in range(MAX_SENDERS)
+)
+_CONTROLLER_MESSAGES = tuple(
+    tuple({"from": "elle", "to": corrections.RECEIVERS[i], "kind": "controller", "value": z, "bits": 1}
+          for z in (0, 1))
+    for i in range(MAX_SENDERS)
+)
+
+
 def _build_transcript(s: int, outcomes: Sequence[int], z: int) -> tuple[dict, ...]:
     """The run's classical messages as report records, in canonical party order:
     each sender's two Bell outcomes to its receiver, then Elle's bit to every receiver."""
-    receivers = corrections.RECEIVERS
-    bsm_messages = [
-        {"from": SENDERS[i], "to": receivers[i], "kind": "bsm", "value": outcomes[2 * i + which], "bits": 2}
-        for i in range(s) for which in (0, 1)
-    ]
-    controller_messages = [
-        {"from": "elle", "to": receivers[i], "kind": "controller", "value": z, "bits": 1} for i in range(s)
-    ]
-    return tuple(bsm_messages + controller_messages)
+    bsm_messages = [_BSM_MESSAGES[j // 2][outcomes[j]] for j in range(2 * s)]
+    return tuple(bsm_messages + [_CONTROLLER_MESSAGES[i][z] for i in range(s)])
 
 
 def run_protocol(

@@ -1,5 +1,7 @@
 """Protocol tests: global-state assembly, forced and exhaustive runs, engine
 equivalence, controller gating, transcripts, and order independence."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -327,16 +329,32 @@ def test_structured_copies_leave_the_base_and_each_other_alone():
     # as prepared, and two copies forced to different outcomes share no block
     inputs = make_inputs(2, 56)
     base = pr.StructuredState.prepare(inputs)
-    prepared, weights = block_bytes(base), base.weights.tobytes()
+    prepared, weights = block_bytes(base), base.weights
     for record in pr.enumerate_records(2):
         pr.run_protocol(inputs, forced=record, state=base.copy())
     assert block_bytes(base) == prepared
-    assert base.weights.tobytes() == weights
+    assert base.weights == weights
     one, two = base.copy(), base.copy()
     pr.run_protocol(inputs, forced=pr.OutcomeRecord((0, 1, 2, 3), 0), state=one)
     pr.run_protocol(inputs, forced=pr.OutcomeRecord((3, 2, 1, 0), 1), state=two)
     held = [{id(blk) for branch in state.blocks for blk in branch} for state in (base, one, two)]
     assert not (held[0] & held[1] or held[0] & held[2] or held[1] & held[2])
+
+
+def test_python_weights_round_as_numpy_complex128():
+    # StructuredState keeps its weights as Python complex numbers, and its
+    # reports stay byte-identical only if they round as numpy's complex128
+    # did: numpy divides a complex by a real as a product with the
+    # reciprocal (plain ``w / d`` differs in the last bit on 45616 of these
+    # draws), and ``abs`` agrees with numpy's scalar ``abs``
+    rng = np.random.default_rng(115)
+    n = 100_000
+    re, im = rng.standard_normal((2, n)).tolist()
+    divisors = np.sqrt(rng.random(n) + 1e-12).tolist()
+    for a, b, d in zip(re, im, divisors):
+        w = complex(a, b)
+        assert w * (1.0 / d) == complex(np.complex128(w) / d)
+        assert abs(w) ** 2 == abs(np.complex128(w)) ** 2
 
 
 def test_structured_correction_cache_keeps_each_word_apart():
@@ -493,6 +511,24 @@ def test_reduced_transcript_scales_with_sender_count():
     assert report.classical_bits_sent == 2 * 4 + 2
     with pytest.raises(ValueError):
         pr.run_protocol(inputs, forced=pr.OutcomeRecord((0,) * 6, 0))
+
+
+def test_transcripts_hold_the_records_every_run_would_build():
+    # transcripts reference records built once at import; for every branch
+    # at s=1..4 they equal the records built field by field per run
+    from quadtel import corrections as co
+
+    for s in range(1, pr.MAX_SENDERS + 1):
+        for outcomes, z in itertools.product(itertools.product(range(4), repeat=2 * s), (0, 1)):
+            expected = [
+                {"from": pr.SENDERS[i], "to": co.RECEIVERS[i], "kind": "bsm", "value": outcomes[2 * i + which],
+                 "bits": 2}
+                for i in range(s) for which in (0, 1)
+            ] + [{"from": "elle", "to": co.RECEIVERS[i], "kind": "controller", "value": z, "bits": 1}
+                 for i in range(s)]
+            transcript = pr._build_transcript(s, outcomes, z)
+            assert list(transcript) == expected
+            assert sum(m["bits"] for m in transcript) == 5 * s
 
 
 # ------------------------------------------------------------- sampled mode

@@ -6,6 +6,7 @@ the digest in the same commit and says why.  The digests are the same with
 OPENBLAS_NUM_THREADS=1 and with the default thread count.
 """
 import hashlib
+import json
 
 import pytest
 
@@ -51,4 +52,7 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_is_byte_identical(name):
     command, digest = GOLDEN[name]
-    assert hashlib.sha256(hz.render_report(command()).encode()).hexdigest() == digest
+    report = command()
+    rendered = hz.render_report(report)
+    assert hashlib.sha256(rendered.encode()).hexdigest() == digest
+    assert rendered == json.dumps(report, sort_keys=True, indent=2) + "\n"

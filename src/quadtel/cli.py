@@ -56,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the JSON report here")
 
     p = sub.add_parser("verify-tables", help="re-derive the correction tables and catalog map")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the report only: the sweep reads no random input")
     p.add_argument("--out", help="write the JSON report here")
 
     p = sub.add_parser("efficiency", help="reproduce the protocol comparison table")

@@ -1,23 +1,24 @@
 """Receiver-side Pauli correction tables and the collapsed-state catalog.
 
 The 32-row correction tables (two printed tables, one per receiver pair) are
-transcribed as static data and never trusted blindly: ``derive_correction``
-re-derives every entry from first principles by brute force over all sixteen
-single-qubit factor pairs, using its own miniature single-sender simulator
-built directly on the statevector and channel modules (deliberately not the
-protocol engines, so the two routes stay independent).  ``verify_tables``
-sweeps every key and receiver and reports agreement.
+transcribed as static data and never trusted blindly.  The oracle has its own
+miniature single-sender simulator on the statevector and channel modules (not
+the protocol engines, so the two routes stay independent).  The run is linear
+in the message, so a forced branch (g, h, z) is one 4x4 operator K, and a
+check of K holds for every message at once.  ``derive_correction`` finds the
+Pauli word U with U·K = +-I/sqrt(32); ``verify_tables`` compares it with every
+transcribed column.  The sweep reads no random input: a ``verify-tables
+--seed`` value is only recorded in the report.
 
 The catalog has 16 two-qubit collapse patterns, repeated for each sender
-block with that sender's symbols; ``match_eta`` identifies which pattern
-(1..16) a simulated collapse realizes, which builds the outcome -> pattern
-map the tables imply but never state.
+block with that sender's symbols; ``match_eta`` finds the pattern P (1..16)
+with K = mu·P, which builds the outcome -> pattern map the tables imply.
 """
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -30,24 +31,20 @@ from .statevector import (
     StateVector,
     bell_receiver_amplitudes,
     bsm,
-    fidelity,
     measure_qubit,
-    overlap,
     pair_state,
     tensor,
 )
 
-# Thresholds of the oracle.  Each true value is 1 (or exact) to round-off,
-# about 1e-15, and a wrong pattern or word is off by O(1) on a generic message.
-MATCH_TOLERANCE = 1e-9  # 1 - |overlap| of a catalog match; distinct patterns overlap far less
-RESTORE_TOL = 1e-10  # 1 - fidelity of a probe restored by a candidate correction word
-PHASE_TOL = 1e-9  # distance of the restored probe's phase from +1 or -1
-SELF_INVERSE_TOL = 1e-12  # entries of U.U - (+-1); products of 0/+-1 matrices are exact
+# A single-sender branch has probability 1/2 (controller) x 1/16 (two BSMs)
+# for every message, so its operator K is 1/sqrt(32) times a unitary.
+BRANCH_AMPLITUDE = 32 ** -0.5
 
-# Random messages a derived correction word must restore.  A generic message
-# is an eigenvector of no non-trivial two-qubit Pauli product, so one already
-# singles out the word; the other two guard against a near-degenerate draw.
-N_PROBES = 3
+# Thresholds of the oracle.  K's entries are 0 or +-1/sqrt(32) to round-off
+# (about 1e-17); a wrong word or pattern is off by O(1/sqrt(32)), because the
+# 16 words, like the 16 patterns, are pairwise Hilbert-Schmidt orthogonal.
+OPERATOR_TOL = 1e-9  # entries of K - mu·V, and |mu| - 1/sqrt(32), for the fitted word or pattern V
+SELF_INVERSE_TOL = 1e-12  # entries of U.U - (+-1); products of 0/+-1 matrices are exact
 
 
 class PauliFactor(str, Enum):
@@ -86,11 +83,11 @@ class CorrectionEntry:
 
 
 class TableDerivationError(RuntimeError):
-    """The brute-force search found no (or no unique) correction word."""
+    """No correction word maps a branch operator to +-I/sqrt(32)."""
 
 
 class CatalogMatchError(RuntimeError):
-    """A collapse state matched no (or several) catalog patterns."""
+    """A branch operator is no catalog pattern times a factor of modulus 1/sqrt(32)."""
 
 
 _I, _X, _Z, _XZ = PauliFactor.I, PauliFactor.X, PauliFactor.Z, PauliFactor.XZ
@@ -204,64 +201,76 @@ def table_lookup(receiver: str, key: tuple[int, int, int]) -> CorrectionEntry:
 
 
 # --------------------------------------------------------------------------
-# Brute-force derivation oracle
+# Derivation oracle
 # --------------------------------------------------------------------------
 
-def _random_coeffs(rng: np.random.Generator) -> np.ndarray:
-    """A random normalized two-qubit message: Gaussian real and imaginary parts."""
-    c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return c / np.linalg.norm(c)
-
-
-def collapse_single_sender(coeffs: Sequence[complex], g: int, h: int, z: int) -> StateVector:
+def collapse_single_sender(coeffs: Sequence[complex], g: int, h: int, z: int) -> tuple[StateVector, float]:
     """Receiver-pair state after a forced single-sender run, phases intact.
 
     Seven qubits: message pair at (0, 1), a two-pair channel at (2..5) with
     the controller at 6.  Both BSMs and the controller measurement are forced
-    to (g, h, z); the surviving amplitudes on the receiver qubits are returned
-    as a 2-qubit state on index 2a+b (a = the qubit paired with message
-    qubit 0).
+    to (g, h, z).  Returns the surviving amplitudes on the receiver qubits as
+    a 2-qubit state on index 2a+b (a = the qubit paired with message qubit
+    0), and the branch probability: the product of the three forced draws.
     """
     info = pair_state(np.asarray(coeffs, dtype=complex))
     state = tensor(info, build_channel_analytic(2, +1))
-    _, _, state = bsm(state, 0, 2, forced=g)
-    _, _, state = bsm(state, 1, 4, forced=h)
-    _, _, state = measure_qubit(state, 6, forced=z)
+    _, p_g, state = bsm(state, 0, 2, forced=g)
+    _, p_h, state = bsm(state, 1, 4, forced=h)
+    _, p_z, state = measure_qubit(state, 6, forced=z)
     out = bell_receiver_amplitudes(state.amps.reshape(2, 64)[z], g, h)
     residual = np.linalg.norm(out)
     if abs(residual - 1) > NORM_TOL:
         raise RuntimeError(f"collapse left amplitude outside the receiver pair (norm {residual})")
-    return StateVector(2, out, copy=False)
+    return StateVector(2, out, copy=False), p_g * p_h * p_z
 
 
-def derive_correction(key: tuple[int, int, int], *, rng: np.random.Generator) -> CorrectionEntry:
-    """Search all 16 factor pairs for the one that undoes a forced collapse.
+def branch_operator(key: tuple[int, int, int]) -> np.ndarray:
+    """The 4x4 operator K of the forced single-sender branch (g, h, z).
 
-    Runs the single-sender simulator on N_PROBES independent random message
-    states; the unique pair restoring every input with fidelity 1 is
-    returned.  The phase flag records whether that word maps the simulated
-    collapse to minus the input on a reference message.
+    The run is linear in the message c, so the branch maps c to K·c:
+    ``collapse_single_sender(c, *key)`` is K·c / |K·c| with probability
+    |K·c|^2.  Column j is sqrt(p_j)·collapse(e_j) for the basis message e_j.
     """
-    probes = [_random_coeffs(rng) for _ in range(N_PROBES)]
-    collapses = [collapse_single_sender(c, *key) for c in probes]
-    matches = []
-    for first, second in itertools.product(PauliFactor, repeat=2):
-        entry = CorrectionEntry(first, second)
-        if all(
-            fidelity(StateVector(2, entry.unitary() @ st.amps), StateVector(2, c))
-            > 1 - RESTORE_TOL
-            for st, c in zip(collapses, probes)
-        ):
-            matches.append(entry)
-    if not matches:
-        raise TableDerivationError(f"no factor pair restores the inputs for key (g, h, z) = {key}")
-    if len(matches) > 1:
-        raise TableDerivationError(f"ambiguous factor pairs {matches} for key (g, h, z) = {key}")
-    entry = matches[0]
-    scalar = overlap(StateVector(2, probes[0]), StateVector(2, entry.unitary() @ collapses[0].amps))
-    if abs(abs(scalar) - 1) > PHASE_TOL or abs(scalar.imag) > PHASE_TOL:
-        raise TableDerivationError(f"correction for (g, h, z) = {key} produced a non-real phase {scalar}")
-    return CorrectionEntry(entry.first, entry.second, phase_pi=scalar.real < 0)
+    columns = []
+    for basis_message in np.eye(4, dtype=complex):
+        state, prob = collapse_single_sender(basis_message, *key)
+        columns.append(np.sqrt(prob) * state.amps)
+    return np.stack(columns, axis=1)
+
+
+def _fit(candidates: np.ndarray, op: np.ndarray) -> tuple[int, complex] | None:
+    """The k and mu with op = mu·candidates[k] and |mu| = BRANCH_AMPLITUDE, if any.
+
+    One batched product gives op's Hilbert-Schmidt component along each of
+    the 16 unitary candidates; at most one fits, as they are pairwise
+    orthogonal.
+    """
+    mus = np.einsum("kij,ij->k", candidates.conj(), op) / 4
+    k = int(np.argmax(np.abs(mus)))
+    mu = complex(mus[k])
+    if abs(abs(mu) - BRANCH_AMPLITUDE) > OPERATOR_TOL or np.abs(op - mu * candidates[k]).max() > OPERATOR_TOL:
+        return None
+    return k, mu
+
+
+# The 16 candidate words, phase-free, and their inverses U^+, built once:
+# U·K = lambda·I exactly when K = lambda·U^+.
+_WORDS = tuple(CorrectionEntry(first, second) for first, second in itertools.product(PauliFactor, repeat=2))
+_WORD_INVERSES = np.stack([word.unitary().conj().T for word in _WORDS])
+
+
+def derive_correction(key: tuple[int, int, int], op: np.ndarray) -> CorrectionEntry:
+    """The one Pauli word U with U·K = lambda·I, lambda = +-1/sqrt(32), for K = ``op``.
+
+    Such a word restores every message of branch ``key`` exactly.  The phase
+    flag records lambda < 0: the word maps the collapse to minus the message.
+    """
+    fit = _fit(_WORD_INVERSES, op)
+    if fit is None or abs(fit[1].imag) > OPERATOR_TOL:
+        raise TableDerivationError(f"no word maps the branch operator of (g, h, z) = {key} to +-I/sqrt(32)")
+    k, lam = fit
+    return replace(_WORDS[k], phase_pi=lam.real < 0)
 
 
 # --------------------------------------------------------------------------
@@ -294,6 +303,11 @@ _ETA_TERMS: tuple[tuple[tuple[int, int], ...], ...] = (
 
 N_PATTERNS = len(_ETA_TERMS)
 
+# Pattern k as a signed permutation matrix: eta_state(k, c) = _PATTERNS[k-1]·c.
+_PATTERNS = np.array(
+    [[[sign * (ket == row) for ket, sign in terms] for row in range(4)] for terms in _ETA_TERMS], float
+)
+
 
 def eta_state(pattern: int, coeffs: Sequence[complex]) -> StateVector:
     """Catalog pattern 1..16 with the given message coefficients substituted."""
@@ -302,52 +316,25 @@ def eta_state(pattern: int, coeffs: Sequence[complex]) -> StateVector:
     c = np.asarray(coeffs, dtype=complex)
     if c.shape != (4,):
         raise ValueError(f"expected 4 coefficients, got {c.shape}")
-    amps = np.zeros(4, dtype=complex)
-    for coeff_pos, (ket, sign) in enumerate(_ETA_TERMS[pattern - 1]):
-        amps[ket] += sign * c[coeff_pos]
-    return StateVector(2, amps, copy=False)
+    return StateVector(2, _PATTERNS[pattern - 1] @ c, copy=False)
 
 
-def match_eta(collapsed: StateVector, coeffs: Sequence[complex]) -> tuple[int, complex]:
-    """Identify the unique catalog pattern equal to ``collapsed`` up to phase.
+def match_eta(op: np.ndarray) -> int:
+    """The catalog pattern 1..16 whose matrix P gives K = mu·P for K = ``op``.
 
-    Returns the pattern 1..16 and the relative phase <catalog|collapsed>.
-    Degenerate message coefficients can make several patterns coincide;
-    generic inputs keep the match unique.
+    Then every message's collapse is that pattern up to the phase of mu.
     """
-    if collapsed.n_qubits != 2:
-        raise ValueError("collapse states are two-qubit states")
-    hits = []
-    for pattern in range(1, N_PATTERNS + 1):
-        ov = overlap(eta_state(pattern, coeffs), collapsed)
-        if abs(ov) > 1 - MATCH_TOLERANCE:
-            hits.append((pattern, complex(ov)))
-    if not hits:
-        raise CatalogMatchError("collapse state matches no catalog pattern")
-    if len(hits) > 1:
-        patterns = [pattern for pattern, _ in hits]
-        raise CatalogMatchError(
-            f"collapse state matches several patterns {patterns}: the message coefficients are degenerate"
-        )
-    return hits[0]
-
-
-def eta_assignment(coeffs: Sequence[complex]) -> dict[tuple[int, int, int], int]:
-    """Empirical (g, h, z) -> pattern map from the 32 single-sender collapses."""
-    assignment = {}
-    for key in itertools.product(range(4), range(4), (0, 1)):
-        try:
-            assignment[key], _ = match_eta(collapse_single_sender(coeffs, *key), coeffs)
-        except CatalogMatchError as exc:
-            raise CatalogMatchError(f"key (g, h, z) = {key}: {exc}") from None
-    return assignment
+    fit = _fit(_PATTERNS, op)
+    if fit is None:
+        raise CatalogMatchError("branch operator matches no catalog pattern")
+    return fit[0] + 1
 
 
 # --------------------------------------------------------------------------
 # Verification sweep
 # --------------------------------------------------------------------------
 
-def verify_tables(rng: np.random.Generator) -> dict:
+def verify_tables() -> dict:
     """Re-derive all 32 corrections and compare with every transcribed column.
 
     Returns the report's ``tables`` section: the 128 comparisons, the
@@ -356,7 +343,14 @@ def verify_tables(rng: np.random.Generator) -> dict:
     comparisons = []
     n_matched = 0
     keys = [(g, h, z) for g, h in itertools.product(range(4), repeat=2) for z in (0, 1)]
-    derived = {key: derive_correction(key, rng=rng) for key in keys}
+    derived, assignment = {}, {}
+    for key in keys:
+        op = branch_operator(key)
+        derived[key] = derive_correction(key, op)
+        try:
+            assignment[key] = match_eta(op)
+        except CatalogMatchError as exc:
+            raise CatalogMatchError(f"key (g, h, z) = {key}: {exc}") from None
     for key in keys:
         for receiver in RECEIVERS:
             printed = table_lookup(receiver, key)
@@ -381,7 +375,6 @@ def verify_tables(rng: np.random.Generator) -> dict:
         or np.allclose(e.unitary() @ e.unitary(), -eye, atol=SELF_INVERSE_TOL)
         for e in TABLE_FIRST_PAIR.values()
     )
-    assignment = eta_assignment(_random_coeffs(rng))
     n_total = len(keys) * len(RECEIVERS)
     eta_total = len(assignment) == 32
     eta_two_to_one = Counter(assignment.values()) == {i: 2 for i in range(1, N_PATTERNS + 1)}

@@ -116,7 +116,9 @@ class InfoState:
 
     @classmethod
     def random(cls, rng: np.random.Generator) -> "InfoState":
-        return cls(corrections._random_coeffs(rng))
+        """A random message: Gaussian real and imaginary parts, normalized."""
+        c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        return cls(c / np.linalg.norm(c))
 
     def target_state(self) -> StateVector:
         """The message as a 2-qubit state on index 2a+b (first symbol high)."""

@@ -1,9 +1,11 @@
 """Correction-table and collapse-catalog tests: transcription lookups, the
-brute-force derivation oracle, and the pattern-matching sweep."""
+branch-operator derivation oracle, and the pattern-matching sweep."""
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from quadtel import corrections as co
 from quadtel.statevector import StateVector, fidelity
@@ -50,22 +52,66 @@ def test_lookup_rejects_bad_receiver_and_key():
 
 # ------------------------------------------------------------------- oracle
 
+# The eight keys where the bare word maps the collapse to minus the message
+# while the printed word carries no e^(i.pi) flag: a global phase of one
+# sender block, which no receiver can see.
+PHASE_FLAG_DISAGREEMENTS = [(0, 1, 1), (0, 3, 0), (1, 0, 1), (1, 3, 0), (2, 3, 0), (3, 0, 0), (3, 1, 0), (3, 2, 0)]
+
+
+@pytest.fixture(scope="module")
+def ops():
+    return {key: co.branch_operator(key) for key in ALL_KEYS}
+
+
 def test_derive_identity_key():
-    e = co.derive_correction((0, 0, 0), rng=np.random.default_rng(1))
+    e = co.derive_correction((0, 0, 0), co.branch_operator((0, 0, 0)))
     assert (e.first, e.second) == (co.PauliFactor.I, co.PauliFactor.I)
 
 
 def test_derive_controller_one_key():
-    e = co.derive_correction((0, 0, 1), rng=np.random.default_rng(1))
+    e = co.derive_correction((0, 0, 1), co.branch_operator((0, 0, 1)))
     assert (e.first, e.second) == (co.PauliFactor.XZ, co.PauliFactor.XZ)
 
 
-def test_derived_words_match_transcription_everywhere():
-    rng = np.random.default_rng(101)
+def test_derived_words_match_transcription_everywhere(ops):
     for key in ALL_KEYS:
-        derived = co.derive_correction(key, rng=rng)
+        derived = co.derive_correction(key, ops[key])
         for receiver in co.RECEIVERS:
             assert co.table_lookup(receiver, key).same_word(derived), key
+
+
+def test_derive_correction_names_the_key_it_cannot_correct(ops):
+    hadamards = np.kron(*[np.array([[1, 1], [1, -1]]) / np.sqrt(2)] * 2)
+    mixed = ops[(1, 2, 1)] + ops[(0, 0, 0)]  # two words, each with the right amplitude
+    for op in (co.BRANCH_AMPLITUDE * hadamards, 1j * ops[(1, 2, 1)], 2 * ops[(1, 2, 1)], mixed):
+        with pytest.raises(co.TableDerivationError, match=r"\(g, h, z\) = \(1, 2, 1\)"):
+            co.derive_correction((1, 2, 1), op)
+
+
+def test_printed_words_map_every_branch_operator_to_a_multiple_of_identity(ops):
+    disagree = {}
+    for name, table in (("first", co.TABLE_FIRST_PAIR), ("second", co.TABLE_SECOND_PAIR)):
+        for key, printed in table.items():
+            product = printed.unitary() @ ops[key]
+            lam = product[0, 0]
+            assert np.abs(product - lam * np.eye(4)).max() < 1e-12, (name, key)
+            assert abs(abs(lam) ** 2 - 1 / 32) < 1e-12 and abs(lam.imag) < 1e-12, (name, key)
+            bare_lam = -lam if printed.phase_pi else lam
+            if (bare_lam.real < 0) != printed.phase_pi:
+                disagree.setdefault(name, []).append(key)
+    assert {name: sorted(keys) for name, keys in disagree.items()} == {
+        "first": PHASE_FLAG_DISAGREEMENTS,
+        "second": PHASE_FLAG_DISAGREEMENTS,
+    }
+    # Pairwise orthogonal, so no two words (or patterns) are proportional and
+    # at most one of them fits a branch operator.
+    words = np.stack([co.CorrectionEntry(f, s).unitary() for f, s in itertools.product(co.PauliFactor, repeat=2)])
+    patterns = np.stack(
+        [np.stack([co.eta_state(p, e).amps for e in np.eye(4)], axis=1) for p in range(1, co.N_PATTERNS + 1)]
+    )
+    for stack in (words, patterns):
+        gram = np.einsum("kij,lij->kl", stack.conj(), stack)
+        assert np.abs(gram - 4 * np.eye(16)).max() < 1e-12
 
 
 def test_every_entry_is_self_inverse_up_to_sign():
@@ -83,22 +129,20 @@ def test_receiver_columns_are_identical():
 
 
 def test_correction_restores_random_inputs():
-    rng = np.random.default_rng(211)
-    for key in [(0, 0, 0), (1, 2, 1), (3, 1, 0), (2, 3, 1), (3, 3, 1)]:
-        c = co._random_coeffs(rng)
-        collapsed = co.collapse_single_sender(c, *key)
+    for seed, key in enumerate([(0, 0, 0), (1, 2, 1), (3, 1, 0), (2, 3, 1), (3, 3, 1)], start=211):
+        c = random_coeffs(seed)
+        collapsed, _ = co.collapse_single_sender(c, *key)
         entry = co.table_lookup("fancy1", key)
         restored = StateVector(2, entry.unitary() @ collapsed.amps)
         assert fidelity(restored, StateVector(2, c)) > 1 - 1e-10
 
 
 def test_phase_marked_words_work_without_their_phase():
-    rng = np.random.default_rng(223)
     phase_keys = [k for k, e in co.TABLE_FIRST_PAIR.items() if e.phase_pi]
     assert phase_keys  # the transcription does carry phase marks
-    for key in phase_keys:
-        c = co._random_coeffs(rng)
-        collapsed = co.collapse_single_sender(c, *key)
+    for seed, key in enumerate(phase_keys, start=223):
+        c = random_coeffs(seed)
+        collapsed, _ = co.collapse_single_sender(c, *key)
         entry = co.table_lookup("fancy1", key)
         bare = co.CorrectionEntry(entry.first, entry.second, phase_pi=False)
         restored = StateVector(2, bare.unitary() @ collapsed.amps)
@@ -127,52 +171,56 @@ def test_eta_index_validation():
         co.eta_state(0, c)
 
 
-def test_match_eta_on_forced_collapses():
-    c = random_coeffs(17)
-    pattern, phase = co.match_eta(co.collapse_single_sender(c, 0, 0, 1), c)
-    assert pattern == 1 and abs(abs(phase) - 1) < 1e-12
-    pattern, _ = co.match_eta(co.collapse_single_sender(c, 0, 0, 0), c)
-    assert pattern == 16
+def test_match_eta_on_forced_collapses(ops):
+    assert co.match_eta(ops[(0, 0, 1)]) == 1
+    assert co.match_eta(ops[(0, 0, 0)]) == 16
 
 
-def test_match_eta_rejects_unmatched_state():
-    c = random_coeffs(19)
-    other = random_coeffs(23)
-    with pytest.raises(co.CatalogMatchError):
-        co.match_eta(StateVector(2, other), c)
+def test_match_eta_rejects_unmatched_state(ops):
+    rng = np.random.default_rng(19)
+    generic = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    for op in (generic, np.zeros((4, 4)), 2 * ops[(0, 0, 0)], ops[(0, 0, 0)] + ops[(0, 0, 1)]):
+        with pytest.raises(co.CatalogMatchError):
+            co.match_eta(op)
 
 
-def test_eta_assignment_names_the_degenerate_key():
-    # with the message |00> the first key's collapse matches four patterns
-    with pytest.raises(co.CatalogMatchError) as err:
-        co.eta_assignment([1, 0, 0, 0])
-    assert str(err.value) == (
-        "key (g, h, z) = (0, 0, 0): collapse state matches several patterns [13, 14, 15, 16]: "
-        "the message coefficients are degenerate"
-    )
-
-
-def test_every_single_sender_collapse_is_cataloged():
-    c = random_coeffs(29)
+def test_every_single_sender_collapse_is_cataloged(ops):
     counts = {}
-    for g, h, z in ALL_KEYS:
-        pattern, phase = co.match_eta(co.collapse_single_sender(c, g, h, z), c)
-        assert abs(abs(phase) - 1) < 1e-9
+    for key in ALL_KEYS:
+        pattern = co.match_eta(ops[key])
         counts[pattern] = counts.get(pattern, 0) + 1
     assert sorted(counts) == list(range(1, 17))
     assert all(v == 2 for v in counts.values())
 
 
-def test_eta_assignment_is_input_independent():
-    a = co.eta_assignment(random_coeffs(31))
-    b = co.eta_assignment(random_coeffs(37))
-    assert a == b
+@st.composite
+def messages(draw):
+    parts = np.array(draw(st.lists(st.floats(-1, 1), min_size=8, max_size=8)))
+    c = parts[:4] + 1j * parts[4:] * draw(st.booleans())
+    assume(np.linalg.norm(c) > 1e-6)
+    return c / np.linalg.norm(c)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(c=messages())
+@example(c=np.array([1, 0, 0, 0], dtype=complex))  # |00>: patterns 13..16 coincide on it
+@example(c=np.array([1, 1j, -1, -1j]) / 2)  # equal magnitudes
+@example(c=np.array([0.6, 0, -0.8, 0], dtype=complex))  # real only
+def test_branch_operator_gives_every_collapse_and_its_pattern(ops, c):
+    for key, op in ops.items():
+        collapsed, prob = co.collapse_single_sender(c, *key)
+        image = op @ c
+        assert abs(prob - 1 / 32) < 1e-12 and abs(np.vdot(image, image).real - prob) < 1e-12, key
+        assert np.abs(collapsed.amps - image / np.linalg.norm(image)).max() < 1e-12, key
+        # K·c is proportional to the pattern state: equality in Cauchy-Schwarz
+        pattern = co.eta_state(co.match_eta(op), c).amps
+        assert abs(abs(np.vdot(pattern, image)) - np.linalg.norm(image)) < 1e-12, key
 
 
 # ------------------------------------------------------------- verify sweep
 
 def test_verify_tables_full_sweep():
-    d = co.verify_tables(np.random.default_rng(41))
+    d = co.verify_tables()
     assert d["n_total"] == 128
     assert d["n_matched"] == 128
     assert d["receiver_columns_identical"]
@@ -183,3 +231,7 @@ def test_verify_tables_full_sweep():
     marked = [c for c in d["comparisons"] if c["printed"].startswith("e^")]
     assert len(marked) == 16  # 4 keys x 4 receivers
     assert all(c["phase_flags_agree"] for c in marked)
+    # the eight unprinted ones show up as 32 disagreeing comparisons
+    disagree = sorted({tuple(c["key"]) for c in d["comparisons"] if not c["phase_flags_agree"]})
+    assert disagree == PHASE_FLAG_DISAGREEMENTS
+    assert sum(not c["phase_flags_agree"] for c in d["comparisons"]) == 32

@@ -194,6 +194,10 @@ def test_cmd_verify_tables_report():
     assert report["tables"]["all_ok"]
 
 
+def test_cmd_verify_tables_reads_no_random_input():
+    assert hz.cmd_verify_tables(seed=0)["tables"] == hz.cmd_verify_tables(seed=7)["tables"]
+
+
 # ------------------------------------------------------------------- reports
 
 def test_reports_are_byte_identical_for_same_config():
@@ -332,6 +336,16 @@ def test_cli_rejects_bad_input_file(tmp_path, capsys):
     assert code == 2
     assert "not normalized" in capsys.readouterr().err
     assert "error" in json.loads(out.read_text())
+
+
+def test_cli_rejects_deeply_nested_input_file(tmp_path, capsys):
+    # json.load gives up on this with a RecursionError, not a ValueError
+    path = tmp_path / "deep.json"
+    path.write_text('{"senders": ' + "[" * 100000 + "]" * 100000 + "}")
+    code = cli.main(["run", "--senders", "1", "--input", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: input file nests JSON too deeply to read\n"
 
 
 @pytest.mark.parametrize("mode", ["sampled:2", "forced:k+,k+,0"])

@@ -452,7 +452,7 @@ def test_pre_broadcast_general_outcomes_match_single_sender_oracle():
     branches = []
     for z in (0, 1):
         parts = [
-            co.collapse_single_sender(inputs[i].coeffs, bells[2 * i], bells[2 * i + 1], z).amps
+            co.collapse_single_sender(inputs[i].coeffs, bells[2 * i], bells[2 * i + 1], z)[0].amps
             for i in range(2)
         ]
         branches.append(product_coeffs(parts))

@@ -29,7 +29,7 @@ from .statevector import (
     NORM_TOL,
     PAULI_FACTOR_MATRICES,
     StateVector,
-    bell_receiver_amplitudes,
+    _bell_bits,
     bsm,
     measure_qubit,
     pair_state,
@@ -204,6 +204,18 @@ def table_lookup(receiver: str, key: tuple[int, int, int]) -> CorrectionEntry:
 # Derivation oracle
 # --------------------------------------------------------------------------
 
+def _bell_receiver_amplitudes(block_amps: np.ndarray, g: int, h: int) -> np.ndarray:
+    """Receiver amplitudes of a measured 6-qubit sender block, index 2a+b.
+
+    The block is [message, message', channel sender, receiver, sender',
+    receiver'] after the Bell basis changes on (0, 2) and (1, 4); (g, h) are
+    the two Bell outcomes and a, b the receiver and receiver' bits.
+    """
+    (g0, g1), (h0, h1) = _bell_bits(g), _bell_bits(h)
+    fixed = g0 | (h0 << 1) | (g1 << 2) | (h1 << 4)
+    return block_amps[[fixed | (a << 3) | (b << 5) for a in (0, 1) for b in (0, 1)]]
+
+
 def collapse_single_sender(coeffs: Sequence[complex], g: int, h: int, z: int) -> tuple[StateVector, float]:
     """Receiver-pair state after a forced single-sender run, phases intact.
 
@@ -218,7 +230,7 @@ def collapse_single_sender(coeffs: Sequence[complex], g: int, h: int, z: int) ->
     _, p_g, state = bsm(state, 0, 2, forced=g)
     _, p_h, state = bsm(state, 1, 4, forced=h)
     _, p_z, state = measure_qubit(state, 6, forced=z)
-    out = bell_receiver_amplitudes(state.amps.reshape(2, 64)[z], g, h)
+    out = _bell_receiver_amplitudes(state.amps.reshape(2, 64)[z], g, h)
     residual = np.linalg.norm(out)
     if abs(residual - 1) > NORM_TOL:
         raise RuntimeError(f"collapse left amplitude outside the receiver pair (norm {residual})")

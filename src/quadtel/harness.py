@@ -104,35 +104,36 @@ PREFACTOR_CANDIDATES = {
 def adjudicate_expansion_prefactor(inputs: Sequence[protocol.InfoState]) -> dict:
     """Numerically expand the global state over every (outcomes, z) term.
 
-    Every sender block is projected onto all 16 Bell outcome pairs per
-    controller branch; the coefficient of each of the 2 * 4^8 terms is the
-    product of its per-block projections times the branch weight.  The report
-    states which candidate prefactor matches the measured (uniform) term
-    coefficient and whether the squared coefficients sum to one.
+    Each sender block's outcome table (``protocol.block_outcome_table``, the
+    structured engine's block kernels with receiver i's own correction
+    table) gives the probability and the corrected receiver fidelity of all
+    16 Bell outcome pairs per controller branch.  The squared coefficient of
+    each of the 2 * 4^8 terms is the product of its four block probabilities
+    times the branch weight, and a term's receiver-i fidelity is block i's
+    entry, so every term's probability and every receiver's fidelity are
+    checked.  The report states which candidate prefactor matches the
+    measured (uniform) term coefficient, whether the squared coefficients sum
+    to one, and the worst |1 - fidelity| of any entry.
     """
     if len(inputs) != protocol.MAX_SENDERS:
         raise ValueError("the expansion is defined for the full four-sender state")
 
-    block_mags = []
-    worst_direction = 0.0
-    for info in inputs:
-        mags, worst = protocol.expansion_block_coefficients(info)
-        block_mags.append(mags)
-        worst_direction = max(worst_direction, worst)
+    tables = [protocol.block_outcome_table(info, receiver) for info, receiver in zip(inputs, corrections.RECEIVERS)]
+    worst_direction = max(float(np.abs(1.0 - fidelities).max()) for _, fidelities in tables)
 
     branch_weight_sq = 0.5  # |1/sqrt(2)|^2 per controller branch
     term_sq_sums = []
     coeff_min, coeff_max = np.inf, 0.0
     for z in (0, 1):
         acc = np.array([1.0])
-        for mags in block_mags:
-            acc = np.multiply.outer(acc, mags[z].ravel() ** 2).ravel()
+        for probs, _ in tables:
+            acc = np.multiply.outer(acc, probs[z].ravel()).ravel()
         terms = branch_weight_sq * acc
         term_sq_sums.append(float(terms.sum()))
         coeff_min = min(coeff_min, float(np.sqrt(terms.min())))
         coeff_max = max(coeff_max, float(np.sqrt(terms.max())))
 
-    n_terms = 2 * 16 ** len(block_mags)
+    n_terms = 2 * 16 ** len(tables)
     measured_sum = float(sum(term_sq_sums))
     candidates = {
         name: {

@@ -18,6 +18,8 @@ Two interchangeable engines execute the same protocol:
   probabilities drive both draws.  Its corrections are signed permutations
   of the 64 block amplitudes.  Blocks are never written, so each block
   (``_Block``) keeps what it yields and every state holding it reuses that.
+  ``block_outcome_table`` runs the same block calls over every outcome of
+  one sender block, which gives all branches of the full protocol factorized.
 
 The dense engine runs the public ``statevector`` kernels gate by gate and is
 the independent check on the structured one: the tests compare the two
@@ -55,10 +57,7 @@ from .statevector import (
     _bell_bits,
     _bell_outcome,
     _draw_bit,
-    apply_1q,
-    apply_cnot,
     apply_pauli_word,
-    bell_receiver_amplitudes,
     bsm,
     dm_fidelity,
     init_basis,
@@ -88,6 +87,9 @@ DENSE_OPT_IN_QUBITS = 16
 _BELL_PAIRS = ((0, 2), (1, 4))
 _RECEIVER_QUBITS = (3, 5)
 _RECEIVER_KEEP = _RECEIVER_QUBITS[::-1]
+
+# The channel pairs' Bell kind in each sender block, per controller branch z.
+_BRANCH_KINDS = (BellKind.KAPPA_PLUS, BellKind.LAMBDA_MINUS)
 
 # Block qubit names for ImpossibleBranchError, made once so that a measured
 # bit does not format its own.
@@ -199,7 +201,7 @@ class DenseState:
     def prepare(cls, inputs: Sequence[InfoState]) -> "DenseState":
         s = _validate_inputs(inputs)
         branches = []
-        for z, kind in enumerate((BellKind.KAPPA_PLUS, BellKind.LAMBDA_MINUS)):
+        for z, kind in enumerate(_BRANCH_KINDS):
             blocks = [_block_state(info, kind) for info in inputs]
             branches.append(tensor(*blocks, init_basis(1, z)))
         amps = branches[0].amps  # fresh from tensor, so summed and scaled in place
@@ -367,10 +369,7 @@ class StructuredState:
     @classmethod
     def prepare(cls, inputs: Sequence[InfoState]) -> "StructuredState":
         s = _validate_inputs(inputs)
-        blocks = [
-            [_block_state(info, kind) for info in inputs]
-            for kind in (BellKind.KAPPA_PLUS, BellKind.LAMBDA_MINUS)
-        ]
+        blocks = [[_block_state(info, kind) for info in inputs] for kind in _BRANCH_KINDS]
         return cls(s, [_SQRT2_INV, _SQRT2_INV], blocks)
 
     def copy(self) -> "StructuredState":
@@ -602,31 +601,32 @@ def pre_broadcast_state(
     return state.pre_broadcast_dm()
 
 
-# --------------------------------------------------------------------------
-# Expansion-term analysis (normalization adjudication support)
-# --------------------------------------------------------------------------
+def block_outcome_table(info: InfoState, receiver: str) -> tuple[np.ndarray, np.ndarray]:
+    """One sender block's outcomes over (z, g, h), from the structured engine's block kernels.
 
-def expansion_block_coefficients(info: InfoState) -> tuple[np.ndarray, float]:
-    """Projection coefficients of one sender block onto the Bell outcome grid.
-
-    For each controller branch z and outcome pair (g, h), the block state is
-    projected onto that Bell outcome; returned are the coefficient magnitudes
-    (shape (2, 4, 4)) and the worst-case deviation of the residual direction
-    from the transcribed correction word applied inversely to the message.
+    Returns ``(probs, fidelities)``, both of shape (2, 4, 4) and indexed
+    [z, g, h]: the probability that the block's Bell measurements read (g, h)
+    in controller branch z, and ``receiver``'s fidelity after the transcribed
+    correction of (g, h, z).  Given z the sender blocks are independent, so a
+    branch's probability is 1/2 times the product of its blocks' ``probs``,
+    and receiver i's fidelity is block i's entry.  Each entry takes the same
+    calls as a stepwise structured branch: the Bell split and collapse of
+    pair 0, then of pair 1, then the correction.
     """
-    mags = np.zeros((2, 4, 4))
-    worst = 0.0
-    for z, kind in enumerate((BellKind.KAPPA_PLUS, BellKind.LAMBDA_MINUS)):
+    probs = np.empty((2, 4, 4))
+    fidelities = np.empty((2, 4, 4))
+    target = info.target_state()
+    for z, kind in enumerate(_BRANCH_KINDS):
         block = _block_state(info, kind)
-        for a, b in _BELL_PAIRS:
-            block = apply_1q(apply_cnot(block, a, b), "H", a)
+        joint0 = block.bell_split(0)[1]
         for g in range(4):
+            ga, gb = _bell_bits(g)
+            child = block.collapsed(0, ga, gb)
+            joint1 = child.bell_split(1)[1]
             for h in range(4):
-                v = bell_receiver_amplitudes(block.amps, g, h)
-                mag = np.linalg.norm(v)
-                mags[z, g, h] = mag
-                entry = corrections.table_lookup(corrections.RECEIVERS[0], (g, h, z))
-                expected = entry.unitary().conj().T @ info.coeffs
-                align = abs(np.vdot(expected, v)) / mag
-                worst = max(worst, abs(1.0 - align))
-    return mags, worst
+                ha, hb = _bell_bits(h)
+                leaf = child.collapsed(1, ha, hb)
+                probs[z, g, h] = joint0[ga][gb] * joint1[ha][hb]
+                entry = corrections.table_lookup(receiver, (g, h, z))
+                fidelities[z, g, h] = dm_fidelity(DensityMatrix(2, leaf.corrected(entry).receiver_mat()), target)
+    return probs, fidelities

@@ -89,18 +89,6 @@ def _bell_outcome(bit_a: int, bit_b: int) -> int:
     return BELL_OUTCOME_BITS.index((bit_a, bit_b))
 
 
-def bell_receiver_amplitudes(block_amps: np.ndarray, g: int, h: int) -> np.ndarray:
-    """Receiver amplitudes of a measured 6-qubit sender block, index 2a+b.
-
-    The block is [message, message', channel sender, receiver, sender',
-    receiver'] after the Bell basis changes on (0, 2) and (1, 4); (g, h) are
-    the two Bell outcomes and a, b the receiver and receiver' bits.
-    """
-    (g0, g1), (h0, h1) = _bell_bits(g), _bell_bits(h)
-    fixed = g0 | (h0 << 1) | (g1 << 2) | (h1 << 4)
-    return block_amps[[fixed | (a << 3) | (b << 5) for a in (0, 1) for b in (0, 1)]]
-
-
 class ImpossibleBranchError(RuntimeError):
     """A measurement was forced onto a zero-probability branch."""
 
@@ -364,18 +352,6 @@ def bsm(
     bit_a, pa, st = measure_qubit(st, a, forced=fa, rng=rng)
     bit_b, pb, st = measure_qubit(st, b, forced=fb, rng=rng)
     return _bell_outcome(bit_a, bit_b), pa * pb, st
-
-
-def overlap(a: StateVector, b: StateVector) -> complex:
-    """Inner product <a|b>."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError(f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
-    return complex(np.vdot(a.amps, b.amps))
-
-
-def fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2 — invariant under a global phase of either argument."""
-    return float(abs(overlap(a, b)) ** 2)
 
 
 def distance(a: StateVector, b: StateVector) -> float:

@@ -562,12 +562,52 @@ def test_sampled_outcomes_cover_the_outcome_space():
     assert ((counts - expected) ** 2 / expected).sum() < CHI2_31_DOF_999
 
 
-# --------------------------------------------------- expansion coefficients
+# ------------------------------------------------------- block outcome table
 
-def test_expansion_coefficients_are_uniform_quarters():
-    rng = np.random.default_rng(94)
-    for _ in range(3):
-        info = pr.InfoState.random(rng)
-        mags, worst_direction = pr.expansion_block_coefficients(info)
-        assert np.abs(mags - 0.25).max() < 1e-12
-        assert worst_direction < 1e-9
+def outcome_tables(inputs):
+    from quadtel import corrections as co
+
+    return [pr.block_outcome_table(info, receiver) for info, receiver in zip(inputs, co.RECEIVERS)]
+
+
+def assert_table_matches_branch(tables, report):
+    bell, z = report.outcome.bell, report.outcome.z
+    entries = [(probs[z, bell[2 * i], bell[2 * i + 1]], fidelities[z, bell[2 * i], bell[2 * i + 1]])
+               for i, (probs, fidelities) in enumerate(tables)]
+    assert abs(report.branch_probability - 0.5 * np.prod([p for p, _ in entries])) < ENGINE_AGREEMENT_TOL
+    assert np.abs(np.subtract(report.per_receiver_fidelity, [f for _, f in entries])).max() < ENGINE_AGREEMENT_TOL
+
+
+def test_outcome_table_matches_every_stepwise_branch():
+    for s in (1, 2):
+        inputs = make_inputs(s, 94 + s)
+        tables = outcome_tables(inputs)
+        reports = pr.run_exhaustive(inputs)
+        assert len(reports) == 2 * 16 ** s
+        for report in reports:
+            assert_table_matches_branch(tables, report)
+
+
+def test_outcome_table_matches_sampled_four_sender_branches():
+    inputs = make_inputs(4, 97)
+    tables = outcome_tables(inputs)
+    base = pr.assemble_global(inputs)
+    rng = np.random.default_rng(98)
+    for _ in range(64):
+        assert_table_matches_branch(tables, pr.run_protocol(inputs, rng=rng, state=base.copy()))
+
+
+def test_outcome_table_is_uniform_with_unit_fidelity():
+    from quadtel import corrections as co
+
+    messages = make_inputs(3, 99) + [
+        pr.InfoState([1, 0, 0, 0]),
+        pr.InfoState(np.array([1, 1j, -1, -1j]) / 2),  # equal magnitudes
+        pr.InfoState([0.6, 0, -0.8, 0]),  # real only
+    ]
+    for info in messages:
+        for receiver in co.RECEIVERS:
+            probs, fidelities = pr.block_outcome_table(info, receiver)
+            assert probs.shape == fidelities.shape == (2, 4, 4)
+            assert np.abs(probs - 1 / 16).max() < 1e-12
+            assert np.abs(1 - fidelities).max() <= 1e-9

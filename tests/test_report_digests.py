@@ -36,7 +36,7 @@ GOLDEN = {
     ),
     "verify-expansion-3": (
         lambda: hz.cmd_verify_expansion(seed=3),
-        "ca305e7892c5b94b895d6865b0e7aec4723701abc2b5b45397a3df6e5a93bd93",
+        "1b974bf0fa82ebd8fd6306322a3b7503e6eaff4230db1fab64d1a1bef4a9f213",
     ),
     "efficiency": (
         hz.cmd_efficiency,

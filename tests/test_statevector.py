@@ -1,5 +1,5 @@
 """Statevector engine tests: gate kernels vs explicit matrices, measurement,
-Bell measurement bit-map derivation, overlaps and partial traces."""
+Bell measurement bit-map derivation and partial traces."""
 import itertools
 import tracemalloc
 
@@ -199,19 +199,6 @@ def test_bell_bit_map_derivation():
     assert tuple(derived[k] for k in range(4)) == sv.BELL_OUTCOME_BITS
 
 
-def test_bell_receiver_amplitudes_pick_the_measured_block():
-    st = random_state(6, np.random.default_rng(48))
-    for g in range(4):
-        for h in range(4):
-            _, _, post = sv.bsm(st, 0, 2, forced=g)
-            _, _, post = sv.bsm(post, 1, 4, forced=h)
-            out = sv.bell_receiver_amplitudes(post.amps, g, h)
-            assert abs(np.linalg.norm(out) - 1) < 1e-12
-            idx = sv.bell_receiver_amplitudes(np.arange(64), g, h)
-            # order 2a+b with a on qubit 3 and b on qubit 5
-            assert [((i >> 3) & 1, (i >> 5) & 1) for i in idx] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-
 @pytest.mark.parametrize("kind", range(4))
 def test_bsm_identifies_prepared_bell_states(kind):
     st = sv.StateVector(2, bell_amps(kind))
@@ -245,30 +232,6 @@ def test_bsm_rejects_equal_qubits_and_bad_outcome():
         sv.bsm(s, 1, 1, forced=0)
     with pytest.raises(ValueError):
         sv.bsm(s, 1, 0, forced=4)
-
-
-# ---------------------------------------------------------- overlap/fidelity
-
-def test_fidelity_of_state_with_itself():
-    rng = np.random.default_rng(19)
-    s = random_state(3, rng)
-    assert abs(sv.fidelity(s, s) - 1) < 1e-12
-
-
-def test_fidelity_of_orthogonal_states():
-    assert sv.fidelity(sv.init_basis(1, 0), sv.init_basis(1, 1)) == 0
-
-
-def test_fidelity_ignores_global_phase():
-    rng = np.random.default_rng(23)
-    s = random_state(2, rng)
-    flipped = sv.StateVector(2, np.exp(1j * np.pi) * s.amps)
-    assert abs(sv.fidelity(s, flipped) - 1) < 1e-12
-
-
-def test_overlap_rejects_size_mismatch():
-    with pytest.raises(ValueError):
-        sv.overlap(sv.init_basis(1, 0), sv.init_basis(2, 0))
 
 
 # -------------------------------------------------------------- partial trace
@@ -474,7 +437,7 @@ def test_disjoint_computational_measurements_commute():
             _, q1, s2 = sv.measure_qubit(s, 3, forced=b3)
             _, q2, s2 = sv.measure_qubit(s2, 0, forced=b0)
             assert abs(p1 * p2 - q1 * q2) < 1e-12
-            assert abs(sv.fidelity(s1, s2) - 1) < 1e-12
+            assert abs(abs(np.vdot(s1.amps, s2.amps)) ** 2 - 1) < 1e-12
 
 
 def test_disjoint_bsms_commute():
@@ -486,7 +449,7 @@ def test_disjoint_bsms_commute():
         _, q1, s2 = sv.bsm(s, 2, 3, forced=h)
         _, q2, s2 = sv.bsm(s2, 0, 1, forced=g)
         assert abs(p1 * p2 - q1 * q2) < 1e-12
-        assert abs(sv.fidelity(s1, s2) - 1) < 1e-12
+        assert abs(abs(np.vdot(s1.amps, s2.amps)) ** 2 - 1) < 1e-12
 
 
 # ------------------------------------------------------------ tensor/permute

@@ -75,8 +75,8 @@ ENGINES = ("dense", "structured")
 
 # Largest dense-engine state run without the caller's opt-in
 # (``allow_large_dense``, the CLI's ``--allow-large-dense``): two senders, 13
-# qubits, fit; a four-sender dense state is 25 qubits, 512 MiB, and each of
-# its kernels allocates as much again.
+# qubits, fit; a four-sender dense state is 25 qubits, 512 MiB, and each
+# receiver's ``partial_trace`` holds two more full-size temporaries.
 DENSE_OPT_IN_QUBITS = 16
 
 # Block-local qubits of a sender block.  Bell pair ``which`` (0, 1) measures
@@ -189,7 +189,15 @@ def _block_state(info: InfoState, kind: BellKind) -> "_Block":
 
 
 class DenseState:
-    """Dense-engine protocol state over the full 6s+1 qubit register."""
+    """Dense-engine protocol state over the full 6s+1 qubit register.
+
+    Every operation updates the one amplitude array in place, through the
+    ``statevector`` kernels' ``out``; ``copy()`` copies it.  After an
+    operation raises ``ImpossibleBranchError`` the state is spent: a refused
+    Bell measurement has already applied its basis change to the array, as a
+    ``StructuredState`` refused at a Bell pair's second bit has already
+    reweighted for the first.
+    """
 
     engine = "dense"
 
@@ -215,19 +223,18 @@ class DenseState:
     def bsm_pair(self, j: int, *, forced=None, rng=None) -> tuple[int, float]:
         i, which = divmod(j, 2)
         a, b = (6 * i + q for q in _BELL_PAIRS[which])
-        outcome, prob, self.state = bsm(self.state, a, b, forced=forced, rng=rng)
+        outcome, prob, self.state = bsm(self.state, a, b, forced=forced, rng=rng, out=self.state.amps)
         return outcome, prob
 
     def measure_controller(self, *, forced=None, rng=None) -> tuple[int, float]:
-        z, prob, self.state = measure_qubit(self.state, 6 * self.s, forced=forced, rng=rng)
+        z, prob, self.state = measure_qubit(self.state, 6 * self.s, forced=forced, rng=rng, out=self.state.amps)
         return z, prob
 
     def apply_correction(self, i: int, entry: corrections.CorrectionEntry) -> None:
         factors = (entry.first.value, entry.second.value)
         word = [(factor, 6 * i + q) for factor, q in zip(factors, _RECEIVER_QUBITS)]
-        self.state = apply_pauli_word(self.state, word)
+        self.state = apply_pauli_word(self.state, word, out=self.state.amps)
         if entry.phase_pi:
-            # the word's result is a fresh array that nothing else holds
             np.negative(self.state.amps, out=self.state.amps)
 
     def receiver_dm(self, i: int) -> DensityMatrix:
@@ -356,6 +363,8 @@ class StructuredState:
     each ``_Block`` keeps: a fresh state and a copy run the same code, and
     copies reuse what earlier branches computed.  ``weights`` is a 2-tuple of
     Python complex numbers that operations replace, so copies share it too.
+    A Bell pair refused at its second bit (``ImpossibleBranchError``) leaves
+    the weights reweighted for the first, so the state is then spent.
     """
 
     engine = "structured"

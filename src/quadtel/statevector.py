@@ -6,8 +6,14 @@ so qubit 0 occupies the least significant bit.  Ket strings in docstrings and
 error messages are written the usual way, qubit n-1 leftmost.
 
 All public operations are pure: they return new states and never mutate
-their arguments.  Sampled measurements take an explicit numpy Generator;
-there is no ambient randomness anywhere in this module.
+their arguments, unless the caller passes ``out``.  The kernels that take it
+(``apply_1q``, ``apply_cnot``, ``apply_pauli_word``, ``measure_qubit``,
+``bsm``) follow numpy's convention: ``out=None`` allocates the result,
+``out=state.amps`` updates the state's own array in place, and any other
+``out`` must be a separate array of the state's size, which receives the
+result.  Either way the result's ``amps`` is ``out``.  Sampled measurements
+take an explicit numpy Generator; there is no ambient randomness anywhere in
+this module.
 """
 from __future__ import annotations
 
@@ -61,8 +67,9 @@ _GATE_TERMS = {name: _terms(m) for name, m in GATES_1Q.items()}
 _PAULI_TERMS = {name: _terms(m) for name, m in PAULI_FACTOR_MATRICES.items()}
 
 # Free-axis entries per slab of a kernel.  A one-qubit kernel's slab is 2^14
-# amplitude pairs: 512 KiB of complex128 in, as much out and a 256 KiB
-# temporary, which stay in a 2 MiB L2 cache across the kernel's passes.
+# amplitude pairs: 512 KiB of complex128 in, as much out and up to three
+# 256 KiB temporaries, which stay in a 2 MiB L2 cache across the kernel's
+# passes.
 _SLAB = 1 << 14
 
 # Trailing free axes with fewer entries than this are walked one index at a
@@ -212,96 +219,146 @@ def _slabs(shape: tuple[int, ...]) -> Iterator[tuple[int | slice, ...]]:
                 yield head + middle + rest
 
 
+def _out_array(state: StateVector, out: np.ndarray | None) -> np.ndarray:
+    """The array a kernel writes its result into: ``out``, or a fresh one."""
+    if out is None:
+        return np.empty_like(state.amps)
+    if not (isinstance(out, np.ndarray) and out.dtype == complex and out.shape == state.amps.shape
+            and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(f"out must be a writable contiguous complex128 array of {state.amps.size} amplitudes")
+    if out is not state.amps and np.shares_memory(out, state.amps):
+        raise ValueError("out must be the state's own array or share no memory with it")
+    return out
+
+
 def _apply_matrix_1q(src: np.ndarray, terms: _Terms, q: int, out: np.ndarray) -> None:
     """Write the one-qubit operator ``terms`` on qubit q of ``src`` into ``out``.
 
     ``terms[r]`` lists the nonzero (coefficient, input half) pairs of output
     half r, so a Pauli factor costs one multiply per half.  ``out`` may be
-    ``src`` when every half has a single term: each slab then keeps its new
-    half 0 in the temporary until both input halves are read.
+    ``src``: each slab then keeps its new halves in temporaries until both
+    input halves are read.
     """
     # index = high*2^(q+1) + bit*2^q + low
     v = src.reshape(-1, 2, 1 << q)
     o = out.reshape(v.shape)
     in_place = out is src
-    buf = np.empty(min(_SLAB, src.size // 2), dtype=complex)
+    # a product temporary, then, in place, the two new halves
+    buf = np.empty((3 if in_place else 1) * min(_SLAB, src.size // 2), dtype=complex)
     for hi, lo in _slabs((v.shape[0], v.shape[2])):
         halves = (v[hi, 0, lo], v[hi, 1, lo])
-        tmp = buf[: halves[0].size].reshape(halves[0].shape)
-        for r, ((coef, h), *rest) in enumerate(terms):
-            dst = tmp if in_place and r == 0 else o[hi, r, lo]
+        shape, size = halves[0].shape, halves[0].size
+        tmp = buf[:size].reshape(shape)
+        if in_place:
+            dsts = (buf[size: 2 * size].reshape(shape), buf[2 * size: 3 * size].reshape(shape))
+        else:
+            dsts = (o[hi, 0, lo], o[hi, 1, lo])
+        for dst, ((coef, h), *rest) in zip(dsts, terms):
             np.multiply(coef, halves[h], out=dst)
             for coef, h in rest:
                 np.multiply(coef, halves[h], out=tmp)
                 np.add(dst, tmp, out=dst)
         if in_place:
-            o[hi, 0, lo] = tmp
+            o[hi, 0, lo] = dsts[0]
+            o[hi, 1, lo] = dsts[1]
 
 
-def apply_1q(state: StateVector, gate: str, q: int) -> StateVector:
+def apply_1q(state: StateVector, gate: str, q: int, *, out: np.ndarray | None = None) -> StateVector:
     """Apply H, X or Z to qubit q."""
     _check_qubit(state, q)
     try:
         terms = _GATE_TERMS[gate]
     except KeyError:
         raise ValueError(f"unknown gate {gate!r}, expected one of {sorted(GATES_1Q)}") from None
-    out = np.empty_like(state.amps)
-    _apply_matrix_1q(state.amps, terms, q, out)
-    return StateVector(state.n_qubits, out, copy=False)
+    dst = _out_array(state, out)
+    _apply_matrix_1q(state.amps, terms, q, dst)
+    return StateVector(state.n_qubits, dst, copy=False)
 
 
-def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
+def apply_cnot(state: StateVector, control: int, target: int, *, out: np.ndarray | None = None) -> StateVector:
     """Flip the target bit on basis states where the control bit is 1."""
     _check_qubit(state, control)
     _check_qubit(state, target)
     if control == target:
         raise ValueError("CNOT control and target must differ")
+    dst = _out_array(state, out)
     high, low = max(control, target), min(control, target)
     v = state.amps.reshape(-1, 2, 1 << (high - low - 1), 2, 1 << low)
-    out = np.empty_like(v)
+    o = dst.reshape(v.shape)
 
     def quarter(ctl: int, tgt: int) -> tuple[int, int]:
         # the (high bit, low bit) axes of a (control bit, target bit) quarter
         return (ctl, tgt) if control > target else (tgt, ctl)
 
-    moves = [(quarter(ctl, tgt), quarter(ctl, tgt ^ ctl)) for ctl in (0, 1) for tgt in (0, 1)]
+    in_place = dst is state.amps
+    kept = [] if in_place else [quarter(0, 0), quarter(0, 1)]
+    (x0, y0), (x1, y1) = quarter(1, 0), quarter(1, 1)
+    buf = np.empty(min(_SLAB, state.amps.size // 4), dtype=complex) if in_place else None
     for a, b, c in _slabs((v.shape[0], v.shape[2], v.shape[4])):
-        for (x, y), (sx, sy) in moves:
-            out[a, x, b, y, c] = v[a, sx, b, sy, c]
-    return StateVector(state.n_qubits, out.reshape(-1), copy=False)
+        for x, y in kept:
+            o[a, x, b, y, c] = v[a, x, b, y, c]
+        # the control=1 quarters swap; in place, through a slab temporary
+        first = v[a, x0, b, y0, c]
+        if in_place:
+            tmp = buf[: first.size].reshape(first.shape)
+            tmp[...] = first
+            first = tmp
+        o[a, x0, b, y0, c] = v[a, x1, b, y1, c]
+        o[a, x1, b, y1, c] = first
+    return StateVector(state.n_qubits, dst, copy=False)
 
 
-def apply_pauli_word(state: StateVector, word: Iterable[tuple[str, int]]) -> StateVector:
+def apply_pauli_word(
+    state: StateVector, word: Iterable[tuple[str, int]], *, out: np.ndarray | None = None
+) -> StateVector:
     """Apply an ordered list of (factor, qubit) with factor in {I, X, Z, XZ}.
 
     The sign XZ produces on |1> is retained exactly; nothing is normalized
-    away.
+    away.  The whole word is checked before any factor is applied.
     """
-    src, out = state.amps, np.empty_like(state.amps)
+    steps = []
     for factor, q in word:
         _check_qubit(state, q)
         try:
-            terms = _PAULI_TERMS[str(factor)]
+            steps.append((_PAULI_TERMS[str(factor)], q))
         except KeyError:
             raise ValueError(f"unknown Pauli factor {factor!r}") from None
-        _apply_matrix_1q(src, terms, q, out)
-        src = out
-    if src is state.amps:
-        out[...] = src
-    return StateVector(state.n_qubits, out, copy=False)
+    dst = _out_array(state, out)
+    src = state.amps
+    for terms, q in steps:
+        _apply_matrix_1q(src, terms, q, dst)
+        src = dst
+    if src is not dst:
+        dst[...] = src
+    return StateVector(state.n_qubits, dst, copy=False)
 
 
 def measure_probabilities(state: StateVector, q: int) -> tuple[float, float]:
-    """Born probabilities (P0, P1) for a computational measurement of qubit q."""
+    """Born probabilities (P0, P1) for a computational measurement of qubit q.
+
+    One pass over the state, with the summation order of ``np.sum`` over
+    each whole half: every part is the squared magnitudes of 2^14 consecutive
+    entries of one half (all of it, if smaller), summed by ``np.sum``, and the
+    parts are added in adjacent pairs, level by level.  For power-of-two
+    lengths that is numpy's pairwise tree, so the bits do not change.
+    """
     _check_qubit(state, q)
-    v = state.amps.reshape(-1, 2, 1 << q)
-    buf = np.empty(state.amps.size // 2)
-    probs = []
-    for bit in (0, 1):
-        np.abs(v[:, bit, :], out=buf.reshape(v.shape[0], v.shape[2]))
+    part = min(_SLAB, state.amps.size // 2)
+    run = min(1 << q, part)
+    rows = part // run
+    # index = (chunk*rows + row)*2^(q+1) + bit*2^q + block*run + low
+    v = state.amps.reshape(-1, rows, 2, (1 << q) // run, run)
+    buf = np.empty((2, part))
+    split = buf.reshape(2, rows, run).transpose(1, 0, 2)
+    sums = np.empty((v.shape[0], v.shape[3], 2))
+    for chunk, block in itertools.product(range(v.shape[0]), range(v.shape[3])):
+        np.abs(v[chunk, :, :, block, :], out=split)
         np.square(buf, out=buf)
-        probs.append(float(np.sum(buf)))
-    return probs[0], probs[1]
+        np.sum(buf, axis=1, out=sums[chunk, block])
+    sums = sums.reshape(-1, 2)
+    while len(sums) > 1:
+        sums = sums[0::2] + sums[1::2]
+    return float(sums[0, 0]), float(sums[0, 1])
 
 
 def measure_qubit(
@@ -310,22 +367,24 @@ def measure_qubit(
     *,
     forced: int | None = None,
     rng: np.random.Generator | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[int, float, StateVector]:
     """Projective computational-basis measurement of qubit q.
 
     Returns (outcome bit, its Born probability, renormalized collapsed state).
     Exactly one of ``forced`` (the requested outcome) or ``rng`` must be given.
+    An impossible outcome raises before anything is written.
     """
+    dst = _out_array(state, out)
     p0, p1 = measure_probabilities(state, q)
     bit, prob = _draw_bit(p0, p1, f"qubit {q}", forced=forced, rng=rng)
     v = state.amps.reshape(-1, 2, 1 << q)
-    # np.zeros takes pages the OS hands out zeroed, so the discarded half is
-    # never written (nor, for a high qubit, even touched)
-    out = np.zeros(v.shape, dtype=complex)
+    o = dst.reshape(v.shape)
     scale = np.sqrt(prob)
     for hi, lo in _slabs((v.shape[0], v.shape[2])):
-        np.divide(v[hi, bit, lo], scale, out=out[hi, bit, lo])
-    return bit, prob, StateVector(state.n_qubits, out.reshape(-1), copy=False)
+        np.divide(v[hi, bit, lo], scale, out=o[hi, bit, lo])
+        o[hi, 1 - bit, lo] = 0
+    return bit, prob, StateVector(state.n_qubits, dst, copy=False)
 
 
 def bsm(
@@ -335,6 +394,7 @@ def bsm(
     *,
     forced: int | None = None,
     rng: np.random.Generator | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[int, float, StateVector]:
     """Bell-state measurement of the ordered qubit pair (a, b).
 
@@ -344,13 +404,19 @@ def bsm(
     (|00>+|11>)/sqrt2, (|00>-|11>)/sqrt2, (|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2
     with a as the first ket symbol (BELL_OUTCOME_BITS pins the bit map).
     Returns (outcome, joint Born probability, collapsed state).
+
+    The CNOT writes into ``out`` (a fresh array if None); H and both
+    measurements then update that array in place.  An impossible outcome
+    raises after the basis change, so with ``out=state.amps`` the state is
+    then spent.
     """
     if a == b:
         raise ValueError("BSM qubits must differ")
     fa, fb = (None, None) if forced is None else _bell_bits(forced)
-    st = apply_1q(apply_cnot(state, a, b), "H", a)
-    bit_a, pa, st = measure_qubit(st, a, forced=fa, rng=rng)
-    bit_b, pb, st = measure_qubit(st, b, forced=fb, rng=rng)
+    st = apply_cnot(state, a, b, out=out)
+    st = apply_1q(st, "H", a, out=st.amps)
+    bit_a, pa, st = measure_qubit(st, a, forced=fa, rng=rng, out=st.amps)
+    bit_b, pb, st = measure_qubit(st, b, forced=fb, rng=rng, out=st.amps)
     return _bell_outcome(bit_a, bit_b), pa * pb, st
 
 
@@ -399,20 +465,6 @@ def tensor(*states: StateVector) -> StateVector:
     for s in states[1:]:
         amps = np.kron(s.amps, amps)
     return StateVector(n, amps, copy=False)
-
-
-def permute_qubits(state: StateVector, perm: Sequence[int]) -> StateVector:
-    """Relocate qubit q to index perm[q]; perm must be a bijection on 0..n-1."""
-    n = state.n_qubits
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"not a bijection on 0..{n - 1}: {list(perm)}")
-    idx = np.arange(state.amps.size)
-    new_idx = np.zeros_like(idx)
-    for q, t in enumerate(perm):
-        new_idx |= ((idx >> q) & 1) << t
-    out = np.empty_like(state.amps)
-    out[new_idx] = state.amps
-    return StateVector(n, out, copy=False)
 
 
 def pair_state(coeffs: Sequence[complex]) -> StateVector:

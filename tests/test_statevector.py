@@ -407,6 +407,72 @@ def test_empty_pauli_word_returns_a_fresh_copy():
     assert np.array_equal(got.amps, s.amps) and not np.shares_memory(got.amps, s.amps)
 
 
+# ------------------------------------------------- summation order and ``out``
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 20])
+def test_measure_probabilities_keeps_the_whole_half_summation_order(n):
+    # textbook_probabilities sums each whole half with one np.sum.  At 20
+    # qubits a half is 32 parts of 2^14 entries: runs of one half below and
+    # above the part length, and five levels of pairwise combining.
+    state = random_state(n, np.random.default_rng(60 + n))
+    for q in range(n):
+        assert sv.measure_probabilities(state, q) == textbook_probabilities(state.amps, q), q
+
+
+def out_cases(n):
+    """(name, call) pairs: each call takes a state and ``out`` and returns the kernel's result."""
+    top = n - 1
+    cases = [(f"{g} q{q}", lambda s, out, g=g, q=q: sv.apply_1q(s, g, q, out=out))
+             for g in ("H", "X", "Z") for q in (1, top)]
+    cases += [(f"CNOT {c}->{t}", lambda s, out, c=c, t=t: sv.apply_cnot(s, c, t, out=out))
+              for c, t in ((top, 1), (0, top))]
+    cases += [
+        ("word", lambda s, out: sv.apply_pauli_word(s, [("XZ", 1), ("X", top), ("XZ", 1)], out=out)),
+        ("empty word", lambda s, out: sv.apply_pauli_word(s, [], out=out)),
+        ("measure q1=0", lambda s, out: sv.measure_qubit(s, 1, forced=0, out=out)),
+        (f"measure q{top}=1", lambda s, out: sv.measure_qubit(s, top, forced=1, out=out)),
+        (f"bsm (1, {top})=3", lambda s, out: sv.bsm(s, 1, top, forced=3, out=out)),
+        (f"bsm ({top}, 0)=1", lambda s, out: sv.bsm(s, top, 0, forced=1, out=out)),
+    ]
+    return cases
+
+
+def split_result(result):
+    """(the kernel's other outputs, its state) for a state or a measurement tuple."""
+    return (result[:-1], result[-1]) if isinstance(result, tuple) else ((), result)
+
+
+@pytest.mark.parametrize("n", [3, 20])
+def test_out_gives_the_same_bytes_in_place_separate_or_fresh(n):
+    state = random_state(n, np.random.default_rng(70 + n))
+    before = state.amps.tobytes()
+    for name, call in out_cases(n):
+        extra, fresh = split_result(call(state, None))
+        assert state.amps.tobytes() == before, name
+        separate = np.empty_like(state.amps)
+        got_extra, got = split_result(call(state, separate))
+        assert got.amps is separate and got_extra == extra, name
+        assert got.amps.tobytes() == fresh.amps.tobytes() and state.amps.tobytes() == before, name
+        own = state.copy()
+        got_extra, got = split_result(call(own, own.amps))
+        assert got.amps is own.amps and got_extra == extra, name
+        assert got.amps.tobytes() == fresh.amps.tobytes(), name
+
+
+@pytest.mark.parametrize("n", [3, 20])
+def test_out_refuses_an_overlapping_or_misshaped_array(n):
+    backing = random_state(n + 1, np.random.default_rng(80 + n)).amps
+    state = sv.StateVector(n, backing[: 1 << n], copy=False)
+    before = backing.tobytes()
+    bad_outs = [backing[1: (1 << n) + 1], np.empty(1 << (n - 1), dtype=complex),
+                np.empty(2 << n, dtype=complex)[::2], np.empty(1 << n)]
+    for name, call in out_cases(n):
+        for out in bad_outs:
+            with pytest.raises(ValueError, match="^out must be"):
+                call(state, out)
+        assert backing.tobytes() == before, name
+
+
 def test_norm_preserved_by_random_circuits():
     rng = np.random.default_rng(37)
     s = random_state(4, rng)
@@ -452,24 +518,11 @@ def test_disjoint_bsms_commute():
         assert abs(abs(np.vdot(s1.amps, s2.amps)) ** 2 - 1) < 1e-12
 
 
-# ------------------------------------------------------------ tensor/permute
+# ---------------------------------------------------------- tensor/pair_state
 
 def test_tensor_puts_first_argument_at_low_qubits():
     s = sv.tensor(sv.init_basis(1, 1), sv.init_basis(1, 0))
     assert s.amps[1] == 1
-
-
-def test_permute_qubits_identity_and_involution():
-    rng = np.random.default_rng(47)
-    s = random_state(3, rng)
-    assert sv.distance(sv.permute_qubits(s, [0, 1, 2]), s) == 0
-    swapped = sv.permute_qubits(s, [2, 1, 0])
-    assert sv.distance(sv.permute_qubits(swapped, [2, 1, 0]), s) < 1e-15
-
-
-def test_permute_qubits_rejects_non_bijection():
-    with pytest.raises(ValueError):
-        sv.permute_qubits(sv.init_basis(2, 0), [0, 0])
 
 
 def test_pair_state_puts_the_first_member_on_qubit_0():

@@ -10,14 +10,14 @@ Two interchangeable engines execute the same protocol:
 * ``dense``: one statevector over all 6s+1 qubits (beyond two senders it
   needs the caller's opt-in, checked once in ``assemble_global``);
 * ``structured``: the controller superposition kept as two weighted branches,
-  each branch a product of per-sender 6-qubit blocks.  This is exact, covers
-  the full four-sender protocol in microseconds, and reconstructs the dense
-  state on demand.  Its Bell measurement is one block kernel: a gather and a
-  sign vector, derived at import from the CNOT/H definitions, give the
-  basis-changed block grouped by the two measured bits, and the 2x2 joint
-  probabilities drive both draws.  Its corrections are signed permutations
-  of the 64 block amplitudes.  Blocks are never written, so each block
-  (``_Block``) keeps what it yields and every state holding it reuses that.
+  each branch a product of per-sender 6-qubit blocks.  This is exact and
+  covers the full four-sender protocol in microseconds.  Its Bell
+  measurement is one block kernel: a gather and a sign vector, derived at
+  import from the CNOT/H definitions, give the basis-changed block grouped
+  by the two measured bits, and the 2x2 joint probabilities drive both
+  draws.  Its corrections are signed permutations of the 64 block
+  amplitudes.  Blocks are never written, so each block (``_Block``) keeps
+  what it yields and every state holding it reuses that.
   ``block_outcome_table`` runs the same block calls over every outcome of
   one sender block, which gives all branches of the full protocol factorized.
 
@@ -191,12 +191,12 @@ def _block_state(info: InfoState, kind: BellKind) -> "_Block":
 class DenseState:
     """Dense-engine protocol state over the full 6s+1 qubit register.
 
-    Every operation updates the one amplitude array in place, through the
-    ``statevector`` kernels' ``out``; ``copy()`` copies it.  After an
-    operation raises ``ImpossibleBranchError`` the state is spent: a refused
-    Bell measurement has already applied its basis change to the array, as a
-    ``StructuredState`` refused at a Bell pair's second bit has already
-    reweighted for the first.
+    Every operation passes the ``statevector`` kernels ``out=`` the one
+    amplitude array, so they update it in place and never copy it; ``copy()``
+    copies it.  After an operation raises ``ImpossibleBranchError`` the state
+    is spent: a refused Bell measurement has already applied its basis change
+    to the array, as a ``StructuredState`` refused at a Bell pair's second
+    bit has already reweighted for the first.
     """
 
     engine = "dense"
@@ -454,14 +454,6 @@ class StructuredState:
             mat += abs(self.weights[b]) ** 2 * rho
         return DensityMatrix(2 * self.s, mat)
 
-    def to_dense(self) -> StateVector:
-        n = 6 * self.s + 1
-        amps = np.zeros(1 << n, dtype=complex)
-        for b in self._alive():
-            branch = tensor(*self.blocks[b], init_basis(1, b))
-            amps += self.weights[b] * branch.amps
-        return StateVector(n, amps, copy=False)
-
 
 def assemble_global(
     inputs: Sequence[InfoState],
@@ -516,16 +508,13 @@ def run_protocol(
     forced: OutcomeRecord | None = None,
     rng: np.random.Generator | None = None,
     allow_large_dense: bool = False,
-    bsm_order: Sequence[int] | None = None,
     state=None,
 ) -> ProtocolReport:
     """Execute one full protocol run and score every receiver.
 
     ``forced`` pins all measurement outcomes; otherwise outcomes are sampled
-    from ``rng``.  ``bsm_order`` permutes the execution order of the sender
-    measurements (the report is order independent); messages are always
-    reported in canonical party order.  ``state`` lets exhaustive sweeps
-    reuse a prepared copy.
+    from ``rng``.  Messages are reported in canonical party order.
+    ``state`` lets exhaustive sweeps reuse a prepared copy.
     """
     s = _validate_inputs(inputs)
     n_bsm = 2 * s
@@ -536,15 +525,12 @@ def run_protocol(
         raise ValueError("sampled mode needs an explicit rng")
     if state is None:
         state = assemble_global(inputs, engine, allow_large_dense=allow_large_dense)
-    order = list(range(n_bsm)) if bsm_order is None else list(bsm_order)
-    if sorted(order) != list(range(n_bsm)):
-        raise ValueError(f"bsm_order must permute 0..{n_bsm - 1}")
 
-    outcomes = [0] * n_bsm
+    outcomes = []
     probability = 1.0
-    for j in order:
+    for j in range(n_bsm):
         outcome, prob = state.bsm_pair(j, forced=forced.bell[j] if forced else None, rng=rng)
-        outcomes[j] = outcome
+        outcomes.append(outcome)
         probability *= prob
     z, prob_z = state.measure_controller(forced=forced.z if forced else None, rng=rng)
     probability *= prob_z

@@ -8,12 +8,11 @@ error messages are written the usual way, qubit n-1 leftmost.
 All public operations are pure: they return new states and never mutate
 their arguments, unless the caller passes ``out``.  The kernels that take it
 (``apply_1q``, ``apply_cnot``, ``apply_pauli_word``, ``measure_qubit``,
-``bsm``) follow numpy's convention: ``out=None`` allocates the result,
-``out=state.amps`` updates the state's own array in place, and any other
-``out`` must be a separate array of the state's size, which receives the
-result.  Either way the result's ``amps`` is ``out``.  Sampled measurements
-take an explicit numpy Generator; there is no ambient randomness anywhere in
-this module.
+``bsm``) have one in-place code path each.  ``out=state.amps`` runs it on
+the state's own array, and the result's ``amps`` is that array;
+``out=None``, the default, copies the state and runs it on the copy.  Sampled
+measurements take an explicit numpy Generator; there is no ambient
+randomness anywhere in this module.
 """
 from __future__ import annotations
 
@@ -67,9 +66,8 @@ _GATE_TERMS = {name: _terms(m) for name, m in GATES_1Q.items()}
 _PAULI_TERMS = {name: _terms(m) for name, m in PAULI_FACTOR_MATRICES.items()}
 
 # Free-axis entries per slab of a kernel.  A one-qubit kernel's slab is 2^14
-# amplitude pairs: 512 KiB of complex128 in, as much out and up to three
-# 256 KiB temporaries, which stay in a 2 MiB L2 cache across the kernel's
-# passes.
+# amplitude pairs: 512 KiB of complex128 and three 256 KiB temporaries, which
+# stay in a 2 MiB L2 cache across the kernel's passes.
 _SLAB = 1 << 14
 
 # Trailing free axes with fewer entries than this are walked one index at a
@@ -160,9 +158,6 @@ class DensityMatrix:
     n_qubits: int
     mat: np.ndarray
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.mat))
-
 
 def _check_size(n_qubits: int) -> None:
     if n_qubits > HARD_QUBIT_CAP:
@@ -220,47 +215,36 @@ def _slabs(shape: tuple[int, ...]) -> Iterator[tuple[int | slice, ...]]:
 
 
 def _out_array(state: StateVector, out: np.ndarray | None) -> np.ndarray:
-    """The array a kernel writes its result into: ``out``, or a fresh one."""
+    """The array a kernel updates in place: ``out``, the state's own, or a copy for ``out=None``."""
     if out is None:
-        return np.empty_like(state.amps)
-    if not (isinstance(out, np.ndarray) and out.dtype == complex and out.shape == state.amps.shape
-            and out.flags.c_contiguous and out.flags.writeable):
-        raise ValueError(f"out must be a writable contiguous complex128 array of {state.amps.size} amplitudes")
-    if out is not state.amps and np.shares_memory(out, state.amps):
-        raise ValueError("out must be the state's own array or share no memory with it")
+        return state.amps.copy()
+    if out is not state.amps or not (out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError("out must be None or the state's own writable contiguous array")
     return out
 
 
-def _apply_matrix_1q(src: np.ndarray, terms: _Terms, q: int, out: np.ndarray) -> None:
-    """Write the one-qubit operator ``terms`` on qubit q of ``src`` into ``out``.
+def _apply_matrix_1q(amps: np.ndarray, terms: _Terms, q: int) -> None:
+    """Apply the one-qubit operator ``terms`` to qubit q of ``amps`` in place.
 
     ``terms[r]`` lists the nonzero (coefficient, input half) pairs of output
-    half r, so a Pauli factor costs one multiply per half.  ``out`` may be
-    ``src``: each slab then keeps its new halves in temporaries until both
-    input halves are read.
+    half r, so a Pauli factor costs one multiply per half.  Each slab keeps
+    its new halves in temporaries until both input halves are read.
     """
     # index = high*2^(q+1) + bit*2^q + low
-    v = src.reshape(-1, 2, 1 << q)
-    o = out.reshape(v.shape)
-    in_place = out is src
-    # a product temporary, then, in place, the two new halves
-    buf = np.empty((3 if in_place else 1) * min(_SLAB, src.size // 2), dtype=complex)
+    v = amps.reshape(-1, 2, 1 << q)
+    # a product temporary and the two new halves
+    buf = np.empty(3 * min(_SLAB, amps.size // 2), dtype=complex)
     for hi, lo in _slabs((v.shape[0], v.shape[2])):
         halves = (v[hi, 0, lo], v[hi, 1, lo])
         shape, size = halves[0].shape, halves[0].size
-        tmp = buf[:size].reshape(shape)
-        if in_place:
-            dsts = (buf[size: 2 * size].reshape(shape), buf[2 * size: 3 * size].reshape(shape))
-        else:
-            dsts = (o[hi, 0, lo], o[hi, 1, lo])
-        for dst, ((coef, h), *rest) in zip(dsts, terms):
+        tmp, new0, new1 = (buf[k * size: (k + 1) * size].reshape(shape) for k in range(3))
+        for dst, ((coef, h), *rest) in zip((new0, new1), terms):
             np.multiply(coef, halves[h], out=dst)
             for coef, h in rest:
                 np.multiply(coef, halves[h], out=tmp)
                 np.add(dst, tmp, out=dst)
-        if in_place:
-            o[hi, 0, lo] = dsts[0]
-            o[hi, 1, lo] = dsts[1]
+        v[hi, 0, lo] = new0
+        v[hi, 1, lo] = new1
 
 
 def apply_1q(state: StateVector, gate: str, q: int, *, out: np.ndarray | None = None) -> StateVector:
@@ -271,7 +255,7 @@ def apply_1q(state: StateVector, gate: str, q: int, *, out: np.ndarray | None = 
     except KeyError:
         raise ValueError(f"unknown gate {gate!r}, expected one of {sorted(GATES_1Q)}") from None
     dst = _out_array(state, out)
-    _apply_matrix_1q(state.amps, terms, q, dst)
+    _apply_matrix_1q(dst, terms, q)
     return StateVector(state.n_qubits, dst, copy=False)
 
 
@@ -283,28 +267,17 @@ def apply_cnot(state: StateVector, control: int, target: int, *, out: np.ndarray
         raise ValueError("CNOT control and target must differ")
     dst = _out_array(state, out)
     high, low = max(control, target), min(control, target)
-    v = state.amps.reshape(-1, 2, 1 << (high - low - 1), 2, 1 << low)
-    o = dst.reshape(v.shape)
-
-    def quarter(ctl: int, tgt: int) -> tuple[int, int]:
-        # the (high bit, low bit) axes of a (control bit, target bit) quarter
-        return (ctl, tgt) if control > target else (tgt, ctl)
-
-    in_place = dst is state.amps
-    kept = [] if in_place else [quarter(0, 0), quarter(0, 1)]
-    (x0, y0), (x1, y1) = quarter(1, 0), quarter(1, 1)
-    buf = np.empty(min(_SLAB, state.amps.size // 4), dtype=complex) if in_place else None
+    v = dst.reshape(-1, 2, 1 << (high - low - 1), 2, 1 << low)
+    # (high bit, low bit) of the control=1 quarter with target bit 0; the
+    # one with target bit 1 is (1, 1).  The two swap through a slab temporary.
+    x0, y0 = (1, 0) if control > target else (0, 1)
+    buf = np.empty(min(_SLAB, dst.size // 4), dtype=complex)
     for a, b, c in _slabs((v.shape[0], v.shape[2], v.shape[4])):
-        for x, y in kept:
-            o[a, x, b, y, c] = v[a, x, b, y, c]
-        # the control=1 quarters swap; in place, through a slab temporary
         first = v[a, x0, b, y0, c]
-        if in_place:
-            tmp = buf[: first.size].reshape(first.shape)
-            tmp[...] = first
-            first = tmp
-        o[a, x0, b, y0, c] = v[a, x1, b, y1, c]
-        o[a, x1, b, y1, c] = first
+        tmp = buf[: first.size].reshape(first.shape)
+        tmp[...] = first
+        v[a, x0, b, y0, c] = v[a, 1, b, 1, c]
+        v[a, 1, b, 1, c] = tmp
     return StateVector(state.n_qubits, dst, copy=False)
 
 
@@ -324,12 +297,8 @@ def apply_pauli_word(
         except KeyError:
             raise ValueError(f"unknown Pauli factor {factor!r}") from None
     dst = _out_array(state, out)
-    src = state.amps
     for terms, q in steps:
-        _apply_matrix_1q(src, terms, q, dst)
-        src = dst
-    if src is not dst:
-        dst[...] = src
+        _apply_matrix_1q(dst, terms, q)
     return StateVector(state.n_qubits, dst, copy=False)
 
 
@@ -373,17 +342,16 @@ def measure_qubit(
 
     Returns (outcome bit, its Born probability, renormalized collapsed state).
     Exactly one of ``forced`` (the requested outcome) or ``rng`` must be given.
-    An impossible outcome raises before anything is written.
+    An impossible outcome raises before anything is written or copied.
     """
-    dst = _out_array(state, out)
     p0, p1 = measure_probabilities(state, q)
     bit, prob = _draw_bit(p0, p1, f"qubit {q}", forced=forced, rng=rng)
-    v = state.amps.reshape(-1, 2, 1 << q)
-    o = dst.reshape(v.shape)
+    dst = _out_array(state, out)
+    v = dst.reshape(-1, 2, 1 << q)
     scale = np.sqrt(prob)
     for hi, lo in _slabs((v.shape[0], v.shape[2])):
-        np.divide(v[hi, bit, lo], scale, out=o[hi, bit, lo])
-        o[hi, 1 - bit, lo] = 0
+        np.divide(v[hi, bit, lo], scale, out=v[hi, bit, lo])
+        v[hi, 1 - bit, lo] = 0
     return bit, prob, StateVector(state.n_qubits, dst, copy=False)
 
 
@@ -405,15 +373,16 @@ def bsm(
     with a as the first ket symbol (BELL_OUTCOME_BITS pins the bit map).
     Returns (outcome, joint Born probability, collapsed state).
 
-    The CNOT writes into ``out`` (a fresh array if None); H and both
-    measurements then update that array in place.  An impossible outcome
-    raises after the basis change, so with ``out=state.amps`` the state is
-    then spent.
+    All four steps update one array in place: the state's own with
+    ``out=state.amps``, a copy of it with ``out=None``.  An impossible
+    outcome raises after the basis change, so with ``out=state.amps`` the
+    state is then spent.
     """
     if a == b:
         raise ValueError("BSM qubits must differ")
     fa, fb = (None, None) if forced is None else _bell_bits(forced)
-    st = apply_cnot(state, a, b, out=out)
+    st = StateVector(state.n_qubits, _out_array(state, out), copy=False)
+    st = apply_cnot(st, a, b, out=st.amps)
     st = apply_1q(st, "H", a, out=st.amps)
     bit_a, pa, st = measure_qubit(st, a, forced=fa, rng=rng, out=st.amps)
     bit_b, pb, st = measure_qubit(st, b, forced=fb, rng=rng, out=st.amps)

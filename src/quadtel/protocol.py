@@ -75,8 +75,8 @@ ENGINES = ("dense", "structured")
 
 # Largest dense-engine state run without the caller's opt-in
 # (``allow_large_dense``, the CLI's ``--allow-large-dense``): two senders, 13
-# qubits, fit; a four-sender dense state is 25 qubits, 512 MiB, and each
-# receiver's ``partial_trace`` holds two more full-size temporaries.
+# qubits, fit; a four-sender dense state is 25 qubits, 512 MiB, and
+# ``DenseState.prepare`` holds two such arrays, one per controller branch.
 DENSE_OPT_IN_QUBITS = 16
 
 # Block-local qubits of a sender block.  Bell pair ``which`` (0, 1) measures
@@ -212,7 +212,7 @@ class DenseState:
         for z, kind in enumerate(_BRANCH_KINDS):
             blocks = [_block_state(info, kind) for info in inputs]
             branches.append(tensor(*blocks, init_basis(1, z)))
-        amps = branches[0].amps  # fresh from tensor, so summed and scaled in place
+        amps = branches[0].amps  # tensor's own new array, so summed and scaled in place
         amps += branches[1].amps
         amps *= _SQRT2_INV
         return cls(s, StateVector(6 * s + 1, amps, copy=False))

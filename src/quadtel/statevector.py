@@ -16,6 +16,7 @@ randomness anywhere in this module.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -169,11 +170,6 @@ def _check_qubit(state: StateVector, q: int) -> None:
         raise IndexError(f"qubit {q} out of range for {state.n_qubits}-qubit state")
 
 
-def _axis(n: int, q: int) -> int:
-    # amps.reshape([2]*n) orders axes most-significant first
-    return n - 1 - q
-
-
 def init_basis(n_qubits: int, basis_index: int) -> StateVector:
     """Computational basis state |basis_index> on n_qubits qubits."""
     _check_size(n_qubits)
@@ -186,23 +182,23 @@ def init_basis(n_qubits: int, basis_index: int) -> StateVector:
     return StateVector(n_qubits, amps, copy=False)
 
 
-def _slabs(shape: tuple[int, ...]) -> Iterator[tuple[int | slice, ...]]:
+def _slabs(shape: Sequence[int], size: int = _SLAB) -> Iterator[tuple[int | slice, ...]]:
     """Index tuples that cover free axes of sizes ``shape`` slab by slab.
 
     ``shape`` lists a view's axes other than its qubit axes, outermost first:
     ``(hi, lo)`` for the ``(hi, 2, lo)`` view of one qubit.  The axes outside
     the cut axis are walked one index at a time, the cut axis in steps that
-    make a slab of about _SLAB entries, and the axes inside it whole, except
-    short trailing ones, which are walked one index at a time.  A state no
-    larger than one slab is a single slab.
+    make a slab of about ``size`` entries, and the axes inside it whole,
+    except short trailing ones, which are walked one index at a time.  A
+    state no larger than one slab is a single slab.
     """
-    if math.prod(shape) <= _SLAB:
+    if math.prod(shape) <= size:
         yield (slice(None),) * len(shape)
         return
     cut = len(shape) - 1
-    while cut > 0 and math.prod(shape[cut:]) <= _SLAB:
+    while cut > 0 and math.prod(shape[cut:]) <= size:
         cut -= 1
-    step = max(1, _SLAB // math.prod(shape[cut + 1:]))
+    step = max(1, size // math.prod(shape[cut + 1:]))
     tail = len(shape)
     while tail > cut + 1 and math.prod(shape[tail - 1:]) < _SHORT_AXES:
         tail -= 1
@@ -287,15 +283,18 @@ def apply_pauli_word(
     """Apply an ordered list of (factor, qubit) with factor in {I, X, Z, XZ}.
 
     The sign XZ produces on |1> is retained exactly; nothing is normalized
-    away.  The whole word is checked before any factor is applied.
+    away.  The whole word is checked before any factor is applied, and an
+    I factor is checked but not applied.
     """
     steps = []
     for factor, q in word:
         _check_qubit(state, q)
         try:
-            steps.append((_PAULI_TERMS[str(factor)], q))
+            terms = _PAULI_TERMS[str(factor)]
         except KeyError:
             raise ValueError(f"unknown Pauli factor {factor!r}") from None
+        if terms is not _PAULI_TERMS["I"]:
+            steps.append((terms, q))
     dst = _out_array(state, out)
     for terms, q in steps:
         _apply_matrix_1q(dst, terms, q)
@@ -396,11 +395,43 @@ def distance(a: StateVector, b: StateVector) -> float:
     return float(np.linalg.norm(a.amps - b.amps))
 
 
+@functools.lru_cache(maxsize=32)
+def _trace_plan(
+    n_qubits: int, keep: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int | slice, ...], ...]]:
+    """How ``partial_trace`` walks an n-qubit state: (shape, axes, slabs).
+
+    ``amps.reshape(shape).transpose(axes)`` is the state with the kept
+    qubits first, the last of ``keep`` outermost, then one axis per run of
+    traced qubits, outermost first: the run above each kept qubit and the
+    run below the lowest, of size 1 where a run is empty.  Each index in
+    ``slabs`` takes every kept axis and one slab of the runs, about _SLAB
+    amplitudes in all.  A plan is made once per (n_qubits, keep), since the
+    structured engine traces the same 6-qubit layout for every block.
+    """
+    desc = sorted(keep, reverse=True)
+    runs = [1 << (hi - lo - 1) for hi, lo in zip([n_qubits] + desc, desc + [-1])]
+    shape = [runs[0]]
+    for run in runs[1:]:
+        shape += (2, run)
+    axes = [2 * desc.index(q) + 1 for q in reversed(keep)] + list(range(0, len(shape), 2))
+    kept = (slice(None),) * len(keep)
+    slabs = tuple(kept + index for index in _slabs(runs, max(1, _SLAB >> len(keep))))
+    return tuple(shape), tuple(axes), slabs
+
+
 def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
     """Reduced density matrix over the kept qubits.
 
     keep[j] becomes bit j of the reduced index, so the first listed qubit is
     the least significant bit of the result.
+
+    The result is the Gram matrix a @ conj(a).T of the (2^len(keep), rest)
+    amplitude matrix a, summed slab by slab: each slab is copied in kept
+    order into one reusable buffer, conjugated into a second, and added in
+    by one gemm, so the state is never copied whole.  A state of one slab
+    (a 6-qubit block, or 13 qubits keeping a receiver pair) runs that single
+    gemm on the whole of a.
     """
     keep = list(keep)
     if not keep:
@@ -409,12 +440,16 @@ def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
         raise ValueError(f"duplicate qubits in keep list: {keep}")
     for q in keep:
         _check_qubit(state, q)
-    n = state.n_qubits
-    v = state.amps.reshape([2] * n)
-    kept_axes = [_axis(n, q) for q in reversed(keep)]  # most significant kept bit first
-    rest = [ax for ax in range(n) if ax not in kept_axes]
-    a = v.transpose(kept_axes + rest).reshape(1 << len(keep), -1)
-    return DensityMatrix(len(keep), a @ a.conj().T)
+    shape, axes, slabs = _trace_plan(state.n_qubits, tuple(keep))
+    v = state.amps.reshape(shape).transpose(axes)
+    buf = v[slabs[0]].copy()
+    a = buf.reshape(1 << len(keep), -1)
+    c = a.conj()
+    rho = a @ c.T
+    for index in slabs[1:]:
+        buf[...] = v[index]
+        rho += a @ np.conjugate(a, out=c).T
+    return DensityMatrix(len(keep), rho)
 
 
 def dm_fidelity(dm: DensityMatrix, target: StateVector) -> float:
@@ -425,14 +460,27 @@ def dm_fidelity(dm: DensityMatrix, target: StateVector) -> float:
 
 
 def tensor(*states: StateVector) -> StateVector:
-    """Tensor product; the first argument occupies the lowest qubit indices."""
+    """Tensor product; the first argument occupies the lowest qubit indices.
+
+    The product is built in the one new array it returns: the first factor
+    is copied in, and each later factor widens it in place, block i of the
+    wider product being that factor's amplitude i times the product so far.
+    Blocks are written highest first, so the low block they read is
+    overwritten last.  Each entry is the same single product as in a chain
+    of ``np.kron``, so the bits are the same.
+    """
     if not states:
         raise ValueError("tensor needs at least one state")
     n = sum(s.n_qubits for s in states)
     _check_size(n)
-    amps = states[0].amps
+    amps = np.empty(1 << n, dtype=complex)
+    size = states[0].amps.size
+    amps[:size] = states[0].amps
     for s in states[1:]:
-        amps = np.kron(s.amps, amps)
+        low = amps[:size]
+        for i in range(s.amps.size - 1, -1, -1):
+            np.multiply(s.amps[i], low, out=amps[i * size: (i + 1) * size])
+        size *= s.amps.size
     return StateVector(n, amps, copy=False)
 
 

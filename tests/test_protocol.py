@@ -1,6 +1,7 @@
 """Protocol tests: global-state assembly, forced and exhaustive runs, engine
 equivalence, controller gating, transcripts, and order independence."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,20 @@ def test_structured_matches_dense_assembly():
         dense = pr.assemble_global(inputs, "dense")
         structured = pr.assemble_global(inputs, "structured")
         assert sv.distance(to_dense(structured), dense.state) < 1e-10
+
+
+def test_dense_prepare_peaks_at_its_two_branch_states():
+    inputs = make_inputs(3, 13)
+    tracemalloc.start()
+    try:
+        state = pr.DenseState.prepare(inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # s=3 is 19 qubits, 8 MiB: the two controller branches, summed in place
+    assert peak <= 2 * (8 << 20) + (1 << 20)
+    structured = pr.assemble_global(inputs, "structured")
+    assert sv.distance(to_dense(structured), state.state) < 1e-10
 
 
 def test_dense_phase_correction_leaves_earlier_copies_untouched():

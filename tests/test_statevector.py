@@ -139,6 +139,29 @@ def test_identity_word_is_noop():
     assert sv.distance(out, s) == 0
 
 
+def test_identity_factors_are_checked_but_not_applied():
+    state = random_state(20, np.random.default_rng(14))
+    before = state.amps.tobytes()
+    word = [("I", 0), ("XZ", 3), ("I", 19), ("X", 0), ("I", 3)]
+    want = state.amps
+    for f, q in word:  # the unskipped product: every factor applied, I too
+        want = textbook_1q(want, sv.PAULI_FACTOR_MATRICES[f], q)
+    assert np.array_equal(sv.apply_pauli_word(state, word).amps, want)
+    # an all-I word makes no pass over the state, so it allocates none of the
+    # 768 KiB of slab temporaries that a factor's pass takes at 20 qubits
+    tracemalloc.start()
+    try:
+        sv.apply_pauli_word(state, [("I", 0), ("I", 19)], out=state.amps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+    # an I factor is still checked, before any factor is applied
+    with pytest.raises(IndexError, match="qubit 20 out of range"):
+        sv.apply_pauli_word(state, [("X", 0), ("I", 20)], out=state.amps)
+    assert state.amps.tobytes() == before
+
+
 def test_xz_on_one_gives_minus_zero():
     out = sv.apply_pauli_word(sv.init_basis(1, 1), [("XZ", 0)])
     assert np.allclose(out.amps, [-1, 0])
@@ -288,6 +311,59 @@ def test_partial_trace_bit_order_follows_keep_list():
     assert dm01.mat[2, 2] == 1
     dm10 = sv.partial_trace(s, [1, 0])
     assert dm10.mat[1, 1] == 1
+
+
+def reference_partial_trace(state, keep):
+    """The whole-state route: transpose the kept axes to the front, then one gemm."""
+    n = state.n_qubits
+    kept_axes = [n - 1 - q for q in reversed(keep)]
+    rest = [ax for ax in range(n) if ax not in kept_axes]
+    a = state.amps.reshape([2] * n).transpose(kept_axes + rest).reshape(1 << len(keep), -1)
+    return a @ a.conj().T
+
+
+# partial_trace sums each entry's 2^(n-k) products slab by slab, the
+# reference in one gemm: the same products, added in another order.  For a
+# normalized state they sum in magnitude to at most 1, so the order moves an
+# entry by round-off, a few 1e-16 at 20 qubits, while a slab dropped or added
+# twice would move the trace by 1/64 or more.
+SLAB_SUM_TOL = 1e-13
+
+
+@pytest.mark.parametrize("n, keep", [
+    (19, [5, 3]), (19, [11, 9]), (19, [17, 15]),  # each receiver pair at s=3
+    (20, [0, 1]), (20, [19, 18]),  # block 0's low pair, the top pair
+    (20, [3, 5]), (20, [2, 13, 7]),  # a reversed order, a non-adjacent list
+    (19, [5, 3, 11, 9, 17, 15]),  # the 2s qubits of pre_broadcast_dm
+])
+def test_partial_trace_matches_the_whole_state_route(n, keep):
+    state = random_state(n, np.random.default_rng(90 + len(keep)))
+    got = pure_call(sv.partial_trace, state, keep).mat
+    assert np.abs(got - reference_partial_trace(state, keep)).max() < SLAB_SUM_TOL
+
+
+@pytest.mark.parametrize("n, keep", [
+    (2, [0]), (2, [1, 0]), (6, [5, 3]), (6, [0, 4, 2]), (6, list(range(6))),
+    (13, [5, 3]), (13, [11, 9]), (13, [12, 0]), (13, [5, 3, 11, 9]),
+])
+def test_partial_trace_of_one_slab_is_the_single_gemm(n, keep):
+    state = random_state(n, np.random.default_rng(95 + n))
+    assert len(sv._trace_plan(n, tuple(keep))[2]) == 1
+    got = sv.partial_trace(state, keep).mat
+    assert got.tobytes() == reference_partial_trace(state, keep).tobytes()
+
+
+def test_partial_trace_allocates_slabs_not_the_state():
+    # 20 qubits are 16 MiB: the whole-state route allocates two such copies
+    state = random_state(20, np.random.default_rng(97))
+    for keep in ([5, 3], [0, 2], [19, 18]):
+        tracemalloc.start()
+        try:
+            sv.partial_trace(state, keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20, keep
 
 
 # --------------------------------------------------- kernels vs matrix oracle
@@ -535,6 +611,42 @@ def test_disjoint_bsms_commute():
 def test_tensor_puts_first_argument_at_low_qubits():
     s = sv.tensor(sv.init_basis(1, 1), sv.init_basis(1, 0))
     assert s.amps[1] == 1
+
+
+@pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 3, 1), (6, 6, 1), (2, 2, 2), (3,)])
+def test_tensor_is_a_kron_chain_in_a_fresh_array(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    states = [random_state(k, rng) for k in sizes]
+    want = states[0].amps
+    for s in states[1:]:
+        want = np.kron(s.amps, want)
+    got = sv.tensor(*states)
+    assert got.n_qubits == sum(sizes)
+    assert got.amps.tobytes() == want.tobytes()
+    assert not any(np.shares_memory(got.amps, s.amps) for s in states)
+
+
+def test_tensor_of_one_state_leaves_it_alone():
+    s = random_state(3, np.random.default_rng(98))
+    before = s.amps.tobytes()
+    t = sv.tensor(s)
+    sv.apply_1q(t, "X", 0, out=t.amps)
+    assert s.amps.tobytes() == before
+
+
+def test_tensor_peaks_at_its_result():
+    factors = [random_state(10, np.random.default_rng(99)), random_state(9, np.random.default_rng(100)),
+               sv.init_basis(1, 1)]
+    tracemalloc.start()
+    try:
+        product = sv.tensor(*factors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 16 MiB result of 20 qubits, and no np.kron intermediate
+    assert peak <= (16 << 20) + (1 << 20)
+    want = np.kron(factors[2].amps, np.kron(factors[1].amps, factors[0].amps))
+    assert product.amps.tobytes() == want.tobytes()
 
 
 def test_pair_state_puts_the_first_member_on_qubit_0():

@@ -17,7 +17,9 @@ Two interchangeable engines execute the same protocol:
   by the two measured bits, and the 2x2 joint probabilities drive both
   draws.  Its corrections are signed permutations of the 64 block
   amplitudes.  Blocks are never written, so each block (``_Block``) keeps
-  what it yields and every state holding it reuses that.
+  what it yields, and each message (``InfoState``) keeps the blocks built
+  from it: every state prepared from the same messages, such as all the
+  branches of a sampled run, reuses them and all they keep.
   ``block_outcome_table`` runs the same block calls over every outcome of
   one sender block, which gives all branches of the full protocol factorized.
 
@@ -39,7 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -76,7 +78,7 @@ ENGINES = ("dense", "structured")
 # Largest dense-engine state run without the caller's opt-in
 # (``allow_large_dense``, the CLI's ``--allow-large-dense``): two senders, 13
 # qubits, fit; a four-sender dense state is 25 qubits, 512 MiB, and
-# ``DenseState.prepare`` holds two such arrays, one per controller branch.
+# ``DenseState.prepare`` holds one such array plus the lower half of a second.
 DENSE_OPT_IN_QUBITS = 16
 
 # Block-local qubits of a sender block.  Bell pair ``which`` (0, 1) measures
@@ -99,20 +101,30 @@ _QUBIT_NAMES = tuple(tuple(f"block {i} qubit {q}" for q in range(6)) for i in ra
 SENDERS = ("alice", "bob", "charlie", "david")
 
 
-@dataclass
+@dataclass(frozen=True)
 class InfoState:
-    """Normalized two-qubit message, coefficients ordered |00>,|01>,|10>,|11>."""
+    """Normalized two-qubit message, coefficients ordered |00>,|01>,|10>,|11>.
+
+    A message is immutable: it holds its own read-only copy of the
+    coefficients.  So it can keep the sender blocks built from it, one per
+    controller-branch Bell kind (see ``_block_state``), and every state
+    prepared from it shares them and all they keep.  The kept blocks take no
+    part in ``repr`` or comparisons.
+    """
 
     coeffs: np.ndarray
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != (4,):
-            raise ValueError(f"expected 4 coefficients, got {self.coeffs.shape}")
-        if not np.all(np.isfinite(self.coeffs)):
+        coeffs = np.array(self.coeffs, dtype=complex)
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
+        if coeffs.shape != (4,):
+            raise ValueError(f"expected 4 coefficients, got {coeffs.shape}")
+        if not np.all(np.isfinite(coeffs)):
             raise ValueError("message coefficients must be finite")
         with np.errstate(over="ignore"):  # coefficients above 1e154 overflow it to inf
-            norm = float(np.linalg.norm(self.coeffs))
+            norm = float(np.linalg.norm(coeffs))
         if abs(norm - 1) > NORM_TOL:
             raise ValueError(f"message state is not normalized (norm {norm!r})")
 
@@ -183,9 +195,16 @@ def _validate_inputs(inputs: Sequence[InfoState]) -> int:
 
 
 def _block_state(info: InfoState, kind: BellKind) -> "_Block":
-    """Six-qubit sender block: message pair plus two channel pairs of ``kind``."""
-    pair = pair_state(BELL_COEFFS[kind])
-    return _Block(tensor(pair_state(info.coeffs), pair, pair).amps)
+    """Six-qubit sender block: message pair plus two channel pairs of ``kind``.
+
+    Built on first use and kept on the message, so every later call with the
+    same message and kind returns the same ``_Block``, with all it keeps.
+    """
+    block = info._blocks.get(kind)
+    if block is None:
+        pair = pair_state(BELL_COEFFS[kind])
+        block = info._blocks[kind] = _Block(tensor(pair_state(info.coeffs), pair, pair).amps)
+    return block
 
 
 class DenseState:
@@ -207,13 +226,18 @@ class DenseState:
 
     @classmethod
     def prepare(cls, inputs: Sequence[InfoState]) -> "DenseState":
+        """Both controller branches, (blocks of z) tensor |z>, summed and scaled by 1/sqrt2.
+
+        Elle's qubit is the top one, so ``tensor`` leaves the top half of the
+        z=0 product as zeros whose pages it never touches, and only the z=1
+        product fills every page.  The z=0 branch is added into the z=1
+        array in place, so the peak is the state plus half of it.
+        """
         s = _validate_inputs(inputs)
-        branches = []
-        for z, kind in enumerate(_BRANCH_KINDS):
-            blocks = [_block_state(info, kind) for info in inputs]
-            branches.append(tensor(*blocks, init_basis(1, z)))
-        amps = branches[0].amps  # tensor's own new array, so summed and scaled in place
-        amps += branches[1].amps
+        zero, one = (tensor(*[_block_state(info, kind) for info in inputs], init_basis(1, z))
+                     for z, kind in enumerate(_BRANCH_KINDS))
+        amps = one.amps
+        amps += zero.amps
         amps *= _SQRT2_INV
         return cls(s, StateVector(6 * s + 1, amps, copy=False))
 
@@ -295,8 +319,10 @@ class _Block(StateVector):
     A block is never written once created, so its results depend on it
     alone.  Each is computed on first use and kept: the Bell split per
     sender pair, the collapsed child per pair and outcome, the corrected
-    form per correction entry, and the receiver-pair matrix.  Every state
-    that holds the block (a prepared state and all its copies) reuses them.
+    form per correction entry, and the receiver-pair matrix.  A prepared
+    block is kept on its message (``_block_state``), so every state that
+    holds it reuses them: all states prepared from that message, of either
+    engine's preparation, and all their copies.
     """
 
     __slots__ = ("_splits", "_children", "_corrected_by", "_receiver_rho")
@@ -360,8 +386,10 @@ class StructuredState:
 
     A block is never written once created: an operation replaces it in
     ``blocks``.  So ``copy()`` shares the blocks, and with them the results
-    each ``_Block`` keeps: a fresh state and a copy run the same code, and
-    copies reuse what earlier branches computed.  ``weights`` is a 2-tuple of
+    each ``_Block`` keeps, as ``prepare`` does: it takes each message's kept
+    blocks, so every state prepared from the same messages starts from the
+    same blocks.  A fresh state and a copy run the same code, and both reuse
+    what earlier branches computed.  ``weights`` is a 2-tuple of
     Python complex numbers that operations replace, so copies share it too.
     A Bell pair refused at its second bit (``ImpossibleBranchError``) leaves
     the weights reweighted for the first, so the state is then spent.

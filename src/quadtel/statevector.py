@@ -462,24 +462,29 @@ def dm_fidelity(dm: DensityMatrix, target: StateVector) -> float:
 def tensor(*states: StateVector) -> StateVector:
     """Tensor product; the first argument occupies the lowest qubit indices.
 
-    The product is built in the one new array it returns: the first factor
-    is copied in, and each later factor widens it in place, block i of the
-    wider product being that factor's amplitude i times the product so far.
-    Blocks are written highest first, so the low block they read is
-    overwritten last.  Each entry is the same single product as in a chain
-    of ``np.kron``, so the bits are the same.
+    The product is built in the one new array it returns, which starts as
+    zeros: the first factor is copied in, and each later factor widens it in
+    place, block i of the wider product being that factor's amplitude i
+    times the product so far.  Blocks are written highest first, so the low
+    block they read is overwritten last.  A block whose amplitude is exactly
+    0 is skipped, unless it is that low block, so its pages are never
+    touched: a product whose top factor is a basis state occupies memory
+    only where it is nonzero.  Every nonzero entry is the same single
+    product as in a chain of ``np.kron``, so its bits are the same; a zero
+    that comes from a skipped block is +0.0 where the chain may give -0.0.
     """
     if not states:
         raise ValueError("tensor needs at least one state")
     n = sum(s.n_qubits for s in states)
     _check_size(n)
-    amps = np.empty(1 << n, dtype=complex)
+    amps = np.zeros(1 << n, dtype=complex)
     size = states[0].amps.size
     amps[:size] = states[0].amps
     for s in states[1:]:
         low = amps[:size]
         for i in range(s.amps.size - 1, -1, -1):
-            np.multiply(s.amps[i], low, out=amps[i * size: (i + 1) * size])
+            if i == 0 or s.amps[i] != 0:
+                np.multiply(s.amps[i], low, out=amps[i * size: (i + 1) * size])
         size *= s.amps.size
     return StateVector(n, amps, copy=False)
 

@@ -1,5 +1,6 @@
 """Protocol tests: global-state assembly, forced and exhaustive runs, engine
 equivalence, controller gating, transcripts, and order independence."""
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -16,6 +17,13 @@ from quadtel import statevector as sv
 def make_inputs(n, seed):
     rng = np.random.default_rng(seed)
     return [pr.InfoState.random(rng) for _ in range(n)]
+
+
+def rebuilt(inputs):
+    """The same messages as new InfoState objects.  A message keeps the
+    blocks built from it, and everything they keep; new ones hold none, so a
+    run on them computes every block result afresh."""
+    return [pr.InfoState(info.coeffs) for info in inputs]
 
 
 def product_coeffs(vectors):
@@ -76,6 +84,23 @@ def test_info_state_random_is_normalized():
     assert abs(np.linalg.norm(info.coeffs) - 1) < 1e-12
 
 
+def test_info_state_owns_read_only_coefficients():
+    # a message keeps the blocks built from it, so its coefficients may not
+    # change after it is made: not through the caller's array, nor its own
+    c = np.array([1, 0, 0, 0], dtype=complex)
+    info = pr.InfoState(c)
+    c[0], c[1] = 0, 1
+    assert info.coeffs.tolist() == [1, 0, 0, 0]
+    assert not np.shares_memory(info.coeffs, c)
+    with pytest.raises(ValueError, match="read-only"):
+        info.coeffs[0] = 0
+    with pytest.raises(AttributeError):
+        info.coeffs = c
+    pr.StructuredState.prepare([info])
+    assert repr(info) == repr(pr.InfoState([1, 0, 0, 0])) and "_blocks" not in repr(info)
+    assert [f.name for f in dataclasses.fields(info) if f.compare] == ["coeffs"]
+
+
 def test_outcome_record_validation():
     with pytest.raises(ValueError):
         pr.OutcomeRecord((0, 4), 0)
@@ -98,7 +123,7 @@ def test_assembled_state_is_normalized():
 def test_structured_matches_dense_assembly():
     for s in (1, 2):
         inputs = make_inputs(s, 10 + s)
-        dense = pr.assemble_global(inputs, "dense")
+        dense = pr.assemble_global(rebuilt(inputs), "dense")
         structured = pr.assemble_global(inputs, "structured")
         assert sv.distance(to_dense(structured), dense.state) < 1e-10
 
@@ -113,7 +138,7 @@ def test_dense_prepare_peaks_at_its_two_branch_states():
         tracemalloc.stop()
     # s=3 is 19 qubits, 8 MiB: the two controller branches, summed in place
     assert peak <= 2 * (8 << 20) + (1 << 20)
-    structured = pr.assemble_global(inputs, "structured")
+    structured = pr.assemble_global(rebuilt(inputs), "structured")
     assert sv.distance(to_dense(structured), state.state) < 1e-10
 
 
@@ -329,7 +354,7 @@ def assert_reports_agree(a, b):
 def test_engines_produce_identical_reports():
     for s in (1, 2):
         inputs = make_inputs(s, 60 + s)
-        dense = pr.run_exhaustive(inputs, engine="dense")
+        dense = pr.run_exhaustive(rebuilt(inputs), engine="dense")
         structured = pr.run_exhaustive(inputs, engine="structured")
         assert len(dense) == len(structured)
         for a, b in zip(dense, structured):
@@ -341,7 +366,7 @@ def test_engines_agree_on_forced_branches_at_three_senders():
     rng = np.random.default_rng(63)
     for _ in range(3):
         record = pr.OutcomeRecord(tuple(int(b) for b in rng.integers(0, 4, 6)), int(rng.integers(2)))
-        dense = pr.run_protocol(inputs, engine="dense", forced=record, allow_large_dense=True)
+        dense = pr.run_protocol(rebuilt(inputs), engine="dense", forced=record, allow_large_dense=True)
         structured = pr.run_protocol(inputs, forced=record)
         assert_reports_agree(dense, structured)
 
@@ -350,9 +375,10 @@ def test_engines_draw_identical_sampled_outcomes():
     # both engines draw one rng.random() per measured bit, message qubit
     # first, so one seed gives both the same branches
     inputs = make_inputs(2, 64)
+    dense_inputs = rebuilt(inputs)
     dense_rng, structured_rng = np.random.default_rng(65), np.random.default_rng(65)
     for _ in range(24):
-        dense = pr.run_protocol(inputs, engine="dense", rng=dense_rng)
+        dense = pr.run_protocol(dense_inputs, engine="dense", rng=dense_rng)
         structured = pr.run_protocol(inputs, rng=structured_rng)
         assert_reports_agree(dense, structured)
     assert dense_rng.random() == structured_rng.random()
@@ -361,7 +387,8 @@ def test_engines_draw_identical_sampled_outcomes():
 def test_exhaustive_shared_base_matches_fresh_state_per_branch():
     # run_exhaustive runs each branch on a copy of one prepared state, and the
     # copies share its blocks and what each block keeps; no branch may see
-    # another's measurements through them.  Every branch at s=1, 2; 64
+    # another's measurements through them.  The reference runs each branch on
+    # rebuilt messages, which hold no blocks.  Every branch at s=1, 2; 64
     # seeded ones at s=3
     rng = np.random.default_rng(55)
     for s in (1, 2, 3):
@@ -370,7 +397,7 @@ def test_exhaustive_shared_base_matches_fresh_state_per_branch():
         swept = pr.run_exhaustive(inputs, engine="structured")
         picks = range(len(records)) if s < 3 else rng.choice(len(records), 64, replace=False)
         for k in picks:
-            assert swept[k].to_dict() == pr.run_protocol(inputs, forced=records[k]).to_dict()
+            assert swept[k].to_dict() == pr.run_protocol(rebuilt(inputs), forced=records[k]).to_dict()
 
 
 def block_bytes(state):
@@ -425,6 +452,39 @@ def test_structured_correction_cache_keeps_each_word_apart():
             assert np.array_equal(corrected[0].amps, -want if entry.phase_pi else want)
 
 
+def test_message_keeps_one_block_per_bell_kind():
+    # each message builds its block of each controller-branch kind once, and
+    # every state prepared from it, of either engine, starts from those
+    first, second = inputs = make_inputs(2, 57)
+    for info in inputs:
+        blocks = [pr._block_state(info, kind) for kind in pr._BRANCH_KINDS]
+        for kind, block in zip(pr._BRANCH_KINDS, blocks):
+            pair = sv.pair_state(ch.BELL_COEFFS[kind]).amps
+            assert np.array_equal(block.amps, np.kron(pair, np.kron(pair, sv.pair_state(info.coeffs).amps)))
+            assert pr._block_state(info, kind) is block
+        assert blocks[0] is not blocks[1]
+    assert pr._block_state(first, pr._BRANCH_KINDS[0]) is not pr._block_state(second, pr._BRANCH_KINDS[0])
+    kept = [[pr._block_state(info, kind) for info in inputs] for kind in pr._BRANCH_KINDS]
+    for state in (pr.StructuredState.prepare(inputs), pr.StructuredState.prepare(inputs).copy()):
+        assert all(a is b for held, want in zip(state.blocks, kept) for a, b in zip(held, want))
+    dense = pr.DenseState.prepare(inputs)
+    assert sv.distance(dense.state, pr.DenseState.prepare(rebuilt(inputs)).state) == 0
+
+
+def test_forced_branch_after_sampled_branches_matches_rebuilt_messages():
+    # 64 sampled branches fill the blocks the messages keep; a forced branch
+    # then reads them, and must give what rebuilt messages compute afresh,
+    # on the sampled branches' own outcomes and on unseen ones
+    inputs = make_inputs(4, 66)
+    rng = np.random.default_rng(67)
+    records = [pr.run_protocol(inputs, rng=rng).outcome for _ in range(64)]
+    records += [pr.OutcomeRecord(tuple(int(b) for b in rng.integers(0, 4, 8)), int(rng.integers(2)))
+                for _ in range(16)]
+    for record in records:
+        assert pr.run_protocol(inputs, forced=record).to_dict() == \
+            pr.run_protocol(rebuilt(inputs), forced=record).to_dict()
+
+
 # --------------------------------------------------------- order independence
 
 def test_bsm_order_does_not_change_report():
@@ -470,14 +530,14 @@ def forced_runs(draw):
 @given(run=forced_runs())
 def test_cached_copy_matches_fresh_state_in_any_order(filled_bases, run):
     # a block's kept Bell split, correction and reduced matrix are what a
-    # fresh state computes for it, whatever order the measurements run in;
-    # and any order gives the canonical order's report
+    # fresh state on rebuilt messages computes for it, whatever order the
+    # measurements run in; and any order gives the canonical order's report
     s, record, order = run
     inputs, base = filled_bases[s]
     cached = run_in_order(inputs, order, forced=record, state=base.copy())
-    fresh = run_in_order(inputs, order, forced=record)
+    fresh = run_in_order(rebuilt(inputs), order, forced=record)
     assert cached.to_dict() == fresh.to_dict()
-    assert_reports_agree(fresh, pr.run_protocol(inputs, forced=record))
+    assert_reports_agree(fresh, pr.run_protocol(rebuilt(inputs), forced=record))
 
 
 # ------------------------------------------------------------------- gating
@@ -517,7 +577,7 @@ def test_pre_broadcast_engines_agree():
     inputs = make_inputs(2, 83)
     bells = (1, 0, 2, 3)
     structured = pr.pre_broadcast_state(inputs, bells, engine="structured")
-    dense = pr.pre_broadcast_state(inputs, bells, engine="dense")
+    dense = pr.pre_broadcast_state(rebuilt(inputs), bells, engine="dense")
     assert np.abs(structured.mat - dense.mat).max() < 1e-10
 
 
@@ -592,6 +652,19 @@ def test_sampled_runs_reproduce_with_same_seed():
     assert all(f > 1 - 1e-9 for f in a.per_receiver_fidelity)
 
 
+def test_sampled_branches_on_shared_messages_match_rebuilt_messages():
+    # the branches of a sampled run share their messages, and so the blocks
+    # those keep; each branch must give the report of a run on rebuilt
+    # messages, from the same rng stream
+    for s in range(1, pr.MAX_SENDERS + 1):
+        inputs = make_inputs(s, 100 + s)
+        shared_rng, fresh_rng = np.random.default_rng(s), np.random.default_rng(s)
+        for _ in range(64):
+            shared = pr.run_protocol(inputs, rng=shared_rng)
+            assert shared.to_dict() == pr.run_protocol(rebuilt(inputs), rng=fresh_rng).to_dict()
+        assert shared_rng.random() == fresh_rng.random()
+
+
 # 99.9th percentile of the chi-square law with 31 degrees of freedom (32
 # outcomes, one constraint): a sampler that draws the uniform law fails one
 # seed in a thousand, and the seed below is pinned.
@@ -632,7 +705,7 @@ def assert_table_matches_branch(tables, report):
 def test_outcome_table_matches_every_stepwise_branch():
     for s in (1, 2):
         inputs = make_inputs(s, 94 + s)
-        tables = outcome_tables(inputs)
+        tables = outcome_tables(rebuilt(inputs))
         reports = pr.run_exhaustive(inputs)
         assert len(reports) == 2 * 16 ** s
         for report in reports:
@@ -641,7 +714,7 @@ def test_outcome_table_matches_every_stepwise_branch():
 
 def test_outcome_table_matches_sampled_four_sender_branches():
     inputs = make_inputs(4, 97)
-    tables = outcome_tables(inputs)
+    tables = outcome_tables(rebuilt(inputs))
     base = pr.assemble_global(inputs)
     rng = np.random.default_rng(98)
     for _ in range(64):

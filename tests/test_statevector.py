@@ -649,6 +649,50 @@ def test_tensor_peaks_at_its_result():
     assert product.amps.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("z", [0, 1])
+def test_tensor_skips_the_blocks_of_a_zero_amplitude(z):
+    # a top factor |z> leaves block 1 - z of the product zero; tensor writes
+    # the low block, which it reads, even when its amplitude is 0, and skips
+    # only a higher one, which keeps the +0.0 its array starts from
+    rng = np.random.default_rng(101 + z)
+    factors = [random_state(3, rng), random_state(2, rng), sv.init_basis(1, z)]
+    want = np.kron(factors[2].amps, np.kron(factors[1].amps, factors[0].amps))
+    got = sv.tensor(*factors).amps
+    if z == 1:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert got[:32].tobytes() == want[:32].tobytes()
+        assert got[32:].tobytes() == bytes(32 * 16)
+
+
+def rss_anon():
+    """Resident anonymous memory of this process, in bytes (Linux only)."""
+    try:
+        with open("/proc/self/status") as status:
+            lines = [line for line in status if line.startswith("RssAnon:")]
+    except FileNotFoundError:
+        pytest.skip("needs /proc/self/status")
+    return int(lines[0].split()[1]) << 10
+
+
+def test_tensor_touches_only_the_blocks_it_writes():
+    # 22 qubits, 64 MiB: above glibc's largest mmap threshold (32 MiB), so
+    # the result is fresh zero pages, not reused heap memory already touched.
+    # A top factor |0> fills the lower half only; |1> fills both halves,
+    # since the lower one is the product it reads
+    rng = np.random.default_rng(103)
+    low = [random_state(11, rng), random_state(10, rng)]
+    size = 64 << 20
+    grown = []
+    products = []
+    for z in (0, 1):
+        before = rss_anon()
+        products.append(sv.tensor(*low, sv.init_basis(1, z)))
+        grown.append(rss_anon() - before)
+    assert grown[0] <= size // 2 + (4 << 20)
+    assert grown[1] >= size - (4 << 20)
+
+
 def test_pair_state_puts_the_first_member_on_qubit_0():
     c = np.array([0.1, 0.2, 0.3, 0.4], dtype=complex)
     c /= np.linalg.norm(c)

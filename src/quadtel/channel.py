@@ -60,9 +60,10 @@ BELL_SYMBOLS = ("k+", "k-", "l+", "l-")
 
 def ghz_state(n_qubits: int) -> StateVector:
     """(|0...0> + |1...1>)/sqrt2 via H on the top qubit and a CNOT fan-out."""
-    state = apply_1q(init_basis(n_qubits, 0), "H", n_qubits - 1)
+    state = init_basis(n_qubits, 0)
+    apply_1q(state, "H", n_qubits - 1)
     for target in range(n_qubits - 1):
-        state = apply_cnot(state, n_qubits - 1, target)
+        apply_cnot(state, n_qubits - 1, target)
     return state
 
 
@@ -77,9 +78,9 @@ def prepare_channel_circuit(k: int) -> StateVector:
         raise ValueError(f"need at least one pair, got {k}")
     state = ghz_state(2 * k + 1)
     for j in range(k):
-        state = apply_1q(state, "H", 2 * j + 1)
+        apply_1q(state, "H", 2 * j + 1)
     for j in range(k):
-        state = apply_cnot(state, 2 * j + 1, 2 * j)
+        apply_cnot(state, 2 * j + 1, 2 * j)
     return state
 
 
@@ -88,6 +89,10 @@ def build_channel_analytic(k: int, branch_sign: int = 1) -> StateVector:
 
     Returns (kappa+^k |0>_E + sign * lambda-^k |1>_E)/sqrt2.  The circuit
     builder reproduces this with branch_sign = (-1)^k.
+
+    The controller is the top qubit, so ``tensor`` never touches the pages
+    of the zero top half of the |0>_E branch.  That branch is added into the
+    |1>_E branch's array in place, so the peak is the state plus half of it.
     """
     if k < 1:
         raise ValueError(f"need at least one pair, got {k}")
@@ -97,6 +102,9 @@ def build_channel_analytic(k: int, branch_sign: int = 1) -> StateVector:
     lam = [pair_state(BELL_COEFFS[BellKind.LAMBDA_MINUS])] * k
     branch0 = tensor(*kappa, init_basis(1, 0))
     branch1 = tensor(*lam, init_basis(1, 1))
-    amps = (branch0.amps + branch_sign * branch1.amps) * _SQRT2_INV
-    return StateVector(2 * k + 1, amps, copy=False)
+    amps = branch1.amps
+    amps *= branch_sign
+    amps += branch0.amps
+    amps *= _SQRT2_INV
+    return branch1
 

@@ -227,9 +227,9 @@ def collapse_single_sender(coeffs: Sequence[complex], g: int, h: int, z: int) ->
     """
     info = pair_state(np.asarray(coeffs, dtype=complex))
     state = tensor(info, build_channel_analytic(2, +1))
-    _, p_g, state = bsm(state, 0, 2, forced=g)
-    _, p_h, state = bsm(state, 1, 4, forced=h)
-    _, p_z, state = measure_qubit(state, 6, forced=z)
+    _, p_g = bsm(state, 0, 2, forced=g)
+    _, p_h = bsm(state, 1, 4, forced=h)
+    _, p_z = measure_qubit(state, 6, forced=z)
     out = _bell_receiver_amplitudes(state.amps.reshape(2, 64)[z], g, h)
     residual = np.linalg.norm(out)
     if abs(residual - 1) > NORM_TOL:

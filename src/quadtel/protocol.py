@@ -101,19 +101,20 @@ _QUBIT_NAMES = tuple(tuple(f"block {i} qubit {q}" for q in range(6)) for i in ra
 SENDERS = ("alice", "bob", "charlie", "david")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InfoState:
     """Normalized two-qubit message, coefficients ordered |00>,|01>,|10>,|11>.
 
     A message is immutable: it holds its own read-only copy of the
     coefficients.  So it can keep the sender blocks built from it, one per
     controller-branch Bell kind (see ``_block_state``), and every state
-    prepared from it shares them and all they keep.  The kept blocks take no
-    part in ``repr`` or comparisons.
+    prepared from it shares them and all they keep.  Messages compare and
+    hash by identity, as the kept blocks belong to one message object: a
+    message rebuilt from the same coefficients starts with none.
     """
 
     coeffs: np.ndarray
-    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _blocks: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         coeffs = np.array(self.coeffs, dtype=complex)
@@ -210,12 +211,12 @@ def _block_state(info: InfoState, kind: BellKind) -> "_Block":
 class DenseState:
     """Dense-engine protocol state over the full 6s+1 qubit register.
 
-    Every operation passes the ``statevector`` kernels ``out=`` the one
-    amplitude array, so they update it in place and never copy it; ``copy()``
-    copies it.  After an operation raises ``ImpossibleBranchError`` the state
-    is spent: a refused Bell measurement has already applied its basis change
-    to the array, as a ``StructuredState`` refused at a Bell pair's second
-    bit has already reweighted for the first.
+    Every operation runs the ``statevector`` kernels on the one state, which
+    they update in place and never copy; ``copy()`` copies it.  After an
+    operation raises ``ImpossibleBranchError`` the state is spent: a refused
+    Bell measurement has already applied its basis change to the array, as a
+    ``StructuredState`` refused at a Bell pair's second bit has already
+    reweighted for the first.
     """
 
     engine = "dense"
@@ -247,17 +248,15 @@ class DenseState:
     def bsm_pair(self, j: int, *, forced=None, rng=None) -> tuple[int, float]:
         i, which = divmod(j, 2)
         a, b = (6 * i + q for q in _BELL_PAIRS[which])
-        outcome, prob, self.state = bsm(self.state, a, b, forced=forced, rng=rng, out=self.state.amps)
-        return outcome, prob
+        return bsm(self.state, a, b, forced=forced, rng=rng)
 
     def measure_controller(self, *, forced=None, rng=None) -> tuple[int, float]:
-        z, prob, self.state = measure_qubit(self.state, 6 * self.s, forced=forced, rng=rng, out=self.state.amps)
-        return z, prob
+        return measure_qubit(self.state, 6 * self.s, forced=forced, rng=rng)
 
     def apply_correction(self, i: int, entry: corrections.CorrectionEntry) -> None:
         factors = (entry.first.value, entry.second.value)
         word = [(factor, 6 * i + q) for factor, q in zip(factors, _RECEIVER_QUBITS)]
-        self.state = apply_pauli_word(self.state, word, out=self.state.amps)
+        apply_pauli_word(self.state, word)
         if entry.phase_pi:
             np.negative(self.state.amps, out=self.state.amps)
 
@@ -316,19 +315,21 @@ def _correction_permutation(first: str, second: str, phase_pi: bool) -> tuple[np
 class _Block(StateVector):
     """A sender block, which keeps what it yields.
 
-    A block is never written once created, so its results depend on it
-    alone.  Each is computed on first use and kept: the Bell split per
-    sender pair, the collapsed child per pair and outcome, the corrected
-    form per correction entry, and the receiver-pair matrix.  A prepared
-    block is kept on its message (``_block_state``), so every state that
-    holds it reuses them: all states prepared from that message, of either
-    engine's preparation, and all their copies.
+    A block is never written once created (its array is read-only, so an
+    in-place kernel refuses it), so its results depend on it alone.  Each
+    is computed on first use and kept: the Bell split per sender pair, the
+    collapsed child per pair and outcome, the corrected form per correction
+    entry, and the receiver-pair matrix.  A prepared block is kept on its
+    message (``_block_state``), so every state that holds it reuses them:
+    all states prepared from that message, of either engine's preparation,
+    and all their copies.
     """
 
     __slots__ = ("_splits", "_children", "_corrected_by", "_receiver_rho")
 
     def __init__(self, amps: np.ndarray):
         super().__init__(6, amps, copy=False)
+        self.amps.flags.writeable = False
         self._splits = [None, None]
         self._children = {}
         self._corrected_by = {}

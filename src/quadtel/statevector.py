@@ -5,14 +5,16 @@ little-endian, bit k of a basis index is the computational value of qubit k,
 so qubit 0 occupies the least significant bit.  Ket strings in docstrings and
 error messages are written the usual way, qubit n-1 leftmost.
 
-All public operations are pure: they return new states and never mutate
-their arguments, unless the caller passes ``out``.  The kernels that take it
-(``apply_1q``, ``apply_cnot``, ``apply_pauli_word``, ``measure_qubit``,
-``bsm``) have one in-place code path each.  ``out=state.amps`` runs it on
-the state's own array, and the result's ``amps`` is that array;
-``out=None``, the default, copies the state and runs it on the copy.  Sampled
-measurements take an explicit numpy Generator; there is no ambient
-randomness anywhere in this module.
+The kernels that change a state (``apply_1q``, ``apply_cnot``,
+``apply_pauli_word``, ``measure_qubit``, ``bsm``) update the state they are
+given, in its own amplitude array, and never copy it.  Like numpy's in-place
+functions and ``list.sort`` they do not return it: the gates return None and
+the measurements their outcome and its probability.  A caller that needs the
+state before the kernel copies it first.  The rest (``tensor``,
+``partial_trace``, ``measure_probabilities``, ``distance``, ``dm_fidelity``,
+``pair_state``, ``init_basis``) are pure: they read their arguments and
+return new objects.  Sampled measurements take an explicit numpy Generator;
+there is no ambient randomness anywhere in this module.
 """
 from __future__ import annotations
 
@@ -210,15 +212,6 @@ def _slabs(shape: Sequence[int], size: int = _SLAB) -> Iterator[tuple[int | slic
                 yield head + middle + rest
 
 
-def _out_array(state: StateVector, out: np.ndarray | None) -> np.ndarray:
-    """The array a kernel updates in place: ``out``, the state's own, or a copy for ``out=None``."""
-    if out is None:
-        return state.amps.copy()
-    if out is not state.amps or not (out.flags.c_contiguous and out.flags.writeable):
-        raise ValueError("out must be None or the state's own writable contiguous array")
-    return out
-
-
 def _apply_matrix_1q(amps: np.ndarray, terms: _Terms, q: int) -> None:
     """Apply the one-qubit operator ``terms`` to qubit q of ``amps`` in place.
 
@@ -243,43 +236,37 @@ def _apply_matrix_1q(amps: np.ndarray, terms: _Terms, q: int) -> None:
         v[hi, 1, lo] = new1
 
 
-def apply_1q(state: StateVector, gate: str, q: int, *, out: np.ndarray | None = None) -> StateVector:
+def apply_1q(state: StateVector, gate: str, q: int) -> None:
     """Apply H, X or Z to qubit q."""
     _check_qubit(state, q)
     try:
         terms = _GATE_TERMS[gate]
     except KeyError:
         raise ValueError(f"unknown gate {gate!r}, expected one of {sorted(GATES_1Q)}") from None
-    dst = _out_array(state, out)
-    _apply_matrix_1q(dst, terms, q)
-    return StateVector(state.n_qubits, dst, copy=False)
+    _apply_matrix_1q(state.amps, terms, q)
 
 
-def apply_cnot(state: StateVector, control: int, target: int, *, out: np.ndarray | None = None) -> StateVector:
+def apply_cnot(state: StateVector, control: int, target: int) -> None:
     """Flip the target bit on basis states where the control bit is 1."""
     _check_qubit(state, control)
     _check_qubit(state, target)
     if control == target:
         raise ValueError("CNOT control and target must differ")
-    dst = _out_array(state, out)
     high, low = max(control, target), min(control, target)
-    v = dst.reshape(-1, 2, 1 << (high - low - 1), 2, 1 << low)
+    v = state.amps.reshape(-1, 2, 1 << (high - low - 1), 2, 1 << low)
     # (high bit, low bit) of the control=1 quarter with target bit 0; the
     # one with target bit 1 is (1, 1).  The two swap through a slab temporary.
     x0, y0 = (1, 0) if control > target else (0, 1)
-    buf = np.empty(min(_SLAB, dst.size // 4), dtype=complex)
+    buf = np.empty(min(_SLAB, state.amps.size // 4), dtype=complex)
     for a, b, c in _slabs((v.shape[0], v.shape[2], v.shape[4])):
         first = v[a, x0, b, y0, c]
         tmp = buf[: first.size].reshape(first.shape)
         tmp[...] = first
         v[a, x0, b, y0, c] = v[a, 1, b, 1, c]
         v[a, 1, b, 1, c] = tmp
-    return StateVector(state.n_qubits, dst, copy=False)
 
 
-def apply_pauli_word(
-    state: StateVector, word: Iterable[tuple[str, int]], *, out: np.ndarray | None = None
-) -> StateVector:
+def apply_pauli_word(state: StateVector, word: Iterable[tuple[str, int]]) -> None:
     """Apply an ordered list of (factor, qubit) with factor in {I, X, Z, XZ}.
 
     The sign XZ produces on |1> is retained exactly; nothing is normalized
@@ -295,10 +282,8 @@ def apply_pauli_word(
             raise ValueError(f"unknown Pauli factor {factor!r}") from None
         if terms is not _PAULI_TERMS["I"]:
             steps.append((terms, q))
-    dst = _out_array(state, out)
     for terms, q in steps:
-        _apply_matrix_1q(dst, terms, q)
-    return StateVector(state.n_qubits, dst, copy=False)
+        _apply_matrix_1q(state.amps, terms, q)
 
 
 def measure_probabilities(state: StateVector, q: int) -> tuple[float, float]:
@@ -335,23 +320,22 @@ def measure_qubit(
     *,
     forced: int | None = None,
     rng: np.random.Generator | None = None,
-    out: np.ndarray | None = None,
-) -> tuple[int, float, StateVector]:
+) -> tuple[int, float]:
     """Projective computational-basis measurement of qubit q.
 
-    Returns (outcome bit, its Born probability, renormalized collapsed state).
-    Exactly one of ``forced`` (the requested outcome) or ``rng`` must be given.
-    An impossible outcome raises before anything is written or copied.
+    Collapses the state onto the outcome and renormalizes it.  Returns
+    (outcome bit, its Born probability).  Exactly one of ``forced`` (the
+    requested outcome) or ``rng`` must be given.  An impossible outcome
+    raises before anything is written.
     """
     p0, p1 = measure_probabilities(state, q)
     bit, prob = _draw_bit(p0, p1, f"qubit {q}", forced=forced, rng=rng)
-    dst = _out_array(state, out)
-    v = dst.reshape(-1, 2, 1 << q)
+    v = state.amps.reshape(-1, 2, 1 << q)
     scale = np.sqrt(prob)
     for hi, lo in _slabs((v.shape[0], v.shape[2])):
         np.divide(v[hi, bit, lo], scale, out=v[hi, bit, lo])
         v[hi, 1 - bit, lo] = 0
-    return bit, prob, StateVector(state.n_qubits, dst, copy=False)
+    return bit, prob
 
 
 def bsm(
@@ -361,8 +345,7 @@ def bsm(
     *,
     forced: int | None = None,
     rng: np.random.Generator | None = None,
-    out: np.ndarray | None = None,
-) -> tuple[int, float, StateVector]:
+) -> tuple[int, float]:
     """Bell-state measurement of the ordered qubit pair (a, b).
 
     Implemented as the basis change CNOT(a->b), H(a) followed by two
@@ -370,22 +353,19 @@ def bsm(
     the computational basis.  Outcomes are indexed 0..3 in the order
     (|00>+|11>)/sqrt2, (|00>-|11>)/sqrt2, (|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2
     with a as the first ket symbol (BELL_OUTCOME_BITS pins the bit map).
-    Returns (outcome, joint Born probability, collapsed state).
+    Returns (outcome, joint Born probability).
 
-    All four steps update one array in place: the state's own with
-    ``out=state.amps``, a copy of it with ``out=None``.  An impossible
-    outcome raises after the basis change, so with ``out=state.amps`` the
-    state is then spent.
+    All four steps update the state in place.  An impossible outcome raises
+    after the basis change, so the state is then spent.
     """
     if a == b:
         raise ValueError("BSM qubits must differ")
     fa, fb = (None, None) if forced is None else _bell_bits(forced)
-    st = StateVector(state.n_qubits, _out_array(state, out), copy=False)
-    st = apply_cnot(st, a, b, out=st.amps)
-    st = apply_1q(st, "H", a, out=st.amps)
-    bit_a, pa, st = measure_qubit(st, a, forced=fa, rng=rng, out=st.amps)
-    bit_b, pb, st = measure_qubit(st, b, forced=fb, rng=rng, out=st.amps)
-    return _bell_outcome(bit_a, bit_b), pa * pb, st
+    apply_cnot(state, a, b)
+    apply_1q(state, "H", a)
+    bit_a, pa = measure_qubit(state, a, forced=fa, rng=rng)
+    bit_b, pb = measure_qubit(state, b, forced=fb, rng=rng)
+    return _bell_outcome(bit_a, bit_b), pa * pb
 
 
 def distance(a: StateVector, b: StateVector) -> float:

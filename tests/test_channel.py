@@ -1,5 +1,8 @@
 """Channel construction tests: Bell states, circuit vs analytic equivalence,
 marginals and measurement support."""
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,10 +67,39 @@ def test_circuit_matches_analytic_with_alternating_sign(k):
     assert sv.distance(got, wrong) > 0.5
 
 
+def sum_of_branches(k, sign):
+    """The analytic channel as one expression over fresh arrays: (branch0 + sign * branch1)/sqrt2."""
+    kappa = [sv.pair_state(ch.BELL_COEFFS[ch.BellKind.KAPPA_PLUS])] * k
+    lam = [sv.pair_state(ch.BELL_COEFFS[ch.BellKind.LAMBDA_MINUS])] * k
+    branch0 = sv.tensor(*kappa, sv.init_basis(1, 0)).amps
+    branch1 = sv.tensor(*lam, sv.init_basis(1, 1)).amps
+    return (branch0 + sign * branch1) * (1 / RT2)
+
+
 def test_full_channel_circuit_matches_analytic():
     got = ch.prepare_channel_circuit(8)
     want = ch.build_channel_analytic(8, +1)
     assert sv.distance(got, want) < 1e-12
+    # summed in place, the analytic build keeps the bits of the expression
+    for k, sign in itertools.product((8, 9), (1, -1)):
+        assert ch.build_channel_analytic(k, sign).amps.tobytes() == sum_of_branches(k, sign).tobytes(), (k, sign)
+
+
+def test_channel_builders_peak_near_the_state():
+    # 10 pairs are 21 qubits, a 32 MiB state.  The circuit updates its one
+    # state gate by gate, with slab temporaries under 1 MiB.  The analytic
+    # build holds both branches, the zero half of branch 0 included (which
+    # tracemalloc counts though its pages are never touched), and sums them
+    # in place.
+    size = 32 << 20
+    for build, bound in ((ch.prepare_channel_circuit, size), (ch.build_channel_analytic, 2 * size)):
+        tracemalloc.start()
+        try:
+            build(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound + (4 << 20), build.__name__
 
 
 def test_channel_norm_and_size_cap():
@@ -97,9 +129,9 @@ def test_bsm_support_on_channel_pairs():
     for j in range(8):
         snd, rcv = 2 * j, 2 * j + 1
         for kind in (ch.BellKind.KAPPA_PLUS, ch.BellKind.LAMBDA_MINUS):
-            _, prob, _ = sv.bsm(state, snd, rcv, forced=kind)
+            _, prob = sv.bsm(state.copy(), snd, rcv, forced=kind)
             assert abs(prob - 0.5) < 1e-12
         for kind in (ch.BellKind.KAPPA_MINUS, ch.BellKind.LAMBDA_PLUS):
             with pytest.raises(sv.ImpossibleBranchError):
-                sv.bsm(state, snd, rcv, forced=kind)
+                sv.bsm(state.copy(), snd, rcv, forced=kind)
 

@@ -1,6 +1,5 @@
 """Protocol tests: global-state assembly, forced and exhaustive runs, engine
 equivalence, controller gating, transcripts, and order independence."""
-import dataclasses
 import itertools
 import tracemalloc
 
@@ -98,7 +97,29 @@ def test_info_state_owns_read_only_coefficients():
         info.coeffs = c
     pr.StructuredState.prepare([info])
     assert repr(info) == repr(pr.InfoState([1, 0, 0, 0])) and "_blocks" not in repr(info)
-    assert [f.name for f in dataclasses.fields(info) if f.compare] == ["coeffs"]
+
+
+def test_messages_compare_and_hash_by_identity():
+    # the blocks a message keeps belong to that object: a message rebuilt
+    # from the same coefficients is another message, which keeps none yet
+    info = pr.InfoState([1, 0, 0, 0])
+    pr._block_state(info, pr._BRANCH_KINDS[0])
+    twin = pr.InfoState(info.coeffs)
+    assert info == info and hash(info) == hash(info)
+    assert info != twin and not twin._blocks
+    assert len({info, twin, info}) == 2
+
+
+def test_blocks_refuse_in_place_kernels():
+    # every state prepared from a message shares its blocks, so a kernel
+    # that updates a state in place must not reach one
+    block = pr._block_state(make_inputs(1, 58)[0], pr._BRANCH_KINDS[0])
+    before = block.amps.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        sv.apply_1q(block, "H", 0)
+    with pytest.raises(ValueError, match="read-only"):
+        sv.measure_qubit(block, 0, forced=0)
+    assert block.amps.tobytes() == before
 
 
 def test_outcome_record_validation():
@@ -153,7 +174,9 @@ def test_dense_phase_correction_leaves_earlier_copies_untouched():
     assert np.array_equal(kept.state.amps, snapshot)
     assert not np.shares_memory(state.state.amps, kept.state.amps)
     word = [(entry.first.value, 3), (entry.second.value, 5)]  # block 0's receiver qubits
-    assert np.array_equal(state.state.amps, -sv.apply_pauli_word(kept.state, word).amps)
+    want = kept.state.copy()
+    sv.apply_pauli_word(want, word)
+    assert np.array_equal(state.state.amps, -want.amps)
 
 
 def permute_qubits(state, perm):
@@ -292,9 +315,11 @@ def test_block_kernel_matches_generic_bsm(j, outcome):
     a, b = 6 * i + which, 6 * i + 2 + 2 * which
     fa, fb = (None, None) if outcome is None else sv.BELL_OUTCOME_BITS[outcome]
     rng_generic, rng_kernel = np.random.default_rng(7 + j), np.random.default_rng(7 + j)
-    generic = sv.apply_1q(sv.apply_cnot(to_dense(state), a, b), "H", a)
-    bit_a, p_a, generic = sv.measure_qubit(generic, a, forced=fa, rng=rng_generic)
-    bit_b, p_b, generic = sv.measure_qubit(generic, b, forced=fb, rng=rng_generic)
+    generic = to_dense(state)
+    sv.apply_cnot(generic, a, b)
+    sv.apply_1q(generic, "H", a)
+    bit_a, p_a = sv.measure_qubit(generic, a, forced=fa, rng=rng_generic)
+    bit_b, p_b = sv.measure_qubit(generic, b, forced=fb, rng=rng_generic)
     got, prob = state.bsm_pair(j, forced=outcome, rng=rng_kernel)
     assert got == sv.BELL_OUTCOME_BITS.index((bit_a, bit_b))
     assert abs(prob - p_a * p_b) < 1e-15
@@ -448,8 +473,9 @@ def test_structured_correction_cache_keeps_each_word_apart():
         twin.apply_correction(0, entry)
         word = list(zip((entry.first.value, entry.second.value), pr._RECEIVER_QUBITS))
         for corrected, prepared in zip(twin.blocks, base.blocks):
-            want = sv.apply_pauli_word(prepared[0], word).amps
-            assert np.array_equal(corrected[0].amps, -want if entry.phase_pi else want)
+            want = prepared[0].copy()
+            sv.apply_pauli_word(want, word)
+            assert np.array_equal(corrected[0].amps, -want.amps if entry.phase_pi else want.amps)
 
 
 def test_message_keeps_one_block_per_bell_kind():

@@ -59,6 +59,7 @@ from .statevector import (
     _bell_bits,
     _bell_outcome,
     _draw_bit,
+    _live,
     apply_pauli_word,
     bsm,
     dm_fidelity,
@@ -212,9 +213,13 @@ class DenseState:
     """Dense-engine protocol state over the full 6s+1 qubit register.
 
     Every operation runs the ``statevector`` kernels on the one state, which
-    they update in place and never copy; ``copy()`` copies it.  After an
-    operation raises ``ImpossibleBranchError`` the state is spent: a refused
-    Bell measurement has already applied its basis change to the array, as a
+    they update in place and never copy; ``copy()`` copies it, with the
+    qubits its measurements fixed.  The register keeps all 6s+1 qubits, but
+    each measured qubit leaves the kernels' sweep: they touch only the
+    amplitudes that no measurement has set to 0 (``statevector._live``), and
+    so does the phase flip of a correction.  After an operation raises
+    ``ImpossibleBranchError`` the state is spent: a refused Bell measurement
+    has already applied its basis change to the array, as a
     ``StructuredState`` refused at a Bell pair's second bit has already
     reweighted for the first.
     """
@@ -258,7 +263,8 @@ class DenseState:
         word = [(factor, 6 * i + q) for factor, q in zip(factors, _RECEIVER_QUBITS)]
         apply_pauli_word(self.state, word)
         if entry.phase_pi:
-            np.negative(self.state.amps, out=self.state.amps)
+            live = _live(self.state)
+            np.negative(live, out=live)
 
     def receiver_dm(self, i: int) -> DensityMatrix:
         return partial_trace(self.state, [6 * i + q for q in _RECEIVER_KEEP])

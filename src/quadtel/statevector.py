@@ -15,6 +15,15 @@ state before the kernel copies it first.  The rest (``tensor``,
 ``pair_state``, ``init_basis``) are pure: they read their arguments and
 return new objects.  Sampled measurements take an explicit numpy Generator;
 there is no ambient randomness anywhere in this module.
+
+A state records in ``fixed`` the qubits that ``measure_qubit`` left in a
+definite bit.  Every amplitude with the other bit at a fixed qubit is
+exactly 0 in the array, which always holds the whole state; a kernel that
+writes a qubit first drops it from ``fixed``, and ``copy()`` keeps it.  The
+kernels read and write only the live amplitudes: ``_live`` views the array
+with each fixed qubit taken at its bit, so after the 16 Bell measurements
+of a four-sender branch they touch 2^9 of its 2^25 amplitudes.  A state
+with nothing fixed is one view of the whole array, through the same code.
 """
 from __future__ import annotations
 
@@ -22,6 +31,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from types import EllipsisType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -68,10 +78,17 @@ def _terms(m: np.ndarray) -> _Terms:
 _GATE_TERMS = {name: _terms(m) for name, m in GATES_1Q.items()}
 _PAULI_TERMS = {name: _terms(m) for name, m in PAULI_FACTOR_MATRICES.items()}
 
+# A basic index into a live view: an int or a slice per axis, or ``...``.
+_Index = tuple[int | slice | EllipsisType, ...]
+
 # Free-axis entries per slab of a kernel.  A one-qubit kernel's slab is 2^14
 # amplitude pairs: 512 KiB of complex128 and three 256 KiB temporaries, which
 # stay in a 2 MiB L2 cache across the kernel's passes.
 _SLAB = 1 << 14
+
+# Bytes per cache line.  A live view whose entries lie one per line takes a
+# slab of fewer entries (_slab_size), so that its lines still fit in L2.
+_LINE = 64
 
 # Trailing free axes with fewer entries than this are walked one index at a
 # time, so that numpy's inner loop runs along a long axis, not one of length 1
@@ -131,9 +148,18 @@ def _draw_bit(
 
 
 class StateVector:
-    """Normalized pure state of ``n_qubits`` qubits as a dense amplitude array."""
+    """Normalized pure state of ``n_qubits`` qubits as a dense amplitude array.
 
-    __slots__ = ("n_qubits", "amps")
+    ``fixed`` is a pair of ints ``(mask, bits)``: bit q of ``mask`` is set
+    when ``measure_qubit`` left qubit q in a definite bit, and bit q of
+    ``bits`` is that bit.  Every amplitude with the other bit at a fixed
+    qubit is exactly 0 in ``amps``, so ``amps`` is always the whole state
+    and the kernels may skip those amplitudes (``_live``).  A kernel that
+    writes qubit q drops it first, which is always valid: an empty ``fixed``
+    claims nothing.
+    """
+
+    __slots__ = ("n_qubits", "amps", "fixed")
 
     def __init__(self, n_qubits: int, amps: np.ndarray | Sequence[complex], *, copy: bool = True):
         if n_qubits < 1:
@@ -143,9 +169,12 @@ class StateVector:
             raise ValueError(f"expected {1 << n_qubits} amplitudes for {n_qubits} qubits, got {arr.shape}")
         self.n_qubits = n_qubits
         self.amps = arr
+        self.fixed = (0, 0)
 
     def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amps, copy=True)
+        new = StateVector(self.n_qubits, self.amps, copy=True)
+        new.fixed = self.fixed
+        return new
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -184,25 +213,29 @@ def init_basis(n_qubits: int, basis_index: int) -> StateVector:
     return StateVector(n_qubits, amps, copy=False)
 
 
-def _slabs(shape: Sequence[int], size: int = _SLAB) -> Iterator[tuple[int | slice, ...]]:
+def _slabs(
+    shape: Sequence[int], size: int = _SLAB, short: int = _SHORT_AXES
+) -> Iterator[_Index]:
     """Index tuples that cover free axes of sizes ``shape`` slab by slab.
 
     ``shape`` lists a view's axes other than its qubit axes, outermost first:
-    ``(hi, lo)`` for the ``(hi, 2, lo)`` view of one qubit.  The axes outside
+    the runs of ``_live(state, keep)`` after its kept axes.  The axes outside
     the cut axis are walked one index at a time, the cut axis in steps that
     make a slab of about ``size`` entries, and the axes inside it whole,
-    except short trailing ones, which are walked one index at a time.  A
-    state no larger than one slab is a single slab.
+    except trailing ones of fewer than ``short`` entries in all, which are
+    walked one index at a time.  With ``short=1`` every slab is ``size``
+    consecutive entries.  A state no larger than one slab is a single slab,
+    ``(...,)``, which leaves an array even where ``shape`` is empty.
     """
     if math.prod(shape) <= size:
-        yield (slice(None),) * len(shape)
+        yield (...,)
         return
     cut = len(shape) - 1
     while cut > 0 and math.prod(shape[cut:]) <= size:
         cut -= 1
     step = max(1, size // math.prod(shape[cut + 1:]))
     tail = len(shape)
-    while tail > cut + 1 and math.prod(shape[tail - 1:]) < _SHORT_AXES:
+    while tail > cut + 1 and math.prod(shape[tail - 1:]) < short:
         tail -= 1
     whole = (slice(None),) * (tail - cut - 1)
     for head in itertools.product(*map(range, shape[:cut])):
@@ -212,19 +245,83 @@ def _slabs(shape: Sequence[int], size: int = _SLAB) -> Iterator[tuple[int | slic
                 yield head + middle + rest
 
 
-def _apply_matrix_1q(amps: np.ndarray, terms: _Terms, q: int) -> None:
-    """Apply the one-qubit operator ``terms`` to qubit q of ``amps`` in place.
+@functools.lru_cache(maxsize=1024)
+def _live_plan(
+    n_qubits: int, fixed: tuple[int, int], keep: tuple[int, ...]
+) -> tuple[tuple[int, ...], _Index, tuple[int, ...], tuple[int, ...]]:
+    """How ``_live`` views an n-qubit state: (shape, index, axes, runs).
+
+    ``shape`` splits the amplitudes, top qubit first, into an axis of 2 per
+    kept or fixed qubit and one axis per run of adjacent other qubits.
+    ``index`` takes each fixed qubit not in ``keep`` at its bit (its
+    trailing ``...`` leaves a 0-d view, not a scalar, when every qubit is
+    taken), and ``axes`` then puts the kept qubits first, in ``keep`` order,
+    and the runs after them; ``runs`` lists the runs' sizes, outermost
+    first.  A plan is made once per (n_qubits, fixed, keep), since a branch
+    measures the same qubits in the same order.
+    """
+    mask, bits = fixed
+    shape, index, kept, runs, sizes = [], [], {}, [], []
+    # q is -1 for a run of live qubits outside keep
+    for q, group in itertools.groupby(range(n_qubits - 1, -1, -1),
+                                      lambda q: q if q in keep or mask >> q & 1 else -1):
+        shape.append(1 << len(list(group)))
+        if q >= 0 and q not in keep:
+            index.append(bits >> q & 1)
+            continue
+        if q >= 0:
+            kept[q] = len(kept) + len(runs)
+        else:
+            runs.append(len(kept) + len(runs))
+            sizes.append(shape[-1])
+        index.append(slice(None))
+    return tuple(shape), (*index, ...), tuple(kept[q] for q in keep) + tuple(runs), tuple(sizes)
+
+
+def _live(state: StateVector, keep: tuple[int, ...] = ()) -> np.ndarray:
+    """A view of ``state.amps`` that leaves out the amplitudes fixed at 0.
+
+    Each qubit of ``state.fixed`` not in ``keep`` is taken at its bit.  The
+    view's axes are one of 2 per qubit of ``keep``, in that order, then one
+    per run of adjacent live qubits, outermost first; with nothing fixed or
+    kept it is the whole array as one axis.  It is built with
+    ``reshape(copy=False)`` and basic indexing, so it is always a view and
+    writes through it land in the state; never a copy.
+    """
+    shape, index, axes, _ = _live_plan(state.n_qubits, state.fixed, keep)
+    return state.amps.reshape(shape, copy=False)[index].transpose(axes)
+
+
+def _slab_size(v: np.ndarray) -> int:
+    """Entries per slab of the live view ``v`` for a kernel that writes it:
+    _SLAB for a contiguous innermost axis, down to a quarter of it where
+    fixed low qubits leave one entry per cache line, so that a slab always
+    spans about the cache lines of _SLAB contiguous entries."""
+    return _SLAB * v.itemsize // min(_LINE, v.strides[-1])
+
+
+def _unfix(state: StateVector, q: int) -> None:
+    """Drop qubit q from ``state.fixed``, before a kernel writes it."""
+    mask, bits = state.fixed
+    if mask >> q & 1:
+        state.fixed = (mask & ~(1 << q), bits & ~(1 << q))
+
+
+def _apply_matrix_1q(state: StateVector, terms: _Terms, q: int) -> None:
+    """Apply the one-qubit operator ``terms`` to qubit q of ``state`` in place.
 
     ``terms[r]`` lists the nonzero (coefficient, input half) pairs of output
-    half r, so a Pauli factor costs one multiply per half.  Each slab keeps
-    its new halves in temporaries until both input halves are read.
+    half r, so a Pauli factor costs one multiply per half.  Each slab of the
+    live view keeps its new halves in temporaries until both input halves
+    are read.
     """
-    # index = high*2^(q+1) + bit*2^q + low
-    v = amps.reshape(-1, 2, 1 << q)
+    _unfix(state, q)
+    v = _live(state, (q,))
+    free = v.shape[1:]
     # a product temporary and the two new halves
-    buf = np.empty(3 * min(_SLAB, amps.size // 2), dtype=complex)
-    for hi, lo in _slabs((v.shape[0], v.shape[2])):
-        halves = (v[hi, 0, lo], v[hi, 1, lo])
+    buf = np.empty(3 * min(_SLAB, math.prod(free)), dtype=complex)
+    for index in _slabs(free, _slab_size(v)):
+        halves = (v[(0,) + index], v[(1,) + index])
         shape, size = halves[0].shape, halves[0].size
         tmp, new0, new1 = (buf[k * size: (k + 1) * size].reshape(shape) for k in range(3))
         for dst, ((coef, h), *rest) in zip((new0, new1), terms):
@@ -232,8 +329,8 @@ def _apply_matrix_1q(amps: np.ndarray, terms: _Terms, q: int) -> None:
             for coef, h in rest:
                 np.multiply(coef, halves[h], out=tmp)
                 np.add(dst, tmp, out=dst)
-        v[hi, 0, lo] = new0
-        v[hi, 1, lo] = new1
+        v[(0,) + index] = new0
+        v[(1,) + index] = new1
 
 
 def apply_1q(state: StateVector, gate: str, q: int) -> None:
@@ -243,27 +340,29 @@ def apply_1q(state: StateVector, gate: str, q: int) -> None:
         terms = _GATE_TERMS[gate]
     except KeyError:
         raise ValueError(f"unknown gate {gate!r}, expected one of {sorted(GATES_1Q)}") from None
-    _apply_matrix_1q(state.amps, terms, q)
+    _apply_matrix_1q(state, terms, q)
 
 
 def apply_cnot(state: StateVector, control: int, target: int) -> None:
-    """Flip the target bit on basis states where the control bit is 1."""
+    """Flip the target bit on basis states where the control bit is 1.
+
+    A fixed control stays fixed: the gate moves amplitudes only between
+    entries with the same control bit.
+    """
     _check_qubit(state, control)
     _check_qubit(state, target)
     if control == target:
         raise ValueError("CNOT control and target must differ")
-    high, low = max(control, target), min(control, target)
-    v = state.amps.reshape(-1, 2, 1 << (high - low - 1), 2, 1 << low)
-    # (high bit, low bit) of the control=1 quarter with target bit 0; the
-    # one with target bit 1 is (1, 1).  The two swap through a slab temporary.
-    x0, y0 = (1, 0) if control > target else (0, 1)
-    buf = np.empty(min(_SLAB, state.amps.size // 4), dtype=complex)
-    for a, b, c in _slabs((v.shape[0], v.shape[2], v.shape[4])):
-        first = v[a, x0, b, y0, c]
+    _unfix(state, target)
+    v = _live(state, (control, target))
+    # the control=1 quarters with target bit 0 and 1 swap through a slab temporary
+    buf = np.empty(min(_SLAB, v[1, 0].size), dtype=complex)
+    for index in _slabs(v.shape[2:], _slab_size(v)):
+        first = v[(1, 0) + index]
         tmp = buf[: first.size].reshape(first.shape)
         tmp[...] = first
-        v[a, x0, b, y0, c] = v[a, 1, b, 1, c]
-        v[a, 1, b, 1, c] = tmp
+        v[(1, 0) + index] = v[(1, 1) + index]
+        v[(1, 1) + index] = tmp
 
 
 def apply_pauli_word(state: StateVector, word: Iterable[tuple[str, int]]) -> None:
@@ -283,32 +382,31 @@ def apply_pauli_word(state: StateVector, word: Iterable[tuple[str, int]]) -> Non
         if terms is not _PAULI_TERMS["I"]:
             steps.append((terms, q))
     for terms, q in steps:
-        _apply_matrix_1q(state.amps, terms, q)
+        _apply_matrix_1q(state, terms, q)
 
 
 def measure_probabilities(state: StateVector, q: int) -> tuple[float, float]:
     """Born probabilities (P0, P1) for a computational measurement of qubit q.
 
-    One pass over the state, with the summation order of ``np.sum`` over
-    each whole half: every part is the squared magnitudes of 2^14 consecutive
-    entries of one half (all of it, if smaller), summed by ``np.sum``, and the
-    parts are added in adjacent pairs, level by level.  For power-of-two
-    lengths that is numpy's pairwise tree, so the bits do not change.
+    One pass over the live amplitudes, with the summation order of
+    ``np.sum`` over the live entries of each half, in index order: every
+    part is the squared magnitudes of 2^14 consecutive live entries of one
+    half (all of them, if fewer), summed by ``np.sum``, and the parts are
+    added in adjacent pairs, level by level.  For power-of-two lengths that
+    is numpy's pairwise tree, so the bits do not change.
     """
     _check_qubit(state, q)
-    part = min(_SLAB, state.amps.size // 2)
-    run = min(1 << q, part)
-    rows = part // run
-    # index = (chunk*rows + row)*2^(q+1) + bit*2^q + block*run + low
-    v = state.amps.reshape(-1, rows, 2, (1 << q) // run, run)
+    v = _live(state, (q,))
+    free = v.shape[1:]
+    half = math.prod(free)
+    part = min(_SLAB, half)
     buf = np.empty((2, part))
-    split = buf.reshape(2, rows, run).transpose(1, 0, 2)
-    sums = np.empty((v.shape[0], v.shape[3], 2))
-    for chunk, block in itertools.product(range(v.shape[0]), range(v.shape[3])):
-        np.abs(v[chunk, :, :, block, :], out=split)
+    sums = np.empty((half // part, 2))
+    for k, index in enumerate(_slabs(free, part, short=1)):
+        halves = v[(slice(None),) + index]
+        np.abs(halves, out=buf.reshape(halves.shape))
         np.square(buf, out=buf)
-        np.sum(buf, axis=1, out=sums[chunk, block])
-    sums = sums.reshape(-1, 2)
+        np.sum(buf, axis=1, out=sums[k])
     while len(sums) > 1:
         sums = sums[0::2] + sums[1::2]
     return float(sums[0, 0]), float(sums[0, 1])
@@ -323,18 +421,21 @@ def measure_qubit(
 ) -> tuple[int, float]:
     """Projective computational-basis measurement of qubit q.
 
-    Collapses the state onto the outcome and renormalizes it.  Returns
-    (outcome bit, its Born probability).  Exactly one of ``forced`` (the
-    requested outcome) or ``rng`` must be given.  An impossible outcome
-    raises before anything is written.
+    Collapses the state onto the outcome, renormalizes it and records q in
+    ``state.fixed``.  Returns (outcome bit, its Born probability).  Exactly
+    one of ``forced`` (the requested outcome) or ``rng`` must be given.  An
+    impossible outcome raises before anything is written.
     """
     p0, p1 = measure_probabilities(state, q)
     bit, prob = _draw_bit(p0, p1, f"qubit {q}", forced=forced, rng=rng)
-    v = state.amps.reshape(-1, 2, 1 << q)
+    v = _live(state, (q,))
     scale = np.sqrt(prob)
-    for hi, lo in _slabs((v.shape[0], v.shape[2])):
-        np.divide(v[hi, bit, lo], scale, out=v[hi, bit, lo])
-        v[hi, 1 - bit, lo] = 0
+    for index in _slabs(v.shape[1:], _slab_size(v)):
+        kept = v[(bit,) + index]
+        np.divide(kept, scale, out=kept)
+        v[(1 - bit,) + index] = 0
+    mask, bits = state.fixed
+    state.fixed = (mask | 1 << q, bits & ~(1 << q) | bit << q)
     return bit, prob
 
 
@@ -377,27 +478,19 @@ def distance(a: StateVector, b: StateVector) -> float:
 
 @functools.lru_cache(maxsize=32)
 def _trace_plan(
-    n_qubits: int, keep: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int | slice, ...], ...]]:
-    """How ``partial_trace`` walks an n-qubit state: (shape, axes, slabs).
+    n_qubits: int, fixed: tuple[int, int], keep: tuple[int, ...]
+) -> tuple[_Index, ...]:
+    """The slabs ``partial_trace`` walks, as indices into ``_live(state, keep[::-1])``.
 
-    ``amps.reshape(shape).transpose(axes)`` is the state with the kept
-    qubits first, the last of ``keep`` outermost, then one axis per run of
-    traced qubits, outermost first: the run above each kept qubit and the
-    run below the lowest, of size 1 where a run is empty.  Each index in
-    ``slabs`` takes every kept axis and one slab of the runs, about _SLAB
-    amplitudes in all.  A plan is made once per (n_qubits, keep), since the
-    structured engine traces the same 6-qubit layout for every block.
+    That view holds the kept qubits first, the last of ``keep`` outermost,
+    then the runs of live traced qubits.  Each slab takes every kept axis
+    and one slab of the runs, about _SLAB amplitudes in all.  A plan is made
+    once per (n_qubits, fixed, keep), since the structured engine traces
+    the same 6-qubit layout for every block.
     """
-    desc = sorted(keep, reverse=True)
-    runs = [1 << (hi - lo - 1) for hi, lo in zip([n_qubits] + desc, desc + [-1])]
-    shape = [runs[0]]
-    for run in runs[1:]:
-        shape += (2, run)
-    axes = [2 * desc.index(q) + 1 for q in reversed(keep)] + list(range(0, len(shape), 2))
+    runs = _live_plan(n_qubits, fixed, keep[::-1])[3]
     kept = (slice(None),) * len(keep)
-    slabs = tuple(kept + index for index in _slabs(runs, max(1, _SLAB >> len(keep))))
-    return tuple(shape), tuple(axes), slabs
+    return tuple(kept + index for index in _slabs(runs, max(1, _SLAB >> len(keep))))
 
 
 def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
@@ -407,21 +500,22 @@ def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
     the least significant bit of the result.
 
     The result is the Gram matrix a @ conj(a).T of the (2^len(keep), rest)
-    amplitude matrix a, summed slab by slab: each slab is copied in kept
-    order into one reusable buffer, conjugated into a second, and added in
-    by one gemm, so the state is never copied whole.  A state of one slab
-    (a 6-qubit block, or 13 qubits keeping a receiver pair) runs that single
-    gemm on the whole of a.
+    amplitude matrix a over the live amplitudes: the kept qubits whole, the
+    fixed traced ones at their bits.  It is summed slab by slab: each slab
+    is copied in kept order into one reusable buffer, conjugated into a
+    second, and added in by one gemm, so the state is never copied whole.
+    A state of one slab (a 6-qubit block, or 13 qubits keeping a receiver
+    pair) runs that single gemm on the whole of a.
     """
-    keep = list(keep)
+    keep = tuple(keep)
     if not keep:
         raise ValueError("keep set must be nonempty")
     if len(set(keep)) != len(keep):
-        raise ValueError(f"duplicate qubits in keep list: {keep}")
+        raise ValueError(f"duplicate qubits in keep list: {list(keep)}")
     for q in keep:
         _check_qubit(state, q)
-    shape, axes, slabs = _trace_plan(state.n_qubits, tuple(keep))
-    v = state.amps.reshape(shape).transpose(axes)
+    slabs = _trace_plan(state.n_qubits, state.fixed, keep)
+    v = _live(state, keep[::-1])
     buf = v[slabs[0]].copy()
     a = buf.reshape(1 << len(keep), -1)
     c = a.conj()

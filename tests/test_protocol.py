@@ -396,6 +396,18 @@ def test_engines_agree_on_forced_branches_at_three_senders():
         assert_reports_agree(dense, structured)
 
 
+def test_engines_agree_on_forced_branches_at_four_senders():
+    # one seeded branch per controller bit on the 25-qubit dense state
+    # (512 MiB), the size of the README's s=4 runs
+    inputs = make_inputs(4, 66)
+    rng = np.random.default_rng(67)
+    for z in (0, 1):
+        record = pr.OutcomeRecord(tuple(int(b) for b in rng.integers(0, 4, 8)), z)
+        dense = pr.run_protocol(rebuilt(inputs), engine="dense", forced=record, allow_large_dense=True)
+        structured = pr.run_protocol(inputs, forced=record)
+        assert_reports_agree(dense, structured)
+
+
 def test_engines_draw_identical_sampled_outcomes():
     # both engines draw one rng.random() per measured bit, message qubit
     # first, so one seed gives both the same branches

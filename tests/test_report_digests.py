@@ -19,7 +19,7 @@ GOLDEN = {
     ),
     "run-s2-exhaustive-dense": (
         lambda: hz.cmd_run(senders=2, seed=0, mode="exhaustive", engine="dense"),
-        "48e70a8ef2468a8ba02288967d4a53ff4167f722b14cef62484de94d4306eede",
+        "8a285f42d883fc52294a678e08e098dc9e1e72318facc7ec3956f28c70882be8",
     ),
     "run-s4-sampled64": (
         lambda: hz.cmd_run(senders=4, seed=0, mode="sampled:64"),
@@ -28,7 +28,7 @@ GOLDEN = {
     "run-s3-dense-forced": (
         lambda: hz.cmd_run(senders=3, seed=0, mode="forced:k+,k-,l+,l-,k+,l-,1", engine="dense",
                            allow_large_dense=True),
-        "7bb66ee7dc8e786838d922f7bb5fbbcea6d46f691c7cae7c050a8f9962495542",
+        "8423d4c0c97ab893171a02dc89a46c37e4186aed463e083bb7905a5b3d43eaf2",
     ),
     "verify-tables-3": (
         lambda: hz.cmd_verify_tables(seed=3),

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadtel import statevector as sv
 
@@ -364,7 +366,7 @@ def test_partial_trace_matches_the_whole_state_route(n, keep):
 ])
 def test_partial_trace_of_one_slab_is_the_single_gemm(n, keep):
     state = random_state(n, np.random.default_rng(95 + n))
-    assert len(sv._trace_plan(n, tuple(keep))[2]) == 1
+    assert len(sv._trace_plan(n, (0, 0), tuple(keep))) == 1
     got = sv.partial_trace(state, keep).mat
     assert got.tobytes() == reference_partial_trace(state, keep).tobytes()
 
@@ -459,9 +461,21 @@ def textbook_cnot(amps, control, target):
     return amps[np.where((idx >> control) & 1, idx ^ (1 << target), idx)]
 
 
-def textbook_probabilities(amps, q):
-    v = amps.reshape(-1, 2, 1 << q)
-    return tuple(float(np.sum(np.abs(v[:, bit, :]) ** 2)) for bit in (0, 1))
+def live_entries(amps, fixed):
+    """Where the bits of the fixed qubits, fixed = (mask, bits), agree with ``bits``."""
+    mask, bits = fixed
+    return (np.arange(amps.size) & mask) == bits
+
+
+def textbook_probabilities(amps, q, fixed=(0, 0)):
+    """One np.sum of squared magnitudes over the live entries of each half of
+    qubit q, in index order: every entry where no other fixed qubit has the
+    other bit."""
+    mask, bits = fixed
+    other = ~(1 << q)
+    live = live_entries(amps, (mask & other, bits & other))
+    half = (np.arange(amps.size) >> q) & 1
+    return tuple(float(np.sum(np.abs(amps[live & (half == bit)]) ** 2)) for bit in (0, 1))
 
 
 def textbook_collapse(amps, q, bit, prob):
@@ -522,28 +536,37 @@ def test_measure_qubit_on_one_qubit_state():
 
 # ---------------------------------------------- summation order and in place
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 20])
-def test_measure_probabilities_keeps_the_whole_half_summation_order(n):
-    # textbook_probabilities sums each whole half with one np.sum.  At 20
-    # qubits a half is 32 parts of 2^14 entries: runs of one half below and
-    # above the part length, and five levels of pairwise combining.
+@pytest.mark.parametrize("n, measured", [(n, ()) for n in (1, 2, 3, 4, 5, 6, 20)] + [(20, (0, 2))],
+                         ids=["1", "2", "3", "4", "5", "6", "20", "20-after-measuring-0-and-2"])
+def test_measure_probabilities_keeps_the_whole_half_summation_order(n, measured):
+    # textbook_probabilities sums the live entries of each half with one
+    # np.sum; with nothing fixed that is the whole half.  At 20 qubits a half
+    # is 32 parts of 2^14 entries: runs of one half below and above the part
+    # length, and five levels of pairwise combining.  With qubits 0 and 2
+    # fixed a half has 2^17 live entries, none of them adjacent in memory.
     state = random_state(n, np.random.default_rng(60 + n))
+    for q in measured:
+        sv.measure_qubit(state, q, forced=1)
+    assert state.fixed == (sum(1 << q for q in measured),) * 2
     for q in range(n):
-        assert sv.measure_probabilities(state, q) == textbook_probabilities(state.amps, q), q
+        assert sv.measure_probabilities(state, q) == textbook_probabilities(state.amps, q, state.fixed), q
 
 
-def textbook_measure(amps, q, bit):
+def textbook_measure(amps, q, bit, fixed=(0, 0)):
     """(the measurement's (bit, probability), the collapsed amplitudes)."""
-    prob = textbook_probabilities(amps, q)[bit]
+    prob = textbook_probabilities(amps, q, fixed)[bit]
     return (bit, prob), textbook_collapse(amps, q, bit, prob)
 
 
 def textbook_bsm(amps, a, b, outcome):
-    """(the Bell measurement's (outcome, probability), the collapsed amplitudes)."""
+    """(the Bell measurement's (outcome, probability), the collapsed amplitudes).
+
+    The second bit's probability is over the live entries: the first
+    measured qubit is fixed by then."""
     amps = textbook_1q(textbook_cnot(amps, a, b), sv.GATES_1Q["H"], a)
     bit_a, bit_b = sv.BELL_OUTCOME_BITS[outcome]
     (_, pa), amps = textbook_measure(amps, a, bit_a)
-    (_, pb), amps = textbook_measure(amps, b, bit_b)
+    (_, pb), amps = textbook_measure(amps, b, bit_b, (1 << a, bit_a << a))
     return (outcome, pa * pb), amps
 
 
@@ -602,6 +625,108 @@ def test_empty_pauli_word_leaves_the_state_untouched():
     before = amps.tobytes()
     assert sv.apply_pauli_word(s, []) is None
     assert s.amps is amps and amps.tobytes() == before
+
+
+# ------------------------------------------------ fixed qubits, live view
+
+@st.composite
+def kernel_runs(draw):
+    """(qubit count, state seed, steps): gates, Pauli words, forced
+    measurements and copies on a 5-9 qubit state.  The few qubits make gates
+    on measured qubits and repeated measurements common."""
+    n = draw(st.integers(5, 9))
+    qubit = st.integers(0, n - 1)
+    step = st.one_of(
+        st.tuples(st.sampled_from(sorted(sv.GATES_1Q)), qubit),
+        st.tuples(st.just("CNOT"), st.lists(qubit, min_size=2, max_size=2, unique=True)),
+        st.tuples(st.just("word"), st.lists(st.tuples(st.sampled_from(sorted(sv.PAULI_FACTOR_MATRICES)), qubit),
+                                            max_size=3)),
+        st.tuples(st.just("measure"), st.tuples(qubit, st.integers(0, 1))),
+        st.tuples(st.just("copy"), st.none()),
+    )
+    return n, draw(st.integers(0, 2 ** 32 - 1)), draw(st.lists(step, min_size=1, max_size=20))
+
+
+def step_call(kind, arg):
+    """The kernel call of one step of ``kernel_runs``, as a function of the state."""
+    if kind == "CNOT":
+        return lambda s: sv.apply_cnot(s, *arg)
+    if kind == "word":
+        return lambda s: sv.apply_pauli_word(s, arg)
+    if kind == "measure":
+        return lambda s: sv.measure_qubit(s, arg[0], forced=arg[1])
+    return lambda s: sv.apply_1q(s, kind, arg)
+
+
+# How far a measurement on the live view may be from one on the whole array:
+# its probability sums the same squares in another order, a few ulps for a
+# normalized state, and the collapsed amplitudes are divided by its root.
+LIVE_MEASURE_TOL = 1e-14
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(run=kernel_runs())
+def test_fixed_qubits_leave_the_whole_state_in_the_array(run):
+    # after every step, each amplitude outside the live set is exactly 0,
+    # and the step agrees with the same kernel run on a fresh StateVector of
+    # the same amplitudes, which has nothing fixed: gates byte for byte on
+    # the live entries (outside them both are 0, where the whole-array run
+    # may write -0.0), measurements within LIVE_MEASURE_TOL
+    n, seed, steps = run
+    state = random_state(n, np.random.default_rng(seed))
+    for kind, arg in steps:
+        if kind == "copy":
+            copy = state.copy()
+            assert copy.fixed == state.fixed and copy.amps is not state.amps
+            assert copy.amps.tobytes() == state.amps.tobytes()
+            state = copy
+            continue
+        call = step_call(kind, arg)
+        reference = sv.StateVector(n, state.amps)
+        assert reference.fixed == (0, 0)
+        try:
+            want = call(reference)
+        except sv.ImpossibleBranchError:
+            before = state.amps.tobytes(), state.fixed
+            with pytest.raises(sv.ImpossibleBranchError):
+                call(state)
+            assert (state.amps.tobytes(), state.fixed) == before
+            continue
+        got = call(state)
+        live = live_entries(state.amps, state.fixed)
+        assert not state.amps[~live].any(), (kind, arg)
+        if kind == "measure":
+            q, bit = arg
+            assert state.fixed[0] >> q & 1 and state.fixed[1] >> q & 1 == bit
+            assert got[0] == want[0] and abs(got[1] - want[1]) < LIVE_MEASURE_TOL
+            assert np.abs(state.amps - reference.amps).max() < LIVE_MEASURE_TOL
+        else:
+            assert got is None
+            assert np.array_equal(state.amps, reference.amps), (kind, arg)
+            assert state.amps[live].tobytes() == reference.amps[live].tobytes(), (kind, arg)
+
+
+def test_live_view_is_a_view_that_skips_the_fixed_qubits():
+    state = random_state(9, np.random.default_rng(104))
+    sv.measure_qubit(state, 4, forced=0)
+    sv.measure_qubit(state, 0, forced=1)
+    v = sv._live(state, (6, 1))
+    # kept qubits 6 then 1, then the runs 8-7, 5 and 3-2
+    assert v.shape == (2, 2, 4, 2, 4) and np.shares_memory(v, state.amps)
+    idx = np.arange(state.amps.size).reshape(2, 2, 2, 2, 2, 2, 2, 2, 2)  # qubit 8 first
+    want = idx[:, :, :, :, 0, :, :, :, 1].transpose(2, 6, 0, 1, 3, 4, 5).reshape(v.shape)
+    assert np.array_equal(v, state.amps[want])
+    # writes through the view land in the state's array
+    v[1, 0] = 0
+    assert not state.amps[want[1, 0]].any() and state.amps[want[0]].all()
+    # with every qubit fixed the view is the one live amplitude, still a view
+    for q in range(9):
+        sv.measure_qubit(state, q, forced=int(q in (0, 1, 6)))
+    one = sv._live(state)
+    assert one.shape == () and np.shares_memory(one, state.amps)
+    before = state.amps.copy()
+    np.negative(one, out=one)
+    assert np.array_equal(state.amps, np.where(np.arange(512) == 67, -before, before))
 
 
 def test_norm_preserved_by_random_circuits():

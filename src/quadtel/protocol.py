@@ -30,11 +30,14 @@ engines' reports and sampled draws.  Both draw every measured bit through
 p1/(p0+p1)) and map Bell outcomes to bits through ``_bell_bits``, so one seed
 gives both engines the same outcomes.
 
-Register order (dense engine and block-local alike): sender block i occupies
-qubits 6i..6i+5 as [message first, message second, channel sender-side,
-channel receiver-side, channel sender-side', channel receiver-side'], and the
-controller sits at qubit 6s.  ``_BELL_PAIRS`` and ``_RECEIVER_QUBITS`` name
-the block-local positions once; the dense engine adds 6i.
+Register order: a sender block holds six qubits, block-local 0..5, as
+[message first, message second, channel sender-side, channel receiver-side,
+channel sender-side', channel receiver-side'], and the controller sits at
+qubit 6s.  The dense engine puts sender block i on qubits
+6(s-1-i)..6(s-1-i)+5 (``DenseState._base``), so block 0, whose Bell pairs
+are measured first, holds the top sender qubits.  ``_BELL_PAIRS`` and
+``_RECEIVER_QUBITS`` name the block-local positions once; the dense engine
+adds its block's base.
 """
 from __future__ import annotations
 
@@ -212,6 +215,16 @@ def _block_state(info: InfoState, kind: BellKind) -> "_Block":
 class DenseState:
     """Dense-engine protocol state over the full 6s+1 qubit register.
 
+    Sender block i sits on qubits 6(s-1-i)..6(s-1-i)+5 (``_base``) and Elle
+    on the top qubit, 6s: the blocks run in reverse, so block 0, whose Bell
+    pairs the protocol measures first, holds the highest sender qubits.  A
+    measured qubit stays fixed, and fixed high qubits leave the live
+    amplitudes in long contiguous runs (2^18 after block 0's first pair at
+    s=4, 2^12 after block 1's); the low blocks are measured last, when few
+    amplitudes are live.  Were block 0 on the low qubits, every live
+    amplitude would sit alone in its 64-byte cache line from its first
+    measurement on.
+
     Every operation runs the ``statevector`` kernels on the one state, which
     they update in place and never copy; ``copy()`` copies it, with the
     qubits its measurements fixed.  The register keeps all 6s+1 qubits, but
@@ -232,7 +245,8 @@ class DenseState:
 
     @classmethod
     def prepare(cls, inputs: Sequence[InfoState]) -> "DenseState":
-        """Both controller branches, (blocks of z) tensor |z>, summed and scaled by 1/sqrt2.
+        """Both controller branches, (blocks of z, last sender lowest) tensor |z>,
+        summed and scaled by 1/sqrt2.
 
         Elle's qubit is the top one, so ``tensor`` leaves the top half of the
         z=0 product as zeros whose pages it never touches, and only the z=1
@@ -240,7 +254,7 @@ class DenseState:
         array in place, so the peak is the state plus half of it.
         """
         s = _validate_inputs(inputs)
-        zero, one = (tensor(*[_block_state(info, kind) for info in inputs], init_basis(1, z))
+        zero, one = (tensor(*[_block_state(info, kind) for info in reversed(inputs)], init_basis(1, z))
                      for z, kind in enumerate(_BRANCH_KINDS))
         amps = one.amps
         amps += zero.amps
@@ -250,9 +264,13 @@ class DenseState:
     def copy(self) -> "DenseState":
         return DenseState(self.s, self.state.copy())
 
+    def _base(self, i: int) -> int:
+        """The lowest qubit of sender block i."""
+        return 6 * (self.s - 1 - i)
+
     def bsm_pair(self, j: int, *, forced=None, rng=None) -> tuple[int, float]:
         i, which = divmod(j, 2)
-        a, b = (6 * i + q for q in _BELL_PAIRS[which])
+        a, b = (self._base(i) + q for q in _BELL_PAIRS[which])
         return bsm(self.state, a, b, forced=forced, rng=rng)
 
     def measure_controller(self, *, forced=None, rng=None) -> tuple[int, float]:
@@ -260,17 +278,17 @@ class DenseState:
 
     def apply_correction(self, i: int, entry: corrections.CorrectionEntry) -> None:
         factors = (entry.first.value, entry.second.value)
-        word = [(factor, 6 * i + q) for factor, q in zip(factors, _RECEIVER_QUBITS)]
+        word = [(factor, self._base(i) + q) for factor, q in zip(factors, _RECEIVER_QUBITS)]
         apply_pauli_word(self.state, word)
         if entry.phase_pi:
             live = _live(self.state)
             np.negative(live, out=live)
 
     def receiver_dm(self, i: int) -> DensityMatrix:
-        return partial_trace(self.state, [6 * i + q for q in _RECEIVER_KEEP])
+        return partial_trace(self.state, [self._base(i) + q for q in _RECEIVER_KEEP])
 
     def pre_broadcast_dm(self) -> DensityMatrix:
-        keep = [6 * i + q for i in range(self.s) for q in _RECEIVER_KEEP]
+        keep = [self._base(i) + q for i in range(self.s) for q in _RECEIVER_KEEP]
         return partial_trace(self.state, keep)
 
 

@@ -146,7 +146,7 @@ def test_structured_matches_dense_assembly():
         inputs = make_inputs(s, 10 + s)
         dense = pr.assemble_global(rebuilt(inputs), "dense")
         structured = pr.assemble_global(inputs, "structured")
-        assert sv.distance(to_dense(structured), dense.state) < 1e-10
+        assert sv.distance(to_dense(structured), in_block_order(dense)) < 1e-10
 
 
 def test_dense_prepare_peaks_at_its_two_branch_states():
@@ -160,7 +160,18 @@ def test_dense_prepare_peaks_at_its_two_branch_states():
     # s=3 is 19 qubits, 8 MiB: the two controller branches, summed in place
     assert peak <= 2 * (8 << 20) + (1 << 20)
     structured = pr.assemble_global(rebuilt(inputs), "structured")
-    assert sv.distance(to_dense(structured), state.state) < 1e-10
+    assert sv.distance(to_dense(structured), in_block_order(state)) < 1e-10
+
+
+def test_dense_first_bell_pair_leaves_long_contiguous_live_runs():
+    # block 0, measured first, sits on the top sender qubits (12..17 at s=3):
+    # measuring its first pair fixes qubits 12 and 14, so qubits 0..11 stay
+    # one contiguous run, not one live amplitude per cache line
+    state = pr.DenseState.prepare(make_inputs(3, 23))
+    state.bsm_pair(0, forced=0)
+    live = sv._live(state.state)
+    assert live.strides[-1] == live.itemsize
+    assert live.shape[-1] >= 1 << 12
 
 
 def test_dense_phase_correction_leaves_earlier_copies_untouched():
@@ -190,6 +201,17 @@ def permute_qubits(state, perm):
     return sv.StateVector(state.n_qubits, out, copy=False)
 
 
+def in_block_order(dense):
+    """A dense engine state with sender block i moved to qubits 6i..6i+5.
+
+    The dense register holds the blocks in reverse, block i on qubits
+    6(s-1-i)..6(s-1-i)+5; Elle stays on the top qubit, 6s.
+    """
+    s = dense.s
+    perm = [6 * (s - 1 - q // 6) + q % 6 for q in range(6 * s)] + [6 * s]
+    return permute_qubits(dense.state, perm)
+
+
 def test_dense_assembly_matches_channel_module_construction():
     """Cross-check the protocol register against the channel builder.
 
@@ -209,7 +231,7 @@ def test_dense_assembly_matches_channel_module_construction():
     perm.update({4 + 8: 12})
     reordered = permute_qubits(flat, [perm[q] for q in range(13)])
     dense = pr.assemble_global(inputs, "dense")
-    assert sv.distance(reordered, dense.state) < 1e-12
+    assert sv.distance(reordered, in_block_order(dense)) < 1e-12
 
 
 def test_channel_pair_marginals_in_assembled_state():

@@ -19,7 +19,7 @@ GOLDEN = {
     ),
     "run-s2-exhaustive-dense": (
         lambda: hz.cmd_run(senders=2, seed=0, mode="exhaustive", engine="dense"),
-        "8a285f42d883fc52294a678e08e098dc9e1e72318facc7ec3956f28c70882be8",
+        "c09ffd5091bef758047f7a19f01caad278ebca38beca8d5e2ea145defcdc8492",
     ),
     "run-s4-sampled64": (
         lambda: hz.cmd_run(senders=4, seed=0, mode="sampled:64"),
@@ -28,7 +28,7 @@ GOLDEN = {
     "run-s3-dense-forced": (
         lambda: hz.cmd_run(senders=3, seed=0, mode="forced:k+,k-,l+,l-,k+,l-,1", engine="dense",
                            allow_large_dense=True),
-        "8423d4c0c97ab893171a02dc89a46c37e4186aed463e083bb7905a5b3d43eaf2",
+        "3f151acf7e4ba863cb341c8e70dbdd1005026dfa6c84a1a2dfa1bc7bdfbe7d39",
     ),
     "verify-tables-3": (
         lambda: hz.cmd_verify_tables(seed=3),

@@ -55,6 +55,11 @@ class PauliFactor(str, Enum):
     Z = "Z"
     XZ = "XZ"
 
+    def __str__(self) -> str:
+        # the label, as the kernels read a factor (``apply_pauli_word``); a
+        # str mixin prints as ``PauliFactor.X`` on Python 3.10 to 3.12
+        return self.value
+
     @property
     def matrix(self) -> np.ndarray:
         return PAULI_FACTOR_MATRICES[self.value]
@@ -74,7 +79,7 @@ class CorrectionEntry:
         return -u if self.phase_pi else u
 
     def word(self) -> str:
-        text = f"{self.first.value}(x){self.second.value}"
+        text = f"{self.first}(x){self.second}"
         return f"e^(i.pi) {text}" if self.phase_pi else text
 
     def same_word(self, other: "CorrectionEntry") -> bool:

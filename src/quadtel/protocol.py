@@ -57,7 +57,6 @@ from .statevector import (
     DensityMatrix,
     MIN_BRANCH_PROBABILITY,
     NORM_TOL,
-    PAULI_FACTOR_MATRICES,
     StateVector,
     _bell_bits,
     _bell_outcome,
@@ -277,8 +276,7 @@ class DenseState:
         return measure_qubit(self.state, 6 * self.s, forced=forced, rng=rng)
 
     def apply_correction(self, i: int, entry: corrections.CorrectionEntry) -> None:
-        factors = (entry.first.value, entry.second.value)
-        word = [(factor, self._base(i) + q) for factor, q in zip(factors, _RECEIVER_QUBITS)]
+        word = [(factor, self._base(i) + q) for factor, q in zip((entry.first, entry.second), _RECEIVER_QUBITS)]
         apply_pauli_word(self.state, word)
         if entry.phase_pi:
             live = _live(self.state)
@@ -318,14 +316,16 @@ _BELL_GATHERS = tuple(_bell_basis_gather(a, b) for a, b in _BELL_PAIRS)
 
 
 @functools.cache
-def _correction_permutation(first: str, second: str, phase_pi: bool) -> tuple[np.ndarray, np.ndarray]:
+def _correction_permutation(
+    first: corrections.PauliFactor, second: corrections.PauliFactor, phase_pi: bool
+) -> tuple[np.ndarray, np.ndarray]:
     """A correction word on the block's _RECEIVER_QUBITS as a signed permutation.
 
     Returns ``(src, coeff)``: the corrected block is ``coeff * amps[src]``.
     """
     factors = [np.eye(2)] * 6
-    for name, q in zip((first, second), _RECEIVER_QUBITS):
-        factors[q] = PAULI_FACTOR_MATRICES[name]
+    for factor, q in zip((first, second), _RECEIVER_QUBITS):
+        factors[q] = factor.matrix
     op = functools.reduce(lambda low, high: np.kron(high, low), factors)  # qubit 0 lowest, as in tensor()
     if phase_pi:
         op = -op
@@ -389,7 +389,7 @@ class _Block(StateVector):
         """The block after ``entry``'s word on its receiver qubits."""
         block = self._corrected_by.get(entry)
         if block is None:
-            src, coeff = _correction_permutation(entry.first.value, entry.second.value, entry.phase_pi)
+            src, coeff = _correction_permutation(entry.first, entry.second, entry.phase_pi)
             block = self._corrected_by[entry] = _Block(coeff * self.amps[src])
         return block
 

@@ -15,16 +15,12 @@ from quadtel import corrections as co
 from quadtel import harness as hz
 from quadtel import protocol as pr
 from quadtel import statevector as sv
+from routes import flip_pattern, make_inputs, product_coeffs
 
 
 def _line(number, ok, text):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number}: {text}")
     assert ok, f"criterion {number}: {text}"
-
-
-def random_inputs(n, seed):
-    rng = np.random.default_rng(seed)
-    return [pr.InfoState.random(rng) for _ in range(n)]
 
 
 def test_criterion_1_channel_equivalence():
@@ -46,7 +42,7 @@ def test_criterion_2_exhaustive_reduced_protocol():
     ok = True
     details = []
     for s in (1, 2):
-        reports = pr.run_exhaustive(random_inputs(s, 100 + s), engine="structured")
+        reports = pr.run_exhaustive(make_inputs(s, 100 + s), engine="structured")
         probs = np.array([r.branch_probability for r in reports])
         fid_min = min(min(r.per_receiver_fidelity) for r in reports)
         expected = 4.0 ** (-2 * s) / 2
@@ -65,7 +61,7 @@ def test_criterion_3_full_protocol_sampled_branches():
     n_sets, per_set = 20, 26
     worst_fid, worst_prob_dev, total = 1.0, 0.0, 0
     for set_idx in range(n_sets):
-        inputs = random_inputs(4, 200 + set_idx)
+        inputs = make_inputs(4, 200 + set_idx)
         rng = np.random.default_rng(900 + set_idx)
         for _ in range(per_set):
             record = pr.OutcomeRecord(tuple(int(b) for b in rng.integers(0, 4, 8)), int(rng.integers(2)))
@@ -80,26 +76,18 @@ def test_criterion_3_full_protocol_sampled_branches():
 
 
 def test_criterion_4_controller_gating():
-    inputs = random_inputs(4, 300)
+    inputs = make_inputs(4, 300)
     dm = pr.pre_broadcast_state(inputs, (0,) * 8)
-
-    def product(vectors):
-        acc = np.array([1.0], dtype=complex)
-        for v in vectors:
-            acc = np.kron(np.asarray(v, dtype=complex), acc)
-        return acc
-
-    flip = lambda c: np.array([c[3], -c[2], -c[1], c[0]])  # noqa: E731
-    phi0 = product([i.coeffs for i in inputs])
-    phi1 = product([flip(i.coeffs) for i in inputs])
+    phi0 = product_coeffs([i.coeffs for i in inputs])
+    phi1 = product_coeffs([flip_pattern(i.coeffs) for i in inputs])
     oracle = 0.5 * np.outer(phi0, phi0.conj()) + 0.5 * np.outer(phi1, phi1.conj())
     matrix_err = float(np.abs(dm.mat - oracle).max())
 
     guesses = []
     for draw in range(20):
-        draw_inputs = random_inputs(4, 400 + draw)
+        draw_inputs = make_inputs(4, 400 + draw)
         rho = pr.pre_broadcast_state(draw_inputs, (0,) * 8).mat
-        target = product([i.coeffs for i in draw_inputs])
+        target = product_coeffs([i.coeffs for i in draw_inputs])
         guesses.append(float(np.real(np.vdot(target, rho @ target))))
     mean_guess = float(np.mean(guesses))
     ok = matrix_err < 1e-10 and mean_guess < 0.999
@@ -126,7 +114,7 @@ def test_criterion_6_catalog_coverage():
     # one branch operator K per key: K = mu*P for a catalog pattern P makes
     # every message's collapse that pattern, so the map is input-independent
     hits = {}
-    messages = (np.eye(4)[0], random_inputs(1, 600)[0].coeffs)  # |00> and a seeded one
+    messages = (np.eye(4)[0], make_inputs(1, 600)[0].coeffs)  # |00> and a seeded one
     for key in itertools.product(range(4), range(4), (0, 1)):
         op = co.branch_operator(key)
         pattern = co.match_eta(op)  # raises unless K = mu*P

@@ -137,6 +137,19 @@ def test_every_entry_is_self_inverse_up_to_sign():
         assert np.allclose(sq, eye) or np.allclose(sq, -eye)
 
 
+def test_kernels_apply_a_table_entry_as_it_stands():
+    # a factor renders as its label, so the kernels read the table's own
+    # factors; on index 2a+b the first factor acts on qubit 1
+    assert [str(f) for f in co.PauliFactor] == [f"{f}" for f in co.PauliFactor] == ["I", "X", "Z", "XZ"]
+    state = sv.StateVector(2, random_coeffs(5))
+    for entry in co.TABLE_FIRST_PAIR.values():
+        got = state.copy()
+        sv.apply_pauli_word(got, [(entry.first, 1), (entry.second, 0)])
+        assert np.array_equal(got.amps, np.kron(entry.first.matrix, entry.second.matrix) @ state.amps)
+    with pytest.raises(ValueError, match=r"^unknown Pauli factor 'Y'$"):
+        sv.apply_pauli_word(state, [(co.PauliFactor.X, 0), ("Y", 1)])
+
+
 def test_receiver_columns_are_identical():
     for key in ALL_KEYS:
         first = co.table_lookup("fancy1", key)

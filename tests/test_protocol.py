@@ -8,33 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import routes
 from quadtel import channel as ch
+from quadtel import corrections as co
 from quadtel import protocol as pr
 from quadtel import statevector as sv
-
-
-def make_inputs(n, seed):
-    rng = np.random.default_rng(seed)
-    return [pr.InfoState.random(rng) for _ in range(n)]
-
-
-def rebuilt(inputs):
-    """The same messages as new InfoState objects.  A message keeps the
-    blocks built from it, and everything they keep; new ones hold none, so a
-    run on them computes every block result afresh."""
-    return [pr.InfoState(info.coeffs) for info in inputs]
-
-
-def product_coeffs(vectors):
-    acc = np.array([1.0], dtype=complex)
-    for v in vectors:
-        acc = np.kron(np.asarray(v, dtype=complex), acc)
-    return acc
-
-
-def flip_pattern(c):
-    # the double-flip collapse pattern: c0|11> - c1|10> - c2|01> + c3|00>
-    return np.array([c[3], -c[2], -c[1], c[0]])
+from quadtel.harness import FIDELITY_TOL, PROBABILITY_SUM_TOL, PROBABILITY_TOL
+from routes import ENGINE_AGREEMENT_TOL, flip_pattern, make_inputs, product_coeffs, rebuilt
 
 
 def to_dense(state):
@@ -175,8 +155,6 @@ def test_dense_first_bell_pair_leaves_long_contiguous_live_runs():
 
 
 def test_dense_phase_correction_leaves_earlier_copies_untouched():
-    from quadtel import corrections as co
-
     state = pr.assemble_global(make_inputs(1, 17), "dense")
     entry = next(e for e in co.TABLE_FIRST_PAIR.values() if e.phase_pi)
     kept = state.copy()
@@ -184,7 +162,7 @@ def test_dense_phase_correction_leaves_earlier_copies_untouched():
     state.apply_correction(0, entry)
     assert np.array_equal(kept.state.amps, snapshot)
     assert not np.shares_memory(state.state.amps, kept.state.amps)
-    word = [(entry.first.value, 3), (entry.second.value, 5)]  # block 0's receiver qubits
+    word = [(entry.first, 3), (entry.second, 5)]  # block 0's receiver qubits
     want = kept.state.copy()
     sv.apply_pauli_word(want, word)
     assert np.array_equal(state.state.amps, -want.amps)
@@ -273,7 +251,7 @@ def test_all_kappa_plus_z0_needs_no_correction():
     expected = 0.5 * (1 + abs(np.vdot(target, other)) ** 2)
     assert abs(np.real(np.vdot(target, pre.mat @ target)) - expected) < 1e-10
     report = pr.run_protocol(inputs, forced=record)
-    assert all(f > 1 - 1e-9 for f in report.per_receiver_fidelity)
+    assert all(f > 1 - FIDELITY_TOL for f in report.per_receiver_fidelity)
 
 
 def test_all_kappa_plus_z1_collapse_matches_flip_pattern():
@@ -282,18 +260,16 @@ def test_all_kappa_plus_z1_collapse_matches_flip_pattern():
     for j in range(8):
         state.bsm_pair(j, forced=0)
     z, prob = state.measure_controller(forced=1)
-    assert abs(prob - 0.5) < 1e-12
+    assert abs(prob - 0.5) < PROBABILITY_TOL
     for i in range(4):
         dm = state.receiver_dm(i)
         expect = flip_pattern(inputs[i].coeffs)
         assert abs(np.real(np.vdot(expect, dm.mat @ expect)) - 1) < 1e-10
     # applying the tabulated correction restores every message
     for i in range(4):
-        from quadtel import corrections as co
-
         state.apply_correction(i, co.table_lookup(f"fancy{i + 1}", (0, 0, 1)))
         fid = sv.dm_fidelity(state.receiver_dm(i), inputs[i].target_state())
-        assert fid > 1 - 1e-9
+        assert fid > 1 - FIDELITY_TOL
 
 
 def test_forced_branch_probability_is_two_to_minus_17():
@@ -302,8 +278,8 @@ def test_forced_branch_probability_is_two_to_minus_17():
     for _ in range(4):
         record = pr.OutcomeRecord(tuple(int(b) for b in rng.integers(0, 4, 8)), int(rng.integers(2)))
         report = pr.run_protocol(inputs, forced=record)
-        assert abs(report.branch_probability - 2.0 ** -17) < 1e-12
-        assert all(f > 1 - 1e-9 for f in report.per_receiver_fidelity)
+        assert abs(report.branch_probability - 2.0 ** -17) < PROBABILITY_TOL
+        assert all(f > 1 - FIDELITY_TOL for f in report.per_receiver_fidelity)
 
 
 def test_forced_record_validation():
@@ -362,101 +338,51 @@ def test_block_kernel_names_an_impossible_outcome():
             state.bsm_pair(2, forced=outcome)
 
 
-# ----------------------------------------------------------- exhaustive runs
+# ------------------------------------------------------------- route matrix
 
-@pytest.mark.parametrize("engine", ["dense", "structured"])
-def test_exhaustive_single_sender(engine):
-    inputs = make_inputs(1, 50)
-    reports = pr.run_exhaustive(inputs, engine=engine)
-    assert len(reports) == 32
-    probs = np.array([r.branch_probability for r in reports])
-    assert np.abs(probs - 1 / 32).max() < 1e-12
-    assert abs(probs.sum() - 1) < 1e-10
-    assert min(min(r.per_receiver_fidelity) for r in reports) > 1 - 1e-9
-
-
-def test_exhaustive_two_senders_structured():
-    inputs = make_inputs(2, 51)
-    reports = pr.run_exhaustive(inputs, engine="structured")
-    assert len(reports) == 512
-    probs = np.array([r.branch_probability for r in reports])
-    assert np.abs(probs - 4.0 ** -4 / 2).max() < 1e-12
-    assert abs(probs.sum() - 1) < 1e-10
-    assert min(min(r.per_receiver_fidelity) for r in reports) > 1 - 1e-9
+# (route, senders, record set) per cell; messages from SEEDS[s], records from
+# SEEDS[s] + 1.  At s=4 these are the two seeded 25-qubit dense branches, one
+# per controller bit, the size of the README's s=4 runs.
+ROUTE_CELLS = [
+    ("structured", 1, "all"), ("operator", 1, "all"),
+    ("kept", 1, "all"), ("kept", 2, "all"), ("kept", 3, "forced:64"), ("kept", 4, "forced:80"),
+    *(("kept", s, "sampled:64") for s in range(1, pr.MAX_SENDERS + 1)),
+    ("dense", 1, "all"), ("dense", 2, "all"), ("dense", 2, "sampled:24"), ("dense", 3, "forced:3"),
+    ("dense", 4, "forced:2"),
+    ("table", 1, "all"), ("table", 2, "all"), ("table", 4, "sampled:64"),
+]
+SEEDS = {1: 61, 2: 62, 3: 62, 4: 66}
 
 
-# Engine agreement on one branch, for probabilities and fidelities alike.
-# Both are sums and products of a few dozen terms of order 1, so the engines
-# stay a few ulps apart (measured at s=3: 3e-19 and 4e-16); the bound leaves
-# more than an order of magnitude above that.
-ENGINE_AGREEMENT_TOL = 1e-14
+@pytest.mark.parametrize("route, s, spec", ROUTE_CELLS, ids=[f"{r}-s{s}-{spec}" for r, s, spec in ROUTE_CELLS])
+def test_route_matches_reference(route, s, spec):
+    # each route gives the reference's outcomes (drawn ones leave the generator
+    # where the reference's is), probability and fidelities, byte for byte on
+    # the structured engine; every branch keeps p = 2^-(4s+1) and fidelity 1
+    inputs = make_inputs(s, SEEDS[s])
+    mine, theirs = (routes.record_set(s, spec, SEEDS[s] + 1) for _ in range(2))
+    want = routes.structured(inputs, theirs)
+    got = routes.ROUTES[route](inputs, mine if route in routes.DRAWING else [w.outcome for w in want])
+    assert [g.outcome for g in got] == [w.outcome for w in want]
+    if isinstance(mine, routes.Sampled) and route in routes.DRAWING:
+        assert mine.rng.bit_generator.state == theirs.rng.bit_generator.state
+    for branches in (want, got):
+        probs = np.array([b.branch_probability for b in branches])
+        assert np.abs(probs - 2.0 ** -(4 * s + 1)).max() < PROBABILITY_TOL
+        assert min(min(b.per_receiver_fidelity) for b in branches) >= 1 - FIDELITY_TOL
+        if spec == "all":
+            assert len(branches) == 2 * 16 ** s and abs(probs.sum() - 1) < PROBABILITY_SUM_TOL
+    for g, w in zip(got, want):
+        assert route not in ("structured", "kept") or g.to_dict() == w.to_dict()
+        assert abs(g.branch_probability - w.branch_probability) < ENGINE_AGREEMENT_TOL
+        assert np.abs(np.subtract(g.per_receiver_fidelity, w.per_receiver_fidelity)).max() < ENGINE_AGREEMENT_TOL
 
 
-def assert_reports_agree(a, b):
-    assert a.outcome == b.outcome and a.transcript == b.transcript
-    assert abs(a.branch_probability - b.branch_probability) < ENGINE_AGREEMENT_TOL
-    assert np.abs(np.subtract(a.per_receiver_fidelity, b.per_receiver_fidelity)).max() < ENGINE_AGREEMENT_TOL
+def test_every_route_has_a_cell():
+    assert set(routes.ROUTES) <= {route for route, _, _ in ROUTE_CELLS}
 
 
-def test_engines_produce_identical_reports():
-    for s in (1, 2):
-        inputs = make_inputs(s, 60 + s)
-        dense = pr.run_exhaustive(rebuilt(inputs), engine="dense")
-        structured = pr.run_exhaustive(inputs, engine="structured")
-        assert len(dense) == len(structured)
-        for a, b in zip(dense, structured):
-            assert_reports_agree(a, b)
-
-
-def test_engines_agree_on_forced_branches_at_three_senders():
-    inputs = make_inputs(3, 62)
-    rng = np.random.default_rng(63)
-    for _ in range(3):
-        record = pr.OutcomeRecord(tuple(int(b) for b in rng.integers(0, 4, 6)), int(rng.integers(2)))
-        dense = pr.run_protocol(rebuilt(inputs), engine="dense", forced=record, allow_large_dense=True)
-        structured = pr.run_protocol(inputs, forced=record)
-        assert_reports_agree(dense, structured)
-
-
-def test_engines_agree_on_forced_branches_at_four_senders():
-    # one seeded branch per controller bit on the 25-qubit dense state
-    # (512 MiB), the size of the README's s=4 runs
-    inputs = make_inputs(4, 66)
-    rng = np.random.default_rng(67)
-    for z in (0, 1):
-        record = pr.OutcomeRecord(tuple(int(b) for b in rng.integers(0, 4, 8)), z)
-        dense = pr.run_protocol(rebuilt(inputs), engine="dense", forced=record, allow_large_dense=True)
-        structured = pr.run_protocol(inputs, forced=record)
-        assert_reports_agree(dense, structured)
-
-
-def test_engines_draw_identical_sampled_outcomes():
-    # both engines draw one rng.random() per measured bit, message qubit
-    # first, so one seed gives both the same branches
-    inputs = make_inputs(2, 64)
-    dense_inputs = rebuilt(inputs)
-    dense_rng, structured_rng = np.random.default_rng(65), np.random.default_rng(65)
-    for _ in range(24):
-        dense = pr.run_protocol(dense_inputs, engine="dense", rng=dense_rng)
-        structured = pr.run_protocol(inputs, rng=structured_rng)
-        assert_reports_agree(dense, structured)
-    assert dense_rng.random() == structured_rng.random()
-
-
-def test_exhaustive_shared_base_matches_fresh_state_per_branch():
-    # run_exhaustive runs each branch on a copy of one prepared state, and the
-    # copies share its blocks and what each block keeps; no branch may see
-    # another's measurements through them.  The reference runs each branch on
-    # rebuilt messages, which hold no blocks.  Every branch at s=1, 2; 64
-    # seeded ones at s=3
-    rng = np.random.default_rng(55)
-    for s in (1, 2, 3):
-        inputs = make_inputs(s, 52 + s)
-        records = pr.enumerate_records(s)
-        swept = pr.run_exhaustive(inputs, engine="structured")
-        picks = range(len(records)) if s < 3 else rng.choice(len(records), 64, replace=False)
-        for k in picks:
-            assert swept[k].to_dict() == pr.run_protocol(rebuilt(inputs), forced=records[k]).to_dict()
+# ------------------------------------------------------------- shared bases
 
 
 def block_bytes(state):
@@ -505,7 +431,7 @@ def test_structured_correction_cache_keeps_each_word_apart():
     for entry in dict.fromkeys(co.TABLE_FIRST_PAIR.values()):
         twin = base.copy()
         twin.apply_correction(0, entry)
-        word = list(zip((entry.first.value, entry.second.value), pr._RECEIVER_QUBITS))
+        word = list(zip((entry.first, entry.second), pr._RECEIVER_QUBITS))
         for corrected, prepared in zip(twin.blocks, base.blocks):
             want = prepared[0].copy()
             sv.apply_pauli_word(want, word)
@@ -531,21 +457,13 @@ def test_message_keeps_one_block_per_bell_kind():
     assert sv.distance(dense.state, pr.DenseState.prepare(rebuilt(inputs)).state) == 0
 
 
-def test_forced_branch_after_sampled_branches_matches_rebuilt_messages():
-    # 64 sampled branches fill the blocks the messages keep; a forced branch
-    # then reads them, and must give what rebuilt messages compute afresh,
-    # on the sampled branches' own outcomes and on unseen ones
-    inputs = make_inputs(4, 66)
-    rng = np.random.default_rng(67)
-    records = [pr.run_protocol(inputs, rng=rng).outcome for _ in range(64)]
-    records += [pr.OutcomeRecord(tuple(int(b) for b in rng.integers(0, 4, 8)), int(rng.integers(2)))
-                for _ in range(16)]
-    for record in records:
-        assert pr.run_protocol(inputs, forced=record).to_dict() == \
-            pr.run_protocol(rebuilt(inputs), forced=record).to_dict()
-
-
 # --------------------------------------------------------- order independence
+
+def assert_reports_agree(a, b):
+    assert a.outcome == b.outcome and a.transcript == b.transcript
+    assert abs(a.branch_probability - b.branch_probability) < ENGINE_AGREEMENT_TOL
+    assert np.abs(np.subtract(a.per_receiver_fidelity, b.per_receiver_fidelity)).max() < ENGINE_AGREEMENT_TOL
+
 
 def test_bsm_order_does_not_change_report():
     inputs = make_inputs(4, 70)
@@ -659,8 +577,6 @@ def test_guessing_the_controller_bit_fails_on_average():
 # ---------------------------------------------------------------- transcript
 
 def test_transcript_counts_twenty_bits_for_four_senders():
-    from quadtel import corrections as co
-
     inputs = make_inputs(4, 90)
     report = pr.run_protocol(inputs, forced=pr.OutcomeRecord((0,) * 8, 0))
     assert report.classical_bits_sent == 20
@@ -687,8 +603,6 @@ def test_reduced_transcript_scales_with_sender_count():
 def test_transcripts_hold_the_records_every_run_would_build():
     # transcripts reference records built once at import; for every branch
     # at s=1..4 they equal the records built field by field per run
-    from quadtel import corrections as co
-
     for s in range(1, pr.MAX_SENDERS + 1):
         for outcomes, z in itertools.product(itertools.product(range(4), repeat=2 * s), (0, 1)):
             expected = [
@@ -709,20 +623,7 @@ def test_sampled_runs_reproduce_with_same_seed():
     a = pr.run_protocol(inputs, rng=np.random.default_rng(123))
     b = pr.run_protocol(inputs, rng=np.random.default_rng(123))
     assert a.to_dict() == b.to_dict()
-    assert all(f > 1 - 1e-9 for f in a.per_receiver_fidelity)
-
-
-def test_sampled_branches_on_shared_messages_match_rebuilt_messages():
-    # the branches of a sampled run share their messages, and so the blocks
-    # those keep; each branch must give the report of a run on rebuilt
-    # messages, from the same rng stream
-    for s in range(1, pr.MAX_SENDERS + 1):
-        inputs = make_inputs(s, 100 + s)
-        shared_rng, fresh_rng = np.random.default_rng(s), np.random.default_rng(s)
-        for _ in range(64):
-            shared = pr.run_protocol(inputs, rng=shared_rng)
-            assert shared.to_dict() == pr.run_protocol(rebuilt(inputs), rng=fresh_rng).to_dict()
-        assert shared_rng.random() == fresh_rng.random()
+    assert all(f > 1 - FIDELITY_TOL for f in a.per_receiver_fidelity)
 
 
 # 99.9th percentile of the chi-square law with 31 degrees of freedom (32
@@ -748,42 +649,7 @@ def test_sampled_outcomes_cover_the_outcome_space():
 
 # ------------------------------------------------------- block outcome table
 
-def outcome_tables(inputs):
-    from quadtel import corrections as co
-
-    return [pr.block_outcome_table(info, receiver) for info, receiver in zip(inputs, co.RECEIVERS)]
-
-
-def assert_table_matches_branch(tables, report):
-    bell, z = report.outcome.bell, report.outcome.z
-    entries = [(probs[z, bell[2 * i], bell[2 * i + 1]], fidelities[z, bell[2 * i], bell[2 * i + 1]])
-               for i, (probs, fidelities) in enumerate(tables)]
-    assert abs(report.branch_probability - 0.5 * np.prod([p for p, _ in entries])) < ENGINE_AGREEMENT_TOL
-    assert np.abs(np.subtract(report.per_receiver_fidelity, [f for _, f in entries])).max() < ENGINE_AGREEMENT_TOL
-
-
-def test_outcome_table_matches_every_stepwise_branch():
-    for s in (1, 2):
-        inputs = make_inputs(s, 94 + s)
-        tables = outcome_tables(rebuilt(inputs))
-        reports = pr.run_exhaustive(inputs)
-        assert len(reports) == 2 * 16 ** s
-        for report in reports:
-            assert_table_matches_branch(tables, report)
-
-
-def test_outcome_table_matches_sampled_four_sender_branches():
-    inputs = make_inputs(4, 97)
-    tables = outcome_tables(rebuilt(inputs))
-    base = pr.assemble_global(inputs)
-    rng = np.random.default_rng(98)
-    for _ in range(64):
-        assert_table_matches_branch(tables, pr.run_protocol(inputs, rng=rng, state=base.copy()))
-
-
 def test_outcome_table_is_uniform_with_unit_fidelity():
-    from quadtel import corrections as co
-
     messages = make_inputs(3, 99) + [
         pr.InfoState([1, 0, 0, 0]),
         pr.InfoState(np.array([1, 1j, -1, -1j]) / 2),  # equal magnitudes
@@ -793,5 +659,5 @@ def test_outcome_table_is_uniform_with_unit_fidelity():
         for receiver in co.RECEIVERS:
             probs, fidelities = pr.block_outcome_table(info, receiver)
             assert probs.shape == fidelities.shape == (2, 4, 4)
-            assert np.abs(probs - 1 / 16).max() < 1e-12
-            assert np.abs(1 - fidelities).max() <= 1e-9
+            assert np.abs(probs - 1 / 16).max() < PROBABILITY_TOL
+            assert np.abs(1 - fidelities).max() <= FIDELITY_TOL

@@ -282,6 +282,16 @@ def test_forced_branch_probability_is_two_to_minus_17():
         assert all(f > 1 - FIDELITY_TOL for f in report.per_receiver_fidelity)
 
 
+def test_exhaustive_two_senders_structured():
+    inputs = make_inputs(2, 51)
+    reports = pr.run_exhaustive(inputs, engine="structured")
+    assert len(reports) == 512
+    probs = np.array([r.branch_probability for r in reports])
+    assert np.abs(probs - 4.0 ** -4 / 2).max() < PROBABILITY_TOL
+    assert abs(probs.sum() - 1) < PROBABILITY_SUM_TOL
+    assert min(min(r.per_receiver_fidelity) for r in reports) > 1 - FIDELITY_TOL
+
+
 def test_forced_record_validation():
     inputs = make_inputs(2, 43)
     with pytest.raises(ValueError):
@@ -383,6 +393,21 @@ def test_every_route_has_a_cell():
 
 
 # ------------------------------------------------------------- shared bases
+
+def test_exhaustive_shared_base_matches_fresh_state_per_branch():
+    # run_exhaustive runs each branch on a copy of one prepared state, and the
+    # copies share its blocks and what each block keeps; no branch may see
+    # another's measurements through them.  The reference runs each branch on
+    # rebuilt messages, which hold no blocks.  Every branch at s=1, 2; 64
+    # seeded ones at s=3
+    rng = np.random.default_rng(55)
+    for s in (1, 2, 3):
+        inputs = make_inputs(s, 52 + s)
+        records = pr.enumerate_records(s)
+        swept = pr.run_exhaustive(inputs, engine="structured")
+        picks = range(len(records)) if s < 3 else rng.choice(len(records), 64, replace=False)
+        for k in picks:
+            assert swept[k].to_dict() == pr.run_protocol(rebuilt(inputs), forced=records[k]).to_dict()
 
 
 def block_bytes(state):

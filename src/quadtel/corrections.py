@@ -3,7 +3,9 @@
 The 32-row correction tables (two printed tables, one per receiver pair) are
 transcribed as static data and never trusted blindly.  The oracle has its own
 miniature single-sender simulator on the statevector and channel modules (not
-the protocol engines, so the two routes stay independent).  The run is linear
+the protocol engines, so the two routes stay independent); after the forced
+measurements it reads the receiver pair from the state's live view, which
+leaves out the measured qubits' zeroed amplitudes.  The run is linear
 in the message, so a forced branch (g, h, z) is one 4x4 operator K, and a
 check of K holds for every message at once.  ``derive_correction`` finds the
 Pauli word U with U·K = +-I/sqrt(32); ``verify_tables`` compares it with every
@@ -29,7 +31,7 @@ from .statevector import (
     NORM_TOL,
     PAULI_FACTOR_MATRICES,
     StateVector,
-    _bell_bits,
+    _live,
     bsm,
     measure_qubit,
     pair_state,
@@ -209,36 +211,25 @@ def table_lookup(receiver: str, key: tuple[int, int, int]) -> CorrectionEntry:
 # Derivation oracle
 # --------------------------------------------------------------------------
 
-def _bell_receiver_amplitudes(block_amps: np.ndarray, g: int, h: int) -> np.ndarray:
-    """Receiver amplitudes of a measured 6-qubit sender block, index 2a+b.
-
-    The block is [message, message', channel sender, receiver, sender',
-    receiver'] after the Bell basis changes on (0, 2) and (1, 4); (g, h) are
-    the two Bell outcomes and a, b the receiver and receiver' bits.
-    """
-    (g0, g1), (h0, h1) = _bell_bits(g), _bell_bits(h)
-    fixed = g0 | (h0 << 1) | (g1 << 2) | (h1 << 4)
-    return block_amps[[fixed | (a << 3) | (b << 5) for a in (0, 1) for b in (0, 1)]]
-
-
 def collapse_single_sender(coeffs: Sequence[complex], g: int, h: int, z: int) -> tuple[StateVector, float]:
     """Receiver-pair state after a forced single-sender run, phases intact.
 
     Seven qubits: message pair at (0, 1), a two-pair channel at (2..5) with
     the controller at 6.  Both BSMs and the controller measurement are forced
-    to (g, h, z).  Returns the surviving amplitudes on the receiver qubits as
-    a 2-qubit state on index 2a+b (a = the qubit paired with message qubit
-    0), and the branch probability: the product of the three forced draws.
+    to (g, h, z).  Returns the surviving amplitudes on the receiver qubits
+    (3, 5), read from the live view, as a 2-qubit state on index 2a+b (a =
+    the qubit paired with message qubit 0), and the branch probability: the
+    product of the three forced draws.
     """
     info = pair_state(np.asarray(coeffs, dtype=complex))
     state = tensor(info, build_channel_analytic(2, +1))
     _, p_g = bsm(state, 0, 2, forced=g)
     _, p_h = bsm(state, 1, 4, forced=h)
     _, p_z = measure_qubit(state, 6, forced=z)
-    out = _bell_receiver_amplitudes(state.amps.reshape(2, 64)[z], g, h)
-    residual = np.linalg.norm(out)
-    if abs(residual - 1) > NORM_TOL:
-        raise RuntimeError(f"collapse left amplitude outside the receiver pair (norm {residual})")
+    out = _live(state, (3, 5)).reshape(4)
+    pair, whole = np.linalg.norm(out), state.norm()
+    if abs(pair - whole) > NORM_TOL:
+        raise RuntimeError(f"collapse left amplitude outside the receiver pair (norm {pair} of {whole})")
     return StateVector(2, out, copy=False), p_g * p_h * p_z
 
 
@@ -388,8 +379,8 @@ def verify_tables() -> dict:
     )
     eye = np.eye(4)
     self_inverse = all(
-        np.allclose(e.unitary() @ e.unitary(), eye, atol=SELF_INVERSE_TOL)
-        or np.allclose(e.unitary() @ e.unitary(), -eye, atol=SELF_INVERSE_TOL)
+        np.allclose(e.unitary() @ e.unitary(), eye, rtol=0, atol=SELF_INVERSE_TOL)
+        or np.allclose(e.unitary() @ e.unitary(), -eye, rtol=0, atol=SELF_INVERSE_TOL)
         for e in TABLE_FIRST_PAIR.values()
     )
     n_total = len(keys) * len(RECEIVERS)

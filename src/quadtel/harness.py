@@ -389,7 +389,7 @@ def cmd_run(
         source = {"random_seed": seed}
 
     expected_prob = 4.0 ** (-2 * senders) / 2
-    expected_bits = 5 * senders
+    expected_bits = classical_cost(2 * senders, 1, senders)
     if mode == "exhaustive":
         reports = protocol.run_exhaustive(inputs, engine=engine, allow_large_dense=allow_large_dense)
     elif mode.startswith("forced:"):

@@ -21,9 +21,10 @@ definite bit.  Every amplitude with the other bit at a fixed qubit is
 exactly 0 in the array, which always holds the whole state; a kernel that
 writes a qubit first drops it from ``fixed``, and ``copy()`` keeps it.  The
 kernels read and write only the live amplitudes: ``_live`` views the array
-with each fixed qubit taken at its bit, so after the 16 Bell measurements
-of a four-sender branch they touch 2^9 of its 2^25 amplitudes.  A state
-with nothing fixed is one view of the whole array, through the same code.
+with each fixed qubit taken at its bit, so after the 8 Bell measurements
+of a four-sender branch (16 measured qubits) they touch 2^9 of its 2^25
+amplitudes.  A state with nothing fixed is one view of the whole array,
+through the same code.
 """
 from __future__ import annotations
 
@@ -209,27 +210,25 @@ def init_basis(n_qubits: int, basis_index: int) -> StateVector:
     return StateVector(n_qubits, amps, copy=False)
 
 
-def _slabs(
-    shape: Sequence[int], size: int = _SLAB, short: int = _SHORT_AXES
-) -> Iterator[_Index]:
+def _slabs(shape: Sequence[int], short: int = _SHORT_AXES) -> Iterator[_Index]:
     """Index tuples that cover free axes of sizes ``shape`` slab by slab.
 
     ``shape`` lists a view's axes other than its qubit axes, outermost first:
     the runs of ``_live(state, keep)`` after its kept axes.  The axes outside
     the cut axis are walked one index at a time, the cut axis in steps that
-    make a slab of about ``size`` entries, and the axes inside it whole,
+    make a slab of about _SLAB entries, and the axes inside it whole,
     except trailing ones of fewer than ``short`` entries in all, which are
-    walked one index at a time.  With ``short=1`` every slab is ``size``
+    walked one index at a time.  With ``short=1`` every slab is _SLAB
     consecutive entries.  A state no larger than one slab is a single slab,
     ``(...,)``, which leaves an array even where ``shape`` is empty.
     """
-    if math.prod(shape) <= size:
+    if math.prod(shape) <= _SLAB:
         yield (...,)
         return
     cut = len(shape) - 1
-    while cut > 0 and math.prod(shape[cut:]) <= size:
+    while cut > 0 and math.prod(shape[cut:]) <= _SLAB:
         cut -= 1
-    step = max(1, size // math.prod(shape[cut + 1:]))
+    step = max(1, _SLAB // math.prod(shape[cut + 1:]))
     tail = len(shape)
     while tail > cut + 1 and math.prod(shape[tail - 1:]) < short:
         tail -= 1
@@ -244,20 +243,20 @@ def _slabs(
 @functools.lru_cache(maxsize=1024)
 def _live_plan(
     n_qubits: int, fixed: tuple[int, int], keep: tuple[int, ...]
-) -> tuple[tuple[int, ...], _Index, tuple[int, ...], tuple[int, ...]]:
-    """How ``_live`` views an n-qubit state: (shape, index, axes, runs).
+) -> tuple[tuple[int, ...], _Index, tuple[int, ...]]:
+    """How ``_live`` views an n-qubit state: (shape, index, axes).
 
     ``shape`` splits the amplitudes, top qubit first, into an axis of 2 per
     kept or fixed qubit and one axis per run of adjacent other qubits.
     ``index`` takes each fixed qubit not in ``keep`` at its bit (its
     trailing ``...`` leaves a 0-d view, not a scalar, when every qubit is
     taken), and ``axes`` then puts the kept qubits first, in ``keep`` order,
-    and the runs after them; ``runs`` lists the runs' sizes, outermost
-    first.  A plan is made once per (n_qubits, fixed, keep), since a branch
-    measures the same qubits in the same order.
+    and the runs after them, outermost first.  A plan is made once per
+    (n_qubits, fixed, keep), since a branch measures the same qubits in the
+    same order.
     """
     mask, bits = fixed
-    shape, index, kept, runs, sizes = [], [], {}, [], []
+    shape, index, kept, runs = [], [], {}, []
     # q is -1 for a run of live qubits outside keep
     for q, group in itertools.groupby(range(n_qubits - 1, -1, -1),
                                       lambda q: q if q in keep or mask >> q & 1 else -1):
@@ -269,9 +268,8 @@ def _live_plan(
             kept[q] = len(kept) + len(runs)
         else:
             runs.append(len(kept) + len(runs))
-            sizes.append(shape[-1])
         index.append(slice(None))
-    return tuple(shape), (*index, ...), tuple(kept[q] for q in keep) + tuple(runs), tuple(sizes)
+    return tuple(shape), (*index, ...), tuple(kept[q] for q in keep) + tuple(runs)
 
 
 def _live(state: StateVector, keep: tuple[int, ...] = ()) -> np.ndarray:
@@ -284,7 +282,7 @@ def _live(state: StateVector, keep: tuple[int, ...] = ()) -> np.ndarray:
     ``reshape(copy=False)`` and basic indexing, so it is always a view and
     writes through it land in the state; never a copy.
     """
-    shape, index, axes, _ = _live_plan(state.n_qubits, state.fixed, keep)
+    shape, index, axes = _live_plan(state.n_qubits, state.fixed, keep)
     return state.amps.reshape(shape, copy=False)[index].transpose(axes)
 
 
@@ -390,7 +388,7 @@ def measure_probabilities(state: StateVector, q: int) -> tuple[float, float]:
     part = min(_SLAB, half)
     buf = np.empty((2, part))
     sums = np.empty((half // part, 2))
-    for k, index in enumerate(_slabs(free, part, short=1)):
+    for k, index in enumerate(_slabs(free, short=1)):
         halves = v[(slice(None),) + index]
         np.abs(halves, out=buf.reshape(halves.shape))
         np.square(buf, out=buf)
@@ -466,36 +464,17 @@ def distance(a: StateVector, b: StateVector) -> float:
     return float(np.linalg.norm(a.amps - b.amps))
 
 
-@functools.lru_cache(maxsize=32)
-def _trace_plan(
-    n_qubits: int, fixed: tuple[int, int], keep: tuple[int, ...]
-) -> tuple[_Index, ...]:
-    """The slabs ``partial_trace`` walks, as indices into ``_live(state, keep[::-1])``.
-
-    That view holds the kept qubits first, the last of ``keep`` outermost,
-    then the runs of live traced qubits.  Each slab takes every kept axis
-    and one slab of the runs, about _SLAB amplitudes in all.  A plan is made
-    once per (n_qubits, fixed, keep), since the structured engine traces
-    the same 6-qubit layout for every block.
-    """
-    runs = _live_plan(n_qubits, fixed, keep[::-1])[3]
-    kept = (slice(None),) * len(keep)
-    return tuple(kept + index for index in _slabs(runs, max(1, _SLAB >> len(keep))))
-
-
 def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
     """Reduced density matrix over the kept qubits.
 
     keep[j] becomes bit j of the reduced index, so the first listed qubit is
     the least significant bit of the result.
 
-    The result is the Gram matrix a @ conj(a).T of the (2^len(keep), rest)
-    amplitude matrix a over the live amplitudes: the kept qubits whole, the
-    fixed traced ones at their bits.  It is summed slab by slab: each slab
-    is copied in kept order into one reusable buffer, conjugated into a
-    second, and added in by one gemm, so the state is never copied whole.
-    A state of one slab (a 6-qubit block, or 13 qubits keeping a receiver
-    pair) runs that single gemm on the whole of a.
+    The result is the Gram matrix a @ conj(a).T, one gemm, of the
+    (2^len(keep), rest) amplitude matrix a over the live view: the kept
+    qubits whole, the fixed traced ones at their bits.  So a receiver pair
+    of a measured branch reads a handful of amplitudes, while a state with
+    nothing fixed is copied whole in kept order, as the reshape needs.
     """
     keep = tuple(keep)
     if not keep:
@@ -504,16 +483,8 @@ def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
         raise ValueError(f"duplicate qubits in keep list: {list(keep)}")
     for q in keep:
         _check_qubit(state, q)
-    slabs = _trace_plan(state.n_qubits, state.fixed, keep)
-    v = _live(state, keep[::-1])
-    buf = v[slabs[0]].copy()
-    a = buf.reshape(1 << len(keep), -1)
-    c = a.conj()
-    rho = a @ c.T
-    for index in slabs[1:]:
-        buf[...] = v[index]
-        rho += a @ np.conjugate(a, out=c).T
-    return DensityMatrix(len(keep), rho)
+    a = _live(state, keep[::-1]).reshape(1 << len(keep), -1)
+    return DensityMatrix(len(keep), a @ a.conj().T)
 
 
 def dm_fidelity(dm: DensityMatrix, target: StateVector) -> float:

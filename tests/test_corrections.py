@@ -59,6 +59,8 @@ PHASE_FLAG_DISAGREEMENTS = [(0, 1, 1), (0, 3, 0), (1, 0, 1), (1, 3, 0), (2, 3, 0
 
 
 def test_bell_receiver_amplitudes_pick_the_measured_block():
+    # the oracle reads the receiver pair (3, 5) from the live view; the
+    # reference packs the measured Bell bits into the block's indices
     rng = np.random.default_rng(48)
     amps = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     st = sv.StateVector(6, amps / np.linalg.norm(amps))
@@ -67,11 +69,13 @@ def test_bell_receiver_amplitudes_pick_the_measured_block():
             post = st.copy()
             sv.bsm(post, 0, 2, forced=g)
             sv.bsm(post, 1, 4, forced=h)
-            out = co._bell_receiver_amplitudes(post.amps, g, h)
-            assert abs(np.linalg.norm(out) - 1) < 1e-12
-            idx = co._bell_receiver_amplitudes(np.arange(64), g, h)
+            (g0, g1), (h0, h1) = sv.BELL_OUTCOME_BITS[g], sv.BELL_OUTCOME_BITS[h]
+            fixed = g0 | (h0 << 1) | (g1 << 2) | (h1 << 4)
             # order 2a+b with a on qubit 3 and b on qubit 5
-            assert [((i >> 3) & 1, (i >> 5) & 1) for i in idx] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+            idx = [fixed | (a << 3) | (b << 5) for a in (0, 1) for b in (0, 1)]
+            out = sv._live(post, (3, 5)).reshape(4)
+            assert out.tobytes() == post.amps[idx].tobytes()
+            assert abs(np.linalg.norm(out) - 1) < 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +138,16 @@ def test_every_entry_is_self_inverse_up_to_sign():
     eye = np.eye(4)
     for entry in co.TABLE_FIRST_PAIR.values():
         sq = entry.unitary() @ entry.unitary()
-        assert np.allclose(sq, eye) or np.allclose(sq, -eye)
+        assert np.abs(sq - eye).max() <= co.SELF_INVERSE_TOL or np.abs(sq + eye).max() <= co.SELF_INVERSE_TOL
+
+
+def test_self_inverse_check_applies_its_own_bound(monkeypatch):
+    # a factor off by 1e-7 squares to 1 + 2e-7: inside numpy's default
+    # rtol of 1e-5, far outside SELF_INVERSE_TOL
+    monkeypatch.setitem(sv.PAULI_FACTOR_MATRICES, "Z", sv.PAULI_FACTOR_MATRICES["Z"] * (1 + 1e-7))
+    d = co.verify_tables()
+    assert not d["self_inverse_ok"] and not d["all_ok"]
+    assert d["n_matched"] == d["n_total"]
 
 
 def test_kernels_apply_a_table_entry_as_it_stands():

@@ -338,50 +338,39 @@ def reference_partial_trace(state, keep):
     return a @ a.conj().T
 
 
-# partial_trace sums each entry's 2^(n-k) products slab by slab, the
-# reference in one gemm: the same products, added in another order.  For a
-# normalized state they sum in magnitude to at most 1, so the order moves an
-# entry by round-off, a few 1e-16 at 20 qubits, while a slab dropped or added
-# twice would move the trace by 1/64 or more.
-SLAB_SUM_TOL = 1e-13
-
-
 @pytest.mark.parametrize("n, keep", [
     (19, [5, 3]), (19, [11, 9]), (19, [17, 15]),  # each receiver pair at s=3
     (20, [0, 1]), (20, [19, 18]),  # block 0's low pair, the top pair
     (20, [3, 5]), (20, [2, 13, 7]),  # a reversed order, a non-adjacent list
     (19, [5, 3, 11, 9, 17, 15]),  # the 2s qubits of pre_broadcast_dm
+    (2, [0]), (2, [1, 0]), (6, [5, 3]), (6, [0, 4, 2]), (6, list(range(6))),
+    (13, [5, 3]), (13, [11, 9]), (13, [12, 0]), (13, [5, 3, 11, 9]),
 ])
 def test_partial_trace_matches_the_whole_state_route(n, keep):
+    # with nothing fixed the live view is the whole array: the same matrix
+    # a and the same gemm, so the same bits
     state = random_state(n, np.random.default_rng(90 + len(keep)))
     before = state.amps.tobytes()
     got = sv.partial_trace(state, keep).mat
     assert state.amps.tobytes() == before
-    assert np.abs(got - reference_partial_trace(state, keep)).max() < SLAB_SUM_TOL
-
-
-@pytest.mark.parametrize("n, keep", [
-    (2, [0]), (2, [1, 0]), (6, [5, 3]), (6, [0, 4, 2]), (6, list(range(6))),
-    (13, [5, 3]), (13, [11, 9]), (13, [12, 0]), (13, [5, 3, 11, 9]),
-])
-def test_partial_trace_of_one_slab_is_the_single_gemm(n, keep):
-    state = random_state(n, np.random.default_rng(95 + n))
-    assert len(sv._trace_plan(n, (0, 0), tuple(keep))) == 1
-    got = sv.partial_trace(state, keep).mat
     assert got.tobytes() == reference_partial_trace(state, keep).tobytes()
 
 
-def test_partial_trace_allocates_slabs_not_the_state():
-    # 20 qubits are 16 MiB: the whole-state route allocates two such copies
+def test_partial_trace_of_a_measured_state_reads_only_its_live_view():
+    # 20 qubits are 16 MiB; with 18 of them measured the receiver pair's
+    # live view is 4 amplitudes, and a copy of the whole array would be seen
     state = random_state(20, np.random.default_rng(97))
-    for keep in ([5, 3], [0, 2], [19, 18]):
-        tracemalloc.start()
-        try:
-            sv.partial_trace(state, keep)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 << 20, keep
+    for q in range(20):
+        if q not in (3, 5):
+            sv.measure_qubit(state, q, forced=q % 2)
+    tracemalloc.start()
+    try:
+        dm = sv.partial_trace(state, [5, 3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+    assert dm.mat.tobytes() == reference_partial_trace(state, [5, 3]).tobytes()
 
 
 # --------------------------------------------------- kernels vs matrix oracle

@@ -8,13 +8,13 @@ CLI subcommands.  Reports are plain dicts with a stable schema::
     {config, seed, assertions: [{name, expected, measured, tolerance, pass}],
      branches: [...], efficiency: [...]}
 
-and serialize deterministically (sorted keys, no timestamps), so identical
+and serialize deterministically as compact JSON (sorted keys, no whitespace,
+no timestamps) through the standard library's C encoder, so identical
 configuration and seed give byte-identical files.
 """
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
@@ -180,99 +180,9 @@ def report_passed(report: dict) -> bool:
     return all(a["pass"] for a in report.get("assertions", []))
 
 
-_INFINITY = float("inf")
-
-
-def _float_text(o: float) -> str:
-    if o != o:
-        return "NaN"
-    if o == _INFINITY:
-        return "Infinity"
-    if o == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(o)
-
-
-# Text of each exact scalar type json writes; subclasses take _render's slow path.
-_SCALAR_TEXT = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _float_text,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda o: "null",
-}
-
-
-def _render(o, indent: str, memo: dict) -> str:
-    """``o`` as ``json.dumps(o, sort_keys=True, indent=2)`` writes it at ``indent``.
-
-    Python's json runs its pure-Python encoder whenever it indents; this
-    writes the same bytes with less work per item.  A dict whose values are
-    all scalars renders the same at the same indent, so its text is kept in
-    ``memo`` by (id, indent): report records shared between branches render
-    once.  ``memo`` lives for one render, while the report keeps every id
-    alive.
-    """
-    text = _SCALAR_TEXT.get(type(o))
-    if text is not None:
-        return text(o)
-    if isinstance(o, dict):
-        key = id(o), indent
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if not o:
-            return "{}"
-        inner = indent + "  "
-        parts = []
-        scalar = True
-        for k, v in sorted(o.items()):
-            if not isinstance(k, str):
-                k = _key_text(k)
-            text = _SCALAR_TEXT.get(type(v))
-            if text is None:
-                scalar = False
-                value = _render(v, inner, memo)
-            else:
-                value = text(v)
-            parts.append(encode_basestring_ascii(k) + ": " + value)
-        out = "{\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "}"
-        if scalar:
-            memo[key] = out
-        return out
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        inner = indent + "  "
-        return "[\n" + inner + (",\n" + inner).join([_render(v, inner, memo) for v in o]) + "\n" + indent + "]"
-    # scalar subclasses, in json's order: np.float64 is a float
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float_text(o)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _key_text(k) -> str:
-    """A dict key that is not a string, converted as json converts it."""
-    if isinstance(k, float):
-        return _float_text(k)
-    if k is True:
-        return "true"
-    if k is False:
-        return "false"
-    if k is None:
-        return "null"
-    if isinstance(k, int):
-        return int.__repr__(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
 def render_report(report: dict) -> str:
-    """The report as ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline."""
-    return _render(report, "", {}) + "\n"
+    """The report as compact JSON with sorted keys, plus a newline."""
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def write_report(report: dict, path: str | None) -> None:

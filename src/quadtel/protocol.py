@@ -54,7 +54,6 @@ from .channel import BELL_COEFFS, BELL_SYMBOLS, BellKind
 from .statevector import (
     GATES_1Q,
     HARD_QUBIT_CAP,
-    DensityMatrix,
     MIN_BRANCH_PROBABILITY,
     NORM_TOL,
     StateVector,
@@ -143,6 +142,11 @@ class InfoState:
         return StateVector(2, self.coeffs)
 
 
+def _is_integer(x) -> bool:
+    """A Python or numpy integer, not a bool: ``2.0`` indexes no table and ``True`` prints as "True"."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class OutcomeRecord:
     """Bell outcomes of the 2s sender measurements plus the controller bit."""
@@ -151,10 +155,13 @@ class OutcomeRecord:
     z: int
 
     def __post_init__(self):
-        if not all(b in range(4) and not isinstance(b, bool) for b in self.bell):
+        if not all(_is_integer(b) and 0 <= b <= 3 for b in self.bell):
             raise ValueError(f"Bell outcomes must be integers in 0..3: {self.bell}")
-        if self.z not in (0, 1) or isinstance(self.z, bool):
+        if not (_is_integer(self.z) and self.z in (0, 1)):
             raise ValueError(f"controller bit must be the integer 0 or 1, got {self.z!r}")
+        # numpy integers become Python ints, which reports can serialize
+        object.__setattr__(self, "bell", tuple(map(int, self.bell)))
+        object.__setattr__(self, "z", int(self.z))
 
     def symbols(self) -> str:
         return ",".join([BELL_SYMBOLS[b] for b in self.bell] + [str(self.z)])
@@ -282,10 +289,10 @@ class DenseState:
             live = _live(self.state)
             np.negative(live, out=live)
 
-    def receiver_dm(self, i: int) -> DensityMatrix:
+    def receiver_dm(self, i: int) -> np.ndarray:
         return partial_trace(self.state, [self._base(i) + q for q in _RECEIVER_KEEP])
 
-    def pre_broadcast_dm(self) -> DensityMatrix:
+    def pre_broadcast_dm(self) -> np.ndarray:
         keep = [self._base(i) + q for i in range(self.s) for q in _RECEIVER_KEEP]
         return partial_trace(self.state, keep)
 
@@ -396,7 +403,7 @@ class _Block(StateVector):
     def receiver_mat(self) -> np.ndarray:
         """The receiver pair's reduced density matrix, indexed 2a+b."""
         if self._receiver_rho is None:
-            self._receiver_rho = partial_trace(self, _RECEIVER_KEEP).mat
+            self._receiver_rho = partial_trace(self, _RECEIVER_KEEP)
         return self._receiver_rho
 
 
@@ -491,13 +498,13 @@ class StructuredState:
         for b in self._alive():
             self.blocks[b][i] = self.blocks[b][i].corrected(entry)
 
-    def receiver_dm(self, i: int) -> DensityMatrix:
+    def receiver_dm(self, i: int) -> np.ndarray:
         mat = np.zeros((4, 4), dtype=complex)
         for b in self._alive():
             mat += abs(self.weights[b]) ** 2 * self.blocks[b][i].receiver_mat()
-        return DensityMatrix(2, mat)
+        return mat
 
-    def pre_broadcast_dm(self) -> DensityMatrix:
+    def pre_broadcast_dm(self) -> np.ndarray:
         dim = 1 << (2 * self.s)
         mat = np.zeros((dim, dim), dtype=complex)
         for b in self._alive():
@@ -505,7 +512,7 @@ class StructuredState:
             for i in range(self.s):
                 rho = np.kron(self.blocks[b][i].receiver_mat(), rho)
             mat += abs(self.weights[b]) ** 2 * rho
-        return DensityMatrix(2 * self.s, mat)
+        return mat
 
 
 def assemble_global(
@@ -633,7 +640,7 @@ def pre_broadcast_state(
     bell_outcomes: Sequence[int],
     *,
     engine: str = "structured",
-) -> DensityMatrix:
+) -> np.ndarray:
     """Receiver-side density matrix after all sender measurements but before
     the controller's broadcast.
 
@@ -676,5 +683,5 @@ def block_outcome_table(info: InfoState, receiver: str) -> tuple[np.ndarray, np.
                 leaf = child.collapsed(1, ha, hb)
                 probs[z, g, h] = joint0[ga][gb] * joint1[ha][hb]
                 entry = corrections.table_lookup(receiver, (g, h, z))
-                fidelities[z, g, h] = dm_fidelity(DensityMatrix(2, leaf.corrected(entry).receiver_mat()), target)
+                fidelities[z, g, h] = dm_fidelity(leaf.corrected(entry).receiver_mat(), target)
     return probs, fidelities

@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from types import EllipsisType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -178,14 +177,6 @@ class StateVector:
 
     def __repr__(self) -> str:
         return f"StateVector(n_qubits={self.n_qubits})"
-
-
-@dataclass
-class DensityMatrix:
-    """Reduced density matrix over a subset of qubits (read-only analysis type)."""
-
-    n_qubits: int
-    mat: np.ndarray
 
 
 def _check_size(n_qubits: int) -> None:
@@ -464,8 +455,8 @@ def distance(a: StateVector, b: StateVector) -> float:
     return float(np.linalg.norm(a.amps - b.amps))
 
 
-def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
-    """Reduced density matrix over the kept qubits.
+def partial_trace(state: StateVector, keep: Sequence[int]) -> np.ndarray:
+    """Reduced density matrix over the kept qubits, a (2^k, 2^k) array.
 
     keep[j] becomes bit j of the reduced index, so the first listed qubit is
     the least significant bit of the result.
@@ -484,14 +475,15 @@ def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
     for q in keep:
         _check_qubit(state, q)
     a = _live(state, keep[::-1]).reshape(1 << len(keep), -1)
-    return DensityMatrix(len(keep), a @ a.conj().T)
+    return a @ a.conj().T
 
 
-def dm_fidelity(dm: DensityMatrix, target: StateVector) -> float:
+def dm_fidelity(rho: np.ndarray, target: StateVector) -> float:
     """<target|rho|target>, the fidelity of a mixed state against a pure target."""
-    if target.n_qubits != dm.n_qubits:
-        raise ValueError(f"qubit counts differ: {dm.n_qubits} vs {target.n_qubits}")
-    return float(np.real(np.vdot(target.amps, dm.mat @ target.amps)))
+    dim = target.amps.size
+    if rho.shape != (dim, dim):
+        raise ValueError(f"density matrix of shape {rho.shape} does not fit a {target.n_qubits}-qubit target")
+    return float(np.real(np.vdot(target.amps, rho @ target.amps)))
 
 
 def tensor(*states: StateVector) -> StateVector:

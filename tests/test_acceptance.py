@@ -81,12 +81,12 @@ def test_criterion_4_controller_gating():
     phi0 = product_coeffs([i.coeffs for i in inputs])
     phi1 = product_coeffs([flip_pattern(i.coeffs) for i in inputs])
     oracle = 0.5 * np.outer(phi0, phi0.conj()) + 0.5 * np.outer(phi1, phi1.conj())
-    matrix_err = float(np.abs(dm.mat - oracle).max())
+    matrix_err = float(np.abs(dm - oracle).max())
 
     guesses = []
     for draw in range(20):
         draw_inputs = make_inputs(4, 400 + draw)
-        rho = pr.pre_broadcast_state(draw_inputs, (0,) * 8).mat
+        rho = pr.pre_broadcast_state(draw_inputs, (0,) * 8)
         target = product_coeffs([i.coeffs for i in draw_inputs])
         guesses.append(float(np.real(np.vdot(target, rho @ target))))
     mean_guess = float(np.mean(guesses))

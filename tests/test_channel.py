@@ -121,7 +121,7 @@ def test_pair_marginals_are_half_half_bell_mixture():
     for j in range(8):
         snd, rcv = 2 * j, 2 * j + 1
         dm = sv.partial_trace(state, [rcv, snd])  # index = 2*sender_bit + receiver_bit
-        assert np.abs(dm.mat - mix).max() < 1e-12
+        assert np.abs(dm - mix).max() < 1e-12
 
 
 def test_bsm_support_on_channel_pairs():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadtel import cli
@@ -206,65 +206,6 @@ def test_reports_are_byte_identical_for_same_config():
     assert a == b
     c = hz.render_report(hz.cmd_run(senders=2, seed=6, mode="sampled:4"))
     assert a != c
-
-
-# Strings json escapes (quotes, backslashes, control characters) and writes
-# as \u escapes (non-ASCII, astral-plane pairs), plus hypothesis's own text.
-_TEXT = st.one_of(st.text(max_size=6), st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é", "☃", "😀", ""]))
-_FLOATS = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
-)
-_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), _FLOATS, _FLOATS.map(np.float64), _TEXT,
-)
-# Keys of one kind per dict: json sorts them, and only these kinds compare.
-_KEYS = st.one_of(
-    st.just(_TEXT),
-    st.just(st.one_of(st.integers(-2 ** 70, 2 ** 70), _FLOATS, st.booleans())),
-    st.just(st.none()),
-)
-
-
-@st.composite
-def _json_dicts(draw, values):
-    return draw(st.dictionaries(draw(_KEYS), values, max_size=4))
-
-
-def _json_trees(leaves):
-    return st.recursive(
-        leaves,
-        lambda children: st.one_of(
-            st.lists(children, max_size=4),
-            st.lists(children, max_size=4).map(tuple),
-            _json_dicts(children),
-        ),
-        max_leaves=12,
-    )
-
-
-@st.composite
-def _reports(draw):
-    # one scalar dict shared at two depths, as transcript records are shared
-    # between branches, next to a random tree that itself appears twice
-    shared = draw(_json_dicts(_SCALARS))
-    tree = draw(_json_trees(_SCALARS))
-    return {"shared": shared, "nested": [tree, {"again": shared}, (shared,)], "tree": tree}
-
-
-_SHARED = {"quote\"": -0.0, "é☃😀\n": float("nan"), "inf": float("inf"), "ninf": float("-inf"),
-           "np": np.float64(0.1), "int": 2 ** 70, "none": None, "flag": False}
-
-
-@settings(derandomize=True, max_examples=60, deadline=None, database=None)
-@given(report=_reports())
-@example(report={
-    "shared": _SHARED,
-    "nested": [_SHARED, ({"deeper": [_SHARED]},), [], {}, ()],
-    "keys": [{1: "a", 2.5: "b", True: "c", float("-inf"): "d"}, {None: {}}, {False: (None,)}],
-})
-def test_render_report_writes_json_bytes(report):
-    assert hz.render_report(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("bad", [{1, 2}, np.int64(3), object()])

@@ -1,6 +1,7 @@
 """Protocol tests: global-state assembly, forced and exhaustive runs, engine
 equivalence, controller gating, transcripts, and order independence."""
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -114,6 +115,22 @@ def test_outcome_record_validation():
     assert pr.OutcomeRecord((0, 1, 2, 3), 1).symbols() == "k+,k-,l+,l-,1"
 
 
+@pytest.mark.parametrize("bell, z", [((2.0, 0), 1), ((2, 0), 1.0), ((np.float64(1), 0), 0),
+                                     ((1, 0), np.float64(0)), ((np.True_, 0), 0), ((1, 0), np.False_)])
+def test_outcome_record_refuses_non_integers(bell, z):
+    # an integral float passes `in range(4)` but fails as a table index later
+    with pytest.raises(ValueError, match="Bell outcomes|controller bit"):
+        pr.OutcomeRecord(bell, z)
+
+
+def test_outcome_record_takes_numpy_integers_as_ints():
+    record = pr.OutcomeRecord((np.int64(2), np.uint8(0)), np.int32(1))
+    assert record == pr.OutcomeRecord((2, 0), 1)
+    assert all(type(v) is int for v in record.bell + (record.z,))
+    inputs = [pr.InfoState.random(np.random.default_rng(1))]
+    assert json.loads(json.dumps(pr.run_protocol(inputs, forced=record).to_dict()))["outcome"]["symbols"] == "l+,k+,1"
+
+
 # ----------------------------------------------------------------- assembly
 
 def test_assembled_state_is_normalized():
@@ -222,7 +239,7 @@ def test_channel_pair_marginals_in_assembled_state():
         keep = (3 + 2 * which, 2 + 2 * which)  # (receiver-side, sender-side)
         got = sum(
             abs(structured.weights[b]) ** 2
-            * sv.partial_trace(structured.blocks[b][0], keep).mat
+            * sv.partial_trace(structured.blocks[b][0], keep)
             for b in (0, 1)
         )
         assert np.abs(got - mix).max() < 1e-12
@@ -249,7 +266,7 @@ def test_all_kappa_plus_z0_needs_no_correction():
     target = product_coeffs([i.coeffs for i in inputs])
     other = product_coeffs([flip_pattern(i.coeffs) for i in inputs])
     expected = 0.5 * (1 + abs(np.vdot(target, other)) ** 2)
-    assert abs(np.real(np.vdot(target, pre.mat @ target)) - expected) < 1e-10
+    assert abs(np.real(np.vdot(target, pre @ target)) - expected) < 1e-10
     report = pr.run_protocol(inputs, forced=record)
     assert all(f > 1 - FIDELITY_TOL for f in report.per_receiver_fidelity)
 
@@ -264,7 +281,7 @@ def test_all_kappa_plus_z1_collapse_matches_flip_pattern():
     for i in range(4):
         dm = state.receiver_dm(i)
         expect = flip_pattern(inputs[i].coeffs)
-        assert abs(np.real(np.vdot(expect, dm.mat @ expect)) - 1) < 1e-10
+        assert abs(np.real(np.vdot(expect, dm @ expect)) - 1) < 1e-10
     # applying the tabulated correction restores every message
     for i in range(4):
         state.apply_correction(i, co.table_lookup(f"fancy{i + 1}", (0, 0, 1)))
@@ -361,14 +378,28 @@ ROUTE_CELLS = [
     ("dense", 4, "forced:2"),
     ("table", 1, "all"), ("table", 2, "all"), ("table", 4, "sampled:64"),
 ]
+# The same comparison with every receiver corrected by I(x)I instead of its
+# printed word.  The printed words give F = 1 on every branch, so a route that
+# read another branch's fidelity would still agree; without them the
+# fidelities differ from branch to branch (from 6e-4 to 1 at s=1, 2e-3 to 1 at
+# s=2).
+IDENTITY_WORD_CELLS = [("kept", 1, "all"), ("dense", 1, "all"), ("operator", 1, "all"), ("table", 2, "all")]
 SEEDS = {1: 61, 2: 62, 3: 62, 4: 66}
+_IDENTITY_WORD = co.CorrectionEntry(co.PauliFactor.I, co.PauliFactor.I)
 
 
-@pytest.mark.parametrize("route, s, spec", ROUTE_CELLS, ids=[f"{r}-s{s}-{spec}" for r, s, spec in ROUTE_CELLS])
-def test_route_matches_reference(route, s, spec):
+_CELLS = [(*cell, "printed") for cell in ROUTE_CELLS] + [(*cell, "identity") for cell in IDENTITY_WORD_CELLS]
+
+
+@pytest.mark.parametrize("route, s, spec, words", _CELLS,
+                         ids=[f"{r}-s{s}-{spec}" + ("-identity" if w == "identity" else "") for r, s, spec, w in _CELLS])
+def test_route_matches_reference(route, s, spec, words, monkeypatch):
     # each route gives the reference's outcomes (drawn ones leave the generator
     # where the reference's is), probability and fidelities, byte for byte on
-    # the structured engine; every branch keeps p = 2^-(4s+1) and fidelity 1
+    # the structured engine; every branch keeps p = 2^-(4s+1), and fidelity 1
+    # under the printed words
+    if words == "identity":
+        monkeypatch.setattr(co, "table_lookup", lambda receiver, key: _IDENTITY_WORD)
     inputs = make_inputs(s, SEEDS[s])
     mine, theirs = (routes.record_set(s, spec, SEEDS[s] + 1) for _ in range(2))
     want = routes.structured(inputs, theirs)
@@ -379,7 +410,8 @@ def test_route_matches_reference(route, s, spec):
     for branches in (want, got):
         probs = np.array([b.branch_probability for b in branches])
         assert np.abs(probs - 2.0 ** -(4 * s + 1)).max() < PROBABILITY_TOL
-        assert min(min(b.per_receiver_fidelity) for b in branches) >= 1 - FIDELITY_TOL
+        if words == "printed":
+            assert min(min(b.per_receiver_fidelity) for b in branches) >= 1 - FIDELITY_TOL
         if spec == "all":
             assert len(branches) == 2 * 16 ** s and abs(probs.sum() - 1) < PROBABILITY_SUM_TOL
     for g, w in zip(got, want):
@@ -551,8 +583,8 @@ def test_pre_broadcast_matrix_is_half_half_mixture():
     phi0 = product_coeffs([i.coeffs for i in inputs])
     phi1 = product_coeffs([flip_pattern(i.coeffs) for i in inputs])
     oracle = 0.5 * np.outer(phi0, phi0.conj()) + 0.5 * np.outer(phi1, phi1.conj())
-    assert np.abs(dm.mat - oracle).max() < 1e-10
-    assert abs(np.trace(dm.mat) - 1) < 1e-10
+    assert np.abs(dm - oracle).max() < 1e-10
+    assert abs(np.trace(dm) - 1) < 1e-10
 
 
 def test_pre_broadcast_general_outcomes_match_single_sender_oracle():
@@ -573,7 +605,7 @@ def test_pre_broadcast_general_outcomes_match_single_sender_oracle():
     oracle = 0.5 * np.outer(branches[0], branches[0].conj()) + 0.5 * np.outer(
         branches[1], branches[1].conj()
     )
-    assert np.abs(dm.mat - oracle).max() < 1e-10
+    assert np.abs(dm - oracle).max() < 1e-10
 
 
 def test_pre_broadcast_engines_agree():
@@ -581,7 +613,7 @@ def test_pre_broadcast_engines_agree():
     bells = (1, 0, 2, 3)
     structured = pr.pre_broadcast_state(inputs, bells, engine="structured")
     dense = pr.pre_broadcast_state(rebuilt(inputs), bells, engine="dense")
-    assert np.abs(structured.mat - dense.mat).max() < 1e-10
+    assert np.abs(structured - dense).max() < 1e-10
 
 
 def test_guessing_the_controller_bit_fails_on_average():
@@ -592,7 +624,7 @@ def test_guessing_the_controller_bit_fails_on_average():
         dm = pr.pre_broadcast_state(inputs, (0,) * 8)
         # a z=0 guess means applying identity corrections and hoping
         target = product_coeffs([i.coeffs for i in inputs])
-        fidelities.append(float(np.real(np.vdot(target, dm.mat @ target))))
+        fidelities.append(float(np.real(np.vdot(target, dm @ target))))
     assert np.mean(fidelities) < 0.999
     # while cooperating with the controller always succeeds
     report = pr.run_protocol(inputs, forced=pr.OutcomeRecord((0,) * 8, 1))

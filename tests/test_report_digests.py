@@ -1,7 +1,8 @@
 """Golden digests: the rendered report of each subcommand, byte for byte.
 
 Each sha256 below was recorded from ``render_report`` before a refactor and
-must not move across one.  A change that alters a report on purpose updates
+must not move across one; the rendered text must also parse back to the
+dict the command returned.  A change that alters a report on purpose updates
 the digest in the same commit and says why.  The digests are the same with
 OPENBLAS_NUM_THREADS=1 and with the default thread count.
 """
@@ -15,36 +16,36 @@ from quadtel import harness as hz
 GOLDEN = {
     "run-s2-exhaustive-structured": (
         lambda: hz.cmd_run(senders=2, seed=0, mode="exhaustive"),
-        "2f84ffa47a2ea800c541027c4010dcebfda70ec62d88ef9802ffc64d9253d173",
+        "0bd9ba6a73bae6ec4f63d511773eabe565a8a07f8c666ffdb36597b81c254ac8",
     ),
     "run-s2-exhaustive-dense": (
         lambda: hz.cmd_run(senders=2, seed=0, mode="exhaustive", engine="dense"),
-        "c09ffd5091bef758047f7a19f01caad278ebca38beca8d5e2ea145defcdc8492",
+        "ac3ecf14b30e8ac482fe97f13d7237e8d4398b19c5250084f56a7eb6afcf5511",
     ),
     "run-s4-sampled64": (
         lambda: hz.cmd_run(senders=4, seed=0, mode="sampled:64"),
-        "a6e25290b67bd3c017d2fa00ccf2e86b69e2cf490d1978d8837de9434588edd5",
+        "870a38a9764c6eb9bed9afda88404988bc57abac66a80cbacb709192d004b932",
     ),
     "run-s3-dense-forced": (
         lambda: hz.cmd_run(senders=3, seed=0, mode="forced:k+,k-,l+,l-,k+,l-,1", engine="dense",
                            allow_large_dense=True),
-        "3f151acf7e4ba863cb341c8e70dbdd1005026dfa6c84a1a2dfa1bc7bdfbe7d39",
+        "2b4b70bb631f82b8381d883fb1e2393278e8f23e00a7fa0092a95238bd2a9f97",
     ),
     "verify-tables-3": (
         lambda: hz.cmd_verify_tables(seed=3),
-        "c15d321bc56cd4caf1420c8a35e7ac9e15fb820268714ace6ef5bc4cdb07eb2b",
+        "8a51d6ad271bd93df0e078626f013665581efb6830100e1d81090c5d3795fa56",
     ),
     "verify-expansion-3": (
         lambda: hz.cmd_verify_expansion(seed=3),
-        "1b974bf0fa82ebd8fd6306322a3b7503e6eaff4230db1fab64d1a1bef4a9f213",
+        "b76dcf30a63ad9d9d625328ef144249df8447a57456368bedb8e25b6f2c84f36",
     ),
     "efficiency": (
         hz.cmd_efficiency,
-        "c20d23a2066b9b72e03a0dc676669ab0d85d16815458b8836f6880437207f66e",
+        "954466ebd5f9f2a4d221ed3d865c4a7c2ceec1bc94612a4f3017c31c2e8f0783",
     ),
     "prepare-channel-8": (
         lambda: hz.cmd_prepare_channel(8),
-        "4ca3e9c1738e4c425d418f6e8a1226b0baeb6441b7fd40d8054b985b9f19e5a5",
+        "423ad679dab5d27a589dbf1cf155aa0e8d90e6dab86576cf0ff1234ed9d556ca",
     ),
 }
 
@@ -55,4 +56,4 @@ def test_report_is_byte_identical(name):
     report = command()
     rendered = hz.render_report(report)
     assert hashlib.sha256(rendered.encode()).hexdigest() == digest
-    assert rendered == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert json.loads(rendered) == report

@@ -293,12 +293,19 @@ def test_partial_trace_of_bell_pair_is_maximally_mixed():
     s = sv.StateVector(2, bell_amps(0))
     for q in (0, 1):
         dm = sv.partial_trace(s, [q])
-        assert np.allclose(dm.mat, np.eye(2) / 2, atol=1e-12)
+        assert np.allclose(dm, np.eye(2) / 2, atol=1e-12)
 
 
 def test_partial_trace_keeping_everything():
     dm = sv.partial_trace(sv.init_basis(1, 0), [0])
-    assert np.allclose(dm.mat, [[1, 0], [0, 0]])
+    assert np.allclose(dm, [[1, 0], [0, 0]])
+
+
+def test_dm_fidelity_refuses_a_matrix_of_another_size():
+    target = sv.init_basis(2, 0)
+    assert sv.dm_fidelity(sv.partial_trace(target, [0, 1]), target) == 1
+    with pytest.raises(ValueError, match="2-qubit target"):
+        sv.dm_fidelity(sv.partial_trace(target, [0]), target)
 
 
 def test_partial_trace_rejects_empty_and_duplicate_keep():
@@ -315,18 +322,18 @@ def test_partial_trace_is_physical_on_random_states():
         s = random_state(4, rng)
         keep = list(rng.choice(4, size=2, replace=False))
         dm = sv.partial_trace(s, keep)
-        assert np.allclose(dm.mat, dm.mat.conj().T, atol=1e-10)
-        assert abs(np.trace(dm.mat) - 1) < 1e-10
-        assert np.linalg.eigvalsh(dm.mat).min() >= -1e-9
+        assert np.allclose(dm, dm.conj().T, atol=1e-10)
+        assert abs(np.trace(dm) - 1) < 1e-10
+        assert np.linalg.eigvalsh(dm).min() >= -1e-9
 
 
 def test_partial_trace_bit_order_follows_keep_list():
     # |q1 q0> = |10>: keep [0, 1] -> reduced index bit0 = qubit 0
     s = sv.init_basis(2, 2)
     dm01 = sv.partial_trace(s, [0, 1])
-    assert dm01.mat[2, 2] == 1
+    assert dm01[2, 2] == 1
     dm10 = sv.partial_trace(s, [1, 0])
-    assert dm10.mat[1, 1] == 1
+    assert dm10[1, 1] == 1
 
 
 def reference_partial_trace(state, keep):
@@ -351,7 +358,7 @@ def test_partial_trace_matches_the_whole_state_route(n, keep):
     # a and the same gemm, so the same bits
     state = random_state(n, np.random.default_rng(90 + len(keep)))
     before = state.amps.tobytes()
-    got = sv.partial_trace(state, keep).mat
+    got = sv.partial_trace(state, keep)
     assert state.amps.tobytes() == before
     assert got.tobytes() == reference_partial_trace(state, keep).tobytes()
 
@@ -370,7 +377,7 @@ def test_partial_trace_of_a_measured_state_reads_only_its_live_view():
     finally:
         tracemalloc.stop()
     assert peak < 64 << 10
-    assert dm.mat.tobytes() == reference_partial_trace(state, [5, 3]).tobytes()
+    assert dm.tobytes() == reference_partial_trace(state, [5, 3]).tobytes()
 
 
 # --------------------------------------------------- kernels vs matrix oracle

@@ -33,6 +33,11 @@ PROBABILITY_SUM_TOL = 1e-10  # summing 2^17 branch probabilities can drift by 2^
 AMPLITUDE_TOL = 1e-12  # a state distance or term coefficient; the prefactor candidates differ by 8.3e-3
 SUM_SQ_TOL = 1e-9  # 2^17 squared term coefficients against 1; the wrong prefactor implies 16
 
+# Most runs one sampled command may ask for: the s=4 branch count, so the most
+# records exhaustive mode ever writes.  A larger N only makes the command run
+# for hours and its report grow past gigabytes.
+MAX_SAMPLED_RUNS = 2 * 4 ** (2 * protocol.MAX_SENDERS)
+
 
 def intrinsic_efficiency(q_s: int, q_u: int, b_t: int) -> float:
     """Percentage yield tau = 100 * q_s / (q_u + b_t).
@@ -314,8 +319,10 @@ def cmd_run(
             count = int(mode[len("sampled:"):])
         except ValueError:
             count = 0
-        if count < 1:
-            raise ValueError(f"bad mode {mode!r}: sampled mode is sampled:N with an integer N >= 1")
+        if not 1 <= count <= MAX_SAMPLED_RUNS:
+            raise ValueError(
+                f"bad mode {mode!r}: sampled mode is sampled:N with an integer N >= 1 and at most {MAX_SAMPLED_RUNS}"
+            )
         rng = np.random.default_rng(seed + 0x5A17)
         reports = [
             protocol.run_protocol(

@@ -108,15 +108,17 @@ class InfoState:
     """Normalized two-qubit message, coefficients ordered |00>,|01>,|10>,|11>.
 
     A message is immutable: it holds its own read-only copy of the
-    coefficients.  So it can keep the sender blocks built from it, one per
-    controller-branch Bell kind (see ``_block_state``), and every state
-    prepared from it shares them and all they keep.  Messages compare and
-    hash by identity, as the kept blocks belong to one message object: a
-    message rebuilt from the same coefficients starts with none.
+    coefficients, and the read-only target state on them.  So it can keep
+    the sender blocks built from it, one per controller-branch Bell kind
+    (see ``_block_state``), and every state prepared from it shares them and
+    all they keep.  Messages compare and hash by identity, as the kept blocks
+    belong to one message object: a message rebuilt from the same
+    coefficients starts with none.
     """
 
     coeffs: np.ndarray
     _blocks: dict = field(default_factory=dict, init=False, repr=False)
+    _target: StateVector = field(init=False, repr=False)
 
     def __post_init__(self):
         coeffs = np.array(self.coeffs, dtype=complex)
@@ -130,6 +132,7 @@ class InfoState:
             norm = float(np.linalg.norm(coeffs))
         if abs(norm - 1) > NORM_TOL:
             raise ValueError(f"message state is not normalized (norm {norm!r})")
+        object.__setattr__(self, "_target", StateVector(2, coeffs, copy=False))
 
     @classmethod
     def random(cls, rng: np.random.Generator) -> "InfoState":
@@ -138,8 +141,8 @@ class InfoState:
         return cls(c / np.linalg.norm(c))
 
     def target_state(self) -> StateVector:
-        """The message as a 2-qubit state on index 2a+b (first symbol high)."""
-        return StateVector(2, self.coeffs)
+        """The message as a read-only 2-qubit state on index 2a+b (first symbol high)."""
+        return self._target
 
 
 def _is_integer(x) -> bool:
@@ -369,16 +372,21 @@ class _Block(StateVector):
     def bell_split(self, which: int) -> tuple:
         """The Bell measurement on sender pair ``which``.
 
-        Returns ``(changed, joint, marginal)``: the basis-changed amplitudes
-        indexed (bit a, bit b, rest), the joint probabilities [bit a][bit b]
-        and the bit-a marginals.
+        Returns ``(changed, joint, marginal, conditional)``: the basis-changed
+        amplitudes indexed (bit a, bit b, rest), the joint probabilities
+        [bit a][bit b], the bit-a marginals, and per bit a the bit-b
+        probabilities given it, or None where its marginal is at most
+        MIN_BRANCH_PROBABILITY, as a measurement drops that block's branch.
         """
         split = self._splits[which]
         if split is None:
             _, src0, src1, sign = _BELL_GATHERS[which]
             changed = (self.amps[src0] + sign * self.amps[src1]) * _SQRT2_INV
             joint = (np.abs(changed) ** 2).sum(axis=2).tolist()
-            split = self._splits[which] = changed, joint, (sum(joint[0]), sum(joint[1]))
+            marginal = (sum(joint[0]), sum(joint[1]))
+            conditional = tuple((p[0] / m, p[1] / m) if m > MIN_BRANCH_PROBABILITY else None
+                                for p, m in zip(joint, marginal))
+            split = self._splits[which] = changed, joint, marginal, conditional
         return split
 
     def collapsed(self, which: int, bit_a: int, bit_b: int) -> "_Block":
@@ -386,7 +394,7 @@ class _Block(StateVector):
         key = which, bit_a, bit_b
         child = self._children.get(key)
         if child is None:
-            changed, joint, _ = self.bell_split(which)
+            changed, joint, _, _ = self.bell_split(which)
             amps = np.zeros(64, dtype=complex)
             amps[_BELL_GATHERS[which][0][bit_a, bit_b]] = changed[bit_a, bit_b] / math.sqrt(joint[bit_a][bit_b])
             child = self._children[key] = _Block(amps)
@@ -423,6 +431,13 @@ class StructuredState:
     same blocks.  A fresh state and a copy run the same code, and both reuse
     what earlier branches computed.  ``weights`` is a 2-tuple of
     Python complex numbers that operations replace, so copies share it too.
+
+    Every operation handles branch 0 and branch 1 written out, with no
+    per-call container: a branch takes part while its weight squared exceeds
+    MIN_BRANCH_PROBABILITY, and a measurement that cannot occur in it sets
+    its weight to 0j and leaves its blocks as they were.  A Bell pair reads
+    its kept split from each taking block (``_Block.bell_split``): the
+    marginal of the first bit, then the kept conditional of the second.
     A Bell pair refused at its second bit (``ImpossibleBranchError``) leaves
     the weights reweighted for the first, so the state is then spent.
     """
@@ -444,46 +459,63 @@ class StructuredState:
     def copy(self) -> "StructuredState":
         return StructuredState(self.s, self.weights, [list(branch) for branch in self.blocks])
 
-    def _alive(self) -> list[int]:
-        return [b for b in (0, 1) if abs(self.weights[b]) ** 2 > MIN_BRANCH_PROBABILITY]
+    def _measure_bit(self, where: str, probs0, probs1, *, forced=None, rng=None):
+        """Measure one block qubit, given its (P0, P1) in branch 0 and in branch 1.
 
-    def _measure_bit(self, i: int, local_q: int, probs: dict, *, forced=None, rng=None):
-        """Measure one block qubit, given (P0, P1) for it in each branch of ``probs``.
-
-        Draws the bit with ``_draw_bit``, zeroes the branches that cannot give
-        it and reweights the rest.  Returns the bit, its probability and the
-        kept branches, whose blocks the caller collapses.
+        A branch whose pair is None takes no part: it is either dropped
+        already or too light to measure (weight squared at most
+        MIN_BRANCH_PROBABILITY), and its weight is only rescaled.  Draws the
+        bit with ``_draw_bit``, zeroes a branch that cannot give it and
+        reweights the rest.  Returns the bit, its probability and whether
+        each branch is kept; the caller collapses the kept branches' blocks.
 
         The weights are Python complex numbers, rounded as numpy's complex128
         was: ``abs(w) ** 2`` is numpy's value, and numpy divides a complex by
         a real as a product with the reciprocal, so the renormalization is
-        ``w * (1.0 / d)``, not ``w / d``.
+        ``w * (1.0 / d)``, not ``w / d``.  The totals add branch 0 first.
         """
-        totals = [0.0, 0.0]
-        for b, p in probs.items():
-            w2 = abs(self.weights[b]) ** 2
-            totals[0] += w2 * p[0]
-            totals[1] += w2 * p[1]
-        bit, prob = _draw_bit(totals[0], totals[1], _QUBIT_NAMES[i][local_q], forced=forced, rng=rng)
-        kept = [b for b, p in probs.items() if p[bit] > MIN_BRANCH_PROBABILITY]
-        weights = list(self.weights)
-        for b, p in probs.items():
-            weights[b] = weights[b] * math.sqrt(p[bit]) if b in kept else 0j
+        w0, w1 = self.weights
+        t0 = t1 = 0.0
+        if probs0 is not None:
+            w2 = abs(w0) ** 2
+            t0, t1 = w2 * probs0[0], w2 * probs0[1]
+        if probs1 is not None:
+            w2 = abs(w1) ** 2
+            t0 += w2 * probs1[0]
+            t1 += w2 * probs1[1]
+        bit, prob = _draw_bit(t0, t1, where, forced=forced, rng=rng)
+        keep0 = keep1 = False
+        if probs0 is not None:
+            p = probs0[bit]
+            keep0 = p > MIN_BRANCH_PROBABILITY
+            w0 = w0 * math.sqrt(p) if keep0 else 0j
+        if probs1 is not None:
+            p = probs1[bit]
+            keep1 = p > MIN_BRANCH_PROBABILITY
+            w1 = w1 * math.sqrt(p) if keep1 else 0j
         scale = 1.0 / math.sqrt(prob)
-        self.weights = (weights[0] * scale, weights[1] * scale)
-        return bit, prob, kept
+        self.weights = (w0 * scale, w1 * scale)
+        return bit, prob, keep0, keep1
 
     def bsm_pair(self, j: int, *, forced=None, rng=None) -> tuple[int, float]:
         i, which = divmod(j, 2)
         a, b = _BELL_PAIRS[which]
         fa, fb = (None, None) if forced is None else _bell_bits(forced)
-        splits = {br: self.blocks[br][i].bell_split(which) for br in self._alive()}
-        marginal = {br: split[2] for br, split in splits.items()}
-        bit_a, pa, kept = self._measure_bit(i, a, marginal, forced=fa, rng=rng)
-        conditional = {br: [p / marginal[br][bit_a] for p in splits[br][1][bit_a]] for br in kept}
-        bit_b, pb, kept = self._measure_bit(i, b, conditional, forced=fb, rng=rng)
-        for br in kept:
-            self.blocks[br][i] = self.blocks[br][i].collapsed(which, bit_a, bit_b)
+        names = _QUBIT_NAMES[i]
+        w0, w1 = self.weights
+        blocks0, blocks1 = self.blocks
+        split0 = blocks0[i].bell_split(which) if abs(w0) ** 2 > MIN_BRANCH_PROBABILITY else None
+        split1 = blocks1[i].bell_split(which) if abs(w1) ** 2 > MIN_BRANCH_PROBABILITY else None
+        marginal0 = split0[2] if split0 else None
+        marginal1 = split1[2] if split1 else None
+        bit_a, pa, keep0, keep1 = self._measure_bit(names[a], marginal0, marginal1, forced=fa, rng=rng)
+        cond0 = split0[3][bit_a] if keep0 else None
+        cond1 = split1[3][bit_a] if keep1 else None
+        bit_b, pb, keep0, keep1 = self._measure_bit(names[b], cond0, cond1, forced=fb, rng=rng)
+        if keep0:
+            blocks0[i] = blocks0[i].collapsed(which, bit_a, bit_b)
+        if keep1:
+            blocks1[i] = blocks1[i].collapsed(which, bit_a, bit_b)
         return _bell_outcome(bit_a, bit_b), pa * pb
 
     def measure_controller(self, *, forced=None, rng=None) -> tuple[int, float]:
@@ -495,23 +527,34 @@ class StructuredState:
         return z, float(prob)
 
     def apply_correction(self, i: int, entry: corrections.CorrectionEntry) -> None:
-        for b in self._alive():
-            self.blocks[b][i] = self.blocks[b][i].corrected(entry)
+        (w0, w1), (blocks0, blocks1) = self.weights, self.blocks
+        if abs(w0) ** 2 > MIN_BRANCH_PROBABILITY:
+            blocks0[i] = blocks0[i].corrected(entry)
+        if abs(w1) ** 2 > MIN_BRANCH_PROBABILITY:
+            blocks1[i] = blocks1[i].corrected(entry)
 
     def receiver_dm(self, i: int) -> np.ndarray:
-        mat = np.zeros((4, 4), dtype=complex)
-        for b in self._alive():
-            mat += abs(self.weights[b]) ** 2 * self.blocks[b][i].receiver_mat()
-        return mat
+        """The weighted sum of the branches' receiver matrices; the weights
+        sum to 1, so at least one branch is above MIN_BRANCH_PROBABILITY."""
+        (w0, w1), (blocks0, blocks1) = self.weights, self.blocks
+        p0, p1 = abs(w0) ** 2, abs(w1) ** 2
+        if p1 <= MIN_BRANCH_PROBABILITY:
+            return p0 * blocks0[i].receiver_mat()
+        if p0 <= MIN_BRANCH_PROBABILITY:
+            return p1 * blocks1[i].receiver_mat()
+        return p0 * blocks0[i].receiver_mat() + p1 * blocks1[i].receiver_mat()
 
     def pre_broadcast_dm(self) -> np.ndarray:
         dim = 1 << (2 * self.s)
         mat = np.zeros((dim, dim), dtype=complex)
-        for b in self._alive():
+        for weight, blocks in zip(self.weights, self.blocks):
+            w2 = abs(weight) ** 2
+            if w2 <= MIN_BRANCH_PROBABILITY:
+                continue
             rho = np.array([[1.0]], dtype=complex)
-            for i in range(self.s):
-                rho = np.kron(self.blocks[b][i].receiver_mat(), rho)
-            mat += abs(self.weights[b]) ** 2 * rho
+            for block in blocks:
+                rho = np.kron(block.receiver_mat(), rho)
+            mat += w2 * rho
         return mat
 
 
@@ -602,7 +645,7 @@ def run_protocol(
         state.apply_correction(i, entry)
         fidelities.append(dm_fidelity(state.receiver_dm(i), inputs[i].target_state()))
     return ProtocolReport(
-        outcome=OutcomeRecord(tuple(outcomes), z),
+        outcome=forced if forced is not None else OutcomeRecord(tuple(outcomes), z),
         branch_probability=probability,
         per_receiver_fidelity=tuple(fidelities),
         transcript=transcript,

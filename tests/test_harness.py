@@ -334,6 +334,20 @@ def test_cli_rejects_bad_sampled_count(capsys, mode):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("count", [hz.MAX_SAMPLED_RUNS + 1, 10**20])
+def test_cli_rejects_sampled_count_above_the_limit(capsys, monkeypatch, count):
+    # the count is refused before any run starts: a run here fails the test
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(pr, "run_protocol", no_run)
+    code = cli.main(["run", "--senders", "1", "--mode", f"sampled:{count}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"sampled:{count}" in err and f"at most {hz.MAX_SAMPLED_RUNS}" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_cli_unwritable_out_is_bad_input(tmp_path, capsys):
     out = tmp_path / "missing" / "r.json"
     code = cli.main(["run", "--senders", "2", "--engine", "dense", "--mode", "forced:k+,k+,k+,k+,0",

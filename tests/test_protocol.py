@@ -352,17 +352,67 @@ def test_block_kernel_matches_generic_bsm(j, outcome):
     assert abs(np.sum(np.abs(state.weights) ** 2) - 1) < 1e-13
 
 
+def k_plus_block():
+    """A block whose pair (0, 2) holds k+, so that its BSM can only read k+."""
+    amps = np.zeros(64, dtype=complex)
+    amps[0b000000] = amps[0b000101] = 2 ** -0.5
+    return pr._Block(amps)
+
+
 def test_block_kernel_names_an_impossible_outcome():
     # pair (0, 2) of block 1 holds k+, so its BSM can only read k+: k- fails
     # on the message qubit, l+ on the channel qubit
     rng = np.random.default_rng(110)
-    amps = np.zeros(64, dtype=complex)
-    amps[0b000000] = amps[0b000101] = 2 ** -0.5
     for outcome, where in ((1, "block 1 qubit 0 outcome 1"), (2, "block 1 qubit 2 outcome 1")):
-        blocks = [[random_block(rng), pr._Block(amps)] for _ in range(2)]
+        blocks = [[random_block(rng), k_plus_block()] for _ in range(2)]
         state = pr.StructuredState(2, [2 ** -0.5, 2 ** -0.5], blocks)
         with pytest.raises(sv.ImpossibleBranchError, match=f"^{where} has probability"):
             state.bsm_pair(2, forced=outcome)
+
+
+def measure_with_branch_1_on_k_plus(outcome, seed):
+    """``bsm_pair(2)`` on a two-branch state whose branch 1 holds the k+ block
+    at block 1, against the generic route on the state written out densely.
+    Returns the state and whether the measurement dropped branch 1."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    state = pr.StructuredState(2, w / np.linalg.norm(w),
+                               [[random_block(rng), random_block(rng)], [random_block(rng), k_plus_block()]])
+    branch_1 = list(state.blocks[1])
+    fa, fb = (None, None) if outcome is None else sv.BELL_OUTCOME_BITS[outcome]
+    rng_generic, rng_kernel = np.random.default_rng(seed), np.random.default_rng(seed)
+    generic = to_dense(state)
+    sv.apply_cnot(generic, 6, 8)
+    sv.apply_1q(generic, "H", 6)
+    bit_a, p_a = sv.measure_qubit(generic, 6, forced=fa, rng=rng_generic)
+    bit_b, p_b = sv.measure_qubit(generic, 8, forced=fb, rng=rng_generic)
+    got, prob = state.bsm_pair(2, forced=outcome, rng=rng_kernel)
+    assert got == sv.BELL_OUTCOME_BITS.index((bit_a, bit_b))
+    assert abs(prob - p_a * p_b) < 1e-15
+    assert sv.distance(to_dense(state), generic) < 1e-13
+    assert abs(np.sum(np.abs(state.weights) ** 2) - 1) < 1e-13
+    dropped = got != 0
+    if dropped:
+        assert state.weights[1] == 0j
+        assert all(now is then for now, then in zip(state.blocks[1], branch_1))
+    return state, dropped
+
+
+@pytest.mark.parametrize("outcome", [1, 2, 3])
+def test_bsm_drops_the_branch_that_cannot_give_the_outcome(outcome):
+    # every protocol branch reads each Bell outcome with probability 1/4 in
+    # both controller branches, so no run drops one: here branch 1 cannot
+    # read k-, l+ or l-, which it refuses at the first bit (k-, l-) or the
+    # second (l+), and branch 0 can
+    _, dropped = measure_with_branch_1_on_k_plus(outcome, 120 + outcome)
+    assert dropped
+
+
+def test_sampled_bsm_drops_the_branch_that_cannot_give_the_outcome():
+    # the same draws on both routes, from one seed per state; about three in
+    # eight of them read an outcome that branch 1 cannot give
+    dropped = [measure_with_branch_1_on_k_plus(None, seed)[1] for seed in range(130, 146)]
+    assert any(dropped) and not all(dropped)
 
 
 # ------------------------------------------------------------- route matrix

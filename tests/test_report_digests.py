@@ -18,6 +18,10 @@ GOLDEN = {
         lambda: hz.cmd_run(senders=2, seed=0, mode="exhaustive"),
         "0bd9ba6a73bae6ec4f63d511773eabe565a8a07f8c666ffdb36597b81c254ac8",
     ),
+    "run-s3-exhaustive-structured": (  # the sweep-s3 benchmark command, 8192 branches
+        lambda: hz.cmd_run(senders=3, seed=0, mode="exhaustive"),
+        "fc9fd8ce7a9c5dd3e66566c85b5a60232949b2b4c13656686ff0a2e776ab7278",
+    ),
     "run-s2-exhaustive-dense": (
         lambda: hz.cmd_run(senders=2, seed=0, mode="exhaustive", engine="dense"),
         "ac3ecf14b30e8ac482fe97f13d7237e8d4398b19c5250084f56a7eb6afcf5511",

@@ -309,20 +309,23 @@ def cmd_run(
         reports = protocol.run_exhaustive(inputs, engine=engine, allow_large_dense=allow_large_dense)
     elif mode.startswith("forced:"):
         record = parse_forced_spec(mode[len("forced:"):], senders)
+        mode = f"forced:{record.symbols()}"
         reports = [
             protocol.run_protocol(
                 inputs, engine=engine, forced=record, allow_large_dense=allow_large_dense
             )
         ]
     elif mode.startswith("sampled:"):
+        digits = mode[len("sampled:"):]
         try:
-            count = int(mode[len("sampled:"):])
-        except ValueError:
+            count = int(digits) if digits.isascii() and digits.isdigit() else 0
+        except ValueError:  # more digits than int() reads
             count = 0
         if not 1 <= count <= MAX_SAMPLED_RUNS:
             raise ValueError(
-                f"bad mode {mode!r}: sampled mode is sampled:N with an integer N >= 1 and at most {MAX_SAMPLED_RUNS}"
+                f"bad mode {mode!r}: sampled mode is sampled:N with N >= 1 and at most {MAX_SAMPLED_RUNS}, in the digits 0-9"
             )
+        mode = f"sampled:{count}"
         rng = np.random.default_rng(seed + 0x5A17)
         reports = [
             protocol.run_protocol(

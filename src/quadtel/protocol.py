@@ -64,7 +64,6 @@ from .statevector import (
     apply_pauli_word,
     bsm,
     dm_fidelity,
-    init_basis,
     measure_qubit,
     pair_state,
     partial_trace,
@@ -80,7 +79,7 @@ ENGINES = ("dense", "structured")
 # Largest dense-engine state run without the caller's opt-in
 # (``allow_large_dense``, the CLI's ``--allow-large-dense``): two senders, 13
 # qubits, fit; a four-sender dense state is 25 qubits, 512 MiB, and
-# ``DenseState.prepare`` holds one such array plus the lower half of a second.
+# ``DenseState.prepare`` builds both controller branches in one such array.
 DENSE_OPT_IN_QUBITS = 16
 
 # Block-local qubits of a sender block.  Bell pair ``which`` (0, 1) measures
@@ -254,20 +253,22 @@ class DenseState:
 
     @classmethod
     def prepare(cls, inputs: Sequence[InfoState]) -> "DenseState":
-        """Both controller branches, (blocks of z, last sender lowest) tensor |z>,
-        summed and scaled by 1/sqrt2.
+        """Both controller branches, (blocks of z, last sender lowest) tensor
+        |z>/sqrt2, built in one array.
 
-        Elle's qubit is the top one, so ``tensor`` leaves the top half of the
-        z=0 product as zeros whose pages it never touches, and only the z=1
-        product fills every page.  The z=0 branch is added into the z=1
-        array in place, so the peak is the state plus half of it.
+        Elle's qubit is the top one, and her factor carries the 1/sqrt2:
+        (0, 1/sqrt2) for z=1, (1/sqrt2, 0) for z=0.  The z=1 product goes
+        first: its chain uses the lower half as workspace and leaves it zero.
+        The z=0 product then fills that half, and ``tensor`` skips the upper
+        half, which keeps the z=1 product.  So the peak is the state alone.
+        The values are those of the two branches summed and scaled; only
+        the signs of some zeros may differ.
         """
         s = _validate_inputs(inputs)
-        zero, one = (tensor(*[_block_state(info, kind) for info in reversed(inputs)], init_basis(1, z))
-                     for z, kind in enumerate(_BRANCH_KINDS))
-        amps = one.amps
-        amps += zero.amps
-        amps *= _SQRT2_INV
+        amps = np.zeros(1 << (6 * s + 1), dtype=complex)
+        for z in (1, 0):
+            elle = StateVector(1, [0.0, _SQRT2_INV] if z else [_SQRT2_INV, 0.0])
+            tensor(*[_block_state(info, _BRANCH_KINDS[z]) for info in reversed(inputs)], elle, out=amps)
         return cls(s, StateVector(6 * s + 1, amps, copy=False))
 
     def copy(self) -> "DenseState":

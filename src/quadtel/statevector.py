@@ -486,25 +486,37 @@ def dm_fidelity(rho: np.ndarray, target: StateVector) -> float:
     return float(np.real(np.vdot(target.amps, rho @ target.amps)))
 
 
-def tensor(*states: StateVector) -> StateVector:
+def tensor(*states: StateVector, out: np.ndarray | None = None) -> StateVector:
     """Tensor product; the first argument occupies the lowest qubit indices.
 
-    The product is built in the one new array it returns, which starts as
-    zeros: the first factor is copied in, and each later factor widens it in
-    place, block i of the wider product being that factor's amplitude i
-    times the product so far.  Blocks are written highest first, so the low
-    block they read is overwritten last.  A block whose amplitude is exactly
-    0 is skipped, unless it is that low block, so its pages are never
-    touched: a product whose top factor is a basis state occupies memory
-    only where it is nonzero.  Every nonzero entry is the same single
-    product as in a chain of ``np.kron``, so its bits are the same; a zero
-    that comes from a skipped block is +0.0 where the chain may give -0.0.
+    The product is built in one array, a new one of zeros when ``out`` is
+    None, else ``out``, which the result then holds (``amps is out``):
+    ``out`` must be a writable C-contiguous complex128 array of the
+    product's size.  The first factor is copied in, and each later factor
+    widens it in place, block i of the wider product being that factor's
+    amplitude i times the product so far.  Blocks are written highest
+    first, so the low block they read is overwritten last.  A block whose
+    amplitude is exactly 0 is skipped, unless it is that low block: it is
+    not written and keeps what the array held, and its pages are never
+    touched, so a product whose top factor is a basis state occupies memory
+    only where it is nonzero.  A later factor reads a skipped block as part
+    of the product so far, so ``out`` gives the product only where it held
+    zeros in the blocks skipped before the last factor.  Every nonzero
+    entry is the same single product as in a chain of ``np.kron``, so its
+    bits are the same; a skipped block of a new array holds +0.0 where the
+    chain may give -0.0.
     """
     if not states:
         raise ValueError("tensor needs at least one state")
     n = sum(s.n_qubits for s in states)
     _check_size(n)
-    amps = np.zeros(1 << n, dtype=complex)
+    if out is None:
+        amps = np.zeros(1 << n, dtype=complex)
+    elif (isinstance(out, np.ndarray) and out.dtype == complex and out.shape == (1 << n,)
+          and out.flags.c_contiguous and out.flags.writeable):
+        amps = out
+    else:
+        raise ValueError(f"out must be a writable C-contiguous complex128 array of {1 << n} amplitudes")
     size = states[0].amps.size
     amps[:size] = states[0].amps
     for s in states[1:]:

@@ -325,7 +325,8 @@ def test_cli_rejects_non_number_coefficients(tmp_path, capsys, sender, bad):
     assert err == f"error: sender 0: coefficients must be JSON numbers, got {bad}\n"
 
 
-@pytest.mark.parametrize("mode", ["sampled:abc", "sampled:0", "sampled:", "sampled:2.5"])
+@pytest.mark.parametrize("mode", ["sampled:abc", "sampled:0", "sampled:", "sampled:2.5",
+                                  "sampled:1_0", "sampled: +3 ", "sampled:+3", "sampled:\u0663"])
 def test_cli_rejects_bad_sampled_count(capsys, mode):
     code = cli.main(["run", "--senders", "1", "--mode", mode])
     assert code == 2
@@ -334,7 +335,17 @@ def test_cli_rejects_bad_sampled_count(capsys, mode):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("count", [hz.MAX_SAMPLED_RUNS + 1, 10**20])
+@pytest.mark.parametrize("mode, canonical", [
+    ("sampled:016", "sampled:16"),
+    ("forced: k+ , k+ ,0", "forced:k+,k+,0"),
+], ids=["sampled", "forced"])
+def test_two_spellings_of_one_mode_render_the_same_report(mode, canonical):
+    typed, plain = (hz.render_report(hz.cmd_run(senders=1, seed=3, mode=m)) for m in (mode, canonical))
+    assert typed == plain
+    assert json.loads(plain)["config"]["mode"] == canonical
+
+
+@pytest.mark.parametrize("count", [hz.MAX_SAMPLED_RUNS + 1, 10**20, pytest.param("9" * 5000, id="5000-digits")])
 def test_cli_rejects_sampled_count_above_the_limit(capsys, monkeypatch, count):
     # the count is refused before any run starts: a run here fails the test
     def no_run(*args, **kwargs):

@@ -146,7 +146,7 @@ def test_structured_matches_dense_assembly():
         assert sv.distance(to_dense(structured), in_block_order(dense)) < 1e-10
 
 
-def test_dense_prepare_peaks_at_its_two_branch_states():
+def test_dense_prepare_peaks_at_its_one_state():
     inputs = make_inputs(3, 13)
     tracemalloc.start()
     try:
@@ -154,10 +154,24 @@ def test_dense_prepare_peaks_at_its_two_branch_states():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # s=3 is 19 qubits, 8 MiB: the two controller branches, summed in place
-    assert peak <= 2 * (8 << 20) + (1 << 20)
+    # s=3 is 19 qubits, 8 MiB: both controller branches built in one array
+    assert peak <= (8 << 20) + (1 << 20)
     structured = pr.assemble_global(rebuilt(inputs), "structured")
     assert sv.distance(to_dense(structured), in_block_order(state)) < 1e-10
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_dense_prepare_equals_the_summed_branches(s):
+    inputs = make_inputs(s, 40 + s)
+    branches = []
+    for z, kind in enumerate((ch.BellKind.KAPPA_PLUS, ch.BellKind.LAMBDA_MINUS)):
+        pair = sv.pair_state(ch.BELL_COEFFS[kind])
+        blocks = [sv.tensor(sv.pair_state(info.coeffs), pair, pair) for info in reversed(inputs)]
+        branches.append(sv.tensor(*blocks, sv.init_basis(1, z)).amps)
+    want = (branches[0] + branches[1]) * (1 / np.sqrt(2))
+    # values, not bytes: the sum's "+ 0.0" turns a -0.0 part into +0.0,
+    # and prepare, which adds nothing, may keep the -0.0
+    assert np.array_equal(pr.DenseState.prepare(inputs).state.amps, want)
 
 
 def test_dense_first_bell_pair_leaves_long_contiguous_live_runs():

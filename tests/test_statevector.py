@@ -831,6 +831,44 @@ def test_tensor_skips_the_blocks_of_a_zero_amplitude(z):
         assert got[32:].tobytes() == bytes(32 * 16)
 
 
+def test_tensor_builds_in_the_array_it_is_given():
+    rng = np.random.default_rng(104)
+    factors = [random_state(3, rng), random_state(2, rng)]
+    out = np.full(32, np.nan, dtype=complex)
+    got = sv.tensor(*factors, out=out)
+    assert got.amps is out
+    assert out.tobytes() == sv.tensor(*factors).amps.tobytes()
+
+
+def test_tensor_leaves_the_blocks_it_skips_as_out_held_them():
+    rng = np.random.default_rng(105)
+    low = random_state(3, rng)
+    out = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    before = out.copy()
+    sv.tensor(low, sv.init_basis(1, 0), out=out)
+    assert out[:8].tobytes() == low.amps.tobytes()
+    assert out[8:].tobytes() == before[8:].tobytes()
+
+
+def read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("out", [
+    np.zeros(16, dtype=complex),
+    np.zeros(32, dtype=np.complex64),
+    np.zeros((4, 8), dtype=complex),
+    np.zeros(64, dtype=complex)[::2],
+    read_only(np.zeros(32, dtype=complex)),
+], ids=["size", "dtype", "shape", "strided", "read-only"])
+def test_tensor_refuses_an_out_it_cannot_fill(out):
+    rng = np.random.default_rng(106)
+    with pytest.raises(ValueError, match="^out must be"):
+        sv.tensor(random_state(3, rng), random_state(2, rng), out=out)
+    assert not out.any()
+
+
 def rss_anon():
     """Resident anonymous memory of this process, in bytes (Linux only)."""
     try:

@@ -618,7 +618,7 @@ def run_protocol(
 
     ``forced`` pins all measurement outcomes; otherwise outcomes are sampled
     from ``rng``.  Messages are reported in canonical party order.
-    ``state`` lets exhaustive sweeps reuse a prepared copy.
+    ``state`` lets exhaustive sweeps reuse a prepared copy, and fixes the engine.
     """
     s = _validate_inputs(inputs)
     n_bsm = 2 * s
@@ -674,7 +674,7 @@ def run_exhaustive(
     s = _validate_inputs(inputs)
     base = assemble_global(inputs, engine, allow_large_dense=allow_large_dense)
     return [
-        run_protocol(inputs, engine=engine, forced=record, state=base.copy())
+        run_protocol(inputs, forced=record, state=base.copy())
         for record in enumerate_records(s)
     ]
 

@@ -3,7 +3,8 @@ pass/fail line with the measured value (run with -rA or -s to see them all).
 
 Tolerances are pinned here and nowhere else: distances 1e-12, fidelities
 1e-9, probabilities 1e-12 (uniformity) / 1e-10 (sums), density matrices
-1e-10, efficiency 0.01 / 0.05, expansion sum 1e-9.
+1e-10, expansion sum 1e-9.  Published efficiencies are compared exactly, in
+integer hundredths of a percent.
 """
 import itertools
 import time
@@ -132,11 +133,15 @@ def test_criterion_7_efficiency_reproduction():
     report = hz.cmd_efficiency()
     rows = report["efficiency"]
     taus = [round(r["computed_tau"], 4) for r in rows]
-    first_two = all(r["deviation"] < 0.01 for r in rows[:2])
-    all_rows = all(r["deviation"] < 0.05 for r in rows)
+    rule = [r["published_is_truncation"] for r in rows]
+    ours = rows[3]
+    exact = 100 * ours["q_s"] * 37 == 800 * (ours["q_u"] + ours["b_t"])
     bits = report["transcript_bits"]
-    ok = (taus == [18.75, 15.3846, 19.0476, 21.6216] and first_two and all_rows and bits == 20)
-    _line(7, ok, f"computed taus {taus}, deviations within 0.01/0.05, transcript bits {bits}")
+    ok = (taus == [18.75, 15.3846, 19.0476, 21.6216] and rule == [True, True, True, False] and exact
+          and bits == 20 and hz.report_passed(report))
+    _line(7, ok, f"computed taus {taus}; published tau is the two-decimal truncation on rows 0-2 "
+                 f"but not on row 3 ({ours['published_tau']} vs 800/37 = {ours['truncated_tau']}...): "
+                 f"{rule}; transcript bits {bits}")
 
 
 def test_criterion_8_expansion_normalization():

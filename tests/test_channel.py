@@ -80,19 +80,18 @@ def test_full_channel_circuit_matches_analytic():
     got = ch.prepare_channel_circuit(8)
     want = ch.build_channel_analytic(8, +1)
     assert sv.distance(got, want) < 1e-12
-    # summed in place, the analytic build keeps the bits of the expression
-    for k, sign in itertools.product((8, 9), (1, -1)):
-        assert ch.build_channel_analytic(k, sign).amps.tobytes() == sum_of_branches(k, sign).tobytes(), (k, sign)
+    # built in one array, the analytic build keeps the values of the expression;
+    # values, not bytes: the one-array build has -0.0 where the sum has +0.0
+    for k, sign in itertools.product((1, 2, 3, 8, 9), (1, -1)):
+        assert np.array_equal(ch.build_channel_analytic(k, sign).amps, sum_of_branches(k, sign)), (k, sign)
 
 
 def test_channel_builders_peak_near_the_state():
     # 10 pairs are 21 qubits, a 32 MiB state.  The circuit updates its one
     # state gate by gate, with slab temporaries under 1 MiB.  The analytic
-    # build holds both branches, the zero half of branch 0 included (which
-    # tracemalloc counts though its pages are never touched), and sums them
-    # in place.
+    # build writes both branches into its one state array.
     size = 32 << 20
-    for build, bound in ((ch.prepare_channel_circuit, size), (ch.build_channel_analytic, 2 * size)):
+    for build, bound in ((ch.prepare_channel_circuit, size), (ch.build_channel_analytic, size)):
         tracemalloc.start()
         try:
             build(10)

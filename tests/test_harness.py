@@ -29,11 +29,10 @@ def test_efficiency_ten_qubit_row():
     assert abs(hz.intrinsic_efficiency(4, 10, 16) - 15.384615384615385) < 1e-12
 
 
-def test_efficiency_this_work_row_rounding_slip():
-    tau = hz.intrinsic_efficiency(8, 17, 20)
-    assert abs(tau - 800 / 37) < 1e-12
-    # the published 21.65 is a rounding slip away from 8/37
-    assert abs(tau - 21.65) < 0.05 and abs(tau - 21.65) > 0.01
+def test_efficiency_this_work_row_is_800_over_37():
+    row = hz.reproduce_comparison_table()[3]
+    assert 100 * row["q_s"] * 37 == 800 * (row["q_u"] + row["b_t"])
+    assert row["computed_tau"] == hz.intrinsic_efficiency(8, 17, 20) == 800 / 37
 
 
 def test_efficiency_rejects_nonpositive_counts():
@@ -49,14 +48,21 @@ def test_classical_cost_rows():
     assert hz.classical_cost(4, 2, 4) == 16
 
 
-def test_comparison_table_deviations():
+def test_comparison_table_follows_the_truncation_rule():
     rows = hz.reproduce_comparison_table()
+    assert [hz.truncated_tau(r["q_s"], r["q_u"], r["b_t"]) for r in rows] == [1875, 1538, 1904, 2162]
+    assert [r["truncated_tau"] for r in rows] == [18.75, 15.38, 19.04, 21.62]
+    assert [r["published_tau"] for r in rows] == [18.75, 15.38, 19.04, 21.65]
+    assert [r["published_is_truncation"] for r in rows] == [True, True, True, False]
     assert [round(r["computed_tau"], 4) for r in rows] == [18.75, 15.3846, 19.0476, 21.6216]
-    assert rows[0]["deviation"] < 0.01
-    assert rows[1]["deviation"] < 0.01
-    assert rows[2]["deviation"] < 0.01
-    assert 0.01 < rows[3]["deviation"] < 0.05
-    assert all(r["within_tolerance"] for r in rows)
+    # the rule is truncation: rounding 4/21 would print 19.05
+    assert (2 * 40000 + 21) // (2 * 21) == 1905
+
+
+def test_no_denominator_gives_the_published_21_65():
+    # 800/D percent in hundredths, by floor and by rounding half up, in integers
+    hits = [d for d in range(1, 1000) if 80000 // d == 2165 or (2 * 80000 + d) // (2 * d) == 2165]
+    assert hits == []
 
 
 # ---------------------------------------------------------------- expansion

@@ -45,7 +45,7 @@ GOLDEN = {
     ),
     "efficiency": (
         hz.cmd_efficiency,
-        "954466ebd5f9f2a4d221ed3d865c4a7c2ceec1bc94612a4f3017c31c2e8f0783",
+        "dbae1d2473055f1ca86b23673c79e2427eee8afd84caf7902517404ff372384b",
     ),
     "prepare-channel-8": (
         lambda: hz.cmd_prepare_channel(8),

@@ -13,8 +13,9 @@ transcribed column.  The sweep reads no random input: a ``verify-tables
 --seed`` value is only recorded in the report.
 
 The catalog has 16 two-qubit collapse patterns, repeated for each sender
-block with that sender's symbols; ``match_eta`` finds the pattern P (1..16)
-with K = mu·P, which builds the outcome -> pattern map the tables imply.
+block with that sender's symbols, each a signed permutation matrix in
+``PATTERNS``; ``match_eta`` finds the pattern P (1..16) with K = mu·P, which
+builds the outcome -> pattern map the tables imply.
 """
 from __future__ import annotations
 
@@ -311,20 +312,11 @@ _ETA_TERMS: tuple[tuple[tuple[int, int], ...], ...] = (
 
 N_PATTERNS = len(_ETA_TERMS)
 
-# Pattern k as a signed permutation matrix: eta_state(k, c) = _PATTERNS[k-1]·c.
-_PATTERNS = np.array(
+# Pattern k as a signed permutation matrix: PATTERNS[k-1]·c is catalog entry
+# k with the message coefficients c substituted.
+PATTERNS = np.array(
     [[[sign * (ket == row) for ket, sign in terms] for row in range(4)] for terms in _ETA_TERMS], float
 )
-
-
-def eta_state(pattern: int, coeffs: Sequence[complex]) -> StateVector:
-    """Catalog pattern 1..16 with the given message coefficients substituted."""
-    if not 1 <= pattern <= N_PATTERNS:
-        raise ValueError(f"pattern must be 1..{N_PATTERNS}, got {pattern}")
-    c = np.asarray(coeffs, dtype=complex)
-    if c.shape != (4,):
-        raise ValueError(f"expected 4 coefficients, got {c.shape}")
-    return StateVector(2, _PATTERNS[pattern - 1] @ c, copy=False)
 
 
 def match_eta(op: np.ndarray) -> int:
@@ -332,7 +324,7 @@ def match_eta(op: np.ndarray) -> int:
 
     Then every message's collapse is that pattern up to the phase of mu.
     """
-    fit = _fit(_PATTERNS, op)
+    fit = _fit(PATTERNS, op)
     if fit is None:
         raise CatalogMatchError("branch operator matches no catalog pattern")
     return fit[0] + 1

@@ -296,10 +296,6 @@ class DenseState:
     def receiver_dm(self, i: int) -> np.ndarray:
         return partial_trace(self.state, [self._base(i) + q for q in _RECEIVER_KEEP])
 
-    def pre_broadcast_dm(self) -> np.ndarray:
-        keep = [self._base(i) + q for i in range(self.s) for q in _RECEIVER_KEEP]
-        return partial_trace(self.state, keep)
-
 
 def _bell_basis_gather(a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gather form of the Bell basis change CNOT(a->b), H(a) on a 6-qubit block.
@@ -545,19 +541,6 @@ class StructuredState:
             return p1 * blocks1[i].receiver_mat()
         return p0 * blocks0[i].receiver_mat() + p1 * blocks1[i].receiver_mat()
 
-    def pre_broadcast_dm(self) -> np.ndarray:
-        dim = 1 << (2 * self.s)
-        mat = np.zeros((dim, dim), dtype=complex)
-        for weight, blocks in zip(self.weights, self.blocks):
-            w2 = abs(weight) ** 2
-            if w2 <= MIN_BRANCH_PROBABILITY:
-                continue
-            rho = np.array([[1.0]], dtype=complex)
-            for block in blocks:
-                rho = np.kron(block.receiver_mat(), rho)
-            mat += w2 * rho
-        return mat
-
 
 def assemble_global(
     inputs: Sequence[InfoState],
@@ -677,27 +660,6 @@ def run_exhaustive(
         run_protocol(inputs, forced=record, state=base.copy())
         for record in enumerate_records(s)
     ]
-
-
-def pre_broadcast_state(
-    inputs: Sequence[InfoState],
-    bell_outcomes: Sequence[int],
-    *,
-    engine: str = "structured",
-) -> np.ndarray:
-    """Receiver-side density matrix after all sender measurements but before
-    the controller's broadcast.
-
-    The reduced index packs receiver pairs little-endian, block 0 lowest,
-    second receiver qubit of each pair below the first.
-    """
-    s = _validate_inputs(inputs)
-    if len(bell_outcomes) != 2 * s:
-        raise ValueError(f"expected {2 * s} Bell outcomes, got {len(bell_outcomes)}")
-    state = assemble_global(inputs, engine)
-    for j, outcome in enumerate(bell_outcomes):
-        state.bsm_pair(j, forced=outcome)
-    return state.pre_broadcast_dm()
 
 
 def block_outcome_table(info: InfoState, receiver: str) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ given, in its own amplitude array, and never copy it.  Like numpy's in-place
 functions and ``list.sort`` they do not return it: the gates return None and
 the measurements their outcome and its probability.  A caller that needs the
 state before the kernel copies it first.  The rest (``tensor``,
-``partial_trace``, ``measure_probabilities``, ``distance``, ``dm_fidelity``,
+``partial_trace``, ``measure_probabilities``, ``dm_fidelity``,
 ``pair_state``, ``init_basis``) are pure: they read their arguments and
 return new objects.  Sampled measurements take an explicit numpy Generator;
 there is no ambient randomness anywhere in this module.
@@ -446,13 +446,6 @@ def bsm(
     bit_a, pa = measure_qubit(state, a, forced=fa, rng=rng)
     bit_b, pb = measure_qubit(state, b, forced=fb, rng=rng)
     return _bell_outcome(bit_a, bit_b), pa * pb
-
-
-def distance(a: StateVector, b: StateVector) -> float:
-    """Plain L2 distance between amplitude arrays (phase sensitive)."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError(f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
-    return float(np.linalg.norm(a.amps - b.amps))
 
 
 def partial_trace(state: StateVector, keep: Sequence[int]) -> np.ndarray:

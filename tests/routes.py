@@ -46,6 +46,45 @@ def flip_pattern(c):
     return np.array([c[3], -c[2], -c[1], c[0]])
 
 
+def pre_broadcast(inputs, bells, engine="structured"):
+    """Each receiver before and after Elle's bit, through the engine
+    operations a run uses: the forced Bell measurements, ``receiver_dm``
+    before ``measure_controller``, then per z ``receiver_dm`` on a copy
+    with z forced.
+
+    Returns ``(mixtures, patterns, probs)``: receiver i's matrix before the
+    bit, ``mixtures[i]``; after bit z, ``patterns[z][i]``; and the
+    probability of z, ``probs[z]``.
+    """
+    state = pr.assemble_global(inputs, engine, allow_large_dense=True)
+    for j, outcome in enumerate(bells):
+        state.bsm_pair(j, forced=outcome)
+    mixtures = [state.receiver_dm(i) for i in range(len(inputs))]
+    patterns, probs = [], []
+    for z in (0, 1):
+        branch = state.copy()
+        probs.append(branch.measure_controller(forced=z)[1])
+        patterns.append([branch.receiver_dm(i) for i in range(len(inputs))])
+    return mixtures, patterns, probs
+
+
+def joint_pre_broadcast(inputs, bells, engine="structured"):
+    """The receivers' joint matrix before Elle's bit, sum_z p_z (x)_i rho_i^z,
+    indexed as ``product_coeffs`` orders the receiver pairs (block 0 lowest).
+
+    Given z each receiver's matrix is pure, which this asserts: a receiver in
+    a pure state shares no entanglement, so given z the receivers' joint
+    state is the product of theirs.
+    """
+    _, patterns, probs = pre_broadcast(inputs, bells, engine)
+    joint = 0
+    for p, rhos in zip(probs, patterns):
+        for rho in rhos:
+            assert abs(np.trace(rho @ rho) - 1) < 1e-10
+        joint = joint + p * functools.reduce(lambda acc, rho: np.kron(rho, acc), rhos, np.eye(1))
+    return joint
+
+
 # ``n`` branches, each drawn from ``rng`` as the engines draw them.
 Sampled = namedtuple("Sampled", "n rng")
 

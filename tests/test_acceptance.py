@@ -15,8 +15,7 @@ from quadtel import channel as ch
 from quadtel import corrections as co
 from quadtel import harness as hz
 from quadtel import protocol as pr
-from quadtel import statevector as sv
-from routes import flip_pattern, make_inputs, product_coeffs
+from routes import flip_pattern, joint_pre_broadcast, make_inputs, product_coeffs
 
 
 def _line(number, ok, text):
@@ -31,7 +30,7 @@ def test_criterion_1_channel_equivalence():
     dist8 = next(a for a in report["assertions"] if a["name"] == "circuit_vs_analytic_distance")
     small_ok = True
     for k in (1, 2, 3):
-        d = sv.distance(ch.prepare_channel_circuit(k), ch.build_channel_analytic(k, (-1) ** k))
+        d = np.linalg.norm(ch.prepare_channel_circuit(k).amps - ch.build_channel_analytic(k, (-1) ** k).amps)
         small_ok = small_ok and d < 1e-12
     ok = dist8["pass"] and small_ok and elapsed < 5.0
     _line(1, ok, f"17-qubit circuit vs analytic distance {dist8['measured']:.2e}, "
@@ -78,7 +77,7 @@ def test_criterion_3_full_protocol_sampled_branches():
 
 def test_criterion_4_controller_gating():
     inputs = make_inputs(4, 300)
-    dm = pr.pre_broadcast_state(inputs, (0,) * 8)
+    dm = joint_pre_broadcast(inputs, (0,) * 8)
     phi0 = product_coeffs([i.coeffs for i in inputs])
     phi1 = product_coeffs([flip_pattern(i.coeffs) for i in inputs])
     oracle = 0.5 * np.outer(phi0, phi0.conj()) + 0.5 * np.outer(phi1, phi1.conj())
@@ -87,7 +86,7 @@ def test_criterion_4_controller_gating():
     guesses = []
     for draw in range(20):
         draw_inputs = make_inputs(4, 400 + draw)
-        rho = pr.pre_broadcast_state(draw_inputs, (0,) * 8)
+        rho = joint_pre_broadcast(draw_inputs, (0,) * 8)
         target = product_coeffs([i.coeffs for i in draw_inputs])
         guesses.append(float(np.real(np.vdot(target, rho @ target))))
     mean_guess = float(np.mean(guesses))
@@ -121,7 +120,7 @@ def test_criterion_6_catalog_coverage():
         pattern = co.match_eta(op)  # raises unless K = mu*P
         for c in messages:
             collapsed, prob = co.collapse_single_sender(c, *key)
-            image = co.eta_state(pattern, c).amps
+            image = co.PATTERNS[pattern - 1] @ c
             assert abs(abs(np.vdot(image, collapsed.amps)) - 1) < 1e-9 and abs(prob - 1 / 32) < 1e-12
         hits.setdefault(pattern, []).append(key)
     two_to_one = sorted(hits) == list(range(1, 17)) and all(len(v) == 2 for v in hits.values())

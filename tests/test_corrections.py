@@ -126,10 +126,7 @@ def test_printed_words_map_every_branch_operator_to_a_multiple_of_identity(ops):
     # Pairwise orthogonal, so no two words (or patterns) are proportional and
     # at most one of them fits a branch operator.
     words = np.stack([co.CorrectionEntry(f, s).unitary() for f, s in itertools.product(co.PauliFactor, repeat=2)])
-    patterns = np.stack(
-        [np.stack([co.eta_state(p, e).amps for e in np.eye(4)], axis=1) for p in range(1, co.N_PATTERNS + 1)]
-    )
-    for stack in (words, patterns):
+    for stack in (words, co.PATTERNS):
         gram = np.einsum("kij,lij->kl", stack.conj(), stack)
         assert np.abs(gram - 4 * np.eye(16)).max() < 1e-12
 
@@ -195,22 +192,12 @@ def test_phase_marked_words_work_without_their_phase():
 
 def test_eta_identity_pattern():
     c = random_coeffs(7)
-    s = co.eta_state(16, c)
-    assert np.allclose(s.amps, c)
+    assert np.allclose(co.PATTERNS[15] @ c, c)
 
 
 def test_eta_first_pattern_is_the_double_flip():
     c = random_coeffs(11)
-    s = co.eta_state(1, c)
-    assert np.allclose(s.amps, [c[3], -c[2], -c[1], c[0]])
-
-
-def test_eta_index_validation():
-    c = random_coeffs(13)
-    with pytest.raises(ValueError):
-        co.eta_state(17, c)
-    with pytest.raises(ValueError):
-        co.eta_state(0, c)
+    assert np.allclose(co.PATTERNS[0] @ c, [c[3], -c[2], -c[1], c[0]])
 
 
 def test_match_eta_on_forced_collapses(ops):
@@ -255,7 +242,7 @@ def test_branch_operator_gives_every_collapse_and_its_pattern(ops, c):
         assert abs(prob - 1 / 32) < 1e-12 and abs(np.vdot(image, image).real - prob) < 1e-12, key
         assert np.abs(collapsed.amps - image / np.linalg.norm(image)).max() < 1e-12, key
         # K·c is proportional to the pattern state: equality in Cauchy-Schwarz
-        pattern = co.eta_state(co.match_eta(op), c).amps
+        pattern = co.PATTERNS[co.match_eta(op) - 1] @ c
         assert abs(abs(np.vdot(pattern, image)) - np.linalg.norm(image)) < 1e-12, key
 
 

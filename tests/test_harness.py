@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -202,6 +203,19 @@ def test_cmd_verify_tables_report():
 
 def test_cmd_verify_tables_reads_no_random_input():
     assert hz.cmd_verify_tables(seed=0)["tables"] == hz.cmd_verify_tables(seed=7)["tables"]
+
+
+def test_cmd_prepare_channel_peaks_at_two_states():
+    # 10 pairs are 21 qubits, a 32 MiB state: the circuit and the analytic
+    # channel, with the difference written into the analytic one's array
+    tracemalloc.start()
+    try:
+        report = hz.cmd_prepare_channel(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hz.report_passed(report)
+    assert peak <= 2 * (32 << 20) + (4 << 20)
 
 
 # ------------------------------------------------------------------- reports

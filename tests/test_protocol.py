@@ -15,7 +15,15 @@ from quadtel import corrections as co
 from quadtel import protocol as pr
 from quadtel import statevector as sv
 from quadtel.harness import FIDELITY_TOL, PROBABILITY_SUM_TOL, PROBABILITY_TOL
-from routes import ENGINE_AGREEMENT_TOL, flip_pattern, make_inputs, product_coeffs, rebuilt
+from routes import (
+    ENGINE_AGREEMENT_TOL,
+    flip_pattern,
+    joint_pre_broadcast,
+    make_inputs,
+    pre_broadcast,
+    product_coeffs,
+    rebuilt,
+)
 
 
 def to_dense(state):
@@ -143,7 +151,7 @@ def test_structured_matches_dense_assembly():
         inputs = make_inputs(s, 10 + s)
         dense = pr.assemble_global(rebuilt(inputs), "dense")
         structured = pr.assemble_global(inputs, "structured")
-        assert sv.distance(to_dense(structured), in_block_order(dense)) < 1e-10
+        assert np.linalg.norm(to_dense(structured).amps - in_block_order(dense).amps) < 1e-10
 
 
 def test_dense_prepare_peaks_at_its_one_state():
@@ -157,7 +165,7 @@ def test_dense_prepare_peaks_at_its_one_state():
     # s=3 is 19 qubits, 8 MiB: both controller branches built in one array
     assert peak <= (8 << 20) + (1 << 20)
     structured = pr.assemble_global(rebuilt(inputs), "structured")
-    assert sv.distance(to_dense(structured), in_block_order(state)) < 1e-10
+    assert np.linalg.norm(to_dense(structured).amps - in_block_order(state).amps) < 1e-10
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
@@ -240,7 +248,7 @@ def test_dense_assembly_matches_channel_module_construction():
     perm.update({4 + 8: 12})
     reordered = permute_qubits(flat, [perm[q] for q in range(13)])
     dense = pr.assemble_global(inputs, "dense")
-    assert sv.distance(reordered, in_block_order(dense)) < 1e-12
+    assert np.linalg.norm(reordered.amps - in_block_order(dense).amps) < 1e-12
 
 
 def test_channel_pair_marginals_in_assembled_state():
@@ -274,7 +282,7 @@ def test_dense_cap_enforced_for_large_runs():
 def test_all_kappa_plus_z0_needs_no_correction():
     inputs = make_inputs(4, 40)
     record = pr.OutcomeRecord((0,) * 8, 0)
-    pre = pr.pre_broadcast_state(inputs, record.bell)
+    pre = joint_pre_broadcast(inputs, record.bell)
     # the z=0 branch of the pre-broadcast mixture is already the target
     # product, so the target scores 1/2 plus the tiny branch cross term
     target = product_coeffs([i.coeffs for i in inputs])
@@ -362,7 +370,7 @@ def test_block_kernel_matches_generic_bsm(j, outcome):
     got, prob = state.bsm_pair(j, forced=outcome, rng=rng_kernel)
     assert got == sv.BELL_OUTCOME_BITS.index((bit_a, bit_b))
     assert abs(prob - p_a * p_b) < 1e-15
-    assert sv.distance(to_dense(state), generic) < 1e-13
+    assert np.linalg.norm(to_dense(state).amps - generic.amps) < 1e-13
     assert abs(np.sum(np.abs(state.weights) ** 2) - 1) < 1e-13
 
 
@@ -403,7 +411,7 @@ def measure_with_branch_1_on_k_plus(outcome, seed):
     got, prob = state.bsm_pair(2, forced=outcome, rng=rng_kernel)
     assert got == sv.BELL_OUTCOME_BITS.index((bit_a, bit_b))
     assert abs(prob - p_a * p_b) < 1e-15
-    assert sv.distance(to_dense(state), generic) < 1e-13
+    assert np.linalg.norm(to_dense(state).amps - generic.amps) < 1e-13
     assert abs(np.sum(np.abs(state.weights) ** 2) - 1) < 1e-13
     dropped = got != 0
     if dropped:
@@ -575,7 +583,7 @@ def test_message_keeps_one_block_per_bell_kind():
     for state in (pr.StructuredState.prepare(inputs), pr.StructuredState.prepare(inputs).copy()):
         assert all(a is b for held, want in zip(state.blocks, kept) for a, b in zip(held, want))
     dense = pr.DenseState.prepare(inputs)
-    assert sv.distance(dense.state, pr.DenseState.prepare(rebuilt(inputs)).state) == 0
+    assert np.array_equal(dense.state.amps, pr.DenseState.prepare(rebuilt(inputs)).state.amps)
 
 
 # --------------------------------------------------------- order independence
@@ -642,23 +650,30 @@ def test_cached_copy_matches_fresh_state_in_any_order(filled_bases, run):
 # ------------------------------------------------------------------- gating
 
 def test_pre_broadcast_matrix_is_half_half_mixture():
-    inputs = make_inputs(4, 80)
-    dm = pr.pre_broadcast_state(inputs, (0,) * 8)
-    phi0 = product_coeffs([i.coeffs for i in inputs])
-    phi1 = product_coeffs([flip_pattern(i.coeffs) for i in inputs])
-    oracle = 0.5 * np.outer(phi0, phi0.conj()) + 0.5 * np.outer(phi1, phi1.conj())
-    assert np.abs(dm - oracle).max() < 1e-10
-    assert abs(np.trace(dm) - 1) < 1e-10
+    # before Elle's bit each receiver holds the equal mixture of the two
+    # collapse patterns, and the receivers jointly the mixture of products
+    for s, engine in ((4, "structured"), (2, "dense")):
+        inputs = make_inputs(s, 80)
+        mixtures, patterns, probs = pre_broadcast(inputs, (0,) * (2 * s), engine)
+        assert all(abs(p - 0.5) < PROBABILITY_TOL for p in probs)
+        for i, info in enumerate(inputs):
+            for z, phi in enumerate((info.coeffs, flip_pattern(info.coeffs))):
+                assert np.abs(patterns[z][i] - np.outer(phi, phi.conj())).max() < 1e-10
+            assert np.abs(mixtures[i] - 0.5 * (patterns[0][i] + patterns[1][i])).max() < 1e-10
+        dm = joint_pre_broadcast(inputs, (0,) * (2 * s), engine)
+        phi0 = product_coeffs([i.coeffs for i in inputs])
+        phi1 = product_coeffs([flip_pattern(i.coeffs) for i in inputs])
+        oracle = 0.5 * np.outer(phi0, phi0.conj()) + 0.5 * np.outer(phi1, phi1.conj())
+        assert np.abs(dm - oracle).max() < 1e-10
+        assert abs(np.trace(dm) - 1) < 1e-10
 
 
 def test_pre_broadcast_general_outcomes_match_single_sender_oracle():
     # dual route: the full-protocol marginal vs per-sender collapses computed
     # by the corrections module's independent mini-simulator
-    from quadtel import corrections as co
-
     inputs = make_inputs(2, 81)
     bells = (2, 1, 3, 0)
-    dm = pr.pre_broadcast_state(inputs, bells)
+    dm = joint_pre_broadcast(inputs, bells)
     branches = []
     for z in (0, 1):
         parts = [
@@ -672,12 +687,34 @@ def test_pre_broadcast_general_outcomes_match_single_sender_oracle():
     assert np.abs(dm - oracle).max() < 1e-10
 
 
+@pytest.mark.parametrize("engine", pr.ENGINES)
+def test_pre_broadcast_receiver_matches_branch_operators(engine):
+    # at s=1, for all 16 (g, h): before z the receiver holds
+    # 1/2 sum_z |K_z c><K_z c| / |K_z c|^2, with K_z the oracle's branch
+    # operator of (g, h, z), and after z the pure collapse
+    (info,) = make_inputs(1, 84)
+    for g, h in itertools.product(range(4), repeat=2):
+        mixtures, patterns, probs = pre_broadcast([info], (g, h), engine)
+        collapses = []
+        for z in (0, 1):
+            image = co.branch_operator((g, h, z)) @ info.coeffs
+            collapses.append(np.outer(image, image.conj()) / np.vdot(image, image).real)
+            assert abs(probs[z] - 0.5) < PROBABILITY_TOL
+            assert np.abs(patterns[z][0] - collapses[z]).max() < 1e-12, (g, h, z)
+        assert np.abs(mixtures[0] - 0.5 * (collapses[0] + collapses[1])).max() < 1e-12, (g, h)
+
+
 def test_pre_broadcast_engines_agree():
     inputs = make_inputs(2, 83)
     bells = (1, 0, 2, 3)
-    structured = pr.pre_broadcast_state(inputs, bells, engine="structured")
-    dense = pr.pre_broadcast_state(rebuilt(inputs), bells, engine="dense")
-    assert np.abs(structured - dense).max() < 1e-10
+    structured = pre_broadcast(inputs, bells, "structured")
+    dense = pre_broadcast(rebuilt(inputs), bells, "dense")
+    # the mixtures, then the patterns per z, receiver by receiver
+    for got, want in zip(structured[:2], dense[:2]):
+        assert np.abs(np.array(got) - np.array(want)).max() < 1e-10
+    assert np.abs(np.subtract(structured[2], dense[2])).max() < PROBABILITY_TOL
+    joint = joint_pre_broadcast(inputs, bells) - joint_pre_broadcast(rebuilt(inputs), bells, "dense")
+    assert np.abs(joint).max() < 1e-10
 
 
 def test_guessing_the_controller_bit_fails_on_average():
@@ -685,7 +722,7 @@ def test_guessing_the_controller_bit_fails_on_average():
     fidelities = []
     for _ in range(20):
         inputs = [pr.InfoState.random(rng) for _ in range(4)]
-        dm = pr.pre_broadcast_state(inputs, (0,) * 8)
+        dm = joint_pre_broadcast(inputs, (0,) * 8)
         # a z=0 guess means applying identity corrections and hoping
         target = product_coeffs([i.coeffs for i in inputs])
         fidelities.append(float(np.real(np.vdot(target, dm @ target))))

@@ -7,7 +7,7 @@ two independent ways:
   the controller, CNOT fan-out, H on each receiver-side qubit, CNOT within
   each pair);
 * ``build_channel_analytic`` assembles the target superposition of Bell-pair
-  products in one array by tensor products, with an explicit branch sign.
+  products in one array (``controlled_sum``), with an explicit branch sign.
 
 The circuit output equals the analytic state with branch sign (-1)^k: each
 pair contributes a singlet with a minus sign on the controller-|1> branch,
@@ -26,15 +26,14 @@ from typing import Mapping
 import numpy as np
 
 from .statevector import (
+    _SQRT2_INV,
     StateVector,
     apply_1q,
     apply_cnot,
+    controlled_sum,
     init_basis,
     pair_state,
-    tensor,
 )
-
-_SQRT2_INV = 1.0 / np.sqrt(2.0)
 
 
 class BellKind(IntEnum):
@@ -88,12 +87,8 @@ def build_channel_analytic(k: int, branch_sign: int = 1) -> StateVector:
     """Direct tensor assembly of the k-pair channel, no gates involved.
 
     Returns (kappa+^k |0>_E + sign * lambda-^k |1>_E)/sqrt2.  The circuit
-    builder reproduces this with branch_sign = (-1)^k.
-
-    Both branches are built in one array, the controller's factor carrying
-    the sign and 1/sqrt2.  The |1>_E product goes first: its chain uses the
-    lower half as workspace and leaves it zero.  The |0>_E product then fills
-    that half and skips the upper one, so the peak is the state alone.
+    builder reproduces this with branch_sign = (-1)^k.  Both branches are
+    built in one array (``controlled_sum``), so the peak is the state alone.
     """
     if k < 1:
         raise ValueError(f"need at least one pair, got {k}")
@@ -101,6 +96,4 @@ def build_channel_analytic(k: int, branch_sign: int = 1) -> StateVector:
         raise ValueError(f"branch sign must be +1 or -1, got {branch_sign}")
     kappa = [pair_state(BELL_COEFFS[BellKind.KAPPA_PLUS])] * k
     lam = [pair_state(BELL_COEFFS[BellKind.LAMBDA_MINUS])] * k
-    amps = np.zeros(1 << (2 * k + 1), dtype=complex)
-    tensor(*lam, StateVector(1, [0.0, branch_sign * _SQRT2_INV]), out=amps)
-    return tensor(*kappa, StateVector(1, [_SQRT2_INV, 0.0]), out=amps)
+    return controlled_sum(kappa, lam, _SQRT2_INV, branch_sign * _SQRT2_INV)

@@ -12,10 +12,10 @@ Two interchangeable engines execute the same protocol:
 * ``structured``: the controller superposition kept as two weighted branches,
   each branch a product of per-sender 6-qubit blocks.  This is exact and
   covers the full four-sender protocol in microseconds.  Its Bell
-  measurement is one block kernel: a gather and a sign vector, derived at
-  import from the CNOT/H definitions, give the basis-changed block grouped
-  by the two measured bits, and the 2x2 joint probabilities drive both
-  draws.  Its corrections are signed permutations of the 64 block
+  measurement is one block kernel: the block grouped by the two measured
+  bits (``statevector._live``), then CNOT's flip of the second bit and H's
+  signs, give the basis-changed block, and the 2x2 joint probabilities
+  drive both draws.  Its corrections are signed permutations of the 64 block
   amplitudes.  Blocks are never written, so each block (``_Block``) keeps
   what it yields, and each message (``InfoState``) keeps the blocks built
   from it: every state prepared from the same messages, such as all the
@@ -52,6 +52,7 @@ import numpy as np
 from . import corrections
 from .channel import BELL_COEFFS, BELL_SYMBOLS, BellKind
 from .statevector import (
+    _SQRT2_INV,
     GATES_1Q,
     HARD_QUBIT_CAP,
     MIN_BRANCH_PROBABILITY,
@@ -63,14 +64,13 @@ from .statevector import (
     _live,
     apply_pauli_word,
     bsm,
+    controlled_sum,
     dm_fidelity,
     measure_qubit,
     pair_state,
     partial_trace,
     tensor,
 )
-
-_SQRT2_INV = 1.0 / np.sqrt(2.0)
 
 MAX_SENDERS = 4
 
@@ -254,22 +254,10 @@ class DenseState:
     @classmethod
     def prepare(cls, inputs: Sequence[InfoState]) -> "DenseState":
         """Both controller branches, (blocks of z, last sender lowest) tensor
-        |z>/sqrt2, built in one array.
-
-        Elle's qubit is the top one, and her factor carries the 1/sqrt2:
-        (0, 1/sqrt2) for z=1, (1/sqrt2, 0) for z=0.  The z=1 product goes
-        first: its chain uses the lower half as workspace and leaves it zero.
-        The z=0 product then fills that half, and ``tensor`` skips the upper
-        half, which keeps the z=1 product.  So the peak is the state alone.
-        The values are those of the two branches summed and scaled; only
-        the signs of some zeros may differ.
-        """
+        |z>/sqrt2, built in one array by ``controlled_sum``, Elle on top."""
         s = _validate_inputs(inputs)
-        amps = np.zeros(1 << (6 * s + 1), dtype=complex)
-        for z in (1, 0):
-            elle = StateVector(1, [0.0, _SQRT2_INV] if z else [_SQRT2_INV, 0.0])
-            tensor(*[_block_state(info, _BRANCH_KINDS[z]) for info in reversed(inputs)], elle, out=amps)
-        return cls(s, StateVector(6 * s + 1, amps, copy=False))
+        low0, low1 = ([_block_state(info, kind) for info in reversed(inputs)] for kind in _BRANCH_KINDS)
+        return cls(s, controlled_sum(low0, low1, _SQRT2_INV, _SQRT2_INV))
 
     def copy(self) -> "DenseState":
         return DenseState(self.s, self.state.copy())
@@ -297,29 +285,9 @@ class DenseState:
         return partial_trace(self.state, [self._base(i) + q for q in _RECEIVER_KEEP])
 
 
-def _bell_basis_gather(a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gather form of the Bell basis change CNOT(a->b), H(a) on a 6-qubit block.
-
-    Returns ``(dest, src0, src1, sign)``, each of shape (2, 2, 16) and indexed
-    by (bit a, bit b, remaining bits): the changed block holds
-    ``(amps[src0] + sign * amps[src1]) / sqrt2`` at the indices ``dest``.
-    """
-    x, y, rest = np.unravel_index(np.arange(64), (2, 2, 16))
-    dest = (x << a) | (y << b)
-    for k, q in enumerate(q for q in range(6) if q not in (a, b)):
-        dest |= ((rest >> k) & 1) << q
-    # H(a) takes output bit a = x from the CNOT output at a = 0 and a = 1 with
-    # weights H[x, 0] = 1/sqrt2 and H[x, 1]; CNOT(a->b) leaves the a = 0 half
-    # in place and takes the a = 1 half from the index with bit b flipped.
-    h = GATES_1Q["H"]
-    src0 = dest & ~(1 << a)
-    src1 = (dest | (1 << a)) ^ (1 << b)
-    sign = (h[x, 1] / h[x, 0]).real
-    return tuple(arr.reshape(2, 2, 16) for arr in (dest, src0, src1, sign))
-
-
-# One gather per sender pair (which = 0, 1).
-_BELL_GATHERS = tuple(_bell_basis_gather(a, b) for a, b in _BELL_PAIRS)
+# H takes output bit x from inputs 0 and 1 with weights H[x, 0] = 1/sqrt2 and
+# H[x, 1] = _H_SIGN[x]/sqrt2, shaped to broadcast over (bit a, bit b, rest).
+_H_SIGN = (GATES_1Q["H"][:, 1] / GATES_1Q["H"][:, 0]).real.reshape(2, 1, 1)
 
 
 @functools.cache
@@ -377,8 +345,9 @@ class _Block(StateVector):
         """
         split = self._splits[which]
         if split is None:
-            _, src0, src1, sign = _BELL_GATHERS[which]
-            changed = (self.amps[src0] + sign * self.amps[src1]) * _SQRT2_INV
+            # CNOT(a->b) takes the a = 1 half from bit b flipped, then H(a)
+            v = _live(self, _BELL_PAIRS[which]).reshape(2, 2, 16)
+            changed = (v[0] + _H_SIGN * v[1, ::-1]) * _SQRT2_INV
             joint = (np.abs(changed) ** 2).sum(axis=2).tolist()
             marginal = (sum(joint[0]), sum(joint[1]))
             conditional = tuple((p[0] / m, p[1] / m) if m > MIN_BRANCH_PROBABILITY else None
@@ -393,7 +362,8 @@ class _Block(StateVector):
         if child is None:
             changed, joint, _, _ = self.bell_split(which)
             amps = np.zeros(64, dtype=complex)
-            amps[_BELL_GATHERS[which][0][bit_a, bit_b]] = changed[bit_a, bit_b] / math.sqrt(joint[bit_a][bit_b])
+            half = _live(StateVector(6, amps, copy=False), _BELL_PAIRS[which])[bit_a, bit_b]
+            half[...] = (changed[bit_a, bit_b] / math.sqrt(joint[bit_a][bit_b])).reshape(half.shape)
             child = self._children[key] = _Block(amps)
         return child
 

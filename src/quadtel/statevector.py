@@ -11,10 +11,10 @@ given, in its own amplitude array, and never copy it.  Like numpy's in-place
 functions and ``list.sort`` they do not return it: the gates return None and
 the measurements their outcome and its probability.  A caller that needs the
 state before the kernel copies it first.  The rest (``tensor``,
-``partial_trace``, ``measure_probabilities``, ``dm_fidelity``,
-``pair_state``, ``init_basis``) are pure: they read their arguments and
-return new objects.  Sampled measurements take an explicit numpy Generator;
-there is no ambient randomness anywhere in this module.
+``controlled_sum``, ``partial_trace``, ``measure_probabilities``,
+``dm_fidelity``, ``pair_state``, ``init_basis``) are pure: they read their
+arguments and return new objects.  Sampled measurements take an explicit
+numpy Generator; there is no ambient randomness anywhere in this module.
 
 A state records in ``fixed`` the qubits that ``measure_qubit`` left in a
 definite bit.  Every amplitude with the other bit at a fixed qubit is
@@ -494,7 +494,8 @@ def tensor(*states: StateVector, out: np.ndarray | None = None) -> StateVector:
     touched, so a product whose top factor is a basis state occupies memory
     only where it is nonzero.  A later factor reads a skipped block as part
     of the product so far, so ``out`` gives the product only where it held
-    zeros in the blocks skipped before the last factor.  Every nonzero
+    zeros in the blocks skipped before the last factor.  ``controlled_sum``
+    relies on the skipped blocks to add a second product.  Every nonzero
     entry is the same single product as in a chain of ``np.kron``, so its
     bits are the same; a skipped block of a new array holds +0.0 where the
     chain may give -0.0.
@@ -519,6 +520,20 @@ def tensor(*states: StateVector, out: np.ndarray | None = None) -> StateVector:
                 np.multiply(s.amps[i], low, out=amps[i * size: (i + 1) * size])
         size *= s.amps.size
     return StateVector(n, amps, copy=False)
+
+
+def controlled_sum(low0: Sequence[StateVector], low1: Sequence[StateVector], c0: complex, c1: complex) -> StateVector:
+    """c0 (low0 tensor |0>) + c1 (low1 tensor |1>), the control on top, in one array.
+
+    ``low0`` and ``low1`` are ``tensor`` factors of the same size.  The |1>
+    product goes first, into a new zeroed array: its chain uses the lower
+    half as workspace and leaves it zero.  The |0> product then fills that
+    half, and ``tensor`` skips the upper half, which keeps the |1> product.
+    So the peak is the state alone, and only the signs of some zeros may
+    differ from the sum.
+    """
+    amps = tensor(*low1, StateVector(1, [0.0, c1])).amps
+    return tensor(*low0, StateVector(1, [c0, 0.0]), out=amps)
 
 
 def pair_state(coeffs: Sequence[complex]) -> StateVector:

@@ -779,16 +779,21 @@ def test_tensor_puts_first_argument_at_low_qubits():
     assert s.amps[1] == 1
 
 
+def kron_chain(states):
+    """The product of ``states`` by np.kron, the first state lowest."""
+    want = states[0].amps
+    for s in states[1:]:
+        want = np.kron(s.amps, want)
+    return want
+
+
 @pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 3, 1), (6, 6, 1), (2, 2, 2), (3,)])
 def test_tensor_is_a_kron_chain_in_a_fresh_array(sizes):
     rng = np.random.default_rng(sum(sizes))
     states = [random_state(k, rng) for k in sizes]
-    want = states[0].amps
-    for s in states[1:]:
-        want = np.kron(s.amps, want)
     got = sv.tensor(*states)
     assert got.n_qubits == sum(sizes)
-    assert got.amps.tobytes() == want.tobytes()
+    assert got.amps.tobytes() == kron_chain(states).tobytes()
     assert not any(np.shares_memory(got.amps, s.amps) for s in states)
 
 
@@ -867,6 +872,29 @@ def test_tensor_refuses_an_out_it_cannot_fill(out):
     with pytest.raises(ValueError, match="^out must be"):
         sv.tensor(random_state(3, rng), random_state(2, rng), out=out)
     assert not out.any()
+
+
+@pytest.mark.parametrize("sizes", [(1,), (2, 2), (6, 6)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_controlled_sum_is_the_sum_of_two_kron_chains(sizes, sign):
+    # about half of each factor's amplitudes are exactly 0, so tensor skips
+    # blocks of both products, and the |0> product's skipped blocks must
+    # read the zeros the |1> product leaves in the lower half
+    rng = np.random.default_rng(107 + sum(sizes) + sign)
+    low0, low1 = ([random_state(k, rng) for k in sizes] for _ in range(2))
+    for s in low0 + low1:
+        s.amps[rng.random(s.amps.size) < 0.5] = 0
+    c0, c1 = 1 / RT2, sign / RT2
+    got = sv.controlled_sum(low0, low1, c0, c1)
+    want = np.kron([1, 0], c0 * kron_chain(low0)) + np.kron([0, 1], c1 * kron_chain(low1))
+    assert got.n_qubits == sum(sizes) + 1
+    assert np.array_equal(got.amps, want)
+
+
+def test_controlled_sum_refuses_products_of_different_sizes():
+    rng = np.random.default_rng(109)
+    with pytest.raises(ValueError, match="^out must be"):
+        sv.controlled_sum([random_state(2, rng)], [random_state(3, rng)], 1 / RT2, 1 / RT2)
 
 
 def rss_anon():

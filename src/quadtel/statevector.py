@@ -25,6 +25,15 @@ with each fixed qubit taken at its bit, so after the 8 Bell measurements
 of a four-sender branch (16 measured qubits) they touch 2^9 of its 2^25
 amplitudes.  A state with nothing fixed is one view of the whole array,
 through the same code.
+
+Within the live view a kernel works slab by slab (``_slabs``), and skips
+every slab in which the amplitudes it reads are all exactly 0: its outputs
+there are 0, which the array already holds, so it never writes there.
+``tensor`` writes no zero block either, so the pages of a zero slab are
+never touched: the prepared state of a four-sender dense branch has 2^17
+nonzero amplitudes of 2^25, all in 128 of its 2048 runs of 2^14.  A skipped
+slab is still read once, so ``fixed`` stays: the kernels never read what a
+measurement removed.
 """
 from __future__ import annotations
 
@@ -201,21 +210,27 @@ def init_basis(n_qubits: int, basis_index: int) -> StateVector:
     return StateVector(n_qubits, amps, copy=False)
 
 
-def _slabs(shape: Sequence[int], short: int = _SHORT_AXES) -> Iterator[_Index]:
-    """Index tuples that cover free axes of sizes ``shape`` slab by slab.
+def _slabs(v: np.ndarray, kept: int = 0, short: int = _SHORT_AXES) -> Iterator[tuple[int, _Index]]:
+    """The slabs of the live view ``v`` that hold a nonzero amplitude.
 
-    ``shape`` lists a view's axes other than its qubit axes, outermost first:
-    the runs of ``_live(state, keep)`` after its kept axes.  The axes outside
+    ``v``'s first ``kept`` axes, of 2 entries each, are read whole in every
+    slab; the others are its free axes, outermost first.  The axes outside
     the cut axis are walked one index at a time, the cut axis in steps that
-    make a slab of about _SLAB entries, and the axes inside it whole,
+    make a slab of about _SLAB free entries, and the axes inside it whole,
     except trailing ones of fewer than ``short`` entries in all, which are
     walked one index at a time.  With ``short=1`` every slab is _SLAB
-    consecutive entries.  A state no larger than one slab is a single slab,
-    ``(...,)``, which leaves an array even where ``shape`` is empty.
+    consecutive entries.  Yields (k, index): k numbers the slab among all
+    of them, and ``v[(slice(None),) * kept + index]`` is the slab.  A slab
+    whose amplitudes are all exactly 0 is read once and skipped: a kernel's
+    outputs there are 0, which the array already holds, so its pages are
+    never written.  A state no larger than one slab is yielded whole, as
+    ``(0, (...,))`` and with no test, which leaves an array even where the
+    free axes are none.
     """
-    if math.prod(shape) <= _SLAB:
-        yield (...,)
+    if v.size >> kept <= _SLAB:
+        yield 0, (...,)
         return
+    shape = v.shape[kept:]
     cut = len(shape) - 1
     while cut > 0 and math.prod(shape[cut:]) <= _SLAB:
         cut -= 1
@@ -224,11 +239,14 @@ def _slabs(shape: Sequence[int], short: int = _SHORT_AXES) -> Iterator[_Index]:
     while tail > cut + 1 and math.prod(shape[tail - 1:]) < short:
         tail -= 1
     whole = (slice(None),) * (tail - cut - 1)
-    for head in itertools.product(*map(range, shape[:cut])):
-        for start in range(0, shape[cut], step):
-            middle = (slice(start, start + step),) + whole
-            for rest in itertools.product(*map(range, shape[tail:])):
-                yield head + middle + rest
+    reads = (slice(None),) * kept
+    indices = (head + (slice(start, start + step),) + whole + rest
+               for head in itertools.product(*map(range, shape[:cut]))
+               for start in range(0, shape[cut], step)
+               for rest in itertools.product(*map(range, shape[tail:])))
+    for k, index in enumerate(indices):
+        if v[reads + index].any():
+            yield k, index
 
 
 @functools.lru_cache(maxsize=1024)
@@ -297,7 +315,7 @@ def _apply_matrix_1q(state: StateVector, terms: _Terms, q: int) -> None:
     free = v.shape[1:]
     # a product temporary and the two new halves
     buf = np.empty(3 * min(_SLAB, math.prod(free)), dtype=complex)
-    for index in _slabs(free):
+    for _, index in _slabs(v, 1):
         halves = (v[(0,) + index], v[(1,) + index])
         shape, size = halves[0].shape, halves[0].size
         tmp, new0, new1 = (buf[k * size: (k + 1) * size].reshape(shape) for k in range(3))
@@ -331,15 +349,15 @@ def apply_cnot(state: StateVector, control: int, target: int) -> None:
     if control == target:
         raise ValueError("CNOT control and target must differ")
     _unfix(state, target)
-    v = _live(state, (control, target))
     # the control=1 quarters with target bit 0 and 1 swap through a slab temporary
-    buf = np.empty(min(_SLAB, v[1, 0].size), dtype=complex)
-    for index in _slabs(v.shape[2:]):
-        first = v[(1, 0) + index]
+    quarters = _live(state, (control, target))[1, ...]
+    buf = np.empty(min(_SLAB, quarters[0].size), dtype=complex)
+    for _, index in _slabs(quarters, 1):
+        first = quarters[(0,) + index]
         tmp = buf[: first.size].reshape(first.shape)
         tmp[...] = first
-        v[(1, 0) + index] = v[(1, 1) + index]
-        v[(1, 1) + index] = tmp
+        quarters[(0,) + index] = quarters[(1,) + index]
+        quarters[(1,) + index] = tmp
 
 
 def apply_pauli_word(state: StateVector, word: Iterable[tuple[str, int]]) -> None:
@@ -370,16 +388,16 @@ def measure_probabilities(state: StateVector, q: int) -> tuple[float, float]:
     part is the squared magnitudes of 2^14 consecutive live entries of one
     half (all of them, if fewer), summed by ``np.sum``, and the parts are
     added in adjacent pairs, level by level.  For power-of-two lengths that
-    is numpy's pairwise tree, so the bits do not change.
+    is numpy's pairwise tree, so the bits do not change.  A part in a slab
+    that ``_slabs`` skips is 0.0, as ``np.sum`` gives for it.
     """
     _check_qubit(state, q)
     v = _live(state, (q,))
-    free = v.shape[1:]
-    half = math.prod(free)
+    half = math.prod(v.shape[1:])
     part = min(_SLAB, half)
     buf = np.empty((2, part))
-    sums = np.empty((half // part, 2))
-    for k, index in enumerate(_slabs(free, short=1)):
+    sums = np.zeros((half // part, 2))
+    for k, index in _slabs(v, 1, short=1):
         halves = v[(slice(None),) + index]
         np.abs(halves, out=buf.reshape(halves.shape))
         np.square(buf, out=buf)
@@ -409,10 +427,12 @@ def measure_qubit(
     # numpy's complex division also multiplies by the reciprocal, so this
     # gives its bits, at under half its cost
     scale = 1 / np.sqrt(prob)
-    for index in _slabs(v.shape[1:]):
-        kept = v[(bit,) + index]
-        np.multiply(kept, scale, out=kept)
-        v[(1 - bit,) + index] = 0
+    kept, dropped = v[bit, ...], v[1 - bit, ...]
+    for _, index in _slabs(kept):
+        part = kept[index]
+        np.multiply(part, scale, out=part)
+    for _, index in _slabs(dropped):
+        dropped[index] = 0
     mask, bits = state.fixed
     state.fixed = (mask | 1 << q, bits & ~(1 << q) | bit << q)
     return bit, prob
@@ -487,18 +507,18 @@ def tensor(*states: StateVector, out: np.ndarray | None = None) -> StateVector:
     ``out`` must be a writable C-contiguous complex128 array of the
     product's size.  The first factor is copied in, and each later factor
     widens it in place, block i of the wider product being that factor's
-    amplitude i times the product so far.  Blocks are written highest
-    first, so the low block they read is overwritten last.  A block whose
-    amplitude is exactly 0 is skipped, unless it is that low block: it is
-    not written and keeps what the array held, and its pages are never
-    touched, so a product whose top factor is a basis state occupies memory
-    only where it is nonzero.  A later factor reads a skipped block as part
-    of the product so far, so ``out`` gives the product only where it held
-    zeros in the blocks skipped before the last factor.  ``controlled_sum``
-    relies on the skipped blocks to add a second product.  Every nonzero
-    entry is the same single product as in a chain of ``np.kron``, so its
-    bits are the same; a skipped block of a new array holds +0.0 where the
-    chain may give -0.0.
+    amplitude i times the product so far.  The chain is built in the block
+    where every later factor takes its first nonzero amplitude, which it
+    scales last, so no block of a zero amplitude is ever written, and
+    within a block only the slabs where the product so far is nonzero
+    (``_slabs``, decided once per factor).  What is not written keeps what
+    the array held, and its pages are never touched: a product occupies
+    memory only where it is nonzero, and one with a later factor of zeros
+    writes nothing.  So ``out`` gives the product wherever it held 0 where
+    the product is 0; ``controlled_sum`` relies on that to add a second
+    product.  Every nonzero entry is the same single product as in a chain
+    of ``np.kron``, so its bits are the same; an entry left unwritten in a
+    new array holds +0.0 where the chain may give -0.0.
     """
     if not states:
         raise ValueError("tensor needs at least one state")
@@ -511,13 +531,26 @@ def tensor(*states: StateVector, out: np.ndarray | None = None) -> StateVector:
         amps = out
     else:
         raise ValueError(f"out must be a writable C-contiguous complex128 array of {1 << n} amplitudes")
-    size = states[0].amps.size
-    amps[:size] = states[0].amps
+    # each later factor's nonzero amplitudes, its first one last, and where
+    # the first factor goes
+    orders, start, size = [], 0, states[0].amps.size
     for s in states[1:]:
-        low = amps[:size]
-        for i in range(s.amps.size - 1, -1, -1):
-            if i == 0 or s.amps[i] != 0:
-                np.multiply(s.amps[i], low, out=amps[i * size: (i + 1) * size])
+        nz = s.amps.nonzero()[0].tolist()
+        if not nz:  # the product is 0: nothing to write
+            return StateVector(n, amps, copy=False)
+        orders.append(nz[1:] + nz[:1])
+        start += nz[0] * size
+        size *= s.amps.size
+    size = states[0].amps.size
+    amps[start:start + size] = states[0].amps
+    for s, order in zip(states[1:], orders):
+        low = amps[start:start + size]
+        parts = [(index, low[index]) for _, index in _slabs(low)]
+        start -= order[-1] * size
+        for i in order:
+            block = amps[start + i * size:start + (i + 1) * size]
+            for index, part in parts:
+                np.multiply(s.amps[i], part, out=block[index])
         size *= s.amps.size
     return StateVector(n, amps, copy=False)
 
@@ -525,15 +558,14 @@ def tensor(*states: StateVector, out: np.ndarray | None = None) -> StateVector:
 def controlled_sum(low0: Sequence[StateVector], low1: Sequence[StateVector], c0: complex, c1: complex) -> StateVector:
     """c0 (low0 tensor |0>) + c1 (low1 tensor |1>), the control on top, in one array.
 
-    ``low0`` and ``low1`` are ``tensor`` factors of the same size.  The |1>
-    product goes first, into a new zeroed array: its chain uses the lower
-    half as workspace and leaves it zero.  The |0> product then fills that
-    half, and ``tensor`` skips the upper half, which keeps the |1> product.
-    So the peak is the state alone, and only the signs of some zeros may
-    differ from the sum.
+    ``low0`` and ``low1`` are ``tensor`` factors of the same size.  Each
+    product is written only in its own half of a new zeroed array, since
+    ``tensor`` writes no block of a zero amplitude, so the second fills the
+    half the first left zero.  The peak is the state alone, and only the
+    signs of some zeros may differ from the sum.
     """
-    amps = tensor(*low1, StateVector(1, [0.0, c1])).amps
-    return tensor(*low0, StateVector(1, [c0, 0.0]), out=amps)
+    amps = tensor(*low0, StateVector(1, [c0, 0.0])).amps
+    return tensor(*low1, StateVector(1, [0.0, c1]), out=amps)
 
 
 def pair_state(coeffs: Sequence[complex]) -> StateVector:

@@ -445,10 +445,14 @@ def run_in_place(kernel, state, *args, **kwargs):
 
 
 def textbook_1q(amps, m, q):
+    """m on qubit q.  Each output half sums the products of m's nonzero
+    entries only: a zero entry's product, added, could turn the sign of a
+    zero output, where an input half is all 0."""
     v = amps.reshape(-1, 2, 1 << q)
     out = np.empty_like(v)
-    out[:, 0, :] = m[0, 0] * v[:, 0, :] + m[0, 1] * v[:, 1, :]
-    out[:, 1, :] = m[1, 0] * v[:, 0, :] + m[1, 1] * v[:, 1, :]
+    for r in (0, 1):
+        first, *rest = (m[r, h] * v[:, h, :] for h in (0, 1) if m[r, h] != 0)
+        out[:, r, :] = first + rest[0] if rest else first
     return out.reshape(-1)
 
 
@@ -519,6 +523,99 @@ def test_cnot_on_multi_slab_state(slab_state, control, target):
     result, got = run_in_place(sv.apply_cnot, slab_state, control, target)
     assert result is None
     assert np.array_equal(got.amps, textbook_cnot(slab_state.amps, control, target))
+
+
+# ------------------------------------------ kernels on states with zero slabs
+
+# A kernel skips every slab in which the amplitudes it reads are all 0.  At 18
+# qubits a one-qubit kernel reads 8 slabs of 2^14 amplitude pairs, and a CNOT 4
+# of 2^14 pairs of its control=1 quarters.  Each case sets a seeded choice of
+# slabs to 0: in some nothing, in some one of the two halves (or quarters) the
+# kernel reads, in some all of it.
+SPARSE_N = 18
+SPARSE_QUBITS = [0, 1, 6, 13, 14, 15, 17]
+SPARSE_CNOT_PAIRS = [(0, 1), (1, 0), (0, 17), (17, 0), (16, 17), (17, 16), (3, 12), (15, 2)]
+
+
+def slab_entries(n, keep, at=()):
+    """The amplitude indices of each slab that a kernel on qubits ``keep``
+    reads, in order, each shaped (2^kept, -1) with the kept bits first.
+
+    ``at`` takes the leading qubits of ``keep`` at a bit, as ``apply_cnot``
+    reads only the quarters where its control is 1.
+    """
+    # no amplitude is 0, so _slabs yields every slab
+    positions = sv._live(sv.StateVector(n, np.arange(1, (1 << n) + 1)), keep)[at + (...,)]
+    kept = len(keep) - len(at)
+    slabs = [(k, positions[(slice(None),) * kept + index]) for k, index in sv._slabs(positions, kept)]
+    assert [k for k, _ in slabs] == list(range(len(slabs)))
+    return [p.real.astype(np.int64).reshape(1 << kept, -1) - 1 for _, p in slabs]
+
+
+def sparse_state(n, slabs, seed):
+    """A random state in which each slab has nothing, one of its two parts or
+    all of it set to 0, in a seeded order that gives each choice to a
+    quarter of the slabs."""
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    parts = [(), (0,), (1,), (0, 1)]
+    for entries, choice in zip(slabs, rng.permutation(np.arange(len(slabs)) % 4)):
+        amps[entries[list(parts[choice])]] = 0
+    return sv.StateVector(n, amps / np.linalg.norm(amps))
+
+
+def assert_slabwise(got, want, slabs, amps):
+    """``got`` holds the bytes of ``want`` on every slab where the input
+    ``amps`` has a nonzero entry, and the value 0 on the others.  Entries in
+    no slab are not read, and hold the bytes of ``want`` too."""
+    read = np.zeros(got.size, dtype=bool)
+    skipped = 0
+    for entries in slabs:
+        entries = entries.ravel()
+        read[entries] = True
+        if amps[entries].any():
+            assert got[entries].tobytes() == want[entries].tobytes()
+        else:
+            skipped += 1
+            assert not got[entries].any()
+    assert skipped
+    assert got[~read].tobytes() == want[~read].tobytes()
+
+
+@pytest.mark.parametrize("q", SPARSE_QUBITS)
+def test_one_qubit_kernels_skip_the_zero_slabs(q):
+    slabs = slab_entries(SPARSE_N, (q,))
+    state = sparse_state(SPARSE_N, slabs, 200 + q)
+    amps = state.amps
+    for name in ("H", "X", "Z"):
+        _, got = run_in_place(sv.apply_1q, state, name, q)
+        assert_slabwise(got.amps, textbook_1q(amps, sv.GATES_1Q[name], q), slabs, amps)
+    word = [("XZ", q), ("Z", q)]
+    _, got = run_in_place(sv.apply_pauli_word, state, word)
+    assert_slabwise(got.amps, textbook_word(amps, word)[1], slabs, amps)
+
+
+@pytest.mark.parametrize("q", SPARSE_QUBITS)
+def test_measurements_skip_the_zero_slabs(q):
+    slabs = slab_entries(SPARSE_N, (q,))
+    state = sparse_state(SPARSE_N, slabs, 220 + q)
+    amps = state.amps
+    probs = sv.measure_probabilities(state, q)
+    assert probs == textbook_probabilities(amps, q)
+    # the collapse tests the kept half and the zeroed half of a slab apart
+    halves = [entries[h:h + 1] for entries in slabs for h in (0, 1)]
+    for bit in (0, 1):
+        result, got = run_in_place(sv.measure_qubit, state, q, forced=bit)
+        assert result == (bit, probs[bit])
+        assert_slabwise(got.amps, textbook_collapse(amps, q, bit, probs[bit]), halves, amps)
+
+
+@pytest.mark.parametrize("control, target", SPARSE_CNOT_PAIRS)
+def test_cnot_skips_the_zero_slabs(control, target):
+    slabs = slab_entries(SPARSE_N, (control, target), at=(1,))
+    state = sparse_state(SPARSE_N, slabs, 240 + SPARSE_N * control + target)
+    _, got = run_in_place(sv.apply_cnot, state, control, target)
+    assert_slabwise(got.amps, textbook_cnot(state.amps, control, target), slabs, state.amps)
 
 
 def test_measure_qubit_on_one_qubit_state():
@@ -816,24 +913,24 @@ def test_tensor_peaks_at_its_result():
         tracemalloc.stop()
     # the 16 MiB result of 20 qubits, and no np.kron intermediate
     assert peak <= (16 << 20) + (1 << 20)
+    # the top factor |1> leaves the lower half unwritten: +0.0 from np.zeros
     want = np.kron(factors[2].amps, np.kron(factors[1].amps, factors[0].amps))
-    assert product.amps.tobytes() == want.tobytes()
+    half = want.size // 2
+    assert product.amps[half:].tobytes() == want[half:].tobytes()
+    assert product.amps[:half].tobytes() == bytes(half * 16)
 
 
 @pytest.mark.parametrize("z", [0, 1])
 def test_tensor_skips_the_blocks_of_a_zero_amplitude(z):
-    # a top factor |z> leaves block 1 - z of the product zero; tensor writes
-    # the low block, which it reads, even when its amplitude is 0, and skips
-    # only a higher one, which keeps the +0.0 its array starts from
+    # a top factor |z> leaves block 1 - z of the product zero; tensor builds
+    # its chain in block z and never writes the other block, which keeps the
+    # +0.0 its array starts from
     rng = np.random.default_rng(101 + z)
     factors = [random_state(3, rng), random_state(2, rng), sv.init_basis(1, z)]
-    want = np.kron(factors[2].amps, np.kron(factors[1].amps, factors[0].amps))
-    got = sv.tensor(*factors).amps
-    if z == 1:
-        assert got.tobytes() == want.tobytes()
-    else:
-        assert got[:32].tobytes() == want[:32].tobytes()
-        assert got[32:].tobytes() == bytes(32 * 16)
+    want = np.kron(factors[2].amps, np.kron(factors[1].amps, factors[0].amps)).reshape(2, 32)
+    got = sv.tensor(*factors).amps.reshape(2, 32)
+    assert got[z].tobytes() == want[z].tobytes()
+    assert got[1 - z].tobytes() == bytes(32 * 16)
 
 
 def test_tensor_builds_in_the_array_it_is_given():
@@ -853,6 +950,20 @@ def test_tensor_leaves_the_blocks_it_skips_as_out_held_them():
     sv.tensor(low, sv.init_basis(1, 0), out=out)
     assert out[:8].tobytes() == low.amps.tobytes()
     assert out[8:].tobytes() == before[8:].tobytes()
+
+
+def test_tensor_writes_nothing_for_a_factor_of_zeros():
+    # the product is 0, which a new array holds; out keeps what it held, so
+    # a controlled_sum with c1 = 0 leaves the |0> product whole
+    rng = np.random.default_rng(108)
+    low, zero = random_state(3, rng), sv.StateVector(2, np.zeros(4))
+    assert sv.tensor(low, zero).amps.tobytes() == bytes(32 * 16)
+    out = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    before = out.tobytes()
+    sv.tensor(low, zero, out=out)
+    assert out.tobytes() == before
+    got = sv.controlled_sum([low], [low], 1.0, 0.0).amps
+    assert got[:8].tobytes() == low.amps.tobytes() and not got[8:].any()
 
 
 def read_only(a):
@@ -878,8 +989,9 @@ def test_tensor_refuses_an_out_it_cannot_fill(out):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_controlled_sum_is_the_sum_of_two_kron_chains(sizes, sign):
     # about half of each factor's amplitudes are exactly 0, so tensor skips
-    # blocks of both products, and the |0> product's skipped blocks must
-    # read the zeros the |1> product leaves in the lower half
+    # blocks of both products and builds each chain in a block of a nonzero
+    # amplitude, and the |1> product must leave the |0> product's half as it
+    # found it
     rng = np.random.default_rng(107 + sum(sizes) + sign)
     low0, low1 = ([random_state(k, rng) for k in sizes] for _ in range(2))
     for s in low0 + low1:
@@ -910,19 +1022,61 @@ def rss_anon():
 def test_tensor_touches_only_the_blocks_it_writes():
     # 22 qubits, 64 MiB: above glibc's largest mmap threshold (32 MiB), so
     # the result is fresh zero pages, not reused heap memory already touched.
-    # A top factor |0> fills the lower half only; |1> fills both halves,
-    # since the lower one is the product it reads
+    # A top factor |z> fills half z only, for either z: the chain is built
+    # there, and the other half is never written, not even as workspace
     rng = np.random.default_rng(103)
     low = [random_state(11, rng), random_state(10, rng)]
     size = 64 << 20
-    grown = []
-    products = []
+    want = kron_chain(low)
     for z in (0, 1):
         before = rss_anon()
-        products.append(sv.tensor(*low, sv.init_basis(1, z)))
-        grown.append(rss_anon() - before)
-    assert grown[0] <= size // 2 + (4 << 20)
-    assert grown[1] >= size - (4 << 20)
+        product = sv.tensor(*low, sv.init_basis(1, z))
+        grown = rss_anon() - before
+        assert size // 2 - (4 << 20) <= grown <= size // 2 + (4 << 20), z
+        halves = product.amps.reshape(2, -1)
+        assert halves[z].tobytes() == want.tobytes()
+        assert halves[1 - z].tobytes() == bytes(size // 2)
+        del product, halves
+
+
+def zero_page_reads():
+    """Whether a read of untouched anonymous memory maps the kernel's shared
+    zero page, which RssAnon does not count.  With transparent huge pages on
+    and their zero page off, a read faults in a real huge page instead."""
+    try:
+        with open("/sys/kernel/mm/transparent_hugepage/enabled") as f:
+            enabled = f.read()
+        with open("/sys/kernel/mm/transparent_hugepage/use_zero_page") as f:
+            return "[never]" in enabled or f.read().strip() == "1"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.parametrize("call, written_mib", [
+    (lambda s: sv.apply_1q(s, "H", 0), 1),
+    (lambda s: sv.apply_cnot(s, 3, 20), 2),
+    (lambda s: sv.measure_probabilities(s, 21), 0),
+    (lambda s: sv.measure_qubit(s, 21, forced=1), 1),
+    (lambda s: sv.measure_qubit(s, 1, forced=0), 1),
+], ids=["H q0", "CNOT 3->20", "probabilities q21", "measure q21=1", "measure q1=0"])
+def test_kernels_touch_only_the_slabs_they_write(call, written_mib):
+    # 22 qubits, 64 MiB of fresh zero pages (see the test above), nonzero
+    # only in one run of 2^16 amplitudes (1 MiB), the entries whose qubits
+    # 21-16 read 100101.  A kernel writes only the slabs that read a nonzero
+    # amplitude: the run, and for the CNOT the run with qubit 20 flipped.
+    # Reading the other slabs maps no memory, so RssAnon grows by at most
+    # the written slabs and the 2 MiB huge pages at each end of them; a
+    # kernel that wrote every slab would add 32 or 64 MiB.
+    if not zero_page_reads():
+        pytest.skip("reads of untouched memory allocate it here")
+    run = np.random.default_rng(110).standard_normal(1 << 16) + 0j
+    amps = np.zeros(1 << 22, dtype=complex)
+    amps[0b100101 << 16:][:1 << 16] = run / np.linalg.norm(run)
+    state = sv.StateVector(22, amps, copy=False)
+    before = rss_anon()
+    call(state)
+    assert rss_anon() - before <= (written_mib + 4) << 20
+    assert state.amps is amps
 
 
 def test_pair_state_puts_the_first_member_on_qubit_0():

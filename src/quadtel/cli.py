@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "e.g. k+,l-,k+,k+,1)")
     p.add_argument("--engine", default="structured", choices=protocol.ENGINES)
     p.add_argument("--allow-large-dense", action="store_true",
-                   help=f"opt in to dense states above {protocol.DENSE_OPT_IN_QUBITS} qubits "
+                   help=f"opt in to dense states above {harness.DENSE_OPT_IN_QUBITS} qubits "
                         f"(up to {HARD_QUBIT_CAP})")
     p.add_argument("--out", help="write the JSON report here")
 

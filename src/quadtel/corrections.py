@@ -47,7 +47,6 @@ BRANCH_AMPLITUDE = 32 ** -0.5
 # (about 1e-17); a wrong word or pattern is off by O(1/sqrt(32)), because the
 # 16 words, like the 16 patterns, are pairwise Hilbert-Schmidt orthogonal.
 OPERATOR_TOL = 1e-9  # entries of K - mu·V, and |mu| - 1/sqrt(32), for the fitted word or pattern V
-SELF_INVERSE_TOL = 1e-12  # entries of U.U - (+-1); products of 0/+-1 matrices are exact
 
 
 class PauliFactor(str, Enum):
@@ -369,11 +368,11 @@ def verify_tables() -> dict:
     columns_identical = all(
         table_lookup(RECEIVERS[0], key) == table_lookup(r, key) for key in keys for r in RECEIVERS
     )
+    # every word is a {0, ±1} matrix, so U·U is exact in float64
     eye = np.eye(4)
     self_inverse = all(
-        np.allclose(e.unitary() @ e.unitary(), eye, rtol=0, atol=SELF_INVERSE_TOL)
-        or np.allclose(e.unitary() @ e.unitary(), -eye, rtol=0, atol=SELF_INVERSE_TOL)
-        for e in TABLE_FIRST_PAIR.values()
+        np.array_equal(square, eye) or np.array_equal(square, -eye)
+        for square in (e.unitary() @ e.unitary() for e in TABLE_FIRST_PAIR.values())
     )
     n_total = len(keys) * len(RECEIVERS)
     eta_total = len(assignment) == 32

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import corrections, protocol
 from .channel import BELL_SYMBOLS, build_channel_analytic, prepare_channel_circuit
-from .statevector import NORM_TOL
+from .statevector import HARD_QUBIT_CAP, NORM_TOL
 
 REPORT_DECIMALS = 4
 
@@ -37,6 +37,12 @@ SUM_SQ_TOL = 1e-9  # 2^17 squared term coefficients against 1; the wrong prefact
 # records exhaustive mode ever writes.  A larger N only makes the command run
 # for hours and its report grow past gigabytes.
 MAX_SAMPLED_RUNS = 2 * 4 ** (2 * protocol.MAX_SENDERS)
+
+# Largest dense-engine state ``cmd_run`` builds without ``allow_large_dense``
+# (the CLI's ``--allow-large-dense``): two senders, 13 qubits, fit; a
+# four-sender dense state is 25 qubits, 512 MiB, and ``DenseState.prepare``
+# builds both controller branches in one such array.
+DENSE_OPT_IN_QUBITS = 16
 
 
 def intrinsic_efficiency(q_s: int, q_u: int, b_t: int) -> float:
@@ -301,7 +307,11 @@ def cmd_run(
     engine: str = "structured",
     allow_large_dense: bool = False,
 ) -> dict:
-    """Protocol runs under one of the three modes, with per-branch records."""
+    """Protocol runs under one of the three modes, with per-branch records.
+
+    A dense state above DENSE_OPT_IN_QUBITS qubits needs ``allow_large_dense``;
+    that is checked once the inputs are known, before the mode is read.
+    """
     _check_seed(seed)
     if input_file is not None:
         inputs = load_input_file(input_file)
@@ -312,19 +322,21 @@ def cmd_run(
         rng_inputs = np.random.default_rng(seed)
         inputs = [protocol.InfoState.random(rng_inputs) for _ in range(senders)]
         source = {"random_seed": seed}
+    n_qubits = 6 * len(inputs) + 1
+    if engine == "dense" and n_qubits > DENSE_OPT_IN_QUBITS and not allow_large_dense:
+        raise ValueError(
+            f"dense state of {n_qubits} qubits exceeds the {DENSE_OPT_IN_QUBITS}-qubit default; "
+            f"pass --allow-large-dense to opt in up to {HARD_QUBIT_CAP}"
+        )
 
     expected_prob = 4.0 ** (-2 * senders) / 2
     expected_bits = classical_cost(2 * senders, 1, senders)
     if mode == "exhaustive":
-        reports = protocol.run_exhaustive(inputs, engine=engine, allow_large_dense=allow_large_dense)
+        reports = protocol.run_exhaustive(inputs, engine=engine)
     elif mode.startswith("forced:"):
         record = parse_forced_spec(mode[len("forced:"):], senders)
         mode = f"forced:{record.symbols()}"
-        reports = [
-            protocol.run_protocol(
-                inputs, engine=engine, forced=record, allow_large_dense=allow_large_dense
-            )
-        ]
+        reports = [protocol.run_protocol(inputs, engine=engine, forced=record)]
     elif mode.startswith("sampled:"):
         digits = mode[len("sampled:"):]
         try:
@@ -337,12 +349,7 @@ def cmd_run(
             )
         mode = f"sampled:{count}"
         rng = np.random.default_rng(seed + 0x5A17)
-        reports = [
-            protocol.run_protocol(
-                inputs, engine=engine, rng=rng, allow_large_dense=allow_large_dense
-            )
-            for _ in range(count)
-        ]
+        reports = [protocol.run_protocol(inputs, engine=engine, rng=rng) for _ in range(count)]
     else:
         raise ValueError(f"unknown mode {mode!r}; use sampled:N, forced:SPEC or exhaustive")
 

@@ -7,8 +7,8 @@ controller measurement, and the table-driven Pauli corrections.
 
 Two interchangeable engines execute the same protocol:
 
-* ``dense``: one statevector over all 6s+1 qubits (beyond two senders it
-  needs the caller's opt-in, checked once in ``assemble_global``);
+* ``dense``: one statevector over all 6s+1 qubits, 25 at four senders (how
+  large a dense state a command may build is ``harness.cmd_run``'s policy);
 * ``structured``: the controller superposition kept as two weighted branches,
   each branch a product of per-sender 6-qubit blocks.  This is exact and
   covers the full four-sender protocol in microseconds.  Its Bell
@@ -54,7 +54,6 @@ from .channel import BELL_COEFFS, BELL_SYMBOLS, BellKind
 from .statevector import (
     _SQRT2_INV,
     GATES_1Q,
-    HARD_QUBIT_CAP,
     MIN_BRANCH_PROBABILITY,
     NORM_TOL,
     StateVector,
@@ -75,12 +74,6 @@ from .statevector import (
 MAX_SENDERS = 4
 
 ENGINES = ("dense", "structured")
-
-# Largest dense-engine state run without the caller's opt-in
-# (``allow_large_dense``, the CLI's ``--allow-large-dense``): two senders, 13
-# qubits, fit; a four-sender dense state is 25 qubits, 512 MiB, and
-# ``DenseState.prepare`` builds both controller branches in one such array.
-DENSE_OPT_IN_QUBITS = 16
 
 # Block-local qubits of a sender block.  Bell pair ``which`` (0, 1) measures
 # the message qubit and the channel sender-side qubit _BELL_PAIRS[which]; the
@@ -407,6 +400,11 @@ class StructuredState:
     marginal of the first bit, then the kept conditional of the second.
     A Bell pair refused at its second bit (``ImpossibleBranchError``) leaves
     the weights reweighted for the first, so the state is then spent.
+
+    No protocol run takes the per-branch drop: every Bell outcome has
+    probability 1/4 in both controller branches, for every message, since
+    the sender-side qubit of each channel pair is maximally mixed.  The drop
+    exists for general, hand-built states.
     """
 
     engine = "structured"
@@ -512,27 +510,12 @@ class StructuredState:
         return p0 * blocks0[i].receiver_mat() + p1 * blocks1[i].receiver_mat()
 
 
-def assemble_global(
-    inputs: Sequence[InfoState],
-    engine: str = "structured",
-    *,
-    allow_large_dense: bool = False,
-):
-    """Initial global state (messages plus channel) under the chosen engine.
-
-    The dense engine refuses states above DENSE_OPT_IN_QUBITS qubits unless
-    ``allow_large_dense`` is set; this is the one place that policy is checked.
-    """
+def assemble_global(inputs: Sequence[InfoState], engine: str = "structured"):
+    """Initial global state (messages plus channel) under the chosen engine."""
     if engine == "structured":
         return StructuredState.prepare(inputs)
     if engine != "dense":
         raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINES}")
-    n_qubits = 6 * _validate_inputs(inputs) + 1
-    if n_qubits > DENSE_OPT_IN_QUBITS and not allow_large_dense:
-        raise ValueError(
-            f"dense state of {n_qubits} qubits exceeds the {DENSE_OPT_IN_QUBITS}-qubit default; "
-            f"pass --allow-large-dense to opt in up to {HARD_QUBIT_CAP}"
-        )
     return DenseState.prepare(inputs)
 
 
@@ -564,7 +547,6 @@ def run_protocol(
     engine: str = "structured",
     forced: OutcomeRecord | None = None,
     rng: np.random.Generator | None = None,
-    allow_large_dense: bool = False,
     state=None,
 ) -> ProtocolReport:
     """Execute one full protocol run and score every receiver.
@@ -581,7 +563,7 @@ def run_protocol(
     elif rng is None:
         raise ValueError("sampled mode needs an explicit rng")
     if state is None:
-        state = assemble_global(inputs, engine, allow_large_dense=allow_large_dense)
+        state = assemble_global(inputs, engine)
 
     outcomes = []
     probability = 1.0
@@ -621,11 +603,10 @@ def run_exhaustive(
     inputs: Sequence[InfoState],
     *,
     engine: str = "structured",
-    allow_large_dense: bool = False,
 ) -> list[ProtocolReport]:
     """Run every measurement branch; reports come back in canonical order."""
     s = _validate_inputs(inputs)
-    base = assemble_global(inputs, engine, allow_large_dense=allow_large_dense)
+    base = assemble_global(inputs, engine)
     return [
         run_protocol(inputs, forced=record, state=base.copy())
         for record in enumerate_records(s)

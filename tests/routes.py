@@ -56,7 +56,7 @@ def pre_broadcast(inputs, bells, engine="structured"):
     bit, ``mixtures[i]``; after bit z, ``patterns[z][i]``; and the
     probability of z, ``probs[z]``.
     """
-    state = pr.assemble_global(inputs, engine, allow_large_dense=True)
+    state = pr.assemble_global(inputs, engine)
     for j, outcome in enumerate(bells):
         state.bsm_pair(j, forced=outcome)
     mixtures = [state.receiver_dm(i) for i in range(len(inputs))]
@@ -130,8 +130,8 @@ def dense(inputs, records):
     run on copies of one prepared state."""
     inputs = rebuilt(inputs)
     if len(records) == 2 * 16 ** len(inputs):
-        return pr.run_exhaustive(inputs, engine="dense", allow_large_dense=True)
-    return _runs(functools.partial(pr.run_protocol, inputs, engine="dense", allow_large_dense=True), records)
+        return pr.run_exhaustive(inputs, engine="dense")
+    return _runs(functools.partial(pr.run_protocol, inputs, engine="dense"), records)
 
 
 def table(inputs, records):

@@ -132,19 +132,24 @@ def test_printed_words_map_every_branch_operator_to_a_multiple_of_identity(ops):
 
 
 def test_every_entry_is_self_inverse_up_to_sign():
+    # {0, ±1} matrices: the square is exactly I or -I
     eye = np.eye(4)
     for entry in co.TABLE_FIRST_PAIR.values():
         sq = entry.unitary() @ entry.unitary()
-        assert np.abs(sq - eye).max() <= co.SELF_INVERSE_TOL or np.abs(sq + eye).max() <= co.SELF_INVERSE_TOL
+        assert np.array_equal(sq, eye) or np.array_equal(sq, -eye)
 
 
 def test_self_inverse_check_applies_its_own_bound(monkeypatch):
-    # a factor off by 1e-7 squares to 1 + 2e-7: inside numpy's default
-    # rtol of 1e-5, far outside SELF_INVERSE_TOL
-    monkeypatch.setitem(sv.PAULI_FACTOR_MATRICES, "Z", sv.PAULI_FACTOR_MATRICES["Z"] * (1 + 1e-7))
-    d = co.verify_tables()
-    assert not d["self_inverse_ok"] and not d["all_ok"]
-    assert d["n_matched"] == d["n_total"]
+    # a factor off by 1e-7 squares to 1 + 2e-7, inside numpy's default rtol
+    # of 1e-5; one off by one ulp squares to 1 + 2^-51.  The exact check
+    # fails both.
+    z = sv.PAULI_FACTOR_MATRICES["Z"]
+    for scale in (1 + 1e-7, np.nextafter(1.0, 2.0)):
+        with monkeypatch.context() as patch:
+            patch.setitem(sv.PAULI_FACTOR_MATRICES, "Z", z * scale)
+            d = co.verify_tables()
+        assert not d["self_inverse_ok"] and not d["all_ok"]
+        assert d["n_matched"] == d["n_total"]
 
 
 def test_kernels_apply_a_table_entry_as_it_stands():

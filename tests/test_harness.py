@@ -277,6 +277,27 @@ def test_cli_run_exhaustive_dense(tmp_path, capsys):
     assert "32 branch record(s)" in capsys.readouterr().out
 
 
+def test_dense_cap_enforced_for_large_runs(monkeypatch):
+    def build_nothing(cls, inputs):
+        raise AssertionError("a dense state was built before the opt-in check")
+
+    spec = "forced:k+,k-,l+,l-,k+,l-,1"
+    with monkeypatch.context() as patch:
+        patch.setattr(pr.DenseState, "prepare", classmethod(build_nothing))
+        with pytest.raises(ValueError) as refused:
+            hz.cmd_run(senders=3, engine="dense", mode=spec)
+        assert str(refused.value) == (
+            "dense state of 19 qubits exceeds the 16-qubit default; "
+            "pass --allow-large-dense to opt in up to 26"
+        )
+        # a double fault: the opt-in error comes before the forced spec's
+        with pytest.raises(ValueError, match="^dense state of 25 qubits exceeds"):
+            hz.cmd_run(senders=4, engine="dense", mode="forced:k+,k+")
+    report = hz.cmd_run(senders=3, engine="dense", mode=spec, allow_large_dense=True)
+    assert report["config"]["allow_large_dense"] is True
+    assert hz.report_passed(report)
+
+
 def test_cli_large_dense_needs_flag(capsys):
     code = cli.main(["run", "--senders", "3", "--mode", "forced:k+,k+,k+,k+,k+,k+,0",
                      "--engine", "dense"])
@@ -492,21 +513,22 @@ def _input_json(draw):
 
 @st.composite
 def _cli_call(draw):
-    """argv within 13 dense qubits and 512 branches, plus an optional input file."""
+    """argv within 13 built dense qubits and 512 branches, plus an optional input file."""
     command = draw(st.sampled_from(
         ["run", "prepare-channel", "verify-tables", "verify-expansion", "efficiency", "bogus", None]))
     argv = [] if command is None else [command]
     payload = None
     if command == "run":
         engine = draw(st.sampled_from(pr.ENGINES))
-        senders = draw(st.integers(1, 2 if engine == "dense" else 4))
+        senders = draw(st.integers(1, 4))
         modes = [st.integers(-1, 8).map(lambda n: f"sampled:{n}"), st.text(max_size=6),
                  st.lists(st.sampled_from(["k+", "k-", "l+", "l-", "0", "1", "2", "x"]),
                           max_size=10).map(lambda parts: "forced:" + ",".join(parts))]
         if senders <= (1 if engine == "dense" else 2):
             modes.append(st.just("exhaustive"))
         argv += ["--senders", str(senders), "--engine", engine, "--mode", draw(st.one_of(modes))]
-        if draw(st.booleans()):
+        # a dense run above two senders is refused at once, never built
+        if (engine != "dense" or senders <= 2) and draw(st.booleans()):
             argv.append("--allow-large-dense")
         if draw(st.booleans()):
             payload = draw(_input_json())

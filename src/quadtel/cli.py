@@ -1,14 +1,15 @@
 """Command-line interface.
 
-Subcommands map one-to-one onto the harness drivers: channel verification,
-protocol runs, correction-table verification, efficiency reproduction, and
-the expansion-normalization check.  Every subcommand prints a pass/fail
-summary and optionally writes the full JSON report; the exit code is 0 only
-if every assertion in the report passed, 1 if one failed, and 2 if the
-command could not produce or write a report (a usage error, bad input, an
-impossible forced branch, a table or catalog that cannot be derived, or an
-``--out`` path that cannot be written), which prints one ``error:`` line and,
-when the command failed, writes a failure report to ``--out``.
+Each subcommand is declared once, in ``build_parser``: its options, whose
+dests are the keyword names of its harness driver, and the driver itself,
+set as the subparser's ``driver`` default.  ``main`` calls that driver with
+the parsed options, prints a pass/fail summary and optionally writes the full
+JSON report; the exit code is 0 only if every assertion in the report passed,
+1 if one failed, and 2 if the command could not produce or write a report (a
+usage error, bad input, an impossible forced branch, a table or catalog that
+cannot be derived, or an ``--out`` path that cannot be written), which prints
+one ``error:`` line and, when the command failed, writes a failure report to
+``--out``.
 """
 from __future__ import annotations
 
@@ -32,17 +33,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; each subcommand's ``driver`` default is read from
+    ``harness`` here, when the parser is built."""
     parser = _Parser(
         prog="quadtel",
         description="Simultaneous multiparty controlled teleportation simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prepare-channel", help="build the entangled channel and verify it")
-    p.add_argument("--pairs", type=int, default=8, help="Bell pair count (default 8)")
-    p.add_argument("--out", help="write the JSON report here")
+    def add_command(name, driver, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(driver=driver)
+        return p
 
-    p = sub.add_parser("run", help="execute protocol runs")
+    p = add_command("prepare-channel", harness.cmd_prepare_channel, "build the entangled channel and verify it")
+    p.add_argument("--pairs", type=int, default=8, help="Bell pair count (default 8)")
+
+    p = add_command("run", harness.cmd_run, "execute protocol runs")
     p.add_argument("--senders", type=int, default=4, choices=(1, 2, 3, 4))
     p.add_argument("--seed", type=int, default=0, help="seed for random inputs and sampling")
     p.add_argument("--input", dest="input_file", help="JSON file with message states")
@@ -53,54 +60,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-large-dense", action="store_true",
                    help=f"opt in to dense states above {harness.DENSE_OPT_IN_QUBITS} qubits "
                         f"(up to {HARD_QUBIT_CAP})")
-    p.add_argument("--out", help="write the JSON report here")
 
-    p = sub.add_parser("verify-tables", help="re-derive the correction tables and catalog map")
+    p = add_command("verify-tables", harness.cmd_verify_tables, "re-derive the correction tables and catalog map")
     p.add_argument("--seed", type=int, default=0,
                    help="recorded in the report only: the sweep reads no random input")
-    p.add_argument("--out", help="write the JSON report here")
 
-    p = sub.add_parser("efficiency", help="reproduce the protocol comparison table")
-    p.add_argument("--out", help="write the JSON report here")
+    add_command("efficiency", harness.cmd_efficiency, "reproduce the protocol comparison table")
 
-    p = sub.add_parser("verify-expansion", help="adjudicate the global-expansion prefactor")
+    p = add_command("verify-expansion", harness.cmd_verify_expansion, "adjudicate the global-expansion prefactor")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="write the JSON report here")
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="write the JSON report here")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    options = vars(build_parser().parse_args(argv))
+    command, driver, out = options.pop("command"), options.pop("driver"), options.pop("out")
     try:
-        if args.command == "prepare-channel":
-            report = harness.cmd_prepare_channel(args.pairs)
-        elif args.command == "run":
-            report = harness.cmd_run(
-                senders=args.senders,
-                seed=args.seed,
-                input_file=args.input_file,
-                mode=args.mode,
-                engine=args.engine,
-                allow_large_dense=args.allow_large_dense,
-            )
-        elif args.command == "verify-tables":
-            report = harness.cmd_verify_tables(seed=args.seed)
-        elif args.command == "efficiency":
-            report = harness.cmd_efficiency()
-        else:
-            report = harness.cmd_verify_expansion(seed=args.seed)
+        report = driver(**options)
     except COMMAND_ERRORS as exc:
         message = f"error: {exc}"
-        if args.out:
+        if out:
             try:
-                harness.write_report({"error": str(exc), "command": args.command}, args.out)
+                harness.write_report({"error": str(exc), "command": command}, out)
             except OSError as write_exc:
                 message += f"; cannot write the failure report: {write_exc}"
         print(message, file=sys.stderr)
         return 2
     try:
-        harness.write_report(report, args.out)
+        harness.write_report(report, out)
     except OSError as exc:
         # the path that cannot take the report cannot take a failure report either
         print(f"error: {exc}", file=sys.stderr)

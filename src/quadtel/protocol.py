@@ -200,6 +200,11 @@ def _validate_inputs(inputs: Sequence[InfoState]) -> int:
     return s
 
 
+def register_qubits(s: int) -> int:
+    """The dense register's size: s six-qubit sender blocks, then Elle on the top qubit."""
+    return 6 * s + 1
+
+
 def _block_state(info: InfoState, kind: BellKind) -> "_Block":
     """Six-qubit sender block: message pair plus two channel pairs of ``kind``.
 
@@ -265,7 +270,7 @@ class DenseState:
         return bsm(self.state, a, b, forced=forced, rng=rng)
 
     def measure_controller(self, *, forced=None, rng=None) -> tuple[int, float]:
-        return measure_qubit(self.state, 6 * self.s, forced=forced, rng=rng)
+        return measure_qubit(self.state, register_qubits(self.s) - 1, forced=forced, rng=rng)
 
     def apply_correction(self, i: int, entry: corrections.CorrectionEntry) -> None:
         word = [(factor, self._base(i) + q) for factor, q in zip((entry.first, entry.second), _RECEIVER_QUBITS)]

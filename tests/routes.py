@@ -8,6 +8,7 @@ draw themselves.  ``test_protocol.py`` compares each route with the reference,
 ``structured``, over a matrix of (route, sender count, record set) cells.
 """
 import functools
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -20,6 +21,16 @@ from quadtel import protocol as pr
 # routes stay a few ulps apart (measured at s=3: 3e-19 and 4e-16); the bound
 # leaves more than an order of magnitude above that.
 ENGINE_AGREEMENT_TOL = 1e-14
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: fn's result and the peak of the memory that Python's
+    allocators, numpy's among them, held while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_inputs(n, seed):

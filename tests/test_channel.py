@@ -1,13 +1,13 @@
 """Channel construction tests: Bell states, circuit vs analytic equivalence,
 marginals and measurement support."""
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from quadtel import channel as ch
 from quadtel import statevector as sv
+from routes import traced_peak
 
 RT2 = np.sqrt(2.0)
 
@@ -92,12 +92,7 @@ def test_channel_builders_peak_near_the_state():
     # build writes both branches into its one state array.
     size = 32 << 20
     for build, bound in ((ch.prepare_channel_circuit, size), (ch.build_channel_analytic, size)):
-        tracemalloc.start()
-        try:
-            build(10)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: build(10))
         assert peak <= bound + (4 << 20), build.__name__
 
 

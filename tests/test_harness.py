@@ -1,10 +1,11 @@
 """Harness tests: efficiency numbers, comparison table, expansion
 adjudication, input parsing, report schema determinism, and the CLI."""
+import argparse
 import contextlib
+import inspect
 import io
 import json
 import tempfile
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from quadtel import corrections as co
 from quadtel import harness as hz
 from quadtel import protocol as pr
 from quadtel import statevector as sv
+from routes import traced_peak
 
 
 # ---------------------------------------------------------------- efficiency
@@ -208,12 +210,7 @@ def test_cmd_verify_tables_reads_no_random_input():
 def test_cmd_prepare_channel_peaks_at_two_states():
     # 10 pairs are 21 qubits, a 32 MiB state: the circuit and the analytic
     # channel, with the difference written into the analytic one's array
-    tracemalloc.start()
-    try:
-        report = hz.cmd_prepare_channel(10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(lambda: hz.cmd_prepare_channel(10))
     assert hz.report_passed(report)
     assert peak <= 2 * (32 << 20) + (4 << 20)
 
@@ -247,6 +244,24 @@ def test_exhaustive_report_branches_match_forced_reports():
     for branch in swept["branches"]:
         forced = hz.cmd_run(senders=1, seed=9, mode="forced:" + branch["outcome"]["symbols"])
         assert forced["branches"] == [branch]
+
+
+def test_classical_bits_check_reads_every_run(monkeypatch):
+    # one run of eight sends Elle's bit to one receiver too few: the check
+    # reads the run farthest from the cost model, not the largest count
+    build, calls = pr._build_transcript, []
+
+    def one_short(s, outcomes, z):
+        calls.append(z)
+        transcript = build(s, outcomes, z)
+        return transcript[:-1] if len(calls) == 3 else transcript
+
+    monkeypatch.setattr(pr, "_build_transcript", one_short)
+    report = hz.cmd_run(senders=2, seed=1, mode="sampled:8")
+    bits = [b["classical_bits_sent"] for b in report["branches"]]
+    assert bits == [10, 10, 9, 10, 10, 10, 10, 10]
+    check = next(a for a in report["assertions"] if a["name"] == "classical_bits_per_run")
+    assert check["measured"] == 9.0 and not check["pass"]
 
 
 def test_summarize_mentions_every_assertion():
@@ -468,6 +483,36 @@ def test_cli_reports_engine_and_table_errors_as_bad_input(tmp_path, capsys, monk
     assert "Traceback" not in captured.out + captured.err
     assert json.loads(out.read_text()) == {
         "command": argv[0], "error": "block 0 qubit 2 outcome 1 has probability 0.000e+00"}
+
+
+def test_catalog_error_names_its_key(monkeypatch, capsys):
+    # (2, 1, 1) is the only key whose branch operator is this matrix
+    unmatched, match_eta = co.branch_operator((2, 1, 1)), co.match_eta
+
+    def fail_on_one_key(op):
+        if np.array_equal(op, unmatched):
+            raise co.CatalogMatchError("branch operator matches no catalog pattern")
+        return match_eta(op)
+
+    monkeypatch.setattr(co, "match_eta", fail_on_one_key)
+    message = "key (g, h, z) = (2, 1, 1): branch operator matches no catalog pattern"
+    with pytest.raises(co.CatalogMatchError) as failed:
+        co.verify_tables()
+    assert str(failed.value) == message
+    assert cli.main(["verify-tables"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_each_subcommand_declares_its_drivers_keywords():
+    # main passes every parsed option but the command, its driver and --out
+    # to the driver by name: a flag without a keyword would be a TypeError
+    parser = cli.build_parser()
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(commands) == {"prepare-channel", "run", "verify-tables", "efficiency", "verify-expansion"}
+    for name in commands:
+        options = vars(parser.parse_args([name]))
+        driver = options.pop("driver")
+        assert set(options) - {"command", "out"} == set(inspect.signature(driver).parameters), name
 
 
 def test_cli_verify_tables_and_expansion(tmp_path):

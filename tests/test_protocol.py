@@ -2,7 +2,6 @@
 equivalence, controller gating, transcripts, and order independence."""
 import itertools
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from routes import (
     pre_broadcast,
     product_coeffs,
     rebuilt,
+    traced_peak,
 )
 
 
@@ -156,12 +156,7 @@ def test_structured_matches_dense_assembly():
 
 def test_dense_prepare_peaks_at_its_one_state():
     inputs = make_inputs(3, 13)
-    tracemalloc.start()
-    try:
-        state = pr.DenseState.prepare(inputs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    state, peak = traced_peak(lambda: pr.DenseState.prepare(inputs))
     # s=3 is 19 qubits, 8 MiB: both controller branches built in one array
     assert peak <= (8 << 20) + (1 << 20)
     structured = pr.assemble_global(rebuilt(inputs), "structured")

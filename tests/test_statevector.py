@@ -1,7 +1,6 @@
 """Statevector engine tests: gate kernels vs explicit matrices, measurement,
 Bell measurement bit-map derivation and partial traces."""
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadtel import statevector as sv
+from routes import traced_peak
 
 RT2 = np.sqrt(2.0)
 
@@ -53,15 +53,13 @@ def test_init_basis_range_errors():
     with pytest.raises(IndexError):
         sv.init_basis(2, -1)
     # one qubit over the hard cap is refused before the 2 GiB allocation
-    tracemalloc.start()
-    try:
+    def refuse_both():
         with pytest.raises(ValueError, match="27 qubits exceeds the 26-qubit cap"):
             sv.init_basis(sv.HARD_QUBIT_CAP + 1, 0)
         with pytest.raises(ValueError, match="27 qubits exceeds the 26-qubit cap"):
             sv.tensor(sv.init_basis(14, 0), sv.init_basis(13, 0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(refuse_both)
     assert peak < 1 << 20
 
 
@@ -162,12 +160,7 @@ def test_identity_factors_are_checked_but_not_applied():
     assert np.array_equal(got.amps, want)
     # an all-I word makes no pass over the state, so it allocates none of the
     # 768 KiB of slab temporaries that a factor's pass takes at 20 qubits
-    tracemalloc.start()
-    try:
-        sv.apply_pauli_word(state, [("I", 0), ("I", 19)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: sv.apply_pauli_word(state, [("I", 0), ("I", 19)]))
     assert peak < 64 << 10
     # an I factor is still checked, before any factor is applied
     with pytest.raises(IndexError, match="qubit 20 out of range"):
@@ -212,13 +205,11 @@ def test_forcing_impossible_branch_raises():
     # of 20 qubits would be 16 MiB
     state = sv.init_basis(20, 1 << 19)
     before = state.amps.tobytes()
-    tracemalloc.start()
-    try:
+    def refuse():
         with pytest.raises(sv.ImpossibleBranchError, match="qubit 19 outcome 0"):
             sv.measure_qubit(state, 19, forced=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(refuse)
     assert peak < 1 << 20
     assert state.amps.tobytes() == before
 
@@ -370,12 +361,7 @@ def test_partial_trace_of_a_measured_state_reads_only_its_live_view():
     for q in range(20):
         if q not in (3, 5):
             sv.measure_qubit(state, q, forced=q % 2)
-    tracemalloc.start()
-    try:
-        dm = sv.partial_trace(state, [5, 3])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    dm, peak = traced_peak(lambda: sv.partial_trace(state, [5, 3]))
     assert peak < 64 << 10
     assert dm.tobytes() == reference_partial_trace(state, [5, 3]).tobytes()
 
@@ -701,12 +687,7 @@ def test_kernels_update_the_state_they_are_given(n):
         want_result, want = textbook(state.amps)
         st = state.copy()
         amps = st.amps
-        tracemalloc.start()
-        try:
-            result = call(st)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_peak(lambda: call(st))
         assert result == want_result, name
         assert st.amps is amps and amps.tobytes() == want.tobytes(), name
         assert peak < 1 << 20, name
@@ -905,12 +886,7 @@ def test_tensor_of_one_state_leaves_it_alone():
 def test_tensor_peaks_at_its_result():
     factors = [random_state(10, np.random.default_rng(99)), random_state(9, np.random.default_rng(100)),
                sv.init_basis(1, 1)]
-    tracemalloc.start()
-    try:
-        product = sv.tensor(*factors)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    product, peak = traced_peak(lambda: sv.tensor(*factors))
     # the 16 MiB result of 20 qubits, and no np.kron intermediate
     assert peak <= (16 << 20) + (1 << 20)
     # the top factor |1> leaves the lower half unwritten: +0.0 from np.zeros

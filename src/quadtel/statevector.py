@@ -27,19 +27,23 @@ amplitudes.  A state with nothing fixed is one view of the whole array,
 through the same code.
 
 Within the live view a kernel works slab by slab (``_slabs``), and skips
-every slab in which the amplitudes it reads are all exactly 0: its outputs
-there are 0, which the array already holds, so it never writes there.
-``tensor`` writes no zero block either, so the pages of a zero slab are
-never touched: the prepared state of a four-sender dense branch has 2^17
-nonzero amplitudes of 2^25, all in 128 of its 2048 runs of 2^14.  A skipped
-slab is still read once, so ``fixed`` stays: the kernels never read what a
-measurement removed.
+every slab in which the amplitudes it reads are all +0.0, which one integer
+pass over their bits tells (``_nonzero``): its outputs there are 0, which
+the array already holds, so it never writes there.  ``tensor`` writes no
+zero block either, so the pages of a zero slab are never written: the
+prepared state of a four-sender dense branch has 2^17 nonzero amplitudes of
+2^25, all in 128 of its 2048 runs of 2^14.  New states of 4 MiB and up are
+mapped in 4 KiB pages (``_zeros``), so only the pages written are resident,
+and reading one never written reads the kernel's shared zero page.  A
+skipped slab is still read once, so ``fixed`` stays: the kernels never read
+what a measurement removed.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import mmap
 from types import EllipsisType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -57,6 +61,10 @@ MIN_BRANCH_PROBABILITY = 1e-15
 # in the norm of a normalized state orders of magnitude below this, while an
 # unnormalized input or amplitude left outside a register misses it by far.
 NORM_TOL = 1e-10
+
+# numpy asks for transparent huge pages (2 MiB) on arrays of this size and
+# up; ``_zeros`` maps such arrays itself, in 4 KiB pages
+_HUGE_PAGE_BYTES = 4 << 20
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -198,6 +206,25 @@ def _check_qubit(state: StateVector, q: int) -> None:
         raise IndexError(f"qubit {q} out of range for {state.n_qubits}-qubit state")
 
 
+def _zeros(n_qubits: int) -> np.ndarray:
+    """A new array of 2^n_qubits complex zeros whose pages are mapped when used.
+
+    Below _HUGE_PAGE_BYTES it is ``np.zeros``.  From there up it is a private
+    anonymous mapping of the process's own, advised out of transparent huge
+    pages, so that a write makes only its own 4 KiB pages resident (in a
+    2 MiB huge page, a 256 KiB slab makes the whole page resident), and a
+    read of a page never written maps the kernel's shared zero page and
+    allocates nothing.  A shared mapping would not do: a read of a hole in
+    shared memory allocates a page.  The mapping is freed with the array.
+    """
+    nbytes = 16 << n_qubits
+    if nbytes < _HUGE_PAGE_BYTES:
+        return np.zeros(1 << n_qubits, dtype=complex)
+    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=complex)
+
+
 def init_basis(n_qubits: int, basis_index: int) -> StateVector:
     """Computational basis state |basis_index> on n_qubits qubits."""
     _check_size(n_qubits)
@@ -205,9 +232,23 @@ def init_basis(n_qubits: int, basis_index: int) -> StateVector:
         raise ValueError("need at least one qubit")
     if not 0 <= basis_index < (1 << n_qubits):
         raise IndexError(f"basis index {basis_index} out of range for {n_qubits} qubits")
-    amps = np.zeros(1 << n_qubits, dtype=complex)
+    amps = _zeros(n_qubits)
     amps[basis_index] = 1.0
     return StateVector(n_qubits, amps, copy=False)
+
+
+def _nonzero(slab: np.ndarray) -> bool:
+    """Whether ``slab`` holds an entry whose bits are not all 0 (+0.0).
+
+    With a contiguous last axis this is one integer pass over the bits,
+    without the complex compares of ``any()``; else it is ``any()``.  So
+    the integer test counts -0.0 as nonzero, where ``any()`` does not; a
+    kernel then processes a slab whose outputs are all zeros, and no value
+    changes.
+    """
+    if slab.strides[-1] == slab.itemsize:
+        return bool(slab.view(np.uint64).max())
+    return bool(slab.any())
 
 
 def _slabs(v: np.ndarray, kept: int = 0, short: int = _SHORT_AXES) -> Iterator[tuple[int, _Index]]:
@@ -221,11 +262,11 @@ def _slabs(v: np.ndarray, kept: int = 0, short: int = _SHORT_AXES) -> Iterator[t
     walked one index at a time.  With ``short=1`` every slab is _SLAB
     consecutive entries.  Yields (k, index): k numbers the slab among all
     of them, and ``v[(slice(None),) * kept + index]`` is the slab.  A slab
-    whose amplitudes are all exactly 0 is read once and skipped: a kernel's
-    outputs there are 0, which the array already holds, so its pages are
-    never written.  A state no larger than one slab is yielded whole, as
-    ``(0, (...,))`` and with no test, which leaves an array even where the
-    free axes are none.
+    whose entries are all +0.0 is read once, in one integer pass
+    (``_nonzero``), and skipped: a kernel's outputs there are 0, which the
+    array already holds, so its pages are never written.  A state no larger
+    than one slab is yielded whole, as ``(0, (...,))`` and with no test,
+    which leaves an array even where the free axes are none.
     """
     if v.size >> kept <= _SLAB:
         yield 0, (...,)
@@ -245,7 +286,7 @@ def _slabs(v: np.ndarray, kept: int = 0, short: int = _SHORT_AXES) -> Iterator[t
                for start in range(0, shape[cut], step)
                for rest in itertools.product(*map(range, shape[tail:])))
     for k, index in enumerate(indices):
-        if v[reads + index].any():
+        if _nonzero(v[reads + index]):
             yield k, index
 
 
@@ -512,20 +553,21 @@ def tensor(*states: StateVector, out: np.ndarray | None = None) -> StateVector:
     scales last, so no block of a zero amplitude is ever written, and
     within a block only the slabs where the product so far is nonzero
     (``_slabs``, decided once per factor).  What is not written keeps what
-    the array held, and its pages are never touched: a product occupies
-    memory only where it is nonzero, and one with a later factor of zeros
-    writes nothing.  So ``out`` gives the product wherever it held 0 where
-    the product is 0; ``controlled_sum`` relies on that to add a second
-    product.  Every nonzero entry is the same single product as in a chain
-    of ``np.kron``, so its bits are the same; an entry left unwritten in a
-    new array holds +0.0 where the chain may give -0.0.
+    the array held.  A new array of 4 MiB and up comes from ``_zeros``,
+    whose 4 KiB pages become resident only when written: such a product
+    occupies memory only in the pages where it is nonzero, and one with a
+    later factor of zeros writes nothing.  So ``out`` gives the product
+    wherever it held 0 where the product is 0; ``controlled_sum`` relies on
+    that to add a second product.  Every nonzero entry is the same single
+    product as in a chain of ``np.kron``, so its bits are the same; an entry
+    left unwritten in a new array holds +0.0 where the chain may give -0.0.
     """
     if not states:
         raise ValueError("tensor needs at least one state")
     n = sum(s.n_qubits for s in states)
     _check_size(n)
     if out is None:
-        amps = np.zeros(1 << n, dtype=complex)
+        amps = _zeros(n)
     elif (isinstance(out, np.ndarray) and out.dtype == complex and out.shape == (1 << n,)
           and out.flags.c_contiguous and out.flags.writeable):
         amps = out

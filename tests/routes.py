@@ -9,12 +9,14 @@ draw themselves.  ``test_protocol.py`` compares each route with the reference,
 """
 import functools
 import tracemalloc
+import weakref
 from collections import namedtuple
 
 import numpy as np
 
 from quadtel import corrections as co
 from quadtel import protocol as pr
+from quadtel import statevector as sv
 
 # Agreement of two routes on one branch, for probabilities and fidelities
 # alike.  Both are sums and products of a few dozen terms of order 1, so the
@@ -24,13 +26,34 @@ ENGINE_AGREEMENT_TOL = 1e-14
 
 
 def traced_peak(fn):
-    """``(fn(), peak)``: fn's result and the peak of the memory that Python's
-    allocators, numpy's among them, held while it ran."""
+    """``(fn(), peak)``: fn's result and a bound on the peak memory it held.
+
+    ``peak`` is the peak that Python's allocators, numpy's among them, held
+    while fn ran, plus the peak of the arrays that ``statevector._zeros``
+    mapped itself, which tracemalloc does not see; each counts from its
+    mapping until it is freed.  The two peaks may fall at different times,
+    so their sum is an upper bound on the true peak, never below it.
+    """
+    zeros, mapped = sv._zeros, [0, 0]  # live bytes, their peak
+
+    def release(nbytes):
+        mapped[0] -= nbytes
+
+    def counted(n_qubits):
+        amps = zeros(n_qubits)
+        if not amps.flags.owndata:
+            mapped[0] += amps.nbytes
+            mapped[1] = max(mapped)
+            weakref.finalize(amps, release, amps.nbytes)
+        return amps
+
+    sv._zeros = counted
     tracemalloc.start()
     try:
-        return fn(), tracemalloc.get_traced_memory()[1]
+        return fn(), tracemalloc.get_traced_memory()[1] + mapped[1]
     finally:
         tracemalloc.stop()
+        sv._zeros = zeros
 
 
 def make_inputs(n, seed):

@@ -604,6 +604,43 @@ def test_cnot_skips_the_zero_slabs(control, target):
     assert_slabwise(got.amps, textbook_cnot(state.amps, control, target), slabs, state.amps)
 
 
+def test_nonzero_is_false_only_for_plus_zero():
+    # the last entry alone, so a test of part of the slab misses it
+    slab = np.zeros(sv._SLAB, dtype=complex)
+    assert not sv._nonzero(slab)
+    assert sv._nonzero(np.full(sv._SLAB, complex(-0.0, -0.0)))
+    for value in (-0.0, complex(0, -0.0), 5e-324, 5e-324j, np.nan):
+        one = slab.copy()
+        one[-1] = value
+        assert sv._nonzero(one), value
+
+
+def test_slabs_skip_only_the_slabs_of_plus_zero():
+    v = np.zeros((5, sv._SLAB), dtype=complex)
+    v[1] = -0.0
+    v[2, -1] = 5e-324
+    v[3, -1] = np.nan
+    assert [k for k, _ in sv._slabs(v.reshape(-1))] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("fix", [False, True], ids=["qubit 0 kept", "qubit 0 fixed"])
+def test_slabs_test_a_strided_last_axis_as_any_does(fix, monkeypatch):
+    # qubit 0 kept or fixed leaves the free axes strided, so the integer
+    # test does not apply: every zero there is -0.0, which it would count
+    slabs = slab_entries(SPARSE_N, (0,))
+    state = sparse_state(SPARSE_N, slabs, 260)
+    if fix:
+        sv.measure_qubit(state, 0, forced=1)
+    kept = 0 if fix else 1
+    v = sv._live(state, () if fix else (0,))
+    v[v == 0] = -0.0
+    got = list(sv._slabs(v, kept))
+    assert v[(slice(None),) * kept + got[0][1]].strides[-1] != v.itemsize
+    monkeypatch.setattr(sv, "_nonzero", lambda slab: bool(slab.any()))
+    assert got == list(sv._slabs(v, kept))
+    assert len(got) < len(slabs)
+
+
 def test_measure_qubit_on_one_qubit_state():
     s = sv.StateVector(1, [0.6, 0.8j])
     for bit in (0, 1):
@@ -985,73 +1022,80 @@ def test_controlled_sum_refuses_products_of_different_sizes():
         sv.controlled_sum([random_state(2, rng)], [random_state(3, rng)], 1 / RT2, 1 / RT2)
 
 
-def rss_anon():
-    """Resident anonymous memory of this process, in bytes (Linux only)."""
+def resident(*fields):
+    """The sum of the named resident-memory fields of /proc/self/status
+    (RssAnon, RssShmem), in bytes (Linux only)."""
     try:
         with open("/proc/self/status") as status:
-            lines = [line for line in status if line.startswith("RssAnon:")]
+            lines = [line.split() for line in status if line.split(":")[0] in fields]
     except FileNotFoundError:
         pytest.skip("needs /proc/self/status")
-    return int(lines[0].split()[1]) << 10
+    assert len(lines) == len(fields)
+    return sum(int(line[1]) << 10 for line in lines)
+
+
+def test_reading_a_new_state_allocates_nothing():
+    # 22 qubits, 64 MiB, read whole: the pages never written read the
+    # kernel's shared zero page.  A shared mapping would allocate a page
+    # for each read (64 MiB of RssShmem), and a huge page without its zero
+    # page 2 MiB of RssAnon
+    state = sv.init_basis(22, 0)
+    before = resident("RssAnon", "RssShmem")
+    assert sv.measure_probabilities(state, 21) == (1.0, 0.0)
+    assert resident("RssAnon", "RssShmem") - before <= 1 << 20
+
+
+def test_a_write_to_a_new_state_makes_only_its_own_pages_resident():
+    # one 256 KiB slab in the middle of a new 64 MiB state: 64 pages of
+    # 4 KiB, where a 2 MiB huge page would make 2 MiB resident
+    state = sv.init_basis(22, 0)
+    slab = state.amps[1 << 20:][:sv._SLAB]
+    before = resident("RssAnon")
+    slab[:] = 1
+    assert resident("RssAnon") - before <= 512 << 10
 
 
 def test_tensor_touches_only_the_blocks_it_writes():
-    # 22 qubits, 64 MiB: above glibc's largest mmap threshold (32 MiB), so
-    # the result is fresh zero pages, not reused heap memory already touched.
-    # A top factor |z> fills half z only, for either z: the chain is built
-    # there, and the other half is never written, not even as workspace
+    # 22 qubits, 64 MiB in new 4 KiB pages.  A top factor |z> fills half z
+    # only, for either z: the chain is built there, and the other half is
+    # never written, not even as workspace
     rng = np.random.default_rng(103)
     low = [random_state(11, rng), random_state(10, rng)]
     size = 64 << 20
     want = kron_chain(low)
     for z in (0, 1):
-        before = rss_anon()
+        before = resident("RssAnon")
         product = sv.tensor(*low, sv.init_basis(1, z))
-        grown = rss_anon() - before
-        assert size // 2 - (4 << 20) <= grown <= size // 2 + (4 << 20), z
+        grown = resident("RssAnon") - before
+        assert size // 2 - (1 << 20) <= grown <= size // 2 + (1 << 20), z
         halves = product.amps.reshape(2, -1)
         assert halves[z].tobytes() == want.tobytes()
         assert halves[1 - z].tobytes() == bytes(size // 2)
         del product, halves
 
 
-def zero_page_reads():
-    """Whether a read of untouched anonymous memory maps the kernel's shared
-    zero page, which RssAnon does not count.  With transparent huge pages on
-    and their zero page off, a read faults in a real huge page instead."""
-    try:
-        with open("/sys/kernel/mm/transparent_hugepage/enabled") as f:
-            enabled = f.read()
-        with open("/sys/kernel/mm/transparent_hugepage/use_zero_page") as f:
-            return "[never]" in enabled or f.read().strip() == "1"
-    except FileNotFoundError:
-        return True
-
-
-@pytest.mark.parametrize("call, written_mib", [
-    (lambda s: sv.apply_1q(s, "H", 0), 1),
-    (lambda s: sv.apply_cnot(s, 3, 20), 2),
+@pytest.mark.parametrize("call, new_mib", [
+    (lambda s: sv.apply_1q(s, "H", 0), 0),
+    (lambda s: sv.apply_cnot(s, 3, 20), 1),
     (lambda s: sv.measure_probabilities(s, 21), 0),
-    (lambda s: sv.measure_qubit(s, 21, forced=1), 1),
-    (lambda s: sv.measure_qubit(s, 1, forced=0), 1),
+    (lambda s: sv.measure_qubit(s, 21, forced=1), 0),
+    (lambda s: sv.measure_qubit(s, 1, forced=0), 0),
 ], ids=["H q0", "CNOT 3->20", "probabilities q21", "measure q21=1", "measure q1=0"])
-def test_kernels_touch_only_the_slabs_they_write(call, written_mib):
-    # 22 qubits, 64 MiB of fresh zero pages (see the test above), nonzero
+def test_kernels_touch_only_the_slabs_they_write(call, new_mib):
+    # 22 qubits, 64 MiB in new 4 KiB pages (see the tests above), written
     # only in one run of 2^16 amplitudes (1 MiB), the entries whose qubits
     # 21-16 read 100101.  A kernel writes only the slabs that read a nonzero
-    # amplitude: the run, and for the CNOT the run with qubit 20 flipped.
-    # Reading the other slabs maps no memory, so RssAnon grows by at most
-    # the written slabs and the 2 MiB huge pages at each end of them; a
-    # kernel that wrote every slab would add 32 or 64 MiB.
-    if not zero_page_reads():
-        pytest.skip("reads of untouched memory allocate it here")
+    # amplitude: the run, and for the CNOT the run with qubit 20 flipped,
+    # ``new_mib`` outside it.  Reading the other slabs maps no memory, so
+    # RssAnon grows by at most that and the kernel's slab temporaries (under
+    # 1 MiB); a kernel that wrote every slab would add 32 or 64 MiB.
     run = np.random.default_rng(110).standard_normal(1 << 16) + 0j
-    amps = np.zeros(1 << 22, dtype=complex)
+    state = sv.init_basis(22, 0b100101 << 16)
+    amps = state.amps
     amps[0b100101 << 16:][:1 << 16] = run / np.linalg.norm(run)
-    state = sv.StateVector(22, amps, copy=False)
-    before = rss_anon()
+    before = resident("RssAnon")
     call(state)
-    assert rss_anon() - before <= (written_mib + 4) << 20
+    assert resident("RssAnon") - before <= (new_mib + 1) << 20
     assert state.amps is amps
 
 

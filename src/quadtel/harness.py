@@ -41,8 +41,10 @@ MAX_SAMPLED_RUNS = 2 * 4 ** (2 * protocol.MAX_SENDERS)
 
 # Largest dense-engine state ``cmd_run`` builds without ``allow_large_dense``
 # (the CLI's ``--allow-large-dense``): two senders, 13 qubits, fit; a
-# four-sender dense state is 25 qubits, 512 MiB, and ``DenseState.prepare``
-# builds both controller branches in one such array.
+# four-sender dense state is 25 qubits, 512 MiB.  ``DenseState.prepare``
+# builds both controller branches in one such array for a sampled or
+# exhaustive run, and for a forced run only its controller's half, with
+# Elle's qubit fixed.
 DENSE_OPT_IN_QUBITS = 16
 
 

@@ -236,7 +236,10 @@ class DenseState:
     qubits its measurements fixed.  The register keeps all 6s+1 qubits, but
     each measured qubit leaves the kernels' sweep: they touch only the
     amplitudes that no measurement has set to 0 (``statevector._live``), and
-    so does the phase flip of a correction.  After an operation raises
+    so does the phase flip of a correction.  A forced run prepares only its
+    controller half (``prepare`` given z), with Elle's qubit fixed from the
+    start, so its kernels never read the other half; a sampled run, and
+    ``run_exhaustive``'s base, hold both.  After an operation raises
     ``ImpossibleBranchError`` the state is spent: a refused Bell measurement
     has already applied its basis change to the array, as a
     ``StructuredState`` refused at a Bell pair's second bit has already
@@ -250,12 +253,29 @@ class DenseState:
         self.state = state
 
     @classmethod
-    def prepare(cls, inputs: Sequence[InfoState]) -> "DenseState":
+    def prepare(cls, inputs: Sequence[InfoState], z: int | None = None) -> "DenseState":
         """Both controller branches, (blocks of z, last sender lowest) tensor
-        |z>/sqrt2, built in one array by ``controlled_sum``, Elle on top."""
+        |z>/sqrt2, built in one array by ``controlled_sum``, Elle on top.
+
+        Given ``z``, only branch z: the same half z, value for value, with
+        the other half never written and Elle's qubit recorded as fixed at
+        z (``StateVector.fixed``), so no kernel reads that half.  This is
+        Elle's outcome z projected out first, which is valid since her
+        measurement and the Bell measurements act on disjoint qubits: the
+        state's norm squared is 1/2, so the first Bell measurement gives the
+        joint probability of z and its bits, and ``measure_controller``
+        then gives z with probability 1, up to ulps.
+        """
         s = _validate_inputs(inputs)
+        if z not in (None, 0, 1):
+            raise ValueError(f"controller bit must be None, 0 or 1, got {z!r}")
         low0, low1 = ([_block_state(info, kind) for info in reversed(inputs)] for kind in _BRANCH_KINDS)
-        return cls(s, controlled_sum(low0, low1, _SQRT2_INV, _SQRT2_INV))
+        c0, c1 = (_SQRT2_INV if z in (None, k) else 0.0 for k in (0, 1))
+        state = controlled_sum(low0, low1, c0, c1)
+        if z is not None:
+            elle = register_qubits(s) - 1
+            state.fixed = (1 << elle, z << elle)
+        return cls(s, state)
 
     def copy(self) -> "DenseState":
         return DenseState(self.s, self.state.copy())
@@ -567,7 +587,9 @@ def run_protocol(
             raise ValueError(f"forced record has {len(forced.bell)} Bell outcomes, expected {n_bsm}")
     elif rng is None:
         raise ValueError("sampled mode needs an explicit rng")
-    if state is None:
+    if state is None and engine == "dense" and forced is not None:
+        state = DenseState.prepare(inputs, forced.z)
+    elif state is None:
         state = assemble_global(inputs, engine)
 
     outcomes = []

@@ -17,10 +17,11 @@ arguments and return new objects.  Sampled measurements take an explicit
 numpy Generator; there is no ambient randomness anywhere in this module.
 
 A state records in ``fixed`` the qubits that ``measure_qubit`` left in a
-definite bit.  Every amplitude with the other bit at a fixed qubit is
-exactly 0 in the array, which always holds the whole state; a kernel that
-writes a qubit first drops it from ``fixed``, and ``copy()`` keeps it.  The
-kernels read and write only the live amplitudes: ``_live`` views the array
+definite bit, and a caller that prepares a qubit in a definite bit may
+record it there too.  Every amplitude with the other bit at a fixed qubit
+is exactly 0 in the array, which always holds the whole state; a kernel
+that writes a qubit first drops it from ``fixed``, and ``copy()`` keeps it.
+The kernels read and write only the live amplitudes: ``_live`` views the array
 with each fixed qubit taken at its bit, so after the 8 Bell measurements
 of a four-sender branch (16 measured qubits) they touch 2^9 of its 2^25
 amplitudes.  A state with nothing fixed is one view of the whole array,
@@ -164,9 +165,10 @@ class StateVector:
     """Normalized pure state of ``n_qubits`` qubits as a dense amplitude array.
 
     ``fixed`` is a pair of ints ``(mask, bits)``: bit q of ``mask`` is set
-    when ``measure_qubit`` left qubit q in a definite bit, and bit q of
-    ``bits`` is that bit.  Every amplitude with the other bit at a fixed
-    qubit is exactly 0 in ``amps``, so ``amps`` is always the whole state
+    when qubit q is in a definite bit, left there by ``measure_qubit`` or
+    recorded by the caller that prepared it so, and bit q of ``bits`` is
+    that bit.  Every amplitude with the other bit at a fixed qubit is
+    exactly 0 in ``amps``, so ``amps`` is always the whole state
     and the kernels may skip those amplitudes (``_live``).  A kernel that
     writes qubit q drops it first, which is always valid: an empty ``fixed``
     claims nothing.
@@ -185,7 +187,17 @@ class StateVector:
         self.fixed = (0, 0)
 
     def copy(self) -> "StateVector":
-        new = StateVector(self.n_qubits, self.amps, copy=True)
+        """The same state in a new array from ``_zeros``, with the same ``fixed``.
+
+        Only the slabs of 2^14 amplitudes that hold a nonzero bit are
+        written (``_slabs``), so a copy occupies memory only where its
+        source is nonzero, and it is byte-identical: a slab of +0.0 stays
+        as ``_zeros`` made it, and one of -0.0 is copied.
+        """
+        amps = _zeros(self.n_qubits)
+        for _, index in _slabs(self.amps, short=1):
+            amps[index] = self.amps[index]
+        new = StateVector(self.n_qubits, amps, copy=False)
         new.fixed = self.fixed
         return new
 

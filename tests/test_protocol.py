@@ -177,6 +177,27 @@ def test_dense_prepare_equals_the_summed_branches(s):
     assert np.array_equal(pr.DenseState.prepare(inputs).state.amps, want)
 
 
+@pytest.mark.parametrize("z", [0, 1])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_forced_dense_prepare_builds_only_half_z(s, z):
+    # Elle's bit projected out first: half z of the full preparation, byte
+    # for byte, and the other half never written.  Elle's qubit is fixed at
+    # z, so the kernels' live view is half z alone
+    inputs = make_inputs(s, 40 + s)
+    full = pr.DenseState.prepare(inputs).state.amps.reshape(2, -1)
+    state = pr.DenseState.prepare(inputs, z).state
+    halves = state.amps.reshape(2, -1)
+    assert halves[z].tobytes() == full[z].tobytes()
+    assert halves[1 - z].tobytes() == bytes(halves[1 - z].nbytes)
+    assert state.fixed == (1 << 6 * s, z << 6 * s)
+    assert sv._live(state).size == 1 << 6 * s
+
+
+def test_dense_prepare_refuses_a_controller_bit_other_than_0_or_1():
+    with pytest.raises(ValueError, match="controller bit"):
+        pr.DenseState.prepare(make_inputs(1, 40), 2)
+
+
 def test_dense_first_bell_pair_leaves_long_contiguous_live_runs():
     # block 0, measured first, sits on the top sender qubits (12..17 at s=3):
     # measuring its first pair fixes qubits 12 and 14, so qubits 0..11 stay
@@ -440,16 +461,18 @@ ROUTE_CELLS = [
     ("structured", 1, "all"), ("operator", 1, "all"),
     ("kept", 1, "all"), ("kept", 2, "all"), ("kept", 3, "forced:64"), ("kept", 4, "forced:80"),
     *(("kept", s, "sampled:64") for s in range(1, pr.MAX_SENDERS + 1)),
-    ("dense", 1, "all"), ("dense", 2, "all"), ("dense", 2, "sampled:24"), ("dense", 3, "forced:3"),
-    ("dense", 4, "forced:2"),
+    ("dense", 1, "all"), ("dense", 2, "all"), ("dense", 2, "forced:32"), ("dense", 2, "sampled:24"),
+    ("dense", 3, "forced:3"), ("dense", 4, "forced:2"),
     ("table", 1, "all"), ("table", 2, "all"), ("table", 4, "sampled:64"),
 ]
 # The same comparison with every receiver corrected by I(x)I instead of its
 # printed word.  The printed words give F = 1 on every branch, so a route that
 # read another branch's fidelity would still agree; without them the
 # fidelities differ from branch to branch (from 6e-4 to 1 at s=1, 2e-3 to 1 at
-# s=2).
-IDENTITY_WORD_CELLS = [("kept", 1, "all"), ("dense", 1, "all"), ("operator", 1, "all"), ("table", 2, "all")]
+# s=2).  A dense cell of ``all`` records runs ``run_exhaustive``, which holds
+# both controller halves; a forced one prepares only half z of each branch.
+IDENTITY_WORD_CELLS = [("kept", 1, "all"), ("dense", 1, "all"), ("dense", 1, "forced:16"), ("operator", 1, "all"),
+                       ("table", 2, "all")]
 SEEDS = {1: 61, 2: 62, 3: 62, 4: 66}
 _IDENTITY_WORD = co.CorrectionEntry(co.PauliFactor.I, co.PauliFactor.I)
 

@@ -33,7 +33,7 @@ GOLDEN = {
     "run-s3-dense-forced": (
         lambda: hz.cmd_run(senders=3, seed=0, mode="forced:k+,k-,l+,l-,k+,l-,1", engine="dense",
                            allow_large_dense=True),
-        "2b4b70bb631f82b8381d883fb1e2393278e8f23e00a7fa0092a95238bd2a9f97",
+        "07ac5566f97c12b5beda4c628d0b0954ea95e24ecfba6acd153a806da2f90dae",
     ),
     "verify-tables-3": (
         lambda: hz.cmd_verify_tables(seed=3),

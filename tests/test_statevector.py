@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadtel import protocol as pr
 from quadtel import statevector as sv
-from routes import traced_peak
+from routes import make_inputs, traced_peak
 
 RT2 = np.sqrt(2.0)
 
@@ -623,6 +624,20 @@ def test_slabs_skip_only_the_slabs_of_plus_zero():
     assert [k for k, _ in sv._slabs(v.reshape(-1))] == [1, 2, 3]
 
 
+def test_copy_is_byte_identical_and_keeps_fixed():
+    # 17 qubits, 8 slabs; qubit 16 fixed at 1, so slabs 0-3 are +0.0.  Of
+    # the others, one is +0.0, one -0.0, one holds a subnormal and one a NaN
+    v = np.zeros((8, sv._SLAB), dtype=complex)
+    v[5] = -0.0
+    v[6, -1] = 5e-324
+    v[7, 3] = np.nan
+    state = sv.StateVector(17, v.reshape(-1))
+    state.fixed = (1 << 16, 1 << 16)
+    copy = state.copy()
+    assert copy.fixed == state.fixed and not np.shares_memory(copy.amps, state.amps)
+    assert copy.amps.tobytes() == state.amps.tobytes()
+
+
 @pytest.mark.parametrize("fix", [False, True], ids=["qubit 0 kept", "qubit 0 fixed"])
 def test_slabs_test_a_strided_last_axis_as_any_does(fix, monkeypatch):
     # qubit 0 kept or fixed leaves the free axes strided, so the integer
@@ -1072,6 +1087,17 @@ def test_tensor_touches_only_the_blocks_it_writes():
         assert halves[z].tobytes() == want.tobytes()
         assert halves[1 - z].tobytes() == bytes(size // 2)
         del product, halves
+
+
+def test_copy_writes_only_the_slabs_that_hold_a_nonzero_bit():
+    # a prepared s=3 dense state, 19 qubits and 8 MiB in new 4 KiB pages,
+    # is nonzero in 2 MiB of them; a copy of every page would grow RssAnon
+    # by 8 MiB
+    state = pr.DenseState.prepare(make_inputs(3, 13)).state
+    before = resident("RssAnon")
+    copy = state.copy()
+    assert resident("RssAnon") - before <= 4 << 20
+    assert copy.amps.tobytes() == state.amps.tobytes()
 
 
 @pytest.mark.parametrize("call, new_mib", [

@@ -40,11 +40,12 @@ SUM_SQ_TOL = 1e-9  # 2^17 squared term coefficients against 1; the wrong prefact
 MAX_SAMPLED_RUNS = 2 * 4 ** (2 * protocol.MAX_SENDERS)
 
 # Largest dense-engine state ``cmd_run`` builds without ``allow_large_dense``
-# (the CLI's ``--allow-large-dense``): two senders, 13 qubits, fit; a
-# four-sender dense state is 25 qubits, 512 MiB.  ``DenseState.prepare``
-# builds both controller branches in one such array for a sampled or
-# exhaustive run, and for a forced run only its controller's half, with
-# Elle's qubit fixed.
+# (the CLI's ``--allow-large-dense``): two senders, 13 qubits.  Memory is no
+# longer a reason for it: a 25-qubit array spans 512 MiB, but only the pages
+# a run writes are resident.  Peak RSS of one ``run`` process, seed 0: s=4
+# forced 82.8 MiB, s=4 ``sampled:1`` and ``sampled:4`` 128.6 MiB, s=3
+# ``sampled:16`` 41.8 MiB, s=3 exhaustive 63.9 MiB.  It stays only because
+# the benchmark's ``dense-s4`` command passes the flag (ROADMAP item 20).
 DENSE_OPT_IN_QUBITS = 16
 
 

@@ -233,13 +233,14 @@ class DenseState:
 
     Every operation runs the ``statevector`` kernels on the one state, which
     they update in place and never copy; ``copy()`` copies it, with the
-    qubits its measurements fixed.  The register keeps all 6s+1 qubits, but
-    each measured qubit leaves the kernels' sweep: they touch only the
-    amplitudes that no measurement has set to 0 (``statevector._live``), and
-    so does the phase flip of a correction.  A forced run prepares only its
-    controller half (``prepare`` given z), with Elle's qubit fixed from the
-    start, so its kernels never read the other half; a sampled run, and
-    ``run_exhaustive``'s base, hold both.  After an operation raises
+    qubits its measurements fixed, though no run copies a dense state.  The
+    register keeps all 6s+1 qubits, but each measured qubit leaves the
+    kernels' sweep: they touch only the amplitudes that no measurement has
+    set to 0 (``statevector._live``), and so does the phase flip of a
+    correction.  A forced run, as each branch of ``run_exhaustive`` is,
+    prepares only its controller half (``prepare`` given z), with Elle's
+    qubit fixed from the start, so its kernels never read the other half;
+    only a sampled run holds both.  After an operation raises
     ``ImpossibleBranchError`` the state is spent: a refused Bell measurement
     has already applied its basis change to the array, as a
     ``StructuredState`` refused at a Bell pair's second bit has already
@@ -632,12 +633,12 @@ def run_exhaustive(
     engine: str = "structured",
 ) -> list[ProtocolReport]:
     """Run every measurement branch; reports come back in canonical order."""
-    s = _validate_inputs(inputs)
+    records = enumerate_records(_validate_inputs(inputs))
+    if engine == "dense":
+        return [run_protocol(inputs, engine=engine, forced=record) for record in records]
+    # the structured base stays for sweep-s3's pinned prepare and copy counts (ROADMAP item 1)
     base = assemble_global(inputs, engine)
-    return [
-        run_protocol(inputs, forced=record, state=base.copy())
-        for record in enumerate_records(s)
-    ]
+    return [run_protocol(inputs, forced=record, state=base.copy()) for record in records]
 
 
 def block_outcome_table(info: InfoState, receiver: str) -> tuple[np.ndarray, np.ndarray]:

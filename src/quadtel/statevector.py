@@ -187,17 +187,7 @@ class StateVector:
         self.fixed = (0, 0)
 
     def copy(self) -> "StateVector":
-        """The same state in a new array from ``_zeros``, with the same ``fixed``.
-
-        Only the slabs of 2^14 amplitudes that hold a nonzero bit are
-        written (``_slabs``), so a copy occupies memory only where its
-        source is nonzero, and it is byte-identical: a slab of +0.0 stays
-        as ``_zeros`` made it, and one of -0.0 is copied.
-        """
-        amps = _zeros(self.n_qubits)
-        for _, index in _slabs(self.amps, short=1):
-            amps[index] = self.amps[index]
-        new = StateVector(self.n_qubits, amps, copy=False)
+        new = StateVector(self.n_qubits, self.amps)
         new.fixed = self.fixed
         return new
 

@@ -160,8 +160,8 @@ def kept(inputs, records):
 
 
 def dense(inputs, records):
-    """The dense engine; all records through ``run_exhaustive``, whose branches
-    run on copies of one prepared state."""
+    """The dense engine; all records through ``run_exhaustive``, which runs
+    each branch as a forced run on its own controller half."""
     inputs = rebuilt(inputs)
     if len(records) == 2 * 16 ** len(inputs):
         return pr.run_exhaustive(inputs, engine="dense")

@@ -1,10 +1,12 @@
 """Acceptance suite: one test per release criterion, each printing a
 pass/fail line with the measured value (run with -rA or -s to see them all).
 
-Tolerances are pinned here and nowhere else: distances 1e-12, fidelities
-1e-9, probabilities 1e-12 (uniformity) / 1e-10 (sums), density matrices
-1e-10, expansion sum 1e-9.  Published efficiencies are compared exactly, in
-integer hundredths of a percent.
+Tolerances are the reports' own, named once in ``harness`` with their
+reasons: distances ``AMPLITUDE_TOL``, fidelities ``FIDELITY_TOL``,
+probabilities ``PROBABILITY_TOL`` (one branch) and ``PROBABILITY_SUM_TOL``
+(sums), the expansion sum ``SUM_SQ_TOL``.  Criterion 4's density-matrix
+bound, which no report checks, is ``DENSITY_MATRIX_TOL`` below.  Published
+efficiencies are compared exactly, in integer hundredths of a percent.
 """
 import itertools
 import time
@@ -15,7 +17,14 @@ from quadtel import channel as ch
 from quadtel import corrections as co
 from quadtel import harness as hz
 from quadtel import protocol as pr
+from quadtel.harness import AMPLITUDE_TOL, FIDELITY_TOL, PROBABILITY_SUM_TOL, PROBABILITY_TOL, SUM_SQ_TOL
 from routes import flip_pattern, joint_pre_broadcast, make_inputs, product_coeffs
+
+# Largest entry of criterion 4's joint receiver matrix minus its oracle.  The
+# matrix is a sum of two weighted products of four 4x4 receiver matrices, so
+# round-off stays near 1e-16 (2.8e-17 on criterion 4's messages); keeping
+# only one controller branch errs by 2.1e-2 there, of entries up to 2.3e-2.
+DENSITY_MATRIX_TOL = 1e-10
 
 
 def _line(number, ok, text):
@@ -31,7 +40,7 @@ def test_criterion_1_channel_equivalence():
     small_ok = True
     for k in (1, 2, 3):
         d = np.linalg.norm(ch.prepare_channel_circuit(k).amps - ch.build_channel_analytic(k, (-1) ** k).amps)
-        small_ok = small_ok and d < 1e-12
+        small_ok = small_ok and d < AMPLITUDE_TOL
     ok = dist8["pass"] and small_ok and elapsed < 5.0
     _line(1, ok, f"17-qubit circuit vs analytic distance {dist8['measured']:.2e}, "
                  f"k=1..3 signs (-1)^k hold, {elapsed:.2f}s (< 5s)")
@@ -47,9 +56,9 @@ def test_criterion_2_exhaustive_reduced_protocol():
         fid_min = min(min(r.per_receiver_fidelity) for r in reports)
         expected = 4.0 ** (-2 * s) / 2
         ok = ok and len(reports) == 4 ** (2 * s) * 2
-        ok = ok and fid_min > 1 - 1e-9
-        ok = ok and np.abs(probs - expected).max() < 1e-12
-        ok = ok and abs(probs.sum() - 1) < 1e-10
+        ok = ok and fid_min > 1 - FIDELITY_TOL
+        ok = ok and np.abs(probs - expected).max() < PROBABILITY_TOL
+        ok = ok and abs(probs.sum() - 1) < PROBABILITY_SUM_TOL
         details.append(f"s={s}: {len(reports)} branches, min fidelity {fid_min:.12f}")
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 30.0
@@ -70,7 +79,7 @@ def test_criterion_3_full_protocol_sampled_branches():
             worst_prob_dev = max(worst_prob_dev, abs(report.branch_probability - 2.0 ** -17))
             total += 1
     elapsed = time.monotonic() - t0
-    ok = (total >= 512 and worst_fid > 1 - 1e-9 and worst_prob_dev < 1e-12 and elapsed < 60.0)
+    ok = (total >= 512 and worst_fid > 1 - FIDELITY_TOL and worst_prob_dev < PROBABILITY_TOL and elapsed < 60.0)
     _line(3, ok, f"{total} forced branches over {n_sets} input sets: min fidelity "
                  f"{worst_fid:.12f}, max |p - 2^-17| {worst_prob_dev:.2e}, {elapsed:.2f}s (< 60s)")
 
@@ -90,8 +99,8 @@ def test_criterion_4_controller_gating():
         target = product_coeffs([i.coeffs for i in draw_inputs])
         guesses.append(float(np.real(np.vdot(target, rho @ target))))
     mean_guess = float(np.mean(guesses))
-    ok = matrix_err < 1e-10 and mean_guess < 0.999
-    _line(4, ok, f"pre-broadcast matrix error {matrix_err:.2e} (< 1e-10), "
+    ok = matrix_err < DENSITY_MATRIX_TOL and mean_guess < 0.999
+    _line(4, ok, f"pre-broadcast matrix error {matrix_err:.2e} (< {DENSITY_MATRIX_TOL:.0e}), "
                  f"z-guess mean fidelity {mean_guess:.4f} (< 0.999)")
 
 
@@ -121,7 +130,7 @@ def test_criterion_6_catalog_coverage():
         for c in messages:
             collapsed, prob = co.collapse_single_sender(c, *key)
             image = co.PATTERNS[pattern - 1] @ c
-            assert abs(abs(np.vdot(image, collapsed.amps)) - 1) < 1e-9 and abs(prob - 1 / 32) < 1e-12
+            assert abs(abs(np.vdot(image, collapsed.amps)) - 1) < FIDELITY_TOL and abs(prob - 1 / 32) < PROBABILITY_TOL
         hits.setdefault(pattern, []).append(key)
     two_to_one = sorted(hits) == list(range(1, 17)) and all(len(v) == 2 for v in hits.values())
     _line(6, two_to_one, f"32 branch operators cover 16 catalog patterns twice each, "
@@ -148,7 +157,7 @@ def test_criterion_8_expansion_normalization():
     result = report["expansion"]
     ok = (
         result["normalizing_prefactor"] == "1/(256*sqrt(2))"
-        and abs(result["measured_sum_sq"] - 1) < 1e-9
+        and abs(result["measured_sum_sq"] - 1) < SUM_SQ_TOL
         and not result["candidates"]["1/(64*sqrt(2))"]["matches_measured_coefficient"]
     )
     _line(8, ok, f"normalizing prefactor {result['normalizing_prefactor']}, "

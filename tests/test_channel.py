@@ -53,11 +53,6 @@ def test_single_pair_circuit_carries_minus_sign():
     assert np.linalg.norm(got.amps - ch.build_channel_analytic(1, -1).amps) < 1e-12
 
 
-def test_two_pair_circuit_signs_cancel():
-    got = ch.prepare_channel_circuit(2)
-    assert np.linalg.norm(got.amps - ch.build_channel_analytic(2, +1).amps) < 1e-12
-
-
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_circuit_matches_analytic_with_alternating_sign(k):
     got = ch.prepare_channel_circuit(k)

@@ -218,15 +218,6 @@ def test_match_eta_rejects_unmatched_state(ops):
             co.match_eta(op)
 
 
-def test_every_single_sender_collapse_is_cataloged(ops):
-    counts = {}
-    for key in ALL_KEYS:
-        pattern = co.match_eta(ops[key])
-        counts[pattern] = counts.get(pattern, 0) + 1
-    assert sorted(counts) == list(range(1, 17))
-    assert all(v == 2 for v in counts.values())
-
-
 @st.composite
 def messages(draw):
     parts = np.array(draw(st.lists(st.floats(-1, 1), min_size=8, max_size=8)))

@@ -24,7 +24,7 @@ GOLDEN = {
     ),
     "run-s2-exhaustive-dense": (
         lambda: hz.cmd_run(senders=2, seed=0, mode="exhaustive", engine="dense"),
-        "ac3ecf14b30e8ac482fe97f13d7237e8d4398b19c5250084f56a7eb6afcf5511",
+        "62bdad8a077c60ed21fa149e3a9996b2b658aae679da42f3b01666880f4a69bb",
     ),
     "run-s4-sampled64": (
         lambda: hz.cmd_run(senders=4, seed=0, mode="sampled:64"),

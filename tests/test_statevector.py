@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadtel import protocol as pr
 from quadtel import statevector as sv
-from routes import make_inputs, traced_peak
+from routes import traced_peak
 
 RT2 = np.sqrt(2.0)
 
@@ -1087,17 +1086,6 @@ def test_tensor_touches_only_the_blocks_it_writes():
         assert halves[z].tobytes() == want.tobytes()
         assert halves[1 - z].tobytes() == bytes(size // 2)
         del product, halves
-
-
-def test_copy_writes_only_the_slabs_that_hold_a_nonzero_bit():
-    # a prepared s=3 dense state, 19 qubits and 8 MiB in new 4 KiB pages,
-    # is nonzero in 2 MiB of them; a copy of every page would grow RssAnon
-    # by 8 MiB
-    state = pr.DenseState.prepare(make_inputs(3, 13)).state
-    before = resident("RssAnon")
-    copy = state.copy()
-    assert resident("RssAnon") - before <= 4 << 20
-    assert copy.amps.tobytes() == state.amps.tobytes()
 
 
 @pytest.mark.parametrize("call, new_mib", [

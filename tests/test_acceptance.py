@@ -126,7 +126,8 @@ def test_criterion_6_catalog_coverage():
     messages = (np.eye(4)[0], make_inputs(1, 600)[0].coeffs)  # |00> and a seeded one
     for key in itertools.product(range(4), range(4), (0, 1)):
         op = co.branch_operator(key)
-        pattern = co.match_eta(op)  # raises unless K = mu*P
+        pattern = co.match_eta(co.derive_correction(key, op))  # K = ±P/sqrt(32) for this pattern
+        assert pattern is not None, key
         for c in messages:
             collapsed, prob = co.collapse_single_sender(c, *key)
             image = co.PATTERNS[pattern - 1] @ c

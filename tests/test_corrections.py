@@ -123,8 +123,8 @@ def test_printed_words_map_every_branch_operator_to_a_multiple_of_identity(ops):
         "first": PHASE_FLAG_DISAGREEMENTS,
         "second": PHASE_FLAG_DISAGREEMENTS,
     }
-    # Pairwise orthogonal, so no two words (or patterns) are proportional and
-    # at most one of them fits a branch operator.
+    # Pairwise orthogonal, so no two words are proportional and at most one
+    # fits a branch operator; so are the patterns, each ± one inverse word.
     words = np.stack([co.CorrectionEntry(f, s).unitary() for f, s in itertools.product(co.PauliFactor, repeat=2)])
     for stack in (words, co.PATTERNS):
         gram = np.einsum("kij,lij->kl", stack.conj(), stack)
@@ -206,16 +206,45 @@ def test_eta_first_pattern_is_the_double_flip():
 
 
 def test_match_eta_on_forced_collapses(ops):
-    assert co.match_eta(ops[(0, 0, 1)]) == 1
-    assert co.match_eta(ops[(0, 0, 0)]) == 16
+    assert co.match_eta(co.derive_correction((0, 0, 1), ops[(0, 0, 1)])) == 1
+    assert co.match_eta(co.derive_correction((0, 0, 0), ops[(0, 0, 0)])) == 16
 
 
-def test_match_eta_rejects_unmatched_state(ops):
-    rng = np.random.default_rng(19)
-    generic = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    for op in (generic, np.zeros((4, 4)), 2 * ops[(0, 0, 0)], ops[(0, 0, 0)] + ops[(0, 0, 1)]):
-        with pytest.raises(co.CatalogMatchError):
-            co.match_eta(op)
+def test_each_pattern_is_one_inverse_word_up_to_sign():
+    # {0, ±1} matrices: the equalities are exact, and they make the catalog a
+    # relabelling of the words, which match_eta reads
+    words = [co.CorrectionEntry(f, s) for f, s in itertools.product(co.PauliFactor, repeat=2)]
+    relabel = {}
+    for k, pattern in enumerate(co.PATTERNS, 1):
+        hits = [
+            w for w in words
+            if np.array_equal(pattern, w.unitary().conj().T) or np.array_equal(pattern, -w.unitary().conj().T)
+        ]
+        assert len(hits) == 1, k
+        relabel[hits[0]] = k
+    assert set(relabel) == set(words)
+    assert {w: co.match_eta(w) for w in words} == relabel
+    assert all(co.match_eta(co.CorrectionEntry(w.first, w.second, phase_pi=True)) == k for w, k in relabel.items())
+
+
+def _integer(entry):
+    u = entry.unitary()
+    exact = u.real.astype(int)
+    assert np.array_equal(u, exact)
+    return exact
+
+
+def test_controller_bit_changes_the_word_by_y_tensor_y(ops):
+    # Y = i·XZ, so up to phase the z=1 word is (XZ ⊗ XZ) times the z=0 word;
+    # a word is a signed permutation, so its inverse is its transpose
+    xz = _integer(co.CorrectionEntry(co.PauliFactor.XZ, co.PauliFactor.XZ))
+    derived = {key: co.derive_correction(key, op) for key, op in ops.items()}
+    for words in (derived, co.TABLE_FIRST_PAIR, co.TABLE_SECOND_PAIR):
+        for g, h in itertools.product(range(4), repeat=2):
+            u0, u1 = _integer(words[g, h, 0]), _integer(words[g, h, 1])
+            assert np.array_equal(u0 @ u0.T, np.eye(4, dtype=int))
+            diff = u1 @ u0.T
+            assert np.array_equal(diff, xz) or np.array_equal(diff, -xz), (g, h)
 
 
 @st.composite
@@ -238,7 +267,7 @@ def test_branch_operator_gives_every_collapse_and_its_pattern(ops, c):
         assert abs(prob - 1 / 32) < 1e-12 and abs(np.vdot(image, image).real - prob) < 1e-12, key
         assert np.abs(collapsed.amps - image / np.linalg.norm(image)).max() < 1e-12, key
         # K·c is proportional to the pattern state: equality in Cauchy-Schwarz
-        pattern = co.PATTERNS[co.match_eta(op) - 1] @ c
+        pattern = co.PATTERNS[co.match_eta(co.derive_correction(key, op)) - 1] @ c
         assert abs(abs(np.vdot(pattern, image)) - np.linalg.norm(image)) < 1e-12, key
 
 

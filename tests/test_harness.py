@@ -464,7 +464,7 @@ def test_cli_rejects_negative_seed(capsys, argv):
         assert err == f"error: bad --seed {seed}: the seed is a non-negative integer\n"
 
 
-@pytest.mark.parametrize("error", [sv.ImpossibleBranchError, co.TableDerivationError, co.CatalogMatchError])
+@pytest.mark.parametrize("error", [sv.ImpossibleBranchError, co.TableDerivationError])
 @pytest.mark.parametrize("argv, cmd_name", [
     (["run", "--senders", "1"], "cmd_run"),
     (["verify-tables"], "cmd_verify_tables"),
@@ -485,22 +485,22 @@ def test_cli_reports_engine_and_table_errors_as_bad_input(tmp_path, capsys, monk
         "command": argv[0], "error": "block 0 qubit 2 outcome 1 has probability 0.000e+00"}
 
 
-def test_catalog_error_names_its_key(monkeypatch, capsys):
-    # (2, 1, 1) is the only key whose branch operator is this matrix
-    unmatched, match_eta = co.branch_operator((2, 1, 1)), co.match_eta
-
-    def fail_on_one_key(op):
-        if np.array_equal(op, unmatched):
-            raise co.CatalogMatchError("branch operator matches no catalog pattern")
-        return match_eta(op)
-
-    monkeypatch.setattr(co, "match_eta", fail_on_one_key)
-    message = "key (g, h, z) = (2, 1, 1): branch operator matches no catalog pattern"
-    with pytest.raises(co.CatalogMatchError) as failed:
-        co.verify_tables()
-    assert str(failed.value) == message
-    assert cli.main(["verify-tables"]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+def test_broken_catalog_pattern_fails_the_catalog_checks(tmp_path, capsys, monkeypatch):
+    # one sign flipped in one row of pattern 5 leaves it ± no inverse word, so
+    # the two keys whose word it relabels lose their pattern: a failed check
+    broken = co.PATTERNS.copy()
+    broken[4, 2] *= -1
+    monkeypatch.setattr(co, "_WORD_PATTERNS", co._catalog_map(broken))
+    out = tmp_path / "tables.json"
+    assert cli.main(["verify-tables", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and "Traceback" not in captured.out
+    report = json.loads(out.read_text())
+    assert {a["name"] for a in report["assertions"] if not a["pass"]} == {
+        "catalog_map_total", "catalog_map_two_to_one"}
+    eta_map = report["tables"]["eta_map"]
+    assert sorted(key for key, pattern in eta_map.items() if pattern is None) == ["0,2,1", "3,1,0"]
+    assert 5 not in eta_map.values() and len(eta_map) == 32
 
 
 def test_each_subcommand_declares_its_drivers_keywords():

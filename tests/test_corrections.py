@@ -227,6 +227,26 @@ def test_each_pattern_is_one_inverse_word_up_to_sign():
     assert all(co.match_eta(co.CorrectionEntry(w.first, w.second, phase_pi=True)) == k for w, k in relabel.items())
 
 
+def test_match_eta_rejects_unmatched_state(ops):
+    # a catalog entry that is ± no inverse word, or that two entries share,
+    # leaves its word without a pattern: match_eta reads None, not a guess
+    rng = np.random.default_rng(19)
+    generic = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    word = co.derive_correction((0, 0, 0), ops[(0, 0, 0)])
+    k = co.match_eta(word)
+    other = co.PATTERNS[k % co.N_PATTERNS]
+    for bad in (generic, np.zeros((4, 4)), 2 * co.PATTERNS[k - 1], co.PATTERNS[k - 1] + other):
+        patterns = co.PATTERNS.copy()
+        patterns[k - 1] = bad
+        found = co._catalog_map(patterns)
+        assert found[word.first, word.second] is None
+        assert sum(v is None for v in found.values()) == 1
+    patterns = co.PATTERNS.copy()
+    patterns[k % co.N_PATTERNS] = patterns[k - 1]
+    found = co._catalog_map(patterns)
+    assert found[word.first, word.second] is None
+
+
 def _integer(entry):
     u = entry.unitary()
     exact = u.real.astype(int)

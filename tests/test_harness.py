@@ -503,6 +503,25 @@ def test_broken_catalog_pattern_fails_the_catalog_checks(tmp_path, capsys, monke
     assert 5 not in eta_map.values() and len(eta_map) == 32
 
 
+def test_catalog_error_names_its_key(monkeypatch):
+    # (2, 1, 1) derives this word; with its pattern gone, eta_map names the
+    # keys deriving it, and only those, as unmatched
+    word = co.derive_correction((2, 1, 1), co.branch_operator((2, 1, 1)))
+    unmatched = dict(co._WORD_PATTERNS)
+    lost = unmatched[word.first, word.second]
+    unmatched[word.first, word.second] = None
+    monkeypatch.setattr(co, "_WORD_PATTERNS", unmatched)
+    tables = co.verify_tables()
+    nulls = sorted(key for key, pattern in tables["eta_map"].items() if pattern is None)
+    assert "2,1,1" in nulls and len(nulls) == 2
+    for key in nulls:
+        g, h, z = map(int, key.split(","))
+        assert co.derive_correction((g, h, z), co.branch_operator((g, h, z))).same_word(word)
+    assert lost not in tables["eta_map"].values()
+    assert not tables["eta_total"] and not tables["eta_two_to_one"] and not tables["all_ok"]
+    assert tables["n_matched"] == tables["n_total"]
+
+
 def test_each_subcommand_declares_its_drivers_keywords():
     # main passes every parsed option but the command, its driver and --out
     # to the driver by name: a flag without a keyword would be a TypeError

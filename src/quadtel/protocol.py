@@ -83,9 +83,18 @@ ENGINES = ("dense", "structured")
 _BELL_PAIRS = ((0, 2), (1, 4))
 _RECEIVER_QUBITS = (3, 5)
 _RECEIVER_KEEP = _RECEIVER_QUBITS[::-1]
+# The block's channel pairs, (sender-side, receiver-side): (2, 3) and (4, 5).
+_CHANNEL_PAIRS = tuple(zip((b for _, b in _BELL_PAIRS), _RECEIVER_QUBITS))
 
 # The channel pairs' Bell kind in each sender block, per controller branch z.
 _BRANCH_KINDS = (BellKind.KAPPA_PLUS, BellKind.LAMBDA_MINUS)
+
+
+def _parity(kind: BellKind) -> int:
+    """The parity a ^ b of every term |a>|b> of the Bell state ``kind``."""
+    (parity,) = {(k >> 1) ^ (k & 1) for k in np.flatnonzero(BELL_COEFFS[kind]).tolist()}
+    return parity
+
 
 # Block qubit names for ImpossibleBranchError, made once so that a measured
 # bit does not format its own.
@@ -240,11 +249,14 @@ class DenseState:
     correction.  A forced run, as each branch of ``run_exhaustive`` is,
     prepares only its controller half (``prepare`` given z), with Elle's
     qubit fixed from the start, so its kernels never read the other half;
-    only a sampled run holds both.  After an operation raises
-    ``ImpossibleBranchError`` the state is spent: a refused Bell measurement
-    has already applied its basis change to the array, as a
-    ``StructuredState`` refused at a Bell pair's second bit has already
-    reweighted for the first.
+    only a sampled run holds both.  It also records each block's two
+    channel pairs, whose parity is known in half z, so its kernels read
+    only the 2^(4s) amplitudes those pairs allow, its nonzero ones, until a
+    Bell measurement's CNOT writes the pair's sender-side qubit.  After
+    an operation raises ``ImpossibleBranchError`` the state is spent: a
+    refused Bell measurement has already applied its basis change to the
+    array, as a ``StructuredState`` refused at a Bell pair's second bit has
+    already reweighted for the first.
     """
 
     engine = "dense"
@@ -265,18 +277,24 @@ class DenseState:
         measurement and the Bell measurements act on disjoint qubits: the
         state's norm squared is 1/2, so the first Bell measurement gives the
         joint probability of z and its bits, and ``measure_controller``
-        then gives z with probability 1, up to ulps.
+        then gives z with probability 1, up to ulps.  Half z's 2s channel
+        pairs are all of one Bell kind, whose parity ``_parity`` reads from
+        ``BELL_COEFFS``, and are recorded in ``StateVector.pairs``.  Both
+        halves together record none: there the parity is Elle's bit.
         """
         s = _validate_inputs(inputs)
         if z not in (None, 0, 1):
             raise ValueError(f"controller bit must be None, 0 or 1, got {z!r}")
         low0, low1 = ([_block_state(info, kind) for info in reversed(inputs)] for kind in _BRANCH_KINDS)
         c0, c1 = (_SQRT2_INV if z in (None, k) else 0.0 for k in (0, 1))
-        state = controlled_sum(low0, low1, c0, c1)
+        dense = cls(s, controlled_sum(low0, low1, c0, c1))
         if z is not None:
             elle = register_qubits(s) - 1
-            state.fixed = (1 << elle, z << elle)
-        return cls(s, state)
+            dense.state.fixed = (1 << elle, z << elle)
+            parity = _parity(_BRANCH_KINDS[z])
+            dense.state.pairs = tuple((dense._base(i) + a, dense._base(i) + b, parity)
+                                      for i in range(s) for a, b in _CHANNEL_PAIRS)
+        return dense
 
     def copy(self) -> "DenseState":
         return DenseState(self.s, self.state.copy())

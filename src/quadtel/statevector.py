@@ -18,26 +18,30 @@ numpy Generator; there is no ambient randomness anywhere in this module.
 
 A state records in ``fixed`` the qubits that ``measure_qubit`` left in a
 definite bit, and a caller that prepares a qubit in a definite bit may
-record it there too.  Every amplitude with the other bit at a fixed qubit
-is exactly 0 in the array, which always holds the whole state; a kernel
-that writes a qubit first drops it from ``fixed``, and ``copy()`` keeps it.
-The kernels read and write only the live amplitudes: ``_live`` views the array
-with each fixed qubit taken at its bit, so after the 8 Bell measurements
-of a four-sender branch (16 measured qubits) they touch 2^9 of its 2^25
-amplitudes.  A state with nothing fixed is one view of the whole array,
-through the same code.
+record it there too.  It records in ``pairs`` the qubit pairs whose two
+bits have a known parity, as each Bell pair of a prepared channel has (a
+Z(x)Z stabilizer).  Every amplitude with the other bit at a fixed qubit, or
+the other parity at a pair, is exactly 0 in the array, which always holds
+the whole state; a kernel that writes a qubit first drops it from
+``fixed`` and its pair from ``pairs``, and ``copy()`` keeps both.  The
+kernels read and write only the live amplitudes: ``_live`` views the array
+with each fixed qubit taken at its bit and the two qubits of each pair
+stepped together.  A forced four-sender branch, prepared with Elle's qubit
+fixed and its 8 channel pairs recorded, starts on 2^16 of its 2^25
+amplitudes, its nonzero ones; after the 8 Bell measurements of a sampled
+one (16 measured qubits) the kernels touch 2^9.  A state with nothing
+fixed or paired is one view of the whole array, through the same code.
 
 Within the live view a kernel works slab by slab (``_slabs``), and skips
 every slab in which the amplitudes it reads are all +0.0, which one integer
 pass over their bits tells (``_nonzero``): its outputs there are 0, which
-the array already holds, so it never writes there.  ``tensor`` writes no
-zero block either, so the pages of a zero slab are never written: the
-prepared state of a four-sender dense branch has 2^17 nonzero amplitudes of
-2^25, all in 128 of its 2048 runs of 2^14.  New states of 4 MiB and up are
-mapped in 4 KiB pages (``_zeros``), so only the pages written are resident,
-and reading one never written reads the kernel's shared zero page.  A
-skipped slab is still read once, so ``fixed`` stays: the kernels never read
-what a measurement removed.
+the array already holds, so it never writes there.  A skipped slab is still
+read once, which is why the known zeros stay in ``fixed`` and ``pairs``:
+the kernels never read them.  ``tensor`` writes no zero block, and reads
+back only the pages it wrote, so it never touches the pages it skips.  New
+states of 4 MiB and up are mapped in 4 KiB pages (``_zeros``), so only the
+pages written are resident, and the first read of one never written maps
+the kernel's shared zero page, one page fault per 4 KiB.
 """
 from __future__ import annotations
 
@@ -104,6 +108,10 @@ _Index = tuple[int | slice | EllipsisType, ...]
 # stay in a 2 MiB L2 cache across the kernel's passes.
 _SLAB = 1 << 14
 
+# complex128 amplitudes in a 4 KiB page, the unit in which a new state of
+# _HUGE_PAGE_BYTES and up is mapped (``_zeros``)
+_PAGE = 4096 // 16
+
 # Trailing free axes with fewer entries than this are walked one index at a
 # time, so that numpy's inner loop runs along a long axis, not one of length 1
 # or 2 (which halves the speed of a Hadamard on qubit 1 of 25).
@@ -167,14 +175,18 @@ class StateVector:
     ``fixed`` is a pair of ints ``(mask, bits)``: bit q of ``mask`` is set
     when qubit q is in a definite bit, left there by ``measure_qubit`` or
     recorded by the caller that prepared it so, and bit q of ``bits`` is
-    that bit.  Every amplitude with the other bit at a fixed qubit is
-    exactly 0 in ``amps``, so ``amps`` is always the whole state
-    and the kernels may skip those amplitudes (``_live``).  A kernel that
-    writes qubit q drops it first, which is always valid: an empty ``fixed``
-    claims nothing.
+    that bit.  ``pairs`` is a tuple of ``(first, second, parity)``, recorded
+    by the caller that prepared the two qubits with ``first``'s bit XOR
+    ``second``'s always ``parity``.  Every amplitude with the other bit at a
+    fixed qubit, or the other parity at a pair, is exactly 0 in ``amps``, so
+    ``amps`` is always the whole state and the kernels may skip those
+    amplitudes (``_live``).  A kernel that writes qubit q drops it, and any
+    pair it is in, first, which is always valid: an empty ``fixed`` or
+    ``pairs`` claims nothing.  A measurement keeps every parity, so it
+    drops no pair.
     """
 
-    __slots__ = ("n_qubits", "amps", "fixed")
+    __slots__ = ("n_qubits", "amps", "fixed", "pairs")
 
     def __init__(self, n_qubits: int, amps: np.ndarray | Sequence[complex], *, copy: bool = True):
         if n_qubits < 1:
@@ -185,10 +197,12 @@ class StateVector:
         self.n_qubits = n_qubits
         self.amps = arr
         self.fixed = (0, 0)
+        self.pairs = ()
 
     def copy(self) -> "StateVector":
         new = StateVector(self.n_qubits, self.amps)
         new.fixed = self.fixed
+        new.pairs = self.pairs
         return new
 
     def norm(self) -> float:
@@ -294,55 +308,83 @@ def _slabs(v: np.ndarray, kept: int = 0, short: int = _SHORT_AXES) -> Iterator[t
 
 @functools.lru_cache(maxsize=1024)
 def _live_plan(
-    n_qubits: int, fixed: tuple[int, int], keep: tuple[int, ...]
-) -> tuple[tuple[int, ...], _Index, tuple[int, ...]]:
-    """How ``_live`` views an n-qubit state: (shape, index, axes).
+    n_qubits: int, fixed: tuple[int, int], pairs: tuple[tuple[int, int, int], ...], keep: tuple[int, ...]
+) -> tuple[tuple[int, ...], _Index, tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """How ``_live`` views an n-qubit state: (shape, index, axes, steps).
 
     ``shape`` splits the amplitudes, top qubit first, into an axis of 2 per
-    kept or fixed qubit and one axis per run of adjacent other qubits.
-    ``index`` takes each fixed qubit not in ``keep`` at its bit (its
-    trailing ``...`` leaves a 0-d view, not a scalar, when every qubit is
-    taken), and ``axes`` then puts the kept qubits first, in ``keep`` order,
-    and the runs after them, outermost first.  A plan is made once per
-    (n_qubits, fixed, keep), since a branch measures the same qubits in the
-    same order.
+    kept or fixed qubit or member of a viewed pair, and one axis per run of
+    adjacent other qubits.  A pair is viewed when neither member is fixed,
+    kept or in a pair viewed before it.  ``index`` takes each fixed qubit
+    not in ``keep`` at its bit, and each viewed pair's second member at the
+    pair's parity (its trailing ``...`` leaves a 0-d view, not a scalar,
+    when every qubit is taken).  ``axes`` then puts the kept qubits first,
+    in ``keep`` order, and the runs and viewed pairs' first members after
+    them, outermost first.  ``steps`` lists, per viewed pair, the axis of
+    its first member and the elements its stride gains, (1 - 2 parity)
+    2^second, so that this axis steps both members.  A plan is made once
+    per (n_qubits, fixed, pairs, keep), since a branch measures the same
+    qubits in the same order.
     """
     mask, bits = fixed
-    shape, index, kept, runs = [], [], {}, []
-    # q is -1 for a run of live qubits outside keep
-    for q, group in itertools.groupby(range(n_qubits - 1, -1, -1),
-                                      lambda q: q if q in keep or mask >> q & 1 else -1):
+    taken = mask
+    for q in keep:
+        taken |= 1 << q
+    firsts = {}  # each viewed pair's first member: the elements its stride gains
+    for first, second, parity in pairs:
+        if not (taken >> first & 1 or taken >> second & 1):
+            taken |= 1 << first | 1 << second
+            bits |= parity << second
+            firsts[first] = (1 - 2 * parity) << second
+    shape, index, kept, runs, steps = [], [], {}, [], []
+    # q is -1 for a run of live qubits outside keep and the viewed pairs
+    for q, group in itertools.groupby(range(n_qubits - 1, -1, -1), lambda q: q if taken >> q & 1 else -1):
         shape.append(1 << len(list(group)))
-        if q >= 0 and q not in keep:
+        if q in keep:
+            kept[q] = len(kept) + len(runs)
+        elif q < 0 or q in firsts:
+            if q in firsts:
+                steps.append((len(keep) + len(runs), firsts[q]))
+            runs.append(len(kept) + len(runs))
+        else:
             index.append(bits >> q & 1)
             continue
-        if q >= 0:
-            kept[q] = len(kept) + len(runs)
-        else:
-            runs.append(len(kept) + len(runs))
         index.append(slice(None))
-    return tuple(shape), (*index, ...), tuple(kept[q] for q in keep) + tuple(runs)
+    return tuple(shape), (*index, ...), tuple(kept[q] for q in keep) + tuple(runs), tuple(steps)
 
 
 def _live(state: StateVector, keep: tuple[int, ...] = ()) -> np.ndarray:
-    """A view of ``state.amps`` that leaves out the amplitudes fixed at 0.
+    """A view of ``state.amps`` that leaves out the amplitudes known to be 0.
 
-    Each qubit of ``state.fixed`` not in ``keep`` is taken at its bit.  The
-    view's axes are one of 2 per qubit of ``keep``, in that order, then one
-    per run of adjacent live qubits, outermost first; with nothing fixed or
-    kept it is the whole array as one axis.  It is built with
-    ``reshape(copy=False)`` and basic indexing, so it is always a view and
-    writes through it land in the state; never a copy.
+    Each qubit of ``state.fixed`` not in ``keep`` is taken at its bit, and
+    so is the second member of each pair of ``state.pairs`` whose members
+    are neither fixed nor kept, at the pair's parity; the pair's first
+    member keeps an axis of 2 that steps both members.  The view's axes are
+    one of 2 per qubit of ``keep``, in that order, then one per run of
+    adjacent live qubits or pair, outermost first; with nothing fixed,
+    paired or kept it is the whole array as one axis.  It is built with
+    ``reshape(copy=False)``, basic indexing and, for the pairs,
+    ``as_strided``, so it is always a view and writes through it land in
+    the state; never a copy.
     """
-    shape, index, axes = _live_plan(state.n_qubits, state.fixed, keep)
-    return state.amps.reshape(shape, copy=False)[index].transpose(axes)
+    shape, index, axes, steps = _live_plan(state.n_qubits, state.fixed, state.pairs, keep)
+    v = state.amps.reshape(shape, copy=False)[index].transpose(axes)
+    if steps:
+        strides = list(v.strides)
+        for axis, step in steps:
+            strides[axis] += step * v.itemsize
+        v = np.lib.stride_tricks.as_strided(v, strides=strides)
+    return v
 
 
 def _unfix(state: StateVector, q: int) -> None:
-    """Drop qubit q from ``state.fixed``, before a kernel writes it."""
+    """Drop qubit q from ``state.fixed``, and its pair from ``state.pairs``,
+    before a kernel writes it."""
     mask, bits = state.fixed
     if mask >> q & 1:
         state.fixed = (mask & ~(1 << q), bits & ~(1 << q))
+    if state.pairs:
+        state.pairs = tuple(pair for pair in state.pairs if q not in pair[:2])
 
 
 def _apply_matrix_1q(state: StateVector, terms: _Terms, q: int) -> None:
@@ -552,13 +594,16 @@ def tensor(*states: StateVector, out: np.ndarray | None = None) -> StateVector:
     widens it in place, block i of the wider product being that factor's
     amplitude i times the product so far.  The chain is built in the block
     where every later factor takes its first nonzero amplitude, which it
-    scales last, so no block of a zero amplitude is ever written, and
-    within a block only the slabs where the product so far is nonzero
-    (``_slabs``, decided once per factor).  What is not written keeps what
-    the array held.  A new array of 4 MiB and up comes from ``_zeros``,
-    whose 4 KiB pages become resident only when written: such a product
-    occupies memory only in the pages where it is nonzero, and one with a
-    later factor of zeros writes nothing.  So ``out`` gives the product
+    scales last, so no block of a zero amplitude is ever written.  Within
+    a block only the parts written for the factor before are: the first
+    factor's slabs that are not all +0.0 (``_slabs``, the one scan), and
+    for each later factor the parts it wrote from them, in whole 4 KiB
+    pages (``_pages``).  So the product so far is never read back outside
+    the pages it was written in.  What is not written keeps what the array
+    held.  A new array of 4 MiB and up comes from ``_zeros``, whose 4 KiB
+    pages are mapped only when used: such a product occupies memory only in
+    the pages where it is nonzero, reading none of the others, and one with
+    a later factor of zeros writes nothing.  So ``out`` gives the product
     wherever it held 0 where the product is 0; ``controlled_sum`` relies on
     that to add a second product.  Every nonzero entry is the same single
     product as in a chain of ``np.kron``, so its bits are the same; an entry
@@ -586,17 +631,42 @@ def tensor(*states: StateVector, out: np.ndarray | None = None) -> StateVector:
         start += nz[0] * size
         size *= s.amps.size
     size = states[0].amps.size
-    amps[start:start + size] = states[0].amps
+    low = amps[start:start + size]
+    low[...] = states[0].amps
+    # the (begin, end) of each part of the product so far that was written
+    parts = [(k * _SLAB, min((k + 1) * _SLAB, size)) for k, _ in _slabs(low)]
     for s, order in zip(states[1:], orders):
-        low = amps[start:start + size]
-        parts = [(index, low[index]) for _, index in _slabs(low)]
         start -= order[-1] * size
         for i in order:
             block = amps[start + i * size:start + (i + 1) * size]
-            for index, part in parts:
-                np.multiply(s.amps[i], part, out=block[index])
+            for begin, end in parts:
+                np.multiply(s.amps[i], low[begin:end], out=block[begin:end])
+        parts = _pages(parts, order, size, size * s.amps.size)
         size *= s.amps.size
+        low = amps[start:start + size]
     return StateVector(n, amps, copy=False)
+
+
+def _pages(parts: list[tuple[int, int]], order: list[int], size: int, wide: int) -> list[tuple[int, int]]:
+    """The parts ``tensor`` wrote of a product of ``wide`` entries: each
+    (begin, end) of ``parts`` in block i of ``size`` entries for each i of
+    ``order``, widened to whole 4 KiB pages, merged with the one before
+    where they then meet, ascending.  A write makes its page resident whole,
+    so writing the rest of it takes no more memory, and the next factor
+    makes one call per part, not one per run of nonzero entries.  A product
+    of one page or less is one part."""
+    if wide <= _PAGE:
+        return [(0, wide)]
+    merged = []
+    for i in sorted(order):
+        for begin, end in parts:
+            begin, end = i * size + begin, i * size + end
+            begin, end = begin - begin % _PAGE, end - end % -_PAGE
+            if merged and merged[-1][1] >= begin:
+                merged[-1] = (merged[-1][0], end)
+            else:
+                merged.append((begin, end))
+    return merged
 
 
 def controlled_sum(low0: Sequence[StateVector], low1: Sequence[StateVector], c0: complex, c1: complex) -> StateVector:

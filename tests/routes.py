@@ -13,6 +13,7 @@ import weakref
 from collections import namedtuple
 
 import numpy as np
+import pytest
 
 from quadtel import corrections as co
 from quadtel import protocol as pr
@@ -54,6 +55,18 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
         sv._zeros = zeros
+
+
+def resident(*fields):
+    """The sum of the named resident-memory fields of /proc/self/status
+    (RssAnon, RssShmem), in bytes (Linux only)."""
+    try:
+        with open("/proc/self/status") as status:
+            lines = [line.split() for line in status if line.split(":")[0] in fields]
+    except FileNotFoundError:
+        pytest.skip("needs /proc/self/status")
+    assert len(lines) == len(fields)
+    return sum(int(line[1]) << 10 for line in lines)
 
 
 def make_inputs(n, seed):
@@ -166,6 +179,37 @@ def dense(inputs, records):
     if len(records) == 2 * 16 ** len(inputs):
         return pr.run_exhaustive(inputs, engine="dense")
     return _runs(functools.partial(pr.run_protocol, inputs, engine="dense"), records)
+
+
+class Measured:
+    """An engine state whose Bell pairs were measured beforehand: ``bsm_pair``
+    returns the recorded result, and every other attribute is the state's."""
+
+    def __init__(self, state, results):
+        self.state, self.results = state, results
+
+    def bsm_pair(self, j, *, forced=None, rng=None):
+        return self.results[j]
+
+    def __getattr__(self, name):
+        return getattr(self.state, name)
+
+
+def run_in_order(inputs, order, *, forced=None, rng=None, state=None):
+    """``run_protocol``, with the sender Bell measurements run in ``order``."""
+    state = pr.assemble_global(inputs) if state is None else state
+    results = {j: state.bsm_pair(j, forced=forced.bell[j] if forced else None, rng=rng) for j in order}
+    return pr.run_protocol(inputs, forced=forced, rng=rng, state=Measured(state, results))
+
+
+def dense_schedule(inputs, records, order):
+    """The dense engine with the Bell measurements in ``order``, a permutation
+    of the 2s pairs, then Elle's: each branch a forced run on its own
+    controller half, whose channel pairs a measurement out of canonical
+    order leaves recorded above or below the qubits it fixes."""
+    inputs = rebuilt(inputs)
+    return [run_in_order(inputs, order, forced=record, state=pr.DenseState.prepare(inputs, record.z))
+            for record in records]
 
 
 def table(inputs, records):

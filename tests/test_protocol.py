@@ -2,6 +2,7 @@
 equivalence, controller gating, transcripts, and order independence."""
 import itertools
 import json
+import resource
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from routes import (
     pre_broadcast,
     product_coeffs,
     rebuilt,
+    resident,
+    run_in_order,
     traced_peak,
 )
 
@@ -31,27 +34,6 @@ def to_dense(state):
     amps = sum(w * sv.tensor(*blocks, sv.init_basis(1, z)).amps
                for z, (w, blocks) in enumerate(zip(state.weights, state.blocks)))
     return sv.StateVector(6 * state.s + 1, amps, copy=False)
-
-
-class Measured:
-    """An engine state whose Bell pairs were measured beforehand: ``bsm_pair``
-    returns the recorded result, and every other attribute is the state's."""
-
-    def __init__(self, state, results):
-        self.state, self.results = state, results
-
-    def bsm_pair(self, j, *, forced=None, rng=None):
-        return self.results[j]
-
-    def __getattr__(self, name):
-        return getattr(self.state, name)
-
-
-def run_in_order(inputs, order, *, forced=None, rng=None, state=None):
-    """``run_protocol``, with the sender Bell measurements run in ``order``."""
-    state = pr.assemble_global(inputs) if state is None else state
-    results = {j: state.bsm_pair(j, forced=forced.bell[j] if forced else None, rng=rng) for j in order}
-    return pr.run_protocol(inputs, forced=forced, rng=rng, state=Measured(state, results))
 
 
 # ------------------------------------------------------------ message states
@@ -182,7 +164,9 @@ def test_dense_prepare_equals_the_summed_branches(s):
 def test_forced_dense_prepare_builds_only_half_z(s, z):
     # Elle's bit projected out first: half z of the full preparation, byte
     # for byte, and the other half never written.  Elle's qubit is fixed at
-    # z, so the kernels' live view is half z alone
+    # z, and each block's two channel pairs are recorded with the parity of
+    # branch z's Bell kind (κ+ even, λ- odd), so the kernels' live view is
+    # the 2^(4s) amplitudes of half z that those pairs allow
     inputs = make_inputs(s, 40 + s)
     full = pr.DenseState.prepare(inputs).state.amps.reshape(2, -1)
     state = pr.DenseState.prepare(inputs, z).state
@@ -190,7 +174,13 @@ def test_forced_dense_prepare_builds_only_half_z(s, z):
     assert halves[z].tobytes() == full[z].tobytes()
     assert halves[1 - z].tobytes() == bytes(halves[1 - z].nbytes)
     assert state.fixed == (1 << 6 * s, z << 6 * s)
-    assert sv._live(state).size == 1 << 6 * s
+    bases = [6 * (s - 1 - i) for i in range(s)]
+    assert state.pairs == tuple((base + a, base + a + 1, z) for base in bases for a in (2, 4))
+    live = sv._live(state)
+    assert live.size == 1 << 4 * s
+    assert np.count_nonzero(state.amps) == np.count_nonzero(live) == live.size
+    # a two-half preparation records none: its parity depends on Elle's bit
+    assert pr.DenseState.prepare(inputs).state.pairs == ()
 
 
 def test_dense_prepare_refuses_a_controller_bit_other_than_0_or_1():
@@ -435,14 +425,14 @@ def test_sampled_bsm_drops_the_branch_that_cannot_give_the_outcome():
 # ------------------------------------------------------------- route matrix
 
 # (route, senders, record set) per cell; messages from SEEDS[s], records from
-# SEEDS[s] + 1.  At s=4 these are the two seeded 25-qubit dense branches, one
-# per controller bit, the size of the README's s=4 runs.
+# SEEDS[s] + 1.  At s=4 the dense cell is 16 seeded 25-qubit branches, the
+# controller bit alternating, the size of the README's s=4 runs.
 ROUTE_CELLS = [
     ("structured", 1, "all"), ("operator", 1, "all"),
     ("kept", 1, "all"), ("kept", 2, "all"), ("kept", 3, "forced:64"), ("kept", 4, "forced:80"),
     *(("kept", s, "sampled:64") for s in range(1, pr.MAX_SENDERS + 1)),
-    ("dense", 1, "all"), ("dense", 2, "all"), ("dense", 2, "sampled:24"), ("dense", 3, "forced:3"),
-    ("dense", 4, "forced:2"),
+    ("dense", 1, "all"), ("dense", 2, "all"), ("dense", 2, "sampled:24"), ("dense", 3, "forced:32"),
+    ("dense", 4, "forced:16"),
     ("table", 1, "all"), ("table", 2, "all"), ("table", 4, "sampled:64"),
 ]
 # The same comparison with every receiver corrected by I(x)I instead of its
@@ -486,6 +476,23 @@ def test_route_matches_reference(route, s, spec, words, monkeypatch):
         assert route not in ("structured", "kept") or g.to_dict() == w.to_dict()
         assert abs(g.branch_probability - w.branch_probability) < ENGINE_AGREEMENT_TOL
         assert np.abs(np.subtract(g.per_receiver_fidelity, w.per_receiver_fidelity)).max() < ENGINE_AGREEMENT_TOL
+
+
+def test_forced_s4_dense_branch_touches_few_pages():
+    # the 25-qubit register spans 512 MiB of pages that are mapped when
+    # used.  Preparation writes the 2^16 amplitudes its channel pairs allow
+    # and reads nothing back, and the kernels read only those amplitudes,
+    # so the branch takes a few thousand page faults (a pass over half z
+    # takes 65536) and makes about 12 MiB resident
+    inputs = make_inputs(4, SEEDS[4])
+    (record,) = routes.record_set(4, "forced:1", SEEDS[4] + 1)
+    faults, before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, resident("RssAnon")
+    state = pr.DenseState.prepare(inputs, record.z)
+    report = pr.run_protocol(inputs, forced=record, state=state)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    assert faults <= 16384
+    assert resident("RssAnon") - before < 24 << 20
+    assert min(report.per_receiver_fidelity) >= 1 - FIDELITY_TOL
 
 
 def test_every_route_has_a_cell():
@@ -603,6 +610,26 @@ def test_bsm_order_does_not_change_report():
         for fa, fb in zip(shuffled.per_receiver_fidelity, base.per_receiver_fidelity):
             assert abs(fa - fb) < 1e-10
         assert shuffled.transcript == base.transcript
+
+
+# The Bell measurements of each branch block by block in reverse, so that
+# the low blocks' qubits are fixed while the high blocks' channel pairs are
+# still recorded, on the first two records of `dense-s4-forced:16`; and at
+# s=2 every order of the four on 8 seeded records.
+DENSE_SCHEDULES = [
+    (4, "forced:2", [[2 * i + which for i in range(3, -1, -1) for which in (0, 1)]]),
+    (2, "forced:8", list(itertools.permutations(range(4)))),
+]
+
+
+@pytest.mark.parametrize("s, spec, orders", DENSE_SCHEDULES, ids=["s4-blocks-reversed", "s2-every-order"])
+def test_dense_schedules_give_the_canonical_reports(s, spec, orders):
+    inputs = make_inputs(s, SEEDS[s])
+    records = routes.record_set(s, spec, SEEDS[s] + 1)
+    canonical = routes.dense(inputs, records)
+    for order in orders:
+        for got, want in zip(routes.dense_schedule(inputs, records, order), canonical, strict=True):
+            assert_reports_agree(got, want)
 
 
 @pytest.fixture(scope="module")

@@ -24,7 +24,7 @@ GOLDEN = {
     ),
     "run-s2-exhaustive-dense": (
         lambda: hz.cmd_run(senders=2, seed=0, mode="exhaustive", engine="dense"),
-        "62bdad8a077c60ed21fa149e3a9996b2b658aae679da42f3b01666880f4a69bb",
+        "8adf9b5935c9ccd18eabc70b1325d5cef4b1ef4efe831d6cd07e27c013c8cc67",
     ),
     "run-s4-sampled64": (
         lambda: hz.cmd_run(senders=4, seed=0, mode="sampled:64"),
@@ -33,7 +33,7 @@ GOLDEN = {
     "run-s3-dense-forced": (
         lambda: hz.cmd_run(senders=3, seed=0, mode="forced:k+,k-,l+,l-,k+,l-,1", engine="dense",
                            allow_large_dense=True),
-        "07ac5566f97c12b5beda4c628d0b0954ea95e24ecfba6acd153a806da2f90dae",
+        "d052113325f4af9826cf8c324b6a2e513a7149b64052b37a9607cbe16437ad11",
     ),
     "verify-tables-3": (
         lambda: hz.cmd_verify_tables(seed=3),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadtel import statevector as sv
-from routes import traced_peak
+from routes import resident, traced_peak
 
 RT2 = np.sqrt(2.0)
 
@@ -854,6 +854,103 @@ def test_live_view_is_a_view_that_skips_the_fixed_qubits():
     assert np.array_equal(state.amps, np.where(np.arange(512) == 67, -before, before))
 
 
+# ------------------------------------------------------- Bell-pair parities
+
+# A 15-qubit state with two pairs recorded: (2, 11) odd and (13, 12) even,
+# the second with its first member above its second.  Every amplitude whose
+# two bits break its pair's parity is 0, so the live view holds 2^13 of the
+# 2^15 amplitudes.  Each kernel runs on it and on a state of the same
+# amplitudes with no pairs, which reads them all.
+PAIRS_N = 15
+PAIRS = ((2, 11, 1), (13, 12, 0))
+
+
+def paired_state(seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(1 << PAIRS_N) + 1j * rng.standard_normal(1 << PAIRS_N)
+    idx = np.arange(amps.size)
+    for first, second, parity in PAIRS:
+        amps[(idx >> first ^ idx >> second) & 1 != parity] = 0
+    state = sv.StateVector(PAIRS_N, amps / np.linalg.norm(amps))
+    state.pairs = PAIRS
+    return state
+
+
+def unpaired(state):
+    return sv.StateVector(state.n_qubits, state.amps)
+
+
+def assert_within_ulps(got, want, ulps=4):
+    got, want = (np.atleast_1d(np.asarray(a, dtype=complex)) for a in (got, want))
+    np.testing.assert_array_max_ulp(got.view(float), want.view(float), ulps)
+
+
+def test_live_view_of_pairs_is_the_amplitudes_they_allow():
+    state = paired_state(120)
+    live = sv._live(state)
+    assert live.size == 1 << PAIRS_N - 2 and np.shares_memory(live, state.amps)
+    assert np.count_nonzero(live) == np.count_nonzero(state.amps) == live.size
+    assert state.copy().pairs == PAIRS
+    # a kept or fixed member leaves its pair out of the view
+    assert sv._live(state, (11,)).size == 1 << PAIRS_N - 1
+    sv.measure_qubit(state, 12, forced=1)
+    assert sv._live(state).size == 1 << PAIRS_N - 2
+
+
+PAIR_WRITES = [  # (kernel call, the qubits it writes), named by the call
+    *(pytest.param(lambda s, g=g, q=q: sv.apply_1q(s, g, q), {q}, id=f"{g}{q}")
+      for g in ("H", "X", "Z") for q in (2, 11, 12, 13, 0, 7)),
+    *(pytest.param(lambda s, c=c, t=t: sv.apply_cnot(s, c, t), {t}, id=f"CNOT{c}-{t}")
+      for c, t in ((2, 11), (11, 0), (0, 13), (5, 6), (12, 2), (13, 12))),
+    pytest.param(lambda s: sv.apply_pauli_word(s, [("XZ", 12), ("I", 2), ("Z", 7)]), {12, 7}, id="XZ12-I2-Z7"),
+    pytest.param(lambda s: sv.apply_pauli_word(s, [("I", 11), ("I", 13), ("X", 14)]), {14}, id="I11-I13-X14"),
+]
+
+
+@pytest.mark.parametrize("call, written", PAIR_WRITES)
+def test_gates_on_pairs_give_the_unpaired_values(call, written):
+    # equal values: the paired run skips only amplitudes that are 0, where
+    # the unpaired one may write -0.0.  A gate drops exactly the pairs with
+    # a member it writes; an I factor writes nothing
+    state = paired_state(121)
+    plain = unpaired(state)
+    call(state)
+    call(plain)
+    assert np.array_equal(state.amps, plain.amps)
+    assert state.pairs == tuple(pair for pair in PAIRS if not written & set(pair[:2]))
+    for q in range(PAIRS_N):
+        assert_within_ulps(sv.measure_probabilities(state, q), sv.measure_probabilities(plain, q))
+
+
+@pytest.mark.parametrize("q", range(PAIRS_N))
+def test_measurements_on_pairs_agree_with_the_unpaired_ones(q):
+    state = paired_state(122)
+    assert_within_ulps(sv.measure_probabilities(state, q), sv.measure_probabilities(unpaired(state), q))
+    assert state.pairs == PAIRS
+    for bit in (0, 1):
+        (got_bit, prob), got = run_in_place(sv.measure_qubit, state, q, forced=bit)
+        (want_bit, want_prob), want = run_in_place(sv.measure_qubit, unpaired(state), q, forced=bit)
+        assert got_bit == want_bit == bit
+        assert_within_ulps(prob, want_prob)
+        assert_within_ulps(got.amps, want.amps)
+        # a measurement keeps the parity of every pair, so it drops none
+        assert got.pairs == PAIRS and got.fixed == (1 << q, bit << q)
+
+
+@pytest.mark.parametrize("keep", [(11, 4), (12, 2, 0), (3, 13, 11, 2), (5, 6), (0,), (14, 12, 7)])
+def test_partial_trace_on_pairs_agrees_with_the_unpaired_one(keep):
+    # with a member of each pair kept the view is the unpaired one, and so
+    # are the bits.  A viewed pair drops its zero columns from the gemm's
+    # inner dimension, which sums the same terms in another grouping
+    state = paired_state(123)
+    got, want = sv.partial_trace(state, keep), sv.partial_trace(unpaired(state), keep)
+    if all(set(keep) & set(pair[:2]) for pair in PAIRS):
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 4 * np.spacing(1.0)
+    assert state.pairs == PAIRS
+
+
 def test_norm_preserved_by_random_circuits():
     rng = np.random.default_rng(37)
     s = random_state(4, rng)
@@ -924,6 +1021,26 @@ def test_tensor_is_a_kron_chain_in_a_fresh_array(sizes):
     assert got.n_qubits == sum(sizes)
     assert got.amps.tobytes() == kron_chain(states).tobytes()
     assert not any(np.shares_memory(got.amps, s.amps) for s in states)
+
+
+@pytest.mark.parametrize("sizes", [(16, 2, 1), (15, 1, 2), (6, 6, 4, 1), (3, 2, 12, 1), (1, 1, 1, 1)])
+def test_tensor_writes_the_kron_chain_from_the_parts_it_wrote(sizes):
+    # tensor scans only the first factor for slabs of +0.0, and takes the
+    # parts it wrote as the next factor's.  Here a factor larger than a slab
+    # has slabs of zeros; every factor has zero amplitudes, its first one
+    # among them; and the blocks of the small first factors are below one
+    # slab.  The product has the chain's bytes at every nonzero entry, and
+    # its values everywhere
+    rng = np.random.default_rng(111 + sum(sizes))
+    states = [random_state(k, rng) for k in sizes]
+    for s in states:
+        s.amps[rng.permutation(s.amps.size)[:s.amps.size // 3]] = 0
+        s.amps[0] = 0
+    slabs = states[0].amps.reshape(-1, min(sv._SLAB, states[0].amps.size))
+    slabs[1:len(slabs) - 1:2] = 0
+    got, want = sv.tensor(*states).amps, kron_chain(states)
+    assert np.array_equal(got, want)
+    assert got[want != 0].tobytes() == want[want != 0].tobytes()
 
 
 def test_tensor_of_one_state_leaves_it_alone():
@@ -1034,18 +1151,6 @@ def test_controlled_sum_refuses_products_of_different_sizes():
     rng = np.random.default_rng(109)
     with pytest.raises(ValueError, match="^out must be"):
         sv.controlled_sum([random_state(2, rng)], [random_state(3, rng)], 1 / RT2, 1 / RT2)
-
-
-def resident(*fields):
-    """The sum of the named resident-memory fields of /proc/self/status
-    (RssAnon, RssShmem), in bytes (Linux only)."""
-    try:
-        with open("/proc/self/status") as status:
-            lines = [line.split() for line in status if line.split(":")[0] in fields]
-    except FileNotFoundError:
-        pytest.skip("needs /proc/self/status")
-    assert len(lines) == len(fields)
-    return sum(int(line[1]) << 10 for line in lines)
 
 
 def test_reading_a_new_state_allocates_nothing():

@@ -203,8 +203,12 @@ def report_passed(report: dict) -> bool:
 
 
 def render_report(report: dict) -> str:
-    """The report as compact JSON with sorted keys, plus a newline."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    """The report as compact JSON with sorted keys, plus a newline.
+
+    A report holds no cycle: ``_report`` builds it from fresh containers, and
+    the transcript records that its branches share hold only strings and
+    integers.  So the encoder skips its circular-reference scan."""
+    return json.dumps(report, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def write_report(report: dict, path: str | None) -> None:

@@ -19,7 +19,9 @@ Two interchangeable engines execute the same protocol:
   amplitudes.  Blocks are never written, so each block (``_Block``) keeps
   what it yields, and each message (``InfoState``) keeps the blocks built
   from it: every state prepared from the same messages, such as all the
-  branches of a sampled run, reuses them and all they keep.
+  branches of a sampled run, reuses them and all they keep.  That includes
+  each Bell step (``_BellStep``): its draw totals, new weights and collapsed
+  blocks, kept on the branch-0 block per branch-1 block, pair and weights.
   ``block_outcome_table`` runs the same block calls over every outcome of
   one sender block, which gives all branches of the full protocol factorized.
 
@@ -255,8 +257,7 @@ class DenseState:
     Bell measurement's CNOT writes the pair's sender-side qubit.  After
     an operation raises ``ImpossibleBranchError`` the state is spent: a
     refused Bell measurement has already applied its basis change to the
-    array, as a ``StructuredState`` refused at a Bell pair's second bit has
-    already reweighted for the first.
+    array.  A refused ``StructuredState`` is left as it was.
     """
 
     engine = "dense"
@@ -355,13 +356,15 @@ class _Block(StateVector):
     in-place kernel refuses it), so its results depend on it alone.  Each
     is computed on first use and kept: the Bell split per sender pair, the
     collapsed child per pair and outcome, the corrected form per correction
-    entry, and the receiver-pair matrix.  A prepared block is kept on its
-    message (``_block_state``), so every state that holds it reuses them:
-    all states prepared from that message, of either engine's preparation,
-    and all their copies.
+    entry, and the receiver-pair matrix.  A block in branch 0 also keeps the
+    Bell steps taken on it (``_BellStep``), per branch-1 block, pair and
+    weights; a step refused by ``ImpossibleBranchError`` keeps no result.
+    A prepared block is kept on its message (``_block_state``), so every
+    state that holds it reuses them: all states prepared from that message,
+    of either engine's preparation, and all their copies.
     """
 
-    __slots__ = ("_splits", "_children", "_corrected_by", "_receiver_rho")
+    __slots__ = ("_splits", "_children", "_corrected_by", "_receiver_rho", "_steps")
 
     def __init__(self, amps: np.ndarray):
         super().__init__(6, amps, copy=False)
@@ -370,6 +373,7 @@ class _Block(StateVector):
         self._children = {}
         self._corrected_by = {}
         self._receiver_rho = None
+        self._steps = {}
 
     def bell_split(self, which: int) -> tuple:
         """The Bell measurement on sender pair ``which``.
@@ -419,6 +423,100 @@ class _Block(StateVector):
         return self._receiver_rho
 
 
+# The weights are Python complex numbers, rounded as numpy's complex128 was:
+# ``abs(w) ** 2`` is numpy's value, and numpy divides a complex by a real as
+# a product with the reciprocal, so the renormalization is ``w * (1.0 / d)``,
+# not ``w / d``.  The totals add branch 0 first.
+
+def _totals(w0: complex, w1: complex, probs0, probs1) -> tuple[float, float]:
+    """A bit's two outcome weights over the branches, given its (P0, P1) in
+    branch 0 and in branch 1; a branch whose pair is None takes no part."""
+    t0 = t1 = 0.0
+    if probs0 is not None:
+        w2 = abs(w0) ** 2
+        t0, t1 = w2 * probs0[0], w2 * probs0[1]
+    if probs1 is not None:
+        w2 = abs(w1) ** 2
+        t0 += w2 * probs1[0]
+        t1 += w2 * probs1[1]
+    return t0, t1
+
+
+def _reweighted(w0: complex, w1: complex, probs0, probs1, bit: int, prob: float):
+    """The weights once the bit reads ``bit`` with total ``prob``, and whether
+    each branch is kept.  A branch that takes part but cannot give the bit
+    gets weight 0j; one that takes no part is only rescaled."""
+    keep0 = keep1 = False
+    if probs0 is not None:
+        p = probs0[bit]
+        keep0 = p > MIN_BRANCH_PROBABILITY
+        w0 = w0 * math.sqrt(p) if keep0 else 0j
+    if probs1 is not None:
+        p = probs1[bit]
+        keep1 = p > MIN_BRANCH_PROBABILITY
+        w1 = w1 * math.sqrt(p) if keep1 else 0j
+    scale = 1.0 / math.sqrt(prob)
+    return w0 * scale, w1 * scale, keep0, keep1
+
+
+class _BellStep:
+    """One structured Bell measurement: sender pair ``which`` on a branch-0
+    block and a branch-1 block, under two branch weights.
+
+    Its result is a function of those and the outcome alone, so the branch-0
+    block keeps it (``_Block._steps``), keyed by the branch-1 block, the pair
+    and the weights.  A branch takes part while its weight squared exceeds
+    MIN_BRANCH_PROBABILITY, and reads its block's kept split
+    (``_Block.bell_split``).  The step keeps bit a's two totals, per bit a
+    the reweighted weights and bit b's totals, and per outcome the whole
+    result in ``results``: ``(weights, child0, child1, outcome, prob)``,
+    where a child is the branch's collapsed block, or None where the branch
+    keeps its block.  So a step holds no reference to the block that keeps
+    it, and the kept steps die with their message by reference counting
+    (the key holds the branch-1 block, which no protocol state also holds
+    in branch 0).  An outcome that ``_draw_bit`` refuses is never kept.
+    """
+
+    __slots__ = ("_totals_a", "_after", "results")
+
+    def __init__(self, block0: _Block, block1: _Block, which: int, weights: tuple[complex, complex]):
+        w0, w1 = weights
+        split0 = block0.bell_split(which) if abs(w0) ** 2 > MIN_BRANCH_PROBABILITY else None
+        split1 = block1.bell_split(which) if abs(w1) ** 2 > MIN_BRANCH_PROBABILITY else None
+        marginal0 = split0[2] if split0 else None
+        marginal1 = split1[2] if split1 else None
+        self._totals_a = _totals(w0, w1, marginal0, marginal1)
+        after = []
+        for bit_a, prob in enumerate(self._totals_a):
+            if prob <= MIN_BRANCH_PROBABILITY:  # the draw refuses bit_a
+                after.append(None)
+                continue
+            wa0, wa1, keep0, keep1 = _reweighted(w0, w1, marginal0, marginal1, bit_a, prob)
+            cond0 = split0[3][bit_a] if keep0 else None
+            cond1 = split1[3][bit_a] if keep1 else None
+            after.append((wa0, wa1, cond0, cond1, _totals(wa0, wa1, cond0, cond1)))
+        self._after = after
+        self.results = {}
+
+    def take(self, block0: _Block, block1: _Block, i: int, which: int, forced, rng) -> tuple:
+        """Draw both bits through ``_draw_bit``, forced or from ``rng``, and
+        return the outcome's result, computing and keeping it on first use."""
+        fa, fb = (None, None) if forced is None else _bell_bits(forced)
+        a, b = _BELL_PAIRS[which]
+        names = _QUBIT_NAMES[i]
+        bit_a, pa = _draw_bit(*self._totals_a, names[a], forced=fa, rng=rng)
+        wa0, wa1, cond0, cond1, totals_b = self._after[bit_a]
+        bit_b, pb = _draw_bit(*totals_b, names[b], forced=fb, rng=rng)
+        outcome = _bell_outcome(bit_a, bit_b)
+        result = self.results.get(outcome)
+        if result is None:
+            w0, w1, keep0, keep1 = _reweighted(wa0, wa1, cond0, cond1, bit_b, pb)
+            child0 = block0.collapsed(which, bit_a, bit_b) if keep0 else None
+            child1 = block1.collapsed(which, bit_a, bit_b) if keep1 else None
+            result = self.results[outcome] = (w0, w1), child0, child1, outcome, pa * pb
+        return result
+
+
 class StructuredState:
     """Branch-factorized protocol state.
 
@@ -436,14 +534,16 @@ class StructuredState:
     what earlier branches computed.  ``weights`` is a 2-tuple of
     Python complex numbers that operations replace, so copies share it too.
 
-    Every operation handles branch 0 and branch 1 written out, with no
-    per-call container: a branch takes part while its weight squared exceeds
-    MIN_BRANCH_PROBABILITY, and a measurement that cannot occur in it sets
-    its weight to 0j and leaves its blocks as they were.  A Bell pair reads
-    its kept split from each taking block (``_Block.bell_split``): the
-    marginal of the first bit, then the kept conditional of the second.
-    A Bell pair refused at its second bit (``ImpossibleBranchError``) leaves
-    the weights reweighted for the first, so the state is then spent.
+    Every operation handles branch 0 and branch 1 written out: a branch
+    takes part while its weight squared exceeds MIN_BRANCH_PROBABILITY, and
+    a measurement that cannot occur in it sets its weight to 0j and leaves
+    its blocks as they were.  A Bell pair is one kept step (``_BellStep``),
+    found on the branch-0 block by the branch-1 block, the pair and the
+    weights: a forced outcome that the step has given before costs two dict
+    lookups, and a sampled one draws both bits from the step's kept totals.
+    A step assigns the weights and blocks only once both bits are drawn, so
+    a Bell pair refused at either bit (``ImpossibleBranchError``) leaves
+    the state as it was.
 
     No protocol run takes the per-branch drop: every Bell outcome has
     probability 1/4 in both controller branches, for every message, since
@@ -468,64 +568,23 @@ class StructuredState:
     def copy(self) -> "StructuredState":
         return StructuredState(self.s, self.weights, [list(branch) for branch in self.blocks])
 
-    def _measure_bit(self, where: str, probs0, probs1, *, forced=None, rng=None):
-        """Measure one block qubit, given its (P0, P1) in branch 0 and in branch 1.
-
-        A branch whose pair is None takes no part: it is either dropped
-        already or too light to measure (weight squared at most
-        MIN_BRANCH_PROBABILITY), and its weight is only rescaled.  Draws the
-        bit with ``_draw_bit``, zeroes a branch that cannot give it and
-        reweights the rest.  Returns the bit, its probability and whether
-        each branch is kept; the caller collapses the kept branches' blocks.
-
-        The weights are Python complex numbers, rounded as numpy's complex128
-        was: ``abs(w) ** 2`` is numpy's value, and numpy divides a complex by
-        a real as a product with the reciprocal, so the renormalization is
-        ``w * (1.0 / d)``, not ``w / d``.  The totals add branch 0 first.
-        """
-        w0, w1 = self.weights
-        t0 = t1 = 0.0
-        if probs0 is not None:
-            w2 = abs(w0) ** 2
-            t0, t1 = w2 * probs0[0], w2 * probs0[1]
-        if probs1 is not None:
-            w2 = abs(w1) ** 2
-            t0 += w2 * probs1[0]
-            t1 += w2 * probs1[1]
-        bit, prob = _draw_bit(t0, t1, where, forced=forced, rng=rng)
-        keep0 = keep1 = False
-        if probs0 is not None:
-            p = probs0[bit]
-            keep0 = p > MIN_BRANCH_PROBABILITY
-            w0 = w0 * math.sqrt(p) if keep0 else 0j
-        if probs1 is not None:
-            p = probs1[bit]
-            keep1 = p > MIN_BRANCH_PROBABILITY
-            w1 = w1 * math.sqrt(p) if keep1 else 0j
-        scale = 1.0 / math.sqrt(prob)
-        self.weights = (w0 * scale, w1 * scale)
-        return bit, prob, keep0, keep1
-
     def bsm_pair(self, j: int, *, forced=None, rng=None) -> tuple[int, float]:
         i, which = divmod(j, 2)
-        a, b = _BELL_PAIRS[which]
-        fa, fb = (None, None) if forced is None else _bell_bits(forced)
-        names = _QUBIT_NAMES[i]
-        w0, w1 = self.weights
         blocks0, blocks1 = self.blocks
-        split0 = blocks0[i].bell_split(which) if abs(w0) ** 2 > MIN_BRANCH_PROBABILITY else None
-        split1 = blocks1[i].bell_split(which) if abs(w1) ** 2 > MIN_BRANCH_PROBABILITY else None
-        marginal0 = split0[2] if split0 else None
-        marginal1 = split1[2] if split1 else None
-        bit_a, pa, keep0, keep1 = self._measure_bit(names[a], marginal0, marginal1, forced=fa, rng=rng)
-        cond0 = split0[3][bit_a] if keep0 else None
-        cond1 = split1[3][bit_a] if keep1 else None
-        bit_b, pb, keep0, keep1 = self._measure_bit(names[b], cond0, cond1, forced=fb, rng=rng)
-        if keep0:
-            blocks0[i] = blocks0[i].collapsed(which, bit_a, bit_b)
-        if keep1:
-            blocks1[i] = blocks1[i].collapsed(which, bit_a, bit_b)
-        return _bell_outcome(bit_a, bit_b), pa * pb
+        block0, block1 = blocks0[i], blocks1[i]
+        key = block1, which, self.weights
+        step = block0._steps.get(key)
+        if step is None:
+            step = block0._steps[key] = _BellStep(block0, block1, which, self.weights)
+        result = step.results.get(forced)
+        if result is None:
+            result = step.take(block0, block1, i, which, forced, rng)
+        self.weights, child0, child1, outcome, prob = result
+        if child0 is not None:
+            blocks0[i] = child0
+        if child1 is not None:
+            blocks1[i] = child1
+        return outcome, prob
 
     def measure_controller(self, *, forced=None, rng=None) -> tuple[int, float]:
         probs = np.abs(self.weights) ** 2  # numpy's array abs: Python's abs rounds otherwise on a third of values

@@ -1,0 +1,67 @@
+"""The A/B runner's arithmetic (``tools/bench.py``) on made-up run.py result
+lines: quartiles, wins, the gain rule and the next BENCH file number.  No
+benchmark runs here."""
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location("bench", Path(__file__).resolve().parents[1] / "tools" / "bench.py")
+bench = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench)
+
+
+def line(failed=0, **values):
+    """A run.py result line with the given metric values."""
+    units = {"wall_s": "s", "branches_per_s": "1/s"}
+    return {"correct": not failed, "attempted": 100, "failed": failed,
+            "metrics": {n: {"value": v, "unit": units[n]} for n, v in values.items()}}
+
+
+def test_quartiles_use_the_exclusive_method():
+    assert bench.quartiles([float(v) for v in range(10, 0, -1)]) == {"q1": 2.75, "median": 5.5, "q3": 8.25}
+    assert bench.quartiles([3.0, 1.0]) == {"q1": 0.5, "median": 2.0, "q3": 3.5}
+    assert bench.quartiles([0.7]) == {"q1": 0.7, "median": 0.7, "q3": 0.7}
+
+
+def test_compare_counts_wins_and_applies_the_gain_rule():
+    # parent walls 1.00..1.09 (quartiles 1.0175, 1.0725: IQR 0.055); pair k of
+    # the change runs 0.9 + k/100, so it wins every pair but the tied last,
+    # and the higher-is-better rate mirrors it
+    parent = [line(wall_s=1 + k / 100, branches_per_s=100 - k) for k in range(10)]
+    change = [line(wall_s=0.9 + k / 100 if k < 9 else 1.09, branches_per_s=101 - k if k < 9 else 91,
+                   failed=int(k == 3)) for k in range(10)]
+    result = bench.compare(parent, change, {"wall_s": "lower", "branches_per_s": "higher"})
+    wall, rate = result["metrics"]["wall_s"], result["metrics"]["branches_per_s"]
+    assert result["pairs"] == 10
+    assert wall["parent"] == pytest.approx({"q1": 1.0175, "median": 1.045, "q3": 1.0725})
+    assert wall["change"]["median"] == pytest.approx(0.945)
+    assert (wall["wins"], wall["gain"], wall["unit"], wall["better"]) == (9, True, "s", "lower")
+    # 9 wins of 10, but the medians differ by 1, less than the parent's IQR of 5.5
+    assert (rate["wins"], rate["gain"]) == (9, False)
+    assert result["failed"]["change"][3] == [1, 100] and result["failed"]["parent"][3] == [0, 100]
+
+
+def test_gain_needs_nine_wins_in_ten():
+    parent = [line(wall_s=1.0) for _ in range(10)]
+    for wins, gain in ((8, False), (9, True), (10, True)):
+        change = [line(wall_s=0.5 if k < wins else 1.5) for k in range(10)]
+        got = bench.compare(parent, change, {"wall_s": "lower"})["metrics"]["wall_s"]
+        assert (got["wins"], got["gain"]) == (wins, gain)
+
+
+def test_next_bench_path_takes_one_above_the_highest(tmp_path):
+    assert bench.next_bench_path(tmp_path) == tmp_path / "BENCH_1.json"
+    for name in ("BENCH_1.json", "BENCH_3.json", "BENCH_x.json", "BENCH_7.json.tmp", "OTHER_9.json"):
+        (tmp_path / name).write_text("{}")
+    assert bench.next_bench_path(tmp_path) == tmp_path / "BENCH_4.json"
+
+
+def test_result_line_and_facts_are_read_from_run_output():
+    facts = {"nproc": 2, "python": "3.11.7"}
+    stdout = "\n".join([f"# sweep-s3 seed=1 units=9 facts={json.dumps(facts)}", "wall_s  0.6 s",
+                        json.dumps(line(wall_s=0.6)), ""])
+    assert bench.last_json_line(stdout) == line(wall_s=0.6)
+    assert bench.machine_facts(stdout) == facts
+    assert bench.machine_facts("wall_s 0.6 s\n") is None

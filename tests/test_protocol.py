@@ -1,8 +1,10 @@
 """Protocol tests: global-state assembly, forced and exhaustive runs, engine
 equivalence, controller gating, transcripts, and order independence."""
+import gc
 import itertools
 import json
 import resource
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 import routes
 from quadtel import channel as ch
 from quadtel import corrections as co
+from quadtel import harness
 from quadtel import protocol as pr
 from quadtel import statevector as sv
 from quadtel.harness import FIDELITY_TOL, PROBABILITY_SUM_TOL, PROBABILITY_TOL
@@ -420,6 +423,86 @@ def test_sampled_bsm_drops_the_branch_that_cannot_give_the_outcome():
     # eight of them read an outcome that branch 1 cannot give
     dropped = [measure_with_branch_1_on_k_plus(None, seed)[1] for seed in range(130, 146)]
     assert any(dropped) and not all(dropped)
+
+
+def test_kept_bell_step_serves_only_its_weights_and_branch_1_block():
+    # a branch-0 block keeps each Bell step it takes, keyed by the branch-1
+    # block, the pair and the weights.  States here share that block under
+    # two weight pairs and two branch-1 blocks, one of which drops branch 1
+    # on k-, l+ and l-; every call must equal the same call on rebuilt
+    # blocks, which keep nothing, so no step may serve another key
+    rng = np.random.default_rng(150)
+    first, shared = random_block(rng), random_block(rng)
+    branch_1 = [[random_block(rng), k_plus_block()], [random_block(rng), random_block(rng)]]
+    weights = [w / np.linalg.norm(w) for w in rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))]
+    for (w, blocks_1), outcome in itertools.product(
+            [*itertools.product(weights, branch_1)] * 2, [0, 1, 2, 3, None, None]):
+        kept = pr.StructuredState(2, w, [[first, shared], list(blocks_1)])
+        fresh = pr.StructuredState(2, w, [[pr._Block(b.amps) for b in branch] for branch in kept.blocks])
+        seed = int(rng.integers(1 << 30))
+        rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = (state.bsm_pair(2, forced=outcome, rng=r) for state, r in zip((kept, fresh), rngs))
+        assert got == want and kept.weights == fresh.weights
+        assert block_bytes(kept) == block_bytes(fresh)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    assert len(shared._steps) == 4 and all(len(step.results) == 4 for step in shared._steps.values())
+
+
+@pytest.mark.parametrize("outcome, where", [(1, "block 1 qubit 0 outcome 1"), (2, "block 1 qubit 2 outcome 1")])
+def test_refused_bell_step_keeps_nothing(outcome, where):
+    # both branches hold k+ at block 1's first pair, so k- is refused at the
+    # message qubit and l+ at the channel qubit, on every call: a refused
+    # outcome is never kept, and the state is left as it was
+    rng = np.random.default_rng(160)
+    state = pr.StructuredState(2, [0.6, 0.8j], [[random_block(rng), k_plus_block()] for _ in range(2)])
+    blocks, weights = block_bytes(state), state.weights
+    for _ in range(2):
+        with pytest.raises(sv.ImpossibleBranchError, match=f"^{where} has probability"):
+            state.bsm_pair(2, forced=outcome)
+        assert block_bytes(state) == blocks and state.weights == weights
+    (step,) = state.blocks[0][1]._steps.values()
+    assert step.results == {}
+    got, prob = state.bsm_pair(2, forced=0)
+    assert got == 0 and abs(prob - 1) < 1e-12
+
+
+def test_kept_bell_steps_are_few_and_die_with_their_messages(monkeypatch):
+    # every Bell outcome has probability 1/4 in both controller branches, so
+    # all branches at one depth of a run carry the same weights: an s=3 sweep
+    # keeps 5 steps per sender (pair 0 on the prepared block, pair 1 on its
+    # 4 children), each with its 4 outcomes.  A step holds no reference to
+    # the block that keeps it, so with the cycle collector off the messages,
+    # and every block with the steps it keeps, die as soon as the run returns
+    random_message = pr.InfoState.random
+
+    def recording(keep):
+        def random(rng):
+            info = random_message(rng)
+            keep(info)
+            return info
+        return random
+
+    def kept_steps(block):
+        return [*block._steps.values(), *(s for child in block._children.values() for s in kept_steps(child))]
+
+    made = []
+    monkeypatch.setattr(pr.InfoState, "random", recording(made.append))
+    harness.cmd_run(senders=3, mode="exhaustive")
+    assert len(made) == 3
+    for info in made:
+        steps = kept_steps(pr._block_state(info, pr._BRANCH_KINDS[0]))
+        assert len(steps) == 5 and all(len(step.results) == 4 for step in steps)
+        assert not kept_steps(pr._block_state(info, pr._BRANCH_KINDS[1]))
+    refs = []
+    monkeypatch.setattr(pr.InfoState, "random", recording(lambda info: refs.append(weakref.ref(info))))
+    gc.disable()
+    try:
+        blocks = sum(isinstance(obj, pr._Block) for obj in gc.get_objects())
+        harness.cmd_run(senders=4, mode="sampled:16")
+        assert len(refs) == 4 and all(ref() is None for ref in refs)
+        assert sum(isinstance(obj, pr._Block) for obj in gc.get_objects()) == blocks
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------------- route matrix

@@ -1,0 +1,170 @@
+"""A/B runner for the quadtel benchmark: two commits, alternating, from clean exports.
+
+Usage, from anywhere inside a quadtel git checkout:
+
+    python3 tools/bench.py --ab PARENT CHANGE --workload sweep-s3 --pairs 10 --seconds 8 --seed 1
+    python3 tools/bench.py --ab HEAD~1 HEAD --workload sweep-s3 sample-s4 --pairs 10
+
+Each commit is exported with ``git archive`` into a fresh temporary
+directory, so neither side holds a ``__pycache__`` or any other file left
+by an earlier command.  Pair k runs ``perfbench/run.py --workload W --seed S
+--seconds T --trace 0`` once on each side, the parent first when k is even
+and the change first when k is odd, and reads each run's last JSON line.
+The runs set PYTHONDONTWRITEBYTECODE=1, so every launch on both sides
+compiles the package, as the first launch in a fresh checkout does.
+
+For each workload and end-to-end metric it prints each side's median and
+quartiles, the change's wins (ties count for neither) and whether a gain
+holds: the change wins at least nine tenths of the pairs, and its median is
+better than the parent's by more than the parent's interquartile range.
+Which way is better comes from the change's ``BENCHMARK.json``.  All of it,
+with every run's values, goes to ``BENCH_<n>.json`` at the root of the
+checkout, n the next free number.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+RUN_TIMEOUT_S = 600  # run.py abandons a run after 170 s; this only catches a hung child
+
+
+def quartiles(values: list[float]) -> dict:
+    """Median and quartiles, by ``statistics.quantiles``' default (exclusive) method."""
+    if len(values) == 1:
+        (v,) = values
+        return {"q1": v, "median": v, "q3": v}
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def compare(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+    """Per metric, both sides' quartiles, the change's wins and the gain rule.
+
+    ``parent`` and ``change`` are run.py result lines, pair k of each run
+    together; ``better`` maps each metric to "lower" or "higher".
+    """
+    pairs = len(parent)
+    metrics = {}
+    for name, direction in better.items():
+        p = [line["metrics"][name]["value"] for line in parent]
+        c = [line["metrics"][name]["value"] for line in change]
+        sign = 1 if direction == "lower" else -1
+        wins = sum(sign * (a - b) > 0 for a, b in zip(p, c))
+        ps, cs = quartiles(p), quartiles(c)
+        margin = sign * (ps["median"] - cs["median"])
+        metrics[name] = {
+            "unit": parent[0]["metrics"][name]["unit"], "better": direction,
+            "parent": ps, "change": cs, "wins": wins,
+            "gain": 10 * wins >= 9 * pairs and margin > ps["q3"] - ps["q1"],
+        }
+    return {
+        "pairs": pairs,
+        "metrics": metrics,
+        "failed": {side: [[line["failed"], line["attempted"]] for line in lines]
+                   for side, lines in (("parent", parent), ("change", change))},
+    }
+
+
+def next_bench_path(root: Path) -> Path:
+    """``BENCH_<n>.json`` under ``root``, n one above the highest taken."""
+    taken = [int(m.group(1)) for p in root.iterdir() if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))]
+    return root / f"BENCH_{max(taken, default=0) + 1}.json"
+
+
+def last_json_line(stdout: str) -> dict:
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+def machine_facts(stdout: str) -> dict | None:
+    """The facts run.py prints on its "# <workload> ... facts={...}" line."""
+    for line in stdout.splitlines():
+        if line.startswith("# ") and " facts=" in line:
+            return json.loads(line.split(" facts=", 1)[1])
+    return None
+
+
+def git(root: Path, *args: str) -> str:
+    return subprocess.run(["git", "-C", str(root), *args], check=True, stdout=subprocess.PIPE, text=True).stdout.strip()
+
+
+def export(root: Path, commit: str, dest: Path) -> None:
+    archive = subprocess.run(["git", "-C", str(root), "archive", "--format=tar", commit],
+                             check=True, stdout=subprocess.PIPE).stdout
+    dest.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=checkout, env=env, stdout=subprocess.PIPE, text=True,
+                          timeout=RUN_TIMEOUT_S, check=False)
+    if proc.returncode not in (0, 1):  # 1: the run finished and a check failed
+        raise RuntimeError(f"{workload} in {checkout} exited with code {proc.returncode}")
+    return last_json_line(proc.stdout), proc.stdout
+
+
+def print_comparison(workload: str, result: dict) -> None:
+    print(f"{workload}: {result['pairs']} pairs")
+    print(f"  {'metric':16s}{'unit':>6s}  {'parent median [q1, q3]':>34s}  {'change median [q1, q3]':>34s}"
+          f"  {'wins':>6s}  gain")
+    for name, m in result["metrics"].items():
+        sides = ["{median:.6g} [{q1:.6g}, {q3:.6g}]".format(**m[side]) for side in ("parent", "change")]
+        print(f"  {name:16s}{m['unit']:>6s}  {sides[0]:>34s}  {sides[1]:>34s}"
+              f"  {m['wins']:>3d}/{result['pairs']:<2d}  {'yes' if m['gain'] else 'no'}")
+    for side, runs in result["failed"].items():
+        print(f"  {side} failed checks: {sum(f for f, _ in runs)} of {sum(a for _, a in runs)}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--ab", nargs=2, required=True, metavar=("PARENT", "CHANGE"),
+                        help="the two commits to compare")
+    parser.add_argument("--workload", nargs="+", required=True, help="perfbench workload names")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=25, help="run.py --seconds, the same on both sides")
+    parser.add_argument("--seed", type=int, default=0, help="run.py --seed")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    root = Path(git(Path(__file__).resolve().parent, "rev-parse", "--show-toplevel"))
+    commits = {side: git(root, "rev-parse", "--verify", f"{rev}^{{commit}}")
+               for side, rev in zip(("parent", "change"), args.ab)}
+    bench = {**commits, "seed": args.seed, "seconds": args.seconds, "facts": None, "workloads": {}}
+    with tempfile.TemporaryDirectory(prefix="quadtel-ab-") as tmp:
+        checkouts = {side: Path(tmp) / side for side in commits}
+        for side, commit in commits.items():
+            export(root, commit, checkouts[side])
+        spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        for workload in args.workload:
+            lines = {"parent": [], "change": []}
+            for k in range(args.pairs):
+                for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                    line, stdout = run_once(checkouts[side], workload, args.seed, args.seconds)
+                    lines[side].append(line)
+                    bench["facts"] = bench["facts"] or machine_facts(stdout)
+                    print(f"{workload} pair {k + 1}/{args.pairs} {side}: "
+                          + " ".join(f"{n}={m['value']:.6g}" for n, m in line["metrics"].items()), flush=True)
+            result = compare(lines["parent"], lines["change"], better)
+            result["runs"] = {side: [{n: m["value"] for n, m in line["metrics"].items()} for line in runs]
+                              for side, runs in lines.items()}
+            bench["workloads"][workload] = result
+            print_comparison(workload, result)
+    path = next_bench_path(root)
+    path.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -21,7 +21,11 @@ Two interchangeable engines execute the same protocol:
   from it: every state prepared from the same messages, such as all the
   branches of a sampled run, reuses them and all they keep.  That includes
   each Bell step (``_BellStep``): its draw totals, new weights and collapsed
-  blocks, kept on the branch-0 block per branch-1 block, pair and weights.
+  blocks, kept on the branch-0 block per branch-1 block, pair and weights;
+  and each receiver matrix at its branch weight, read-only, with its
+  fidelity kept on the message (``InfoState.score``).  So once a branch's
+  Bell steps are done it reads only kept results, and the controller draw
+  reads its two probabilities from a bounded memo (``_branch_probs``).
   ``block_outcome_table`` runs the same block calls over every outcome of
   one sender block, which gives all branches of the full protocol factorized.
 
@@ -62,6 +66,7 @@ from .statevector import (
     _bell_bits,
     _bell_outcome,
     _draw_bit,
+    _is_integer,
     _live,
     apply_pauli_word,
     bsm,
@@ -114,13 +119,15 @@ class InfoState:
     coefficients, and the read-only target state on them.  So it can keep
     the sender blocks built from it, one per controller-branch Bell kind
     (see ``_block_state``), and every state prepared from it shares them and
-    all they keep.  Messages compare and hash by identity, as the kept blocks
-    belong to one message object: a message rebuilt from the same
-    coefficients starts with none.
+    all they keep.  It also keeps the fidelity of each read-only receiver
+    matrix it has scored (``score``).  Messages compare and hash by
+    identity, as the kept blocks and scores belong to one message object: a
+    message rebuilt from the same coefficients starts with none.
     """
 
     coeffs: np.ndarray
     _blocks: dict = field(default_factory=dict, init=False, repr=False)
+    _scores: dict = field(default_factory=dict, init=False, repr=False)
     _target: StateVector = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -147,10 +154,23 @@ class InfoState:
         """The message as a read-only 2-qubit state on index 2a+b (first symbol high)."""
         return self._target
 
+    def score(self, rho: np.ndarray) -> float:
+        """``dm_fidelity(rho, target_state())``, the fidelity of a receiver's matrix.
 
-def _is_integer(x) -> bool:
-    """A Python or numpy integer, not a bool: ``2.0`` indexes no table and ``True`` prints as "True"."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+        A read-only matrix that owns its data, as the structured engine's
+        ``receiver_dm`` returns once a run has one controller branch, is
+        scored once: the score is kept by the matrix's identity, together
+        with the matrix, so that no other matrix takes its id while the
+        score is kept.  Any other matrix, every dense one among them, is
+        scored afresh, so a writable matrix edited in place gets its new
+        score.
+        """
+        if rho.flags.writeable or not rho.flags.owndata:
+            return dm_fidelity(rho, self._target)
+        kept = self._scores.get(id(rho))
+        if kept is None:
+            kept = self._scores[id(rho)] = rho, dm_fidelity(rho, self._target)
+        return kept[1]
 
 
 @dataclass(frozen=True)
@@ -356,15 +376,17 @@ class _Block(StateVector):
     in-place kernel refuses it), so its results depend on it alone.  Each
     is computed on first use and kept: the Bell split per sender pair, the
     collapsed child per pair and outcome, the corrected form per correction
-    entry, and the receiver-pair matrix.  A block in branch 0 also keeps the
-    Bell steps taken on it (``_BellStep``), per branch-1 block, pair and
-    weights; a step refused by ``ImpossibleBranchError`` keeps no result.
+    entry, the receiver-pair matrix, and that matrix times each branch
+    weight squared it is read at (``receiver_at``), both read-only like the
+    block.  A block in branch 0 also keeps the Bell steps taken on it
+    (``_BellStep``), per branch-1 block, pair and weights; a step refused
+    by ``ImpossibleBranchError`` keeps no result.
     A prepared block is kept on its message (``_block_state``), so every
     state that holds it reuses them: all states prepared from that message,
     of either engine's preparation, and all their copies.
     """
 
-    __slots__ = ("_splits", "_children", "_corrected_by", "_receiver_rho", "_steps")
+    __slots__ = ("_splits", "_children", "_corrected_by", "_receiver_rho", "_receiver_by", "_steps")
 
     def __init__(self, amps: np.ndarray):
         super().__init__(6, amps, copy=False)
@@ -373,6 +395,7 @@ class _Block(StateVector):
         self._children = {}
         self._corrected_by = {}
         self._receiver_rho = None
+        self._receiver_by = {}
         self._steps = {}
 
     def bell_split(self, which: int) -> tuple:
@@ -417,10 +440,20 @@ class _Block(StateVector):
         return block
 
     def receiver_mat(self) -> np.ndarray:
-        """The receiver pair's reduced density matrix, indexed 2a+b."""
+        """The receiver pair's reduced density matrix, indexed 2a+b, read-only."""
         if self._receiver_rho is None:
-            self._receiver_rho = partial_trace(self, _RECEIVER_KEEP)
+            rho = self._receiver_rho = partial_trace(self, _RECEIVER_KEEP)
+            rho.flags.writeable = False
         return self._receiver_rho
+
+    def receiver_at(self, p: float) -> np.ndarray:
+        """``p * receiver_mat()``, the receiver matrix of a branch whose weight
+        squared is ``p``, kept per p and read-only."""
+        rho = self._receiver_by.get(p)
+        if rho is None:
+            rho = self._receiver_by[p] = p * self.receiver_mat()
+            rho.flags.writeable = False
+        return rho
 
 
 # The weights are Python complex numbers, rounded as numpy's complex128 was:
@@ -517,6 +550,15 @@ class _BellStep:
         return result
 
 
+@functools.lru_cache(maxsize=16)
+def _branch_probs(weights: tuple[complex, complex]) -> tuple[float, float]:
+    """Both branches' weight squared, by numpy's array abs (Python's abs
+    rounds otherwise on a third of values).  A run's weights after its Bell
+    steps repeat from branch to branch, so the few pairs are kept."""
+    p0, p1 = (np.abs(weights) ** 2).tolist()
+    return p0, p1
+
+
 class StructuredState:
     """Branch-factorized protocol state.
 
@@ -543,7 +585,10 @@ class StructuredState:
     lookups, and a sampled one draws both bits from the step's kept totals.
     A step assigns the weights and blocks only once both bits are drawn, so
     a Bell pair refused at either bit (``ImpossibleBranchError``) leaves
-    the state as it was.
+    the state as it was.  With one controller branch left, as after
+    ``measure_controller``, ``receiver_dm`` returns the matrix its block
+    keeps for that weight (``_Block.receiver_at``), read-only and the same
+    object on every call; with both, it returns a fresh writable mixture.
 
     No protocol run takes the per-branch drop: every Bell outcome has
     probability 1/4 in both controller branches, for every message, since
@@ -576,7 +621,8 @@ class StructuredState:
         step = block0._steps.get(key)
         if step is None:
             step = block0._steps[key] = _BellStep(block0, block1, which, self.weights)
-        result = step.results.get(forced)
+        # only an int is looked up: 1.0 and True equal 1, and _bell_bits refuses them
+        result = step.results.get(forced) if type(forced) is int else None
         if result is None:
             result = step.take(block0, block1, i, which, forced, rng)
         self.weights, child0, child1, outcome, prob = result
@@ -587,12 +633,11 @@ class StructuredState:
         return outcome, prob
 
     def measure_controller(self, *, forced=None, rng=None) -> tuple[int, float]:
-        probs = np.abs(self.weights) ** 2  # numpy's array abs: Python's abs rounds otherwise on a third of values
-        z, prob = _draw_bit(probs[0], probs[1], "controller", forced=forced, rng=rng)
+        z, prob = _draw_bit(*_branch_probs(self.weights), "controller", forced=forced, rng=rng)
         weights = [0j, 0j]
         weights[z] = self.weights[z] * (1.0 / abs(self.weights[z]))
         self.weights = tuple(weights)
-        return z, float(prob)
+        return z, prob
 
     def apply_correction(self, i: int, entry: corrections.CorrectionEntry) -> None:
         (w0, w1), (blocks0, blocks1) = self.weights, self.blocks
@@ -603,13 +648,14 @@ class StructuredState:
 
     def receiver_dm(self, i: int) -> np.ndarray:
         """The weighted sum of the branches' receiver matrices; the weights
-        sum to 1, so at least one branch is above MIN_BRANCH_PROBABILITY."""
+        sum to 1, so at least one branch is above MIN_BRANCH_PROBABILITY.
+        A single branch's term is its block's kept, read-only matrix."""
         (w0, w1), (blocks0, blocks1) = self.weights, self.blocks
         p0, p1 = abs(w0) ** 2, abs(w1) ** 2
         if p1 <= MIN_BRANCH_PROBABILITY:
-            return p0 * blocks0[i].receiver_mat()
+            return blocks0[i].receiver_at(p0)
         if p0 <= MIN_BRANCH_PROBABILITY:
-            return p1 * blocks1[i].receiver_mat()
+            return blocks1[i].receiver_at(p1)
         return p0 * blocks0[i].receiver_mat() + p1 * blocks1[i].receiver_mat()
 
 
@@ -684,7 +730,7 @@ def run_protocol(
     for i in range(s):
         entry = corrections.table_lookup(corrections.RECEIVERS[i], (outcomes[2 * i], outcomes[2 * i + 1], z))
         state.apply_correction(i, entry)
-        fidelities.append(dm_fidelity(state.receiver_dm(i), inputs[i].target_state()))
+        fidelities.append(inputs[i].score(state.receiver_dm(i)))
     return ProtocolReport(
         outcome=forced if forced is not None else OutcomeRecord(tuple(outcomes), z),
         branch_probability=probability,
@@ -696,11 +742,18 @@ def run_protocol(
 
 
 def enumerate_records(s: int) -> list[OutcomeRecord]:
-    """All 4^(2s) x 2 forced outcome records in canonical order."""
+    """All 4^(2s) x 2 forced outcome records in canonical order.
+
+    Their fields are Python ints from ``range``, valid by construction, so
+    the records are built without ``OutcomeRecord``'s per-value checks.
+    """
     records = []
     for bells in itertools.product(range(4), repeat=2 * s):
         for z in (0, 1):
-            records.append(OutcomeRecord(tuple(bells), z))
+            record = object.__new__(OutcomeRecord)
+            object.__setattr__(record, "bell", bells)
+            object.__setattr__(record, "z", z)
+            records.append(record)
     return records
 
 

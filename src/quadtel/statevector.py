@@ -124,10 +124,15 @@ _SHORT_AXES = 4
 BELL_OUTCOME_BITS: tuple[tuple[int, int], ...] = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
+def _is_integer(x) -> bool:
+    """A Python or numpy integer, not a bool: ``2.0`` indexes no table and ``True`` prints as "True"."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _bell_bits(outcome: int) -> tuple[int, int]:
     """The (first qubit, second qubit) bits that Bell outcome 0..3 leaves."""
-    if outcome not in (0, 1, 2, 3):
-        raise ValueError(f"Bell outcome must be in 0..3, got {outcome}")
+    if not (_is_integer(outcome) and 0 <= outcome <= 3):
+        raise ValueError(f"Bell outcome must be an integer in 0..3, got {outcome!r}")
     return BELL_OUTCOME_BITS[outcome]
 
 

@@ -1,5 +1,6 @@
-"""The A/B runner's arithmetic (``tools/bench.py``) on made-up run.py result
-lines: quartiles, wins, the gain rule and the next BENCH file number.  No
+"""The benchmark runner's arithmetic (``tools/bench.py``) on made-up run.py
+result lines: quartiles, one commit's summary, wins, the gain rule, the
+workload names ``all`` stands for and the next BENCH file number.  No
 benchmark runs here."""
 import importlib.util
 import json
@@ -28,8 +29,9 @@ def test_quartiles_use_the_exclusive_method():
 def test_compare_counts_wins_and_applies_the_gain_rule():
     # parent walls 1.00..1.09 (quartiles 1.0175, 1.0725: IQR 0.055); pair k of
     # the change runs 0.9 + k/100, so it wins every pair but the tied last,
-    # and the higher-is-better rate mirrors it
-    parent = [line(wall_s=1 + k / 100, branches_per_s=100 - k) for k in range(10)]
+    # and the higher-is-better rate mirrors it.  Each side fails one check,
+    # in different pairs
+    parent = [line(wall_s=1 + k / 100, branches_per_s=100 - k, failed=int(k == 5)) for k in range(10)]
     change = [line(wall_s=0.9 + k / 100 if k < 9 else 1.09, branches_per_s=101 - k if k < 9 else 91,
                    failed=int(k == 3)) for k in range(10)]
     result = bench.compare(parent, change, {"wall_s": "lower", "branches_per_s": "higher"})
@@ -41,6 +43,7 @@ def test_compare_counts_wins_and_applies_the_gain_rule():
     # 9 wins of 10, but the medians differ by 1, less than the parent's IQR of 5.5
     assert (rate["wins"], rate["gain"]) == (9, False)
     assert result["failed"]["change"][3] == [1, 100] and result["failed"]["parent"][3] == [0, 100]
+    assert result["failed"]["parent"][5] == [1, 100] and result["failed"]["change"][5] == [0, 100]
 
 
 def test_gain_needs_nine_wins_in_ten():
@@ -49,6 +52,38 @@ def test_gain_needs_nine_wins_in_ten():
         change = [line(wall_s=0.5 if k < wins else 1.5) for k in range(10)]
         got = bench.compare(parent, change, {"wall_s": "lower"})["metrics"]["wall_s"]
         assert (got["wins"], got["gain"]) == (wins, gain)
+
+
+def test_no_gain_where_the_change_fails_a_larger_share_of_checks():
+    # the change wins every pair by far; it gains only while its failed share
+    # (failed over attempted, summed over the runs) is at most the parent's
+    parent = [line(wall_s=1.0, failed=int(k < 2)) for k in range(10)]  # 2 of 1000
+    for change_failed, gain in ((0, True), (2, True), (3, False)):
+        change = [line(wall_s=0.5, failed=int(k < change_failed)) for k in range(10)]
+        assert bench.compare(parent, change, {"wall_s": "lower"})["metrics"]["wall_s"]["gain"] is gain
+    clean = [line(wall_s=1.0) for _ in range(10)]
+    one_failed = [line(wall_s=0.5, failed=int(k == 9)) for k in range(10)]
+    assert bench.compare(clean, one_failed, {"wall_s": "lower"})["metrics"]["wall_s"]["gain"] is False
+
+
+def test_summarize_gives_one_commits_quartiles_and_failed_checks():
+    lines = [line(wall_s=w, branches_per_s=1 / w, failed=int(w == 0.8)) for w in (0.5, 0.8, 0.6, 0.7)]
+    got = bench.summarize(lines, {"wall_s": "lower", "branches_per_s": "higher"})
+    assert got["metrics"]["wall_s"] == pytest.approx(
+        {"unit": "s", "better": "lower", "q1": 0.525, "median": 0.65, "q3": 0.775})
+    rate = got["metrics"]["branches_per_s"]
+    assert (rate["unit"], rate["better"], rate["median"]) == ("1/s", "higher", pytest.approx((1 / 0.7 + 1 / 0.6) / 2))
+    assert got["failed"] == [[0, 100], [1, 100], [0, 100], [0, 100]]
+
+
+def test_all_stands_for_every_workload_the_spec_names():
+    spec = {"workloads": [{"name": n} for n in ("sweep-s3", "sample-s4", "dense-s4", "oracles")]}
+    assert bench.workload_names(["all"], spec) == ["sweep-s3", "sample-s4", "dense-s4", "oracles"]
+    assert bench.workload_names(["oracles", "all", "sweep-s3"], spec) == ["oracles", "sweep-s3", "sample-s4",
+                                                                          "dense-s4"]
+    assert bench.workload_names(["dense-s4"], spec) == ["dense-s4"]
+    with pytest.raises(ValueError, match="unknown workload 'sweep-s4'"):
+        bench.workload_names(["sweep-s4"], spec)
 
 
 def test_next_bench_path_takes_one_above_the_highest(tmp_path):

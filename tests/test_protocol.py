@@ -124,6 +124,18 @@ def test_outcome_record_takes_numpy_integers_as_ints():
     assert json.loads(json.dumps(pr.run_protocol(inputs, forced=record).to_dict()))["outcome"]["symbols"] == "l+,k+,1"
 
 
+
+def test_enumerated_records_equal_the_validated_ones():
+    # enumerate_records skips the per-value checks on records it builds from
+    # range(4); each must equal the record validated from the same values
+    for s in (1, 2, 3):
+        records = pr.enumerate_records(s)
+        want = [pr.OutcomeRecord(bells, z)
+                for bells in itertools.product(range(4), repeat=2 * s) for z in (0, 1)]
+        assert records == want and len(records) == 2 * 4 ** (2 * s)
+        assert all(type(v) is int for record in records for v in record.bell + (record.z,))
+
+
 # ----------------------------------------------------------------- assembly
 
 def test_assembled_state_is_normalized():
@@ -466,13 +478,67 @@ def test_refused_bell_step_keeps_nothing(outcome, where):
     assert got == 0 and abs(prob - 1) < 1e-12
 
 
+
+@pytest.mark.parametrize("engine", pr.ENGINES)
+def test_bell_outcome_must_be_an_integer_on_both_engines(engine):
+    # 1.0, np.float64(1.0) and True equal the outcome 1, but no engine takes
+    # them: not on a fresh state, and not once a forced 1 is kept (the
+    # structured engine keeps its Bell steps on the blocks all states share)
+    inputs = make_inputs(1, 170)
+    for kept in (False, True):
+        if kept:
+            assert pr.assemble_global(inputs, engine).bsm_pair(0, forced=1)[0] == 1
+        for bad in (1.0, np.float64(1.0), True):
+            state = pr.assemble_global(inputs, engine)
+            with pytest.raises(ValueError, match="Bell outcome must be an integer"):
+                state.bsm_pair(0, forced=bad)
+
+
+def test_structured_receiver_dm_is_kept_read_only():
+    # once a run has one controller branch, receiver_dm is the block's kept
+    # p * receiver_mat(): read-only, the same object on every call, and equal
+    # bit for bit to the product computed fresh
+    inputs = make_inputs(2, 171)
+    states = []
+    for _ in range(2):
+        state = pr.assemble_global(inputs, "structured")
+        for j in range(4):
+            state.bsm_pair(j, forced=j)
+        state.measure_controller(forced=1)
+        states.append(state)
+    for i in range(2):
+        rho = states[0].receiver_dm(i)
+        p = abs(states[0].weights[1]) ** 2
+        fresh = p * sv.partial_trace(states[0].blocks[1][i], pr._RECEIVER_KEEP)
+        assert not rho.flags.writeable and np.array_equal(rho, fresh)
+        assert states[1].receiver_dm(i) is rho
+        with pytest.raises(ValueError, match="read-only"):
+            rho[0, 0] = 0
+
+
+def test_score_keeps_read_only_matrices_and_rescores_writable_ones():
+    info = make_inputs(1, 172)[0]
+    rho = np.outer(info.coeffs, info.coeffs.conj())
+    assert info.score(rho) == pytest.approx(1)
+    rho[...] = np.eye(4) / 4  # edited in place: scored afresh
+    assert info.score(rho) == pytest.approx(0.25)
+    assert info._scores == {}
+    rho.flags.writeable = False
+    assert info.score(rho) == pytest.approx(0.25)
+    assert info._scores[id(rho)][0] is rho
+    view = rho[:, :]  # read-only, but its base could change under it
+    assert info.score(view) == pytest.approx(0.25) and len(info._scores) == 1
+
+
 def test_kept_bell_steps_are_few_and_die_with_their_messages(monkeypatch):
     # every Bell outcome has probability 1/4 in both controller branches, so
     # all branches at one depth of a run carry the same weights: an s=3 sweep
     # keeps 5 steps per sender (pair 0 on the prepared block, pair 1 on its
-    # 4 children), each with its 4 outcomes.  A step holds no reference to
-    # the block that keeps it, so with the cycle collector off the messages,
-    # and every block with the steps it keeps, die as soon as the run returns
+    # 4 children), each with its 4 outcomes, and one receiver matrix per
+    # corrected leaf, each scored once.  A step holds no reference to the
+    # block that keeps it, so with the cycle collector off the messages, and
+    # every block with the steps, matrices and scores it keeps, die as soon
+    # as the run returns
     random_message = pr.InfoState.random
 
     def recording(keep):
@@ -485,6 +551,10 @@ def test_kept_bell_steps_are_few_and_die_with_their_messages(monkeypatch):
     def kept_steps(block):
         return [*block._steps.values(), *(s for child in block._children.values() for s in kept_steps(child))]
 
+    def kept_matrices(block):
+        below = [*block._children.values(), *block._corrected_by.values()]
+        return [*block._receiver_by.values(), *(m for child in below for m in kept_matrices(child))]
+
     made = []
     monkeypatch.setattr(pr.InfoState, "random", recording(made.append))
     harness.cmd_run(senders=3, mode="exhaustive")
@@ -493,13 +563,25 @@ def test_kept_bell_steps_are_few_and_die_with_their_messages(monkeypatch):
         steps = kept_steps(pr._block_state(info, pr._BRANCH_KINDS[0]))
         assert len(steps) == 5 and all(len(step.results) == 4 for step in steps)
         assert not kept_steps(pr._block_state(info, pr._BRANCH_KINDS[1]))
+        # one kept receiver matrix and one score per corrected leaf: 2 x 16
+        matrices = [m for kind in pr._BRANCH_KINDS for m in kept_matrices(pr._block_state(info, kind))]
+        assert len(matrices) == 32 and len(info._scores) == 32
+        assert {id(m) for m in matrices} == set(info._scores)
     refs = []
     monkeypatch.setattr(pr.InfoState, "random", recording(lambda info: refs.append(weakref.ref(info))))
+    score = pr.InfoState.score
+
+    def scoring(info, rho):
+        if not rho.flags.writeable:
+            refs.append(weakref.ref(rho))
+        return score(info, rho)
+
+    monkeypatch.setattr(pr.InfoState, "score", scoring)
     gc.disable()
     try:
         blocks = sum(isinstance(obj, pr._Block) for obj in gc.get_objects())
         harness.cmd_run(senders=4, mode="sampled:16")
-        assert len(refs) == 4 and all(ref() is None for ref in refs)
+        assert len(refs) == 4 + 4 * 16 and all(ref() is None for ref in refs)
         assert sum(isinstance(obj, pr._Block) for obj in gc.get_objects()) == blocks
     finally:
         gc.enable()

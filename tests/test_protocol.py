@@ -124,7 +124,6 @@ def test_outcome_record_takes_numpy_integers_as_ints():
     assert json.loads(json.dumps(pr.run_protocol(inputs, forced=record).to_dict()))["outcome"]["symbols"] == "l+,k+,1"
 
 
-
 def test_enumerated_records_equal_the_validated_ones():
     # enumerate_records skips the per-value checks on records it builds from
     # range(4); each must equal the record validated from the same values
@@ -478,7 +477,6 @@ def test_refused_bell_step_keeps_nothing(outcome, where):
     assert got == 0 and abs(prob - 1) < 1e-12
 
 
-
 @pytest.mark.parametrize("engine", pr.ENGINES)
 def test_bell_outcome_must_be_an_integer_on_both_engines(engine):
     # 1.0, np.float64(1.0) and True equal the outcome 1, but no engine takes
@@ -526,7 +524,7 @@ def test_score_keeps_read_only_matrices_and_rescores_writable_ones():
     rho.flags.writeable = False
     assert info.score(rho) == pytest.approx(0.25)
     assert info._scores[id(rho)][0] is rho
-    view = rho[:, :]  # read-only, but its base could change under it
+    view = rho[:, :]  # owns no data, so its base could change under it: never kept
     assert info.score(view) == pytest.approx(0.25) and len(info._scores) == 1
 
 

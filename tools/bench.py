@@ -74,8 +74,8 @@ def compare(parent: list[dict], change: list[dict], better: dict[str, str]) -> d
     gains where the change failed a larger share of its checks.
     """
     pairs = len(parent)
-    (pf, pa), (cf, ca) = ((sum(f for f, _ in runs), sum(a for _, a in runs))
-                          for runs in (failed(parent), failed(change)))
+    pf, pa = (sum(line[k] for line in parent) for k in ("failed", "attempted"))
+    cf, ca = (sum(line[k] for line in change) for k in ("failed", "attempted"))
     fails_no_more = cf * pa <= pf * ca  # cf / ca <= pf / pa, with no division by 0
     metrics = {}
     for name, direction in better.items():

@@ -16,16 +16,17 @@ Two interchangeable engines execute the same protocol:
   bits (``statevector._live``), then CNOT's flip of the second bit and H's
   signs, give the basis-changed block, and the 2x2 joint probabilities
   drive both draws.  Its corrections are signed permutations of the 64 block
-  amplitudes.  Blocks are never written, so each block (``_Block``) keeps
-  what it yields, and each message (``InfoState``) keeps the blocks built
-  from it: every state prepared from the same messages, such as all the
-  branches of a sampled run, reuses them and all they keep.  That includes
-  each Bell step (``_BellStep``): its draw totals, new weights and collapsed
-  blocks, kept on the branch-0 block per branch-1 block, pair and weights;
-  and each receiver matrix at its branch weight, read-only, with its
-  fidelity kept on the message (``InfoState.score``).  So once a branch's
-  Bell steps are done it reads only kept results, and the controller draw
-  reads its two probabilities from a bounded memo (``_branch_probs``).
+  amplitudes.  Messages and blocks are never written, so each result is
+  kept once, in one place, keyed by what it depends on.  A message
+  (``InfoState``) keeps its two sender blocks and the fidelity of each
+  read-only receiver matrix it scores (``InfoState.score``).  A block
+  (``_Block``) keeps its corrected forms, its receiver matrix at each branch
+  weight, read-only, and in branch 0 each Bell step taken on it
+  (``_BellStep``), per branch-1 block, pair and weights.  A step keeps the
+  two Bell splits it reads, its draw totals, and per outcome the new
+  weights and collapsed blocks.  Every state prepared from the same
+  messages, such as all the branches of a sampled run, reuses them all, so
+  once a branch's Bell steps are done it reads only kept results.
   ``block_outcome_table`` runs the same block calls over every outcome of
   one sender block, which gives all branches of the full protocol factorized.
 
@@ -373,28 +374,25 @@ class _Block(StateVector):
     """A sender block, which keeps what it yields.
 
     A block is never written once created (its array is read-only, so an
-    in-place kernel refuses it), so its results depend on it alone.  Each
-    is computed on first use and kept: the Bell split per sender pair, the
-    collapsed child per pair and outcome, the corrected form per correction
-    entry, the receiver-pair matrix, and that matrix times each branch
-    weight squared it is read at (``receiver_at``), both read-only like the
-    block.  A block in branch 0 also keeps the Bell steps taken on it
-    (``_BellStep``), per branch-1 block, pair and weights; a step refused
-    by ``ImpossibleBranchError`` keeps no result.
-    A prepared block is kept on its message (``_block_state``), so every
-    state that holds it reuses them: all states prepared from that message,
-    of either engine's preparation, and all their copies.
+    in-place kernel refuses it), so its results depend on it alone.  It
+    keeps three, each computed on first use: its corrected form per
+    correction entry, its receiver-pair matrix times each branch weight
+    squared it is read at (``receiver_at``, read-only like the block), and,
+    in branch 0, the Bell steps taken on it (``_BellStep``), per branch-1
+    block, pair and weights.  ``bell_split`` and ``receiver_mat`` compute
+    afresh: the step that reads a split keeps it, and the collapsed blocks
+    it makes live in its results.  A prepared block is kept on its message
+    (``_block_state``), so every state that holds it reuses what it keeps:
+    all states prepared from that message, of either engine's preparation,
+    and all their copies.
     """
 
-    __slots__ = ("_splits", "_children", "_corrected_by", "_receiver_rho", "_receiver_by", "_steps")
+    __slots__ = ("_corrected_by", "_receiver_by", "_steps")
 
     def __init__(self, amps: np.ndarray):
         super().__init__(6, amps, copy=False)
         self.amps.flags.writeable = False
-        self._splits = [None, None]
-        self._children = {}
         self._corrected_by = {}
-        self._receiver_rho = None
         self._receiver_by = {}
         self._steps = {}
 
@@ -407,29 +405,14 @@ class _Block(StateVector):
         probabilities given it, or None where its marginal is at most
         MIN_BRANCH_PROBABILITY, as a measurement drops that block's branch.
         """
-        split = self._splits[which]
-        if split is None:
-            # CNOT(a->b) takes the a = 1 half from bit b flipped, then H(a)
-            v = _live(self, _BELL_PAIRS[which]).reshape(2, 2, 16)
-            changed = (v[0] + _H_SIGN * v[1, ::-1]) * _SQRT2_INV
-            joint = (np.abs(changed) ** 2).sum(axis=2).tolist()
-            marginal = (sum(joint[0]), sum(joint[1]))
-            conditional = tuple((p[0] / m, p[1] / m) if m > MIN_BRANCH_PROBABILITY else None
-                                for p, m in zip(joint, marginal))
-            split = self._splits[which] = changed, joint, marginal, conditional
-        return split
-
-    def collapsed(self, which: int, bit_a: int, bit_b: int) -> "_Block":
-        """The normalized block after sender pair ``which`` reads (bit a, bit b)."""
-        key = which, bit_a, bit_b
-        child = self._children.get(key)
-        if child is None:
-            changed, joint, _, _ = self.bell_split(which)
-            amps = np.zeros(64, dtype=complex)
-            half = _live(StateVector(6, amps, copy=False), _BELL_PAIRS[which])[bit_a, bit_b]
-            half[...] = (changed[bit_a, bit_b] / math.sqrt(joint[bit_a][bit_b])).reshape(half.shape)
-            child = self._children[key] = _Block(amps)
-        return child
+        # CNOT(a->b) takes the a = 1 half from bit b flipped, then H(a)
+        v = _live(self, _BELL_PAIRS[which]).reshape(2, 2, 16)
+        changed = (v[0] + _H_SIGN * v[1, ::-1]) * _SQRT2_INV
+        joint = (np.abs(changed) ** 2).sum(axis=2).tolist()
+        marginal = (sum(joint[0]), sum(joint[1]))
+        conditional = tuple((p[0] / m, p[1] / m) if m > MIN_BRANCH_PROBABILITY else None
+                            for p, m in zip(joint, marginal))
+        return changed, joint, marginal, conditional
 
     def corrected(self, entry: corrections.CorrectionEntry) -> "_Block":
         """The block after ``entry``'s word on its receiver qubits."""
@@ -440,11 +423,8 @@ class _Block(StateVector):
         return block
 
     def receiver_mat(self) -> np.ndarray:
-        """The receiver pair's reduced density matrix, indexed 2a+b, read-only."""
-        if self._receiver_rho is None:
-            rho = self._receiver_rho = partial_trace(self, _RECEIVER_KEEP)
-            rho.flags.writeable = False
-        return self._receiver_rho
+        """The receiver pair's reduced density matrix, indexed 2a+b."""
+        return partial_trace(self, _RECEIVER_KEEP)
 
     def receiver_at(self, p: float) -> np.ndarray:
         """``p * receiver_mat()``, the receiver matrix of a branch whose weight
@@ -456,10 +436,22 @@ class _Block(StateVector):
         return rho
 
 
-# The weights are Python complex numbers, rounded as numpy's complex128 was:
-# ``abs(w) ** 2`` is numpy's value, and numpy divides a complex by a real as
-# a product with the reciprocal, so the renormalization is ``w * (1.0 / d)``,
-# not ``w / d``.  The totals add branch 0 first.
+def _collapsed(split: tuple, which: int, bit_a: int, bit_b: int) -> _Block:
+    """The normalized block after sender pair ``which`` reads (bit a, bit b),
+    from the pair's ``_Block.bell_split``."""
+    changed, joint, _, _ = split
+    amps = np.zeros(64, dtype=complex)
+    half = _live(StateVector(6, amps, copy=False), _BELL_PAIRS[which])[bit_a, bit_b]
+    half[...] = (changed[bit_a, bit_b] / math.sqrt(joint[bit_a][bit_b])).reshape(half.shape)
+    return _Block(amps)
+
+
+# The weights are Python complex numbers, rounded as numpy's complex128
+# scalars were.  Every weight squared is ``abs(w) ** 2``, the value of
+# numpy's scalar abs (its array ``np.abs`` rounds otherwise on about a third
+# of complex values).  numpy divides a complex by a real as a product with
+# the reciprocal, so the renormalization is ``w * (1.0 / d)``, not
+# ``w / d``.  The totals add branch 0 first.
 
 def _totals(w0: complex, w1: complex, probs0, probs1) -> tuple[float, float]:
     """A bit's two outcome weights over the branches, given its (P0, P1) in
@@ -499,23 +491,26 @@ class _BellStep:
     Its result is a function of those and the outcome alone, so the branch-0
     block keeps it (``_Block._steps``), keyed by the branch-1 block, the pair
     and the weights.  A branch takes part while its weight squared exceeds
-    MIN_BRANCH_PROBABILITY, and reads its block's kept split
-    (``_Block.bell_split``).  The step keeps bit a's two totals, per bit a
-    the reweighted weights and bit b's totals, and per outcome the whole
-    result in ``results``: ``(weights, child0, child1, outcome, prob)``,
-    where a child is the branch's collapsed block, or None where the branch
-    keeps its block.  So a step holds no reference to the block that keeps
-    it, and the kept steps die with their message by reference counting
+    MIN_BRANCH_PROBABILITY, and the step reads that branch's block's split
+    (``_Block.bell_split``) once and keeps it.  The step keeps bit a's two
+    totals, per bit a the reweighted weights and bit b's totals, and per
+    outcome the whole result in ``results``: ``(weights, child0, child1,
+    outcome, prob)``, where a child is the branch's collapsed block, made
+    from the kept split, or None where the branch keeps its block.  So each
+    collapsed block lives in the one result that made it.  A step holds no
+    reference to the block that keeps it (a split is a fresh array, not a
+    view), and the kept steps die with their message by reference counting
     (the key holds the branch-1 block, which no protocol state also holds
     in branch 0).  An outcome that ``_draw_bit`` refuses is never kept.
     """
 
-    __slots__ = ("_totals_a", "_after", "results")
+    __slots__ = ("_splits", "_totals_a", "_after", "results")
 
     def __init__(self, block0: _Block, block1: _Block, which: int, weights: tuple[complex, complex]):
         w0, w1 = weights
         split0 = block0.bell_split(which) if abs(w0) ** 2 > MIN_BRANCH_PROBABILITY else None
         split1 = block1.bell_split(which) if abs(w1) ** 2 > MIN_BRANCH_PROBABILITY else None
+        self._splits = split0, split1
         marginal0 = split0[2] if split0 else None
         marginal1 = split1[2] if split1 else None
         self._totals_a = _totals(w0, w1, marginal0, marginal1)
@@ -531,7 +526,7 @@ class _BellStep:
         self._after = after
         self.results = {}
 
-    def take(self, block0: _Block, block1: _Block, i: int, which: int, forced, rng) -> tuple:
+    def take(self, i: int, which: int, forced, rng) -> tuple:
         """Draw both bits through ``_draw_bit``, forced or from ``rng``, and
         return the outcome's result, computing and keeping it on first use."""
         fa, fb = (None, None) if forced is None else _bell_bits(forced)
@@ -544,19 +539,11 @@ class _BellStep:
         result = self.results.get(outcome)
         if result is None:
             w0, w1, keep0, keep1 = _reweighted(wa0, wa1, cond0, cond1, bit_b, pb)
-            child0 = block0.collapsed(which, bit_a, bit_b) if keep0 else None
-            child1 = block1.collapsed(which, bit_a, bit_b) if keep1 else None
+            split0, split1 = self._splits
+            child0 = _collapsed(split0, which, bit_a, bit_b) if keep0 else None
+            child1 = _collapsed(split1, which, bit_a, bit_b) if keep1 else None
             result = self.results[outcome] = (w0, w1), child0, child1, outcome, pa * pb
         return result
-
-
-@functools.lru_cache(maxsize=16)
-def _branch_probs(weights: tuple[complex, complex]) -> tuple[float, float]:
-    """Both branches' weight squared, by numpy's array abs (Python's abs
-    rounds otherwise on a third of values).  A run's weights after its Bell
-    steps repeat from branch to branch, so the few pairs are kept."""
-    p0, p1 = (np.abs(weights) ** 2).tolist()
-    return p0, p1
 
 
 class StructuredState:
@@ -583,12 +570,15 @@ class StructuredState:
     found on the branch-0 block by the branch-1 block, the pair and the
     weights: a forced outcome that the step has given before costs two dict
     lookups, and a sampled one draws both bits from the step's kept totals.
+    The blocks a Bell pair leaves are the step result's collapsed blocks.
     A step assigns the weights and blocks only once both bits are drawn, so
     a Bell pair refused at either bit (``ImpossibleBranchError``) leaves
     the state as it was.  With one controller branch left, as after
     ``measure_controller``, ``receiver_dm`` returns the matrix its block
     keeps for that weight (``_Block.receiver_at``), read-only and the same
     object on every call; with both, it returns a fresh writable mixture.
+    ``measure_controller`` draws from the two weights squared, computed
+    afresh each call.
 
     No protocol run takes the per-branch drop: every Bell outcome has
     probability 1/4 in both controller branches, for every message, since
@@ -624,7 +614,7 @@ class StructuredState:
         # only an int is looked up: 1.0 and True equal 1, and _bell_bits refuses them
         result = step.results.get(forced) if type(forced) is int else None
         if result is None:
-            result = step.take(block0, block1, i, which, forced, rng)
+            result = step.take(i, which, forced, rng)
         self.weights, child0, child1, outcome, prob = result
         if child0 is not None:
             blocks0[i] = child0
@@ -633,7 +623,8 @@ class StructuredState:
         return outcome, prob
 
     def measure_controller(self, *, forced=None, rng=None) -> tuple[int, float]:
-        z, prob = _draw_bit(*_branch_probs(self.weights), "controller", forced=forced, rng=rng)
+        w0, w1 = self.weights
+        z, prob = _draw_bit(abs(w0) ** 2, abs(w1) ** 2, "controller", forced=forced, rng=rng)
         weights = [0j, 0j]
         weights[z] = self.weights[z] * (1.0 / abs(self.weights[z]))
         self.weights = tuple(weights)
@@ -787,16 +778,14 @@ def block_outcome_table(info: InfoState, receiver: str) -> tuple[np.ndarray, np.
     fidelities = np.empty((2, 4, 4))
     target = info.target_state()
     for z, kind in enumerate(_BRANCH_KINDS):
-        block = _block_state(info, kind)
-        joint0 = block.bell_split(0)[1]
+        split0 = _block_state(info, kind).bell_split(0)
         for g in range(4):
             ga, gb = _bell_bits(g)
-            child = block.collapsed(0, ga, gb)
-            joint1 = child.bell_split(1)[1]
+            split1 = _collapsed(split0, 0, ga, gb).bell_split(1)
             for h in range(4):
                 ha, hb = _bell_bits(h)
-                leaf = child.collapsed(1, ha, hb)
-                probs[z, g, h] = joint0[ga][gb] * joint1[ha][hb]
+                leaf = _collapsed(split1, 1, ha, hb)
+                probs[z, g, h] = split0[1][ga][gb] * split1[1][ha][hb]
                 entry = corrections.table_lookup(receiver, (g, h, z))
                 fidelities[z, g, h] = dm_fidelity(leaf.corrected(entry).receiver_mat(), target)
     return probs, fidelities

@@ -161,8 +161,8 @@ def _draw_bit(
     MIN_BRANCH_PROBABILITY; ``where`` names the measured qubit in that error.
     """
     if forced is not None:
-        if forced not in (0, 1):
-            raise ValueError(f"forced outcome must be 0 or 1, got {forced}")
+        if not (_is_integer(forced) and forced in (0, 1)):
+            raise ValueError(f"forced outcome must be the integer 0 or 1, got {forced!r}")
         bit = forced
     elif rng is None:
         raise ValueError("sampled measurement needs an explicit rng")

@@ -1,9 +1,10 @@
 """The benchmark runner's arithmetic (``tools/bench.py``) on made-up run.py
 result lines: quartiles, one commit's summary, wins, the gain rule, the
-workload names ``all`` stands for and the next BENCH file number.  No
-benchmark runs here."""
+workload names ``all`` stands for, the next BENCH file number and the
+reading of run.py's output.  No benchmark runs here."""
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,9 @@ import pytest
 _SPEC = importlib.util.spec_from_file_location("bench", Path(__file__).resolve().parents[1] / "tools" / "bench.py")
 bench = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench)
+
+
+TRACEBACK = "# sweep-s3 seed=1\nTraceback (most recent call last):\nKeyError: 'x'\n"
 
 
 def line(failed=0, **values):
@@ -100,3 +104,22 @@ def test_result_line_and_facts_are_read_from_run_output():
     assert bench.last_json_line(stdout) == line(wall_s=0.6)
     assert bench.machine_facts(stdout) == facts
     assert bench.machine_facts("wall_s 0.6 s\n") is None
+    for stdout in (TRACEBACK, "", "[1, 2]\n", '{"metrics": {}}\n'):
+        with pytest.raises(ValueError, match="its last line is not a result object"):
+            bench.last_json_line(stdout)
+
+
+def test_a_run_without_a_result_line_names_its_workload_checkout_and_exit_code(monkeypatch):
+    # run.py exits 1 both when a check fails and when it dies with a
+    # traceback; only a last line holding a result object is a finished run
+    def run_prints(stdout, code):
+        monkeypatch.setattr(bench.subprocess, "run",
+                            lambda argv, **kw: subprocess.CompletedProcess(argv, code, stdout=stdout))
+
+    finished = json.dumps(line(wall_s=0.6, failed=1)) + "\n"
+    run_prints(finished, 1)
+    assert bench.run_once(Path("change"), "sweep-s3", 1, 8.0) == (line(wall_s=0.6, failed=1), finished)
+    for stdout, code in ((TRACEBACK, 1), ("[1, 2]\n", 0), ("", 3)):
+        run_prints(stdout, code)
+        with pytest.raises(RuntimeError, match=f"^sweep-s3 in change exited with code {code}"):
+            bench.run_once(Path("change"), "sweep-s3", 1, 8.0)

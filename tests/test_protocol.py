@@ -481,7 +481,9 @@ def test_refused_bell_step_keeps_nothing(outcome, where):
 def test_bell_outcome_must_be_an_integer_on_both_engines(engine):
     # 1.0, np.float64(1.0) and True equal the outcome 1, but no engine takes
     # them: not on a fresh state, and not once a forced 1 is kept (the
-    # structured engine keeps its Bell steps on the blocks all states share)
+    # structured engine keeps its Bell steps on the blocks all states share).
+    # Nor does either engine's controller bit or statevector.measure_qubit,
+    # which take a numpy integer
     inputs = make_inputs(1, 170)
     for kept in (False, True):
         if kept:
@@ -490,6 +492,12 @@ def test_bell_outcome_must_be_an_integer_on_both_engines(engine):
             state = pr.assemble_global(inputs, engine)
             with pytest.raises(ValueError, match="Bell outcome must be an integer"):
                 state.bsm_pair(0, forced=bad)
+            with pytest.raises(ValueError, match="forced outcome must be the integer 0 or 1"):
+                state.measure_controller(forced=bad)
+            with pytest.raises(ValueError, match="forced outcome must be the integer 0 or 1"):
+                sv.measure_qubit(sv.StateVector(1, np.array([0.6, 0.8])), 0, forced=bad)
+    assert pr.assemble_global(inputs, engine).measure_controller(forced=np.int64(1))[0] == 1
+    assert sv.measure_qubit(sv.StateVector(1, np.array([0.6, 0.8])), 0, forced=np.int64(1))[0] == 1
 
 
 def test_structured_receiver_dm_is_kept_read_only():
@@ -533,7 +541,9 @@ def test_kept_bell_steps_are_few_and_die_with_their_messages(monkeypatch):
     # all branches at one depth of a run carry the same weights: an s=3 sweep
     # keeps 5 steps per sender (pair 0 on the prepared block, pair 1 on its
     # 4 children), each with its 4 outcomes, and one receiver matrix per
-    # corrected leaf, each scored once.  A step holds no reference to the
+    # corrected leaf, each scored once.  Each Bell split, collapsed block and
+    # receiver matrix is computed once: two splits per step, two collapsed
+    # blocks per result, kept in it.  A step holds no reference to the
     # block that keeps it, so with the cycle collector off the messages, and
     # every block with the steps, matrices and scores it keeps, die as soon
     # as the run returns
@@ -546,23 +556,36 @@ def test_kept_bell_steps_are_few_and_die_with_their_messages(monkeypatch):
             return info
         return random
 
-    def kept_steps(block):
-        return [*block._steps.values(), *(s for child in block._children.values() for s in kept_steps(child))]
+    def kept_blocks(block):
+        """The block and all it keeps: its corrected forms, and the collapsed
+        blocks in its steps' results, (weights, child0, child1, outcome, prob)."""
+        below = [*block._corrected_by.values(),
+                 *(child for step in block._steps.values() for result in step.results.values()
+                   for child in result[1:3] if child is not None)]
+        return [block, *(kept for child in below for kept in kept_blocks(child))]
 
-    def kept_matrices(block):
-        below = [*block._children.values(), *block._corrected_by.values()]
-        return [*block._receiver_by.values(), *(m for child in below for m in kept_matrices(child))]
+    def counted(name, function):
+        def call(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return function(*args)
+        return call
 
+    calls = {}
+    for owner, name in ((pr._Block, "bell_split"), (pr, "_collapsed"), (pr._Block, "receiver_mat")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     made = []
     monkeypatch.setattr(pr.InfoState, "random", recording(made.append))
     harness.cmd_run(senders=3, mode="exhaustive")
     assert len(made) == 3
+    assert calls == {"bell_split": 3 * 5 * 2, "_collapsed": 3 * 5 * 4 * 2, "receiver_mat": 3 * 32}
     for info in made:
-        steps = kept_steps(pr._block_state(info, pr._BRANCH_KINDS[0]))
+        prepared0, prepared1 = (pr._block_state(info, kind) for kind in pr._BRANCH_KINDS)
+        blocks = kept_blocks(prepared0)
+        steps = [step for block in blocks for step in block._steps.values()]
         assert len(steps) == 5 and all(len(step.results) == 4 for step in steps)
-        assert not kept_steps(pr._block_state(info, pr._BRANCH_KINDS[1]))
+        assert kept_blocks(prepared1) == [prepared1]
         # one kept receiver matrix and one score per corrected leaf: 2 x 16
-        matrices = [m for kind in pr._BRANCH_KINDS for m in kept_matrices(pr._block_state(info, kind))]
+        matrices = [m for block in blocks for m in block._receiver_by.values()]
         assert len(matrices) == 32 and len(info._scores) == 32
         assert {id(m) for m in matrices} == set(info._scores)
     refs = []

@@ -115,7 +115,17 @@ def next_bench_path(root: Path) -> Path:
 
 
 def last_json_line(stdout: str) -> dict:
-    return json.loads(stdout.strip().splitlines()[-1])
+    """The result object that run.py prints on its last line, with its
+    metrics and check counts; a ValueError where the last line is not one,
+    as after a traceback."""
+    last = stdout.strip().rsplit("\n", 1)[-1]
+    try:
+        line = json.loads(last)
+    except json.JSONDecodeError:
+        line = None
+    if not (isinstance(line, dict) and {"metrics", "failed", "attempted"} <= line.keys()):
+        raise ValueError(f"its last line is not a result object: {last[:120]!r}")
+    return line
 
 
 def machine_facts(stdout: str) -> dict | None:
@@ -143,9 +153,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, env=env, stdout=subprocess.PIPE, text=True,
                           timeout=RUN_TIMEOUT_S, check=False)
-    if proc.returncode not in (0, 1):  # 1: the run finished and a check failed
-        raise RuntimeError(f"{workload} in {checkout} exited with code {proc.returncode}")
-    return last_json_line(proc.stdout), proc.stdout
+    failure = f"{workload} in {checkout} exited with code {proc.returncode}"
+    if proc.returncode not in (0, 1):  # 1: the run finished and a check failed, or it raised
+        raise RuntimeError(failure)
+    try:
+        return last_json_line(proc.stdout), proc.stdout
+    except ValueError as err:
+        raise RuntimeError(f"{failure}; {err}") from None
 
 
 def spread(q: dict) -> str:

@@ -5,11 +5,11 @@ dests are the keyword names of its harness driver, and the driver itself,
 set as the subparser's ``driver`` default.  ``main`` calls that driver with
 the parsed options, prints a pass/fail summary and optionally writes the full
 JSON report; the exit code is 0 only if every assertion in the report passed,
-1 if one failed (a catalog mismatch is one), and 2 if the command could not
-produce or write a report (a usage error, bad input, an impossible forced
-branch, a table that cannot be derived, or an ``--out`` path that cannot be
-written), which prints one ``error:`` line and, when the command failed,
-writes a failure report to ``--out``.
+1 if one failed (a catalog mismatch or a table that cannot be derived is
+one), and 2 if the command could not produce or write a report (a usage
+error, bad input, an impossible forced branch, or an ``--out`` path that
+cannot be written), which prints one ``error:`` line and, when the command
+failed, writes a failure report to ``--out``.
 """
 from __future__ import annotations
 
@@ -17,11 +17,10 @@ import argparse
 import sys
 
 from . import harness, protocol
-from .corrections import TableDerivationError
 from .statevector import HARD_QUBIT_CAP, ImpossibleBranchError
 
 # Errors that end a command without a report: exit 2, never a traceback.
-COMMAND_ERRORS = (ValueError, OSError, ImpossibleBranchError, TableDerivationError)
+COMMAND_ERRORS = (ValueError, OSError, ImpossibleBranchError)
 
 
 class _Parser(argparse.ArgumentParser):

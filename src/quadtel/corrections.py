@@ -8,9 +8,10 @@ measurements it reads the receiver pair from the state's live view, which
 leaves out the measured qubits' zeroed amplitudes.  The run is linear
 in the message, so a forced branch (g, h, z) is one 4x4 operator K, and a
 check of K holds for every message at once.  ``derive_correction`` finds the
-Pauli word U with U·K = +-I/sqrt(32); ``verify_tables`` compares it with every
-transcribed column.  The sweep reads no random input: a ``verify-tables
---seed`` value is only recorded in the report.
+Pauli word U with U·K = +-I/sqrt(32), or None; ``verify_tables`` compares it
+with every transcribed column, and a None word matches none.  The sweep
+reads no random input: a ``verify-tables --seed`` value is only recorded in
+the report.
 
 The catalog has 16 two-qubit collapse patterns, repeated for each sender
 block with that sender's symbols, each a signed permutation matrix in
@@ -89,10 +90,6 @@ class CorrectionEntry:
     def same_word(self, other: "CorrectionEntry") -> bool:
         """Equality up to global phase: the factor pairs match."""
         return self.first is other.first and self.second is other.second
-
-
-class TableDerivationError(RuntimeError):
-    """No correction word maps a branch operator to +-I/sqrt(32)."""
 
 
 _I, _X, _Z, _XZ = PauliFactor.I, PauliFactor.X, PauliFactor.Z, PauliFactor.XZ
@@ -251,19 +248,20 @@ _WORDS = tuple(CorrectionEntry(first, second) for first, second in itertools.pro
 _WORD_INVERSES = np.stack([word.unitary().conj().T for word in _WORDS])
 
 
-def derive_correction(key: tuple[int, int, int], op: np.ndarray) -> CorrectionEntry:
-    """The one Pauli word U with U·K = lambda·I, lambda = +-1/sqrt(32), for K = ``op``.
+def derive_correction(op: np.ndarray) -> CorrectionEntry | None:
+    """The one Pauli word U with U·K = lambda·I, lambda = +-1/sqrt(32), for K = ``op``, or None.
 
-    Such a word restores every message of branch ``key`` exactly.  One
-    product gives K's Hilbert-Schmidt component along each inverse word; at
-    most one fits, as they are pairwise orthogonal.  The phase flag records
-    lambda < 0: the word maps the collapse to minus the message.
+    Such a word restores every message of the branch exactly.  One product
+    gives K's Hilbert-Schmidt component along each inverse word; at most one
+    fits, as they are pairwise orthogonal.  The phase flag records lambda <
+    0: the word maps the collapse to minus the message.  None, where no word
+    fits, fails the report's word and catalog checks.
     """
     lams = np.einsum("kij,ij->k", _WORD_INVERSES.conj(), op) / 4
     k = int(np.argmax(np.abs(lams)))
     lam = complex(lams[k])
     if max(abs(abs(lam) - BRANCH_AMPLITUDE), abs(lam.imag), np.abs(op - lam * _WORD_INVERSES[k]).max()) > OPERATOR_TOL:
-        raise TableDerivationError(f"no word maps the branch operator of (g, h, z) = {key} to +-I/sqrt(32)")
+        return None
     return replace(_WORDS[k], phase_pi=lam.real < 0)
 
 
@@ -343,20 +341,20 @@ def verify_tables() -> dict:
     keys = [(g, h, z) for g, h in itertools.product(range(4), repeat=2) for z in (0, 1)]
     assignment = {}
     for key in keys:
-        derived = derive_correction(key, branch_operator(key))
-        assignment[key] = match_eta(derived)
+        derived = derive_correction(branch_operator(key))
+        assignment[key] = None if derived is None else match_eta(derived)
         for receiver in RECEIVERS:
             printed = table_lookup(receiver, key)
-            match = printed.same_word(derived)
+            match = derived is not None and printed.same_word(derived)
             n_matched += match
             comparisons.append(
                 {
                     "receiver": receiver,
                     "key": list(key),
                     "printed": printed.word(),
-                    "derived": derived.word(),
+                    "derived": None if derived is None else derived.word(),
                     "word_match": match,
-                    "phase_flags_agree": printed.phase_pi == derived.phase_pi,
+                    "phase_flags_agree": derived is not None and printed.phase_pi == derived.phase_pi,
                 }
             )
     columns_identical = all(

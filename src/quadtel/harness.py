@@ -206,8 +206,8 @@ def render_report(report: dict) -> str:
     """The report as compact JSON with sorted keys, plus a newline.
 
     A report holds no cycle: ``_report`` builds it from fresh containers, and
-    the transcript records that its branches share hold only strings and
-    integers.  So the encoder skips its circular-reference scan."""
+    the shared transcript records of the ``efficiency`` report hold only
+    strings and integers.  So the encoder skips its circular-reference scan."""
     return json.dumps(report, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
@@ -398,12 +398,13 @@ def cmd_verify_tables(seed: int = 0) -> dict:
 
 
 def cmd_efficiency() -> dict:
-    """Comparison-table reproduction with the protocol's own transcript bits."""
+    """Comparison-table reproduction with the protocol's own transcript, and its bits."""
     rows = reproduce_comparison_table()
     rng = np.random.default_rng(0xB17)
     inputs = [protocol.InfoState.random(rng) for _ in range(4)]
     record = protocol.OutcomeRecord((0,) * 8, 0)
-    transcript_bits = protocol.run_protocol(inputs, forced=record).classical_bits_sent
+    run = protocol.run_protocol(inputs, forced=record)
+    transcript_bits = run.classical_bits_sent
     *theirs, ours = rows
     assertions = [
         check_flag(f"tau_row_{i}_is_truncation", row["published_is_truncation"])
@@ -414,7 +415,7 @@ def cmd_efficiency() -> dict:
         check_close("transcript_bits_match_cost_model", float(ours["b_t"]), float(transcript_bits), 0.0),
     ]
     return _report("efficiency", None, assertions, efficiency=rows, notes=[THIS_WORK_NOTE],
-                   transcript_bits=transcript_bits)
+                   transcript=list(run.transcript), transcript_bits=transcript_bits)
 
 
 def cmd_verify_expansion(seed: int = 0) -> dict:

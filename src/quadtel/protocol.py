@@ -199,8 +199,9 @@ class ProtocolReport:
     """One run's outcome and scores.
 
     The transcript's records are shared by every report of the process (see
-    ``_BSM_MESSAGES``), and ``to_dict`` hands out the same records: they are
-    read-only report data.
+    ``_BSM_MESSAGES``): they are read-only.  ``to_dict`` leaves the
+    transcript out, since it is a function of ``outcome`` alone (README,
+    "Report schema"), and keeps its bit count.
     """
 
     outcome: OutcomeRecord
@@ -218,7 +219,6 @@ class ProtocolReport:
             "per_receiver_fidelity": list(self.per_receiver_fidelity),
             "classical_bits_sent": self.classical_bits_sent,
             "engine": self.engine,
-            "transcript": list(self.transcript),
         }
 
 
@@ -305,8 +305,8 @@ class DenseState:
         halves together record none: there the parity is Elle's bit.
         """
         s = _validate_inputs(inputs)
-        if z not in (None, 0, 1):
-            raise ValueError(f"controller bit must be None, 0 or 1, got {z!r}")
+        if not (z is None or (_is_integer(z) and z in (0, 1))):
+            raise ValueError(f"controller bit must be None or the integer 0 or 1, got {z!r}")
         low0, low1 = ([_block_state(info, kind) for info in reversed(inputs)] for kind in _BRANCH_KINDS)
         c0, c1 = (_SQRT2_INV if z in (None, k) else 0.0 for k in (0, 1))
         dense = cls(s, controlled_sum(low0, low1, c0, c1))

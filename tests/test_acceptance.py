@@ -126,7 +126,7 @@ def test_criterion_6_catalog_coverage():
     messages = (np.eye(4)[0], make_inputs(1, 600)[0].coeffs)  # |00> and a seeded one
     for key in itertools.product(range(4), range(4), (0, 1)):
         op = co.branch_operator(key)
-        pattern = co.match_eta(co.derive_correction(key, op))  # K = ±P/sqrt(32) for this pattern
+        pattern = co.match_eta(co.derive_correction(op))  # K = ±P/sqrt(32) for this pattern
         assert pattern is not None, key
         for c in messages:
             collapsed, prob = co.collapse_single_sender(c, *key)
@@ -146,8 +146,17 @@ def test_criterion_7_efficiency_reproduction():
     ours = rows[3]
     exact = 100 * ours["q_s"] * 37 == 800 * (ours["q_u"] + ours["b_t"])
     bits = report["transcript_bits"]
+    # README's rule for the forced outcome (0,)*8, z=0: sender i sends its two
+    # Bell outcomes to fancy(i+1), 2 bits each, then Elle sends z to each receiver
+    bell, z = (0,) * 8, 0
+    rule_transcript = [{"from": ("alice", "bob", "charlie", "david")[j // 2], "to": f"fancy{j // 2 + 1}",
+                        "kind": "bsm", "value": value, "bits": 2} for j, value in enumerate(bell)]
+    rule_transcript += [{"from": "elle", "to": f"fancy{i + 1}", "kind": "controller", "value": z, "bits": 1}
+                        for i in range(4)]
+    transcript = report["transcript"]
     ok = (taus == [18.75, 15.3846, 19.0476, 21.6216] and rule == [True, True, True, False] and exact
-          and bits == 20 and hz.report_passed(report))
+          and bits == 20 and hz.report_passed(report)
+          and transcript == rule_transcript and sum(m["bits"] for m in transcript) == bits)
     _line(7, ok, f"computed taus {taus}; published tau is the two-decimal truncation on rows 0-2 "
                  f"but not on row 3 ({ours['published_tau']} vs 800/37 = {ours['truncated_tau']}...): "
                  f"{rule}; transcript bits {bits}")

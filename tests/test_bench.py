@@ -1,6 +1,6 @@
 """The benchmark runner's arithmetic (``tools/bench.py``) on made-up run.py
 result lines: quartiles, one commit's summary, wins, the gain rule, the
-workload names ``all`` stands for, the next BENCH file number and the
+no-regression verdict, the workload names ``all`` stands for, the next BENCH file number and the
 reading of run.py's output.  No benchmark runs here."""
 import importlib.util
 import json
@@ -15,6 +15,7 @@ _SPEC.loader.exec_module(bench)
 
 
 TRACEBACK = "# sweep-s3 seed=1\nTraceback (most recent call last):\nKeyError: 'x'\n"
+BOUNDS = {"wall_s": 0.25, "branches_per_s": 0.25}
 
 
 def line(failed=0, **values):
@@ -38,7 +39,7 @@ def test_compare_counts_wins_and_applies_the_gain_rule():
     parent = [line(wall_s=1 + k / 100, branches_per_s=100 - k, failed=int(k == 5)) for k in range(10)]
     change = [line(wall_s=0.9 + k / 100 if k < 9 else 1.09, branches_per_s=101 - k if k < 9 else 91,
                    failed=int(k == 3)) for k in range(10)]
-    result = bench.compare(parent, change, {"wall_s": "lower", "branches_per_s": "higher"})
+    result = bench.compare(parent, change, {"wall_s": "lower", "branches_per_s": "higher"}, BOUNDS)
     wall, rate = result["metrics"]["wall_s"], result["metrics"]["branches_per_s"]
     assert result["pairs"] == 10
     assert wall["parent"] == pytest.approx({"q1": 1.0175, "median": 1.045, "q3": 1.0725})
@@ -54,7 +55,7 @@ def test_gain_needs_nine_wins_in_ten():
     parent = [line(wall_s=1.0) for _ in range(10)]
     for wins, gain in ((8, False), (9, True), (10, True)):
         change = [line(wall_s=0.5 if k < wins else 1.5) for k in range(10)]
-        got = bench.compare(parent, change, {"wall_s": "lower"})["metrics"]["wall_s"]
+        got = bench.compare(parent, change, {"wall_s": "lower"}, BOUNDS)["metrics"]["wall_s"]
         assert (got["wins"], got["gain"]) == (wins, gain)
 
 
@@ -64,10 +65,28 @@ def test_no_gain_where_the_change_fails_a_larger_share_of_checks():
     parent = [line(wall_s=1.0, failed=int(k < 2)) for k in range(10)]  # 2 of 1000
     for change_failed, gain in ((0, True), (2, True), (3, False)):
         change = [line(wall_s=0.5, failed=int(k < change_failed)) for k in range(10)]
-        assert bench.compare(parent, change, {"wall_s": "lower"})["metrics"]["wall_s"]["gain"] is gain
+        assert bench.compare(parent, change, {"wall_s": "lower"}, BOUNDS)["metrics"]["wall_s"]["gain"] is gain
     clean = [line(wall_s=1.0) for _ in range(10)]
     one_failed = [line(wall_s=0.5, failed=int(k == 9)) for k in range(10)]
-    assert bench.compare(clean, one_failed, {"wall_s": "lower"})["metrics"]["wall_s"]["gain"] is False
+    assert bench.compare(clean, one_failed, {"wall_s": "lower"}, BOUNDS)["metrics"]["wall_s"]["gain"] is False
+
+
+def test_verdict_allows_the_bound_and_is_unresolved_where_the_parent_spreads_wider():
+    # tight parent: walls 1.00..1.09 (median 1.045, IQR 0.055) and rates
+    # 100..91 (median 95.5); a 25 % bound allows 0.26125 s and 23.875 /s
+    better = {"wall_s": "lower", "branches_per_s": "higher"}
+    parent = [line(wall_s=1 + k / 100, branches_per_s=100 - k) for k in range(10)]
+    for wall, rate, verdict in ((1.2, 75.0, "ok"), (1.31, 71.0, "worse"), (0.5, 200.0, "ok")):
+        change = [line(wall_s=wall, branches_per_s=rate) for _ in range(10)]
+        got = bench.compare(parent, change, better, BOUNDS)["metrics"]
+        assert (got["wall_s"]["verdict"], got["branches_per_s"]["verdict"]) == (verdict, verdict)
+    # wide parent: walls 1 and 2 alternating (median 1.5, IQR 1 > 0.375), so
+    # neither a like nor a far worse change is resolved; a change whose every
+    # run beats every parent run is
+    wide = [line(wall_s=1.0 + k % 2) for k in range(10)]
+    for wall, verdict in ((1.5, "unresolved"), (5.0, "unresolved"), (0.99, "ok")):
+        change = [line(wall_s=wall) for _ in range(10)]
+        assert bench.compare(wide, change, {"wall_s": "lower"}, BOUNDS)["metrics"]["wall_s"]["verdict"] == verdict
 
 
 def test_summarize_gives_one_commits_quartiles_and_failed_checks():

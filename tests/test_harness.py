@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadtel import channel as ch
 from quadtel import cli
 from quadtel import corrections as co
 from quadtel import harness as hz
@@ -239,8 +240,10 @@ def test_render_report_refuses_what_json_refuses(bad):
 
 def test_exhaustive_report_branches_match_forced_reports():
     # each branch of the exhaustive sweep is reported as a forced run of the
-    # same record would report it, whatever the sweep ran before it
+    # same record would report it, whatever the sweep ran before it; no
+    # record repeats the transcript, which its outcome gives
     swept = hz.cmd_run(senders=1, seed=9, mode="exhaustive")
+    assert not any("transcript" in branch for branch in swept["branches"])
     for branch in swept["branches"]:
         forced = hz.cmd_run(senders=1, seed=9, mode="forced:" + branch["outcome"]["symbols"])
         assert forced["branches"] == [branch]
@@ -464,7 +467,7 @@ def test_cli_rejects_negative_seed(capsys, argv):
         assert err == f"error: bad --seed {seed}: the seed is a non-negative integer\n"
 
 
-@pytest.mark.parametrize("error", [sv.ImpossibleBranchError, co.TableDerivationError])
+@pytest.mark.parametrize("error", [sv.ImpossibleBranchError])
 @pytest.mark.parametrize("argv, cmd_name", [
     (["run", "--senders", "1"], "cmd_run"),
     (["verify-tables"], "cmd_verify_tables"),
@@ -503,10 +506,33 @@ def test_broken_catalog_pattern_fails_the_catalog_checks(tmp_path, capsys, monke
     assert 5 not in eta_map.values() and len(eta_map) == 32
 
 
+def test_underivable_table_fails_its_checks_without_a_traceback(tmp_path, capsys, monkeypatch):
+    # a 3e-5 rad phase on one kappa+ amplitude leaves no word fitting the
+    # branch operator of any z=0 key: the report names those keys with a
+    # null word, and verify-tables exits 1, a failed check, not 2
+    kappa = ch.BELL_COEFFS[ch.BellKind.KAPPA_PLUS] * np.array([1, 1, 1, np.exp(3e-5j)])
+    monkeypatch.setitem(ch.BELL_COEFFS, ch.BellKind.KAPPA_PLUS, kappa)
+    out = tmp_path / "tables.json"
+    assert cli.main(["verify-tables", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and "Traceback" not in captured.out
+    report = json.loads(out.read_text())
+    words = next(a for a in report["assertions"] if a["name"] == "table_word_matches")
+    assert (words["expected"], words["measured"]) == (128.0, 64.0)
+    assert {a["name"] for a in report["assertions"] if not a["pass"]} == {
+        "table_word_matches", "catalog_map_total", "catalog_map_two_to_one"}
+    comparisons = report["tables"]["comparisons"]
+    null_keys = {tuple(c["key"]) for c in comparisons if c["derived"] is None}
+    assert null_keys == {(g, h, 0) for g in range(4) for h in range(4)}
+    assert all(not c["word_match"] for c in comparisons if c["derived"] is None)
+    assert sorted(k for k, v in report["tables"]["eta_map"].items() if v is None) == sorted(
+        f"{g},{h},{z}" for g, h, z in null_keys)
+
+
 def test_catalog_error_names_its_key(monkeypatch):
     # (2, 1, 1) derives this word; with its pattern gone, eta_map names the
     # keys deriving it, and only those, as unmatched
-    word = co.derive_correction((2, 1, 1), co.branch_operator((2, 1, 1)))
+    word = co.derive_correction(co.branch_operator((2, 1, 1)))
     unmatched = dict(co._WORD_PATTERNS)
     lost = unmatched[word.first, word.second]
     unmatched[word.first, word.second] = None
@@ -516,7 +542,7 @@ def test_catalog_error_names_its_key(monkeypatch):
     assert "2,1,1" in nulls and len(nulls) == 2
     for key in nulls:
         g, h, z = map(int, key.split(","))
-        assert co.derive_correction((g, h, z), co.branch_operator((g, h, z))).same_word(word)
+        assert co.derive_correction(co.branch_operator((g, h, z))).same_word(word)
     assert lost not in tables["eta_map"].values()
     assert not tables["eta_total"] and not tables["eta_two_to_one"] and not tables["all_ok"]
     assert tables["n_matched"] == tables["n_total"]

@@ -482,8 +482,8 @@ def test_bell_outcome_must_be_an_integer_on_both_engines(engine):
     # 1.0, np.float64(1.0) and True equal the outcome 1, but no engine takes
     # them: not on a fresh state, and not once a forced 1 is kept (the
     # structured engine keeps its Bell steps on the blocks all states share).
-    # Nor does either engine's controller bit or statevector.measure_qubit,
-    # which take a numpy integer
+    # Nor does either engine's controller bit, DenseState.prepare's or
+    # statevector.measure_qubit, which take a numpy integer
     inputs = make_inputs(1, 170)
     for kept in (False, True):
         if kept:
@@ -496,6 +496,10 @@ def test_bell_outcome_must_be_an_integer_on_both_engines(engine):
                 state.measure_controller(forced=bad)
             with pytest.raises(ValueError, match="forced outcome must be the integer 0 or 1"):
                 sv.measure_qubit(sv.StateVector(1, np.array([0.6, 0.8])), 0, forced=bad)
+    for bad in (1.0, np.float64(1.0), True, np.True_):
+        with pytest.raises(ValueError, match="controller bit must be None or the integer 0 or 1"):
+            pr.DenseState.prepare(inputs, bad)
+    assert pr.DenseState.prepare(inputs, np.int64(1)).state.fixed == pr.DenseState.prepare(inputs, 1).state.fixed
     assert pr.assemble_global(inputs, engine).measure_controller(forced=np.int64(1))[0] == 1
     assert sv.measure_qubit(sv.StateVector(1, np.array([0.6, 0.8])), 0, forced=np.int64(1))[0] == 1
 

@@ -16,24 +16,24 @@ from quadtel import harness as hz
 GOLDEN = {
     "run-s2-exhaustive-structured": (
         lambda: hz.cmd_run(senders=2, seed=0, mode="exhaustive"),
-        "0bd9ba6a73bae6ec4f63d511773eabe565a8a07f8c666ffdb36597b81c254ac8",
+        "c980b7f865fb4c062791925bd8209d5d5b9a4fa18f4bf26ab6a30b27309c9f40",
     ),
     "run-s3-exhaustive-structured": (  # the sweep-s3 benchmark command, 8192 branches
         lambda: hz.cmd_run(senders=3, seed=0, mode="exhaustive"),
-        "fc9fd8ce7a9c5dd3e66566c85b5a60232949b2b4c13656686ff0a2e776ab7278",
+        "b976d6eb74a6bba259865a3e781323ad1b0958d29776102cc237b27ede589846",
     ),
     "run-s2-exhaustive-dense": (
         lambda: hz.cmd_run(senders=2, seed=0, mode="exhaustive", engine="dense"),
-        "8adf9b5935c9ccd18eabc70b1325d5cef4b1ef4efe831d6cd07e27c013c8cc67",
+        "7b8e6587846ba991bf4f7e297b6c5d90dadf84c93ea72f9231fd1b146509a463",
     ),
     "run-s4-sampled64": (
         lambda: hz.cmd_run(senders=4, seed=0, mode="sampled:64"),
-        "870a38a9764c6eb9bed9afda88404988bc57abac66a80cbacb709192d004b932",
+        "ab2a889328e2bb0953eedd40ecfdca3d16f34ddf89517c2ac58e5da51f2c1832",
     ),
     "run-s3-dense-forced": (
         lambda: hz.cmd_run(senders=3, seed=0, mode="forced:k+,k-,l+,l-,k+,l-,1", engine="dense",
                            allow_large_dense=True),
-        "d052113325f4af9826cf8c324b6a2e513a7149b64052b37a9607cbe16437ad11",
+        "918ac43b5222721ae005f7813ccee43aa83840cdbdc43438e248370708182e95",
     ),
     "verify-tables-3": (
         lambda: hz.cmd_verify_tables(seed=3),
@@ -45,7 +45,7 @@ GOLDEN = {
     ),
     "efficiency": (
         hz.cmd_efficiency,
-        "dbae1d2473055f1ca86b23673c79e2427eee8afd84caf7902517404ff372384b",
+        "b35652b22ac4c9162dacccba946ebd6e0d49f0c20822a59fb52f3042744a0ec5",
     ),
     "prepare-channel-8": (
         lambda: hz.cmd_prepare_channel(8),

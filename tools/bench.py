@@ -22,10 +22,15 @@ end-to-end metric it prints each side's median and quartiles, the change's
 wins (ties count for neither) and whether a gain holds: the change wins at
 least nine tenths of the pairs, its median is better than the parent's by
 more than the parent's interquartile range, and it failed no larger share
-of its checks than the parent did.  Which way is better comes from the
-measured commit's ``BENCHMARK.json``, the change's under ``--ab``.  Either
-mode writes all of it, with every run's values, to ``BENCH_<n>.json`` at
-the root of the checkout, n the next free number.
+of its checks than the parent did.  It also prints the no-regression
+verdict: ``ok`` where the change's median is worse than the parent's by at
+most the metric's bound times the parent's median, ``worse`` where by more,
+and ``unresolved`` where the parent's interquartile range exceeds that
+allowance, unless every change run beats every parent run.  Which way is
+better, and each bound, come from the measured commit's ``BENCHMARK.json``,
+the change's under ``--ab``.  Either mode writes all of it, with every run's
+values, to ``BENCH_<n>.json`` at the root of the checkout, n the next free
+number.
 """
 from __future__ import annotations
 
@@ -66,11 +71,13 @@ def summarize(lines: list[dict], better: dict[str, str]) -> dict:
     return {"metrics": metrics, "failed": failed(lines)}
 
 
-def compare(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
-    """Per metric, both sides' quartiles, the change's wins and the gain rule.
+def compare(parent: list[dict], change: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
+    """Per metric, both sides' quartiles, the change's wins, the gain rule
+    and the no-regression verdict.
 
     ``parent`` and ``change`` are run.py result lines, pair k of each run
-    together; ``better`` maps each metric to "lower" or "higher".  No metric
+    together; ``better`` maps each metric to "lower" or "higher", and
+    ``bounds`` to its allowed fraction of the parent's median.  No metric
     gains where the change failed a larger share of its checks.
     """
     pairs = len(parent)
@@ -85,10 +92,16 @@ def compare(parent: list[dict], change: list[dict], better: dict[str, str]) -> d
         wins = sum(sign * (a - b) > 0 for a, b in zip(p, c))
         ps, cs = quartiles(p), quartiles(c)
         margin = sign * (ps["median"] - cs["median"])
+        allowed = bounds[name] * ps["median"]
+        if ps["q3"] - ps["q1"] > allowed and not all(sign * (a - b) > 0 for a in p for b in c):
+            verdict = "unresolved"
+        else:
+            verdict = "ok" if -margin <= allowed else "worse"
         metrics[name] = {
             "unit": parent[0]["metrics"][name]["unit"], "better": direction,
             "parent": ps, "change": cs, "wins": wins,
             "gain": 10 * wins >= 9 * pairs and margin > ps["q3"] - ps["q1"] and fails_no_more,
+            "verdict": verdict,
         }
     return {"pairs": pairs, "metrics": metrics, "failed": {"parent": failed(parent), "change": failed(change)}}
 
@@ -181,10 +194,10 @@ def print_summary(workload: str, result: dict) -> None:
 def print_comparison(workload: str, result: dict) -> None:
     print(f"{workload}: {result['pairs']} pairs")
     print(f"  {'metric':16s}{'unit':>6s}  {'parent median [q1, q3]':>34s}  {'change median [q1, q3]':>34s}"
-          f"  {'wins':>6s}  gain")
+          f"  {'wins':>6s}  gain  verdict")
     for name, m in result["metrics"].items():
         print(f"  {name:16s}{m['unit']:>6s}  {spread(m['parent']):>34s}  {spread(m['change']):>34s}"
-              f"  {m['wins']:>3d}/{result['pairs']:<2d}  {'yes' if m['gain'] else 'no'}")
+              f"  {m['wins']:>3d}/{result['pairs']:<2d}  {'yes' if m['gain'] else 'no':4s}  {m['verdict']}")
     for side, runs in result["failed"].items():
         print(f"  {side} failed checks: {failed_total(runs)}")
 
@@ -217,6 +230,7 @@ def main(argv=None) -> int:
         except ValueError as err:
             parser.error(str(err))
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
         for workload in workloads:
             lines = {side: [] for side in commits}
             for k in range(count):
@@ -229,7 +243,7 @@ def main(argv=None) -> int:
             values = {side: [{n: m["value"] for n, m in line["metrics"].items()} for line in runs]
                       for side, runs in lines.items()}
             if args.ab:
-                result = compare(lines["parent"], lines["change"], better)
+                result = compare(lines["parent"], lines["change"], better, bounds)
                 result["runs"] = values
                 print_comparison(workload, result)
             else:

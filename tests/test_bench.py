@@ -1,7 +1,7 @@
 """The benchmark runner's arithmetic (``tools/bench.py``) on made-up run.py
 result lines: quartiles, one commit's summary, wins, the gain rule, the
-no-regression verdict, the workload names ``all`` stands for, the next BENCH file number and the
-reading of run.py's output.  No benchmark runs here."""
+no-regression verdict, the workload names ``all`` stands for, the next BENCH
+file number and the reading of run.py's output.  No benchmark runs here."""
 import importlib.util
 import json
 import subprocess

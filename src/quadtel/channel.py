@@ -3,11 +3,22 @@
 The channel for k sender/receiver pairs lives on 2k+1 qubits and is built
 two independent ways:
 
-* ``prepare_channel_circuit`` runs the gate sequence (all-zeros init, H on
-  the controller, CNOT fan-out, H on each receiver-side qubit, CNOT within
-  each pair);
+* ``prepare_channel_circuit`` runs the paper's gates, Hadamard and CNOT,
+  from the all-zeros state, pair by pair: H on the controller, then for
+  each pair a CNOT from the controller onto both members, H on the
+  receiver-side member and a CNOT from it onto its sender-side partner;
 * ``build_channel_analytic`` assembles the target superposition of Bell-pair
   products in one array (``controlled_sum``), with an explicit branch sign.
+
+The paper orders the same gates by kind: a CNOT fan-out from the controller
+onto every qubit (a GHZ state), then H on every receiver-side qubit, then
+the CNOT within every pair.  Both orders are one circuit: the pair-by-pair
+order moves each gate only past gates on other qubits, or past CNOTs that
+share only their control, and such gates commute.  It leaves the pairs not
+yet reached at |00>, which ``init_basis`` records as fixed, so each gate
+reads only the amplitudes of the pairs reached so far, a live set that
+grows 4x per pair, where the fan-out first makes every gate read the whole
+state.
 
 The circuit output equals the analytic state with branch sign (-1)^k: each
 pair contributes a singlet with a minus sign on the controller-|1> branch,
@@ -28,6 +39,7 @@ import numpy as np
 from .statevector import (
     _SQRT2_INV,
     StateVector,
+    _is_integer,
     apply_1q,
     apply_cnot,
     controlled_sum,
@@ -57,28 +69,31 @@ BELL_COEFFS: Mapping[BellKind, np.ndarray] = {
 BELL_SYMBOLS = ("k+", "k-", "l+", "l-")
 
 
-def ghz_state(n_qubits: int) -> StateVector:
-    """(|0...0> + |1...1>)/sqrt2 via H on the top qubit and a CNOT fan-out."""
-    state = init_basis(n_qubits, 0)
-    apply_1q(state, "H", n_qubits - 1)
-    for target in range(n_qubits - 1):
-        apply_cnot(state, n_qubits - 1, target)
-    return state
+def _check_pairs(k: int) -> None:
+    if not (_is_integer(k) and k >= 1):
+        raise ValueError(f"the pair count must be an integer of at least 1, got {k!r}")
 
 
 def prepare_channel_circuit(k: int) -> StateVector:
     """Gate-level construction of the k-pair channel on 2k+1 qubits.
 
-    Steps: GHZ over all qubits (controller on top), then H on each
-    receiver-side qubit, then CNOT from the receiver-side qubit onto its
-    sender-side partner.
+    From |0...0>: H on the controller (qubit 2k), then for each pair j in
+    turn, CNOT from the controller onto 2j and onto 2j+1, H on 2j+1, and
+    CNOT from 2j+1 onto 2j.  This is the paper's circuit (GHZ fan-out, then
+    H on every receiver-side qubit, then CNOT within every pair) with each
+    gate moved only past gates on other qubits or CNOTs sharing only their
+    control, so the same unitary.  The pairs after j are still |00> and
+    recorded in ``fixed``, so pair j's gates read 2^(2j+3) amplitudes at
+    most, not 2^(2k+1).
     """
-    if k < 1:
-        raise ValueError(f"need at least one pair, got {k}")
-    state = ghz_state(2 * k + 1)
+    _check_pairs(k)
+    top = 2 * k
+    state = init_basis(top + 1, 0)
+    apply_1q(state, "H", top)
     for j in range(k):
+        apply_cnot(state, top, 2 * j)
+        apply_cnot(state, top, 2 * j + 1)
         apply_1q(state, "H", 2 * j + 1)
-    for j in range(k):
         apply_cnot(state, 2 * j + 1, 2 * j)
     return state
 
@@ -90,8 +105,7 @@ def build_channel_analytic(k: int, branch_sign: int = 1) -> StateVector:
     builder reproduces this with branch_sign = (-1)^k.  Both branches are
     built in one array (``controlled_sum``), so the peak is the state alone.
     """
-    if k < 1:
-        raise ValueError(f"need at least one pair, got {k}")
+    _check_pairs(k)
     if branch_sign not in (1, -1):
         raise ValueError(f"branch sign must be +1 or -1, got {branch_sign}")
     kappa = [pair_state(BELL_COEFFS[BellKind.KAPPA_PLUS])] * k

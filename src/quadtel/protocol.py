@@ -198,18 +198,23 @@ class OutcomeRecord:
 class ProtocolReport:
     """One run's outcome and scores.
 
-    The transcript's records are shared by every report of the process (see
-    ``_BSM_MESSAGES``): they are read-only.  ``to_dict`` leaves the
-    transcript out, since it is a function of ``outcome`` alone (README,
-    "Report schema"), and keeps its bit count.
+    ``classical_bits_sent`` is the bits of the messages the run sent,
+    counted as it sent them.  ``transcript`` lists those messages, derived
+    from ``outcome`` when read (README, "Report schema"), as records shared
+    by every report of the process (see ``_BSM_MESSAGES``): they are
+    read-only.  ``to_dict`` leaves the transcript out and keeps the count.
     """
 
     outcome: OutcomeRecord
     branch_probability: float
     per_receiver_fidelity: tuple[float, ...]
-    transcript: tuple[dict, ...]  # report records: from, to, kind, value, bits
     classical_bits_sent: int
     engine: str
+
+    @property
+    def transcript(self) -> tuple[dict, ...]:
+        """Report records: from, to, kind, value, bits."""
+        return _build_transcript(len(self.outcome.bell) // 2, self.outcome.bell, self.outcome.z)
 
     def to_dict(self) -> dict:
         return {
@@ -234,6 +239,8 @@ def _validate_inputs(inputs: Sequence[InfoState]) -> int:
 
 def register_qubits(s: int) -> int:
     """The dense register's size: s six-qubit sender blocks, then Elle on the top qubit."""
+    if not _is_integer(s):
+        raise ValueError(f"the sender count must be an integer, got {s!r}")
     return 6 * s + 1
 
 
@@ -659,19 +666,29 @@ def assemble_global(inputs: Sequence[InfoState], engine: str = "structured"):
     return DenseState.prepare(inputs)
 
 
+# The bits of each kind of classical message: a Bell outcome, 0..3, from a
+# sender, and the controller bit z from Elle.
+_BSM_BITS, _CONTROLLER_BITS = 2, 1
+
 # Every classical message a run can send, as its report record:
 # _BSM_MESSAGES[i][value] from sender i and _CONTROLLER_MESSAGES[i][z] from
 # Elle, both to receiver i.  Transcripts hold these records, never copies.
 _BSM_MESSAGES = tuple(
-    tuple({"from": SENDERS[i], "to": corrections.RECEIVERS[i], "kind": "bsm", "value": value, "bits": 2}
+    tuple({"from": SENDERS[i], "to": corrections.RECEIVERS[i], "kind": "bsm", "value": value, "bits": _BSM_BITS}
           for value in range(4))
     for i in range(MAX_SENDERS)
 )
 _CONTROLLER_MESSAGES = tuple(
-    tuple({"from": "elle", "to": corrections.RECEIVERS[i], "kind": "controller", "value": z, "bits": 1}
+    tuple({"from": "elle", "to": corrections.RECEIVERS[i], "kind": "controller", "value": z,
+           "bits": _CONTROLLER_BITS}
           for z in (0, 1))
     for i in range(MAX_SENDERS)
 )
+
+
+def _bits_sent(bsm_messages: int, controller_messages: int) -> int:
+    """The bits of a run's classical messages, given how many of each kind it sent."""
+    return bsm_messages * _BSM_BITS + controller_messages * _CONTROLLER_BITS
 
 
 def _build_transcript(s: int, outcomes: Sequence[int], z: int) -> tuple[dict, ...]:
@@ -716,7 +733,6 @@ def run_protocol(
     z, prob_z = state.measure_controller(forced=forced.z if forced else None, rng=rng)
     probability *= prob_z
 
-    transcript = _build_transcript(s, outcomes, z)
     fidelities = []
     for i in range(s):
         entry = corrections.table_lookup(corrections.RECEIVERS[i], (outcomes[2 * i], outcomes[2 * i + 1], z))
@@ -726,8 +742,7 @@ def run_protocol(
         outcome=forced if forced is not None else OutcomeRecord(tuple(outcomes), z),
         branch_probability=probability,
         per_receiver_fidelity=tuple(fidelities),
-        transcript=transcript,
-        classical_bits_sent=sum(m["bits"] for m in transcript),
+        classical_bits_sent=_bits_sent(n_bsm, s),  # each sender's outcomes, and z to every receiver
         engine=state.engine,
     )
 

@@ -18,9 +18,11 @@ numpy Generator; there is no ambient randomness anywhere in this module.
 
 A state records in ``fixed`` the qubits that ``measure_qubit`` left in a
 definite bit, and a caller that prepares a qubit in a definite bit may
-record it there too.  It records in ``pairs`` the qubit pairs whose two
-bits have a known parity, as each Bell pair of a prepared channel has (a
-Z(x)Z stabilizer).  Every amplitude with the other bit at a fixed qubit, or
+record it there too; ``init_basis`` records every qubit at its bit, so a
+circuit run from a basis state reads only the qubits its gates have
+reached.  It records in ``pairs`` the qubit pairs whose two bits have a
+known parity, as each Bell pair of a prepared channel has (a Z(x)Z
+stabilizer).  Every amplitude with the other bit at a fixed qubit, or
 the other parity at a pair, is exactly 0 in the array, which always holds
 the whole state; a kernel that writes a qubit first drops it from
 ``fixed`` and its pair from ``pairs``, and ``copy()`` keeps both.  The
@@ -247,7 +249,12 @@ def _zeros(n_qubits: int) -> np.ndarray:
 
 
 def init_basis(n_qubits: int, basis_index: int) -> StateVector:
-    """Computational basis state |basis_index> on n_qubits qubits."""
+    """Computational basis state |basis_index> on n_qubits qubits.
+
+    Every qubit is in a definite bit, so every one is recorded in ``fixed``
+    at its bit of ``basis_index``: the kernels then read only the amplitudes
+    of the qubits a circuit has written so far.
+    """
     _check_size(n_qubits)
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
@@ -255,7 +262,9 @@ def init_basis(n_qubits: int, basis_index: int) -> StateVector:
         raise IndexError(f"basis index {basis_index} out of range for {n_qubits} qubits")
     amps = _zeros(n_qubits)
     amps[basis_index] = 1.0
-    return StateVector(n_qubits, amps, copy=False)
+    state = StateVector(n_qubits, amps, copy=False)
+    state.fixed = ((1 << n_qubits) - 1, basis_index)
+    return state
 
 
 def _nonzero(slab: np.ndarray) -> bool:

@@ -1,7 +1,8 @@
 """The benchmark runner's arithmetic (``tools/bench.py``) on made-up run.py
 result lines: quartiles, one commit's summary, wins, the gain rule, the
 no-regression verdict, the workload names ``all`` stands for, the next BENCH
-file number and the reading of run.py's output.  No benchmark runs here."""
+file number, the reading of run.py's output and the traced layers section.
+No benchmark runs here."""
 import importlib.util
 import json
 import subprocess
@@ -142,3 +143,43 @@ def test_a_run_without_a_result_line_names_its_workload_checkout_and_exit_code(m
         run_prints(stdout, code)
         with pytest.raises(RuntimeError, match=f"^sweep-s3 in change exited with code {code}"):
             bench.run_once(Path("change"), "sweep-s3", 1, 8.0)
+
+
+def traced_line(failed=0, **values):
+    """A run.py --trace 1 result line: per-layer metrics with run.py's units."""
+    units = {"calls": "count", "s": "s", "gb": "GB", "self_s": "s", "ms_p50": "ms", "wall_s": "s"}
+    return {"correct": not failed, "attempted": 50, "failed": failed,
+            "metrics": {n.replace("__", "."): {"value": v, "unit": units[n.rpartition("__")[2]]}
+                        for n, v in values.items()}}
+
+
+def test_layers_keep_the_calls_and_clock_seconds_of_the_traced_runs():
+    # a traced line also holds modelled GB, a self time, a latency and the
+    # tracer's own figures; the layers section keeps only the .calls and
+    # .s metrics, per side, and labels the seconds as clock seconds
+    def side(circuit_s, failed=0):
+        return traced_line(failed, channel__prepare_channel_circuit__s=circuit_s,
+                           corrections__match_eta__calls=129.0, statevector__apply_1q__q25__gb=0.5,
+                           harness__cmd_run__self_s=0.01, protocol__run_protocol__ms_p50=0.2,
+                           trace__wall_s=0.06)
+
+    got = bench.layers({"parent": [side(0.0065)], "change": [side(0.0010, failed=1)]})
+    assert got["metrics"] == {
+        "channel.prepare_channel_circuit.s": {"unit": "clock_s", "parent": 0.0065, "change": 0.0010},
+        "corrections.match_eta.calls": {"unit": "count", "parent": 129.0, "change": 129.0},
+    }
+    assert got["failed"] == {"parent": [[0, 50]], "change": [[1, 50]]}
+    # more than one traced run per side gives the median
+    many = bench.layers({"commit": [side(s) for s in (0.003, 0.001, 0.002)]})
+    assert many["metrics"]["channel.prepare_channel_circuit.s"]["commit"] == 0.002
+
+
+def test_a_traced_run_asks_run_py_for_its_layers(monkeypatch):
+    # --trace 1 in the argv of a traced run, --trace 0 in every other
+    argvs, out = [], json.dumps(traced_line(corrections__match_eta__calls=129.0)) + "\n"
+    monkeypatch.setattr(bench.subprocess, "run",
+                        lambda argv, **kw: argvs.append(argv) or subprocess.CompletedProcess(argv, 0, stdout=out))
+    bench.run_once(Path("change"), "oracles", 1, 8.0)
+    line, _ = bench.run_once(Path("change"), "oracles", 1, 8.0, trace=True)
+    assert [argv[argv.index("--trace") + 1] for argv in argvs] == ["0", "1"]
+    assert line["metrics"]["corrections.match_eta.calls"]["value"] == 129.0

@@ -26,8 +26,29 @@ def test_bell_states_are_orthonormal():
             assert abs(got - (1 if a == b else 0)) < 1e-12
 
 
+def ghz_state(n_qubits):
+    """(|0...0> + |1...1>)/sqrt2 via H on the top qubit and a CNOT fan-out."""
+    state = sv.init_basis(n_qubits, 0)
+    sv.apply_1q(state, "H", n_qubits - 1)
+    for target in range(n_qubits - 1):
+        sv.apply_cnot(state, n_qubits - 1, target)
+    return state
+
+
+def paper_order_channel(k):
+    """The paper's channel circuit in its own gate order: the GHZ fan-out
+    over all 2k+1 qubits, then H on every receiver-side qubit, then the CNOT
+    within every pair, receiver-side member onto sender-side member."""
+    state = ghz_state(2 * k + 1)
+    for j in range(k):
+        sv.apply_1q(state, "H", 2 * j + 1)
+    for j in range(k):
+        sv.apply_cnot(state, 2 * j + 1, 2 * j)
+    return state
+
+
 def test_ghz_checkpoint_two_amplitudes():
-    s = ch.ghz_state(17)
+    s = ghz_state(17)
     nz = np.flatnonzero(np.abs(s.amps) > 1e-14)
     assert list(nz) == [0, 2**17 - 1]
     assert np.allclose(s.amps[nz], 1 / RT2)
@@ -51,6 +72,16 @@ def test_single_pair_circuit_carries_minus_sign():
     got = ch.prepare_channel_circuit(1)
     assert np.linalg.norm(got.amps - expected) < 1e-12
     assert np.linalg.norm(got.amps - ch.build_channel_analytic(1, -1).amps) < 1e-12
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_pair_by_pair_circuit_has_the_paper_orders_bytes(k):
+    # the builder applies the paper's gates pair by pair, reading only the
+    # pairs it has reached; the paper's order, fan-out first, reads the whole
+    # state at every gate.  Same unitary, and the same bytes, signed zeros too
+    got = ch.prepare_channel_circuit(k)
+    assert got.amps.tobytes() == paper_order_channel(k).amps.tobytes()
+    assert got.fixed == (0, 0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -216,6 +216,21 @@ def test_cmd_prepare_channel_peaks_at_two_states():
     assert peak <= 2 * (32 << 20) + (4 << 20)
 
 
+@pytest.mark.parametrize("call", [ch.prepare_channel_circuit, ch.build_channel_analytic, hz.cmd_prepare_channel,
+                                  pr.register_qubits],
+                         ids=["prepare_channel_circuit", "build_channel_analytic", "cmd_prepare_channel",
+                              "register_qubits"])
+def test_pair_and_sender_counts_must_be_integers(call):
+    # 1.0 and True equal 1, and "1" and None mean nothing here: each is
+    # refused with one line, by statevector._is_integer's rule, which takes
+    # a numpy integer
+    for bad in (1.0, np.float64(1.0), True, np.True_, "1", None):
+        with pytest.raises(ValueError, match=r"count must be an integer.*, got ") as err:
+            call(bad)
+        assert "\n" not in str(err.value)
+    call(np.int64(1))
+
+
 # ------------------------------------------------------------------- reports
 
 def test_reports_are_byte_identical_for_same_config():
@@ -252,14 +267,13 @@ def test_exhaustive_report_branches_match_forced_reports():
 def test_classical_bits_check_reads_every_run(monkeypatch):
     # one run of eight sends Elle's bit to one receiver too few: the check
     # reads the run farthest from the cost model, not the largest count
-    build, calls = pr._build_transcript, []
+    count, calls = pr._bits_sent, []
 
-    def one_short(s, outcomes, z):
-        calls.append(z)
-        transcript = build(s, outcomes, z)
-        return transcript[:-1] if len(calls) == 3 else transcript
+    def one_short(bsm_messages, controller_messages):
+        calls.append(controller_messages)
+        return count(bsm_messages, controller_messages - (len(calls) == 3))
 
-    monkeypatch.setattr(pr, "_build_transcript", one_short)
+    monkeypatch.setattr(pr, "_bits_sent", one_short)
     report = hz.cmd_run(senders=2, seed=1, mode="sampled:8")
     bits = [b["classical_bits_sent"] for b in report["branches"]]
     assert bits == [10, 10, 9, 10, 10, 10, 10, 10]

@@ -969,7 +969,7 @@ def test_transcripts_hold_the_records_every_run_would_build():
                  for i in range(s)]
             transcript = pr._build_transcript(s, outcomes, z)
             assert list(transcript) == expected
-            assert sum(m["bits"] for m in transcript) == 5 * s
+            assert sum(m["bits"] for m in transcript) == 5 * s == pr._bits_sent(2 * s, s)
 
 
 # ------------------------------------------------------------- sampled mode

@@ -47,6 +47,24 @@ def test_init_basis_index_three_is_11():
     assert s.amps[3] == 1 and np.count_nonzero(s.amps) == 1
 
 
+@pytest.mark.parametrize("n, index", [(2, 0), (2, 0b01), (5, 0b10110), (17, 0), (17, 1 << 16 | 0b1001)])
+def test_init_basis_records_its_bits(n, index):
+    # every qubit is fixed at its bit of the index, so the kernels read one
+    # amplitude where a copy with nothing fixed reads them all: the same
+    # bytes and results after an H, a CNOT and a forced measurement
+    state = sv.init_basis(n, index)
+    assert state.fixed == ((1 << n) - 1, index)
+    whole = state.copy()
+    whole.fixed = (0, 0)
+    top = n - 1
+    for s in (state, whole):
+        sv.apply_1q(s, "H", top)
+        sv.apply_cnot(s, top, 0)
+    assert state.amps.tobytes() == whole.amps.tobytes()
+    assert sv.measure_qubit(state, 0, forced=1) == sv.measure_qubit(whole, 0, forced=1)
+    assert state.amps.tobytes() == whole.amps.tobytes()
+
+
 def test_init_basis_range_errors():
     with pytest.raises(IndexError):
         sv.init_basis(2, 4)
@@ -1157,8 +1175,10 @@ def test_reading_a_new_state_allocates_nothing():
     # 22 qubits, 64 MiB, read whole: the pages never written read the
     # kernel's shared zero page.  A shared mapping would allocate a page
     # for each read (64 MiB of RssShmem), and a huge page without its zero
-    # page 2 MiB of RssAnon
+    # page 2 MiB of RssAnon.  Nothing is recorded fixed, so the kernel reads
+    # every page, not only the one live amplitude
     state = sv.init_basis(22, 0)
+    state.fixed = (0, 0)
     before = resident("RssAnon", "RssShmem")
     assert sv.measure_probabilities(state, 21) == (1.0, 0.0)
     assert resident("RssAnon", "RssShmem") - before <= 1 << 20
@@ -1210,6 +1230,7 @@ def test_kernels_touch_only_the_slabs_they_write(call, new_mib):
     # 1 MiB); a kernel that wrote every slab would add 32 or 64 MiB.
     run = np.random.default_rng(110).standard_normal(1 << 16) + 0j
     state = sv.init_basis(22, 0b100101 << 16)
+    state.fixed = (0, 0)  # the run below writes qubits 0-15, which init_basis records
     amps = state.amps
     amps[0b100101 << 16:][:1 << 16] = run / np.linalg.norm(run)
     before = resident("RssAnon")

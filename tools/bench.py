@@ -5,6 +5,7 @@ Usage, from anywhere inside a quadtel git checkout:
     python3 tools/bench.py --runs 10 --workload all --seconds 8 --seed 1
     python3 tools/bench.py --ab PARENT CHANGE --workload sweep-s3 --pairs 10 --seconds 8 --seed 1
     python3 tools/bench.py --ab HEAD~1 HEAD --workload sweep-s3 sample-s4 --pairs 10
+    python3 tools/bench.py --ab HEAD~1 HEAD --workload oracles --pairs 10 --trace
 
 ``all`` stands for every workload that the measured commit's
 ``BENCHMARK.json`` names, in its order.  Each commit is exported with ``git
@@ -31,6 +32,12 @@ better, and each bound, come from the measured commit's ``BENCHMARK.json``,
 the change's under ``--ab``.  Either mode writes all of it, with every run's
 values, to ``BENCH_<n>.json`` at the root of the checkout, n the next free
 number.
+
+``--trace`` adds one run per side and workload with ``--trace 1``, after
+the untraced ones.  A traced run pays its tracer's overhead, so it feeds no
+end-to-end figure; its per-layer call counts (``.calls``) and seconds
+(``.s``) go into the workload's ``layers`` section, the seconds as clock
+seconds (``clock_s``), which run.py does not scale to reference seconds.
 """
 from __future__ import annotations
 
@@ -106,6 +113,21 @@ def compare(parent: list[dict], change: list[dict], better: dict[str, str], boun
     return {"pairs": pairs, "metrics": metrics, "failed": {"parent": failed(parent), "change": failed(change)}}
 
 
+def layers(traced: dict[str, list[dict]]) -> dict:
+    """The ``layers`` section from each side's traced run.py result lines:
+    per ``.calls`` and ``.s`` metric, each side's median, and each run's
+    [failed, attempted] checks.  Seconds are labelled ``clock_s``."""
+    first = next(iter(traced.values()))[0]["metrics"]
+    names = [n for n in first if n.rpartition(".")[2] in ("calls", "s")]
+    metrics = {
+        name: {"unit": "clock_s" if name.endswith(".s") else first[name]["unit"],
+               **{side: statistics.median(line["metrics"][name]["value"] for line in lines)
+                  for side, lines in traced.items()}}
+        for name in names
+    }
+    return {"metrics": metrics, "failed": {side: failed(lines) for side, lines in traced.items()}}
+
+
 def workload_names(requested: list[str], spec: dict) -> list[str]:
     """The requested workloads, with ``all`` standing for every one that
     ``spec`` (a ``BENCHMARK.json``) names; each once, in order.  A name that
@@ -160,10 +182,10 @@ def export(root: Path, commit: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: bool = False) -> tuple[dict, str]:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(int(trace))]
     proc = subprocess.run(argv, cwd=checkout, env=env, stdout=subprocess.PIPE, text=True,
                           timeout=RUN_TIMEOUT_S, check=False)
     failure = f"{workload} in {checkout} exited with code {proc.returncode}"
@@ -202,6 +224,17 @@ def print_comparison(workload: str, result: dict) -> None:
         print(f"  {side} failed checks: {failed_total(runs)}")
 
 
+def print_layers(workload: str, result: dict) -> None:
+    sides = list(result["failed"])
+    print(f"{workload}: traced layers, nonzero only")
+    print(f"  {'layer':48s}{'unit':>8s}" + "".join(f"{side:>14s}" for side in sides))
+    for name, m in result["metrics"].items():
+        if any(m[side] for side in sides):
+            print(f"  {name:48s}{m['unit']:>8s}" + "".join(f"{m[side]:>14.6g}" for side in sides))
+    for side, runs in result["failed"].items():
+        print(f"  {side} traced failed checks: {failed_total(runs)}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     mode = parser.add_mutually_exclusive_group(required=True)
@@ -211,6 +244,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10, help="with --ab: pairs per workload")
     parser.add_argument("--seconds", type=float, default=25, help="run.py --seconds, the same on every run")
     parser.add_argument("--seed", type=int, default=0, help="run.py --seed")
+    parser.add_argument("--trace", action="store_true",
+                        help="also one traced run per side and workload, for the layers section")
     args = parser.parse_args(argv)
     count = args.pairs if args.ab else args.runs
     if count < 1:
@@ -250,6 +285,11 @@ def main(argv=None) -> int:
                 result = summarize(lines["commit"], better)
                 result["runs"] = values["commit"]
                 print_summary(workload, result)
+            if args.trace:
+                traced = {side: [run_once(checkouts[side], workload, args.seed, args.seconds, trace=True)[0]]
+                          for side in commits}
+                result["layers"] = layers(traced)
+                print_layers(workload, result["layers"])
             bench["workloads"][workload] = result
     path = next_bench_path(root)
     path.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")

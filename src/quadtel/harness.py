@@ -22,7 +22,7 @@ import numpy as np
 
 from . import corrections, protocol
 from .channel import BELL_SYMBOLS, build_channel_analytic, prepare_channel_circuit
-from .statevector import HARD_QUBIT_CAP, NORM_TOL
+from .statevector import HARD_QUBIT_CAP, NORM_TOL, _is_integer
 
 REPORT_DECIMALS = 4
 
@@ -43,8 +43,8 @@ MAX_SAMPLED_RUNS = 2 * 4 ** (2 * protocol.MAX_SENDERS)
 # (the CLI's ``--allow-large-dense``): two senders, 13 qubits.  Memory is no
 # longer a reason for it: a 25-qubit array spans 512 MiB, but only the pages
 # a run writes are resident.  Peak RSS of one ``run`` process, seed 0: s=4
-# forced 82.8 MiB, s=4 ``sampled:1`` and ``sampled:4`` 128.6 MiB, s=3
-# ``sampled:16`` 41.8 MiB, s=3 exhaustive 63.9 MiB.  It stays only because
+# forced 46.8 MiB, s=4 ``sampled:1`` and ``sampled:4`` 132.7 MiB, s=3
+# ``sampled:16`` 45.0 MiB, s=3 exhaustive 52.5 MiB.  It stays only because
 # the benchmark's ``dense-s4`` command passes the flag (ROADMAP item 20).
 DENSE_OPT_IN_QUBITS = 16
 
@@ -252,6 +252,7 @@ def summarize(report: dict) -> str:
 def cmd_prepare_channel(pairs: int) -> dict:
     """Build the channel by circuit and by direct assembly, and compare."""
     circuit = prepare_channel_circuit(pairs)
+    pairs = int(pairs)  # a numpy integer passes the builder's check; a report holds ints
     sign = (-1) ** pairs
     analytic = build_channel_analytic(pairs, sign)
     norm = circuit.norm()
@@ -306,9 +307,14 @@ def load_input_file(path: str) -> list[protocol.InfoState]:
     return states
 
 
-def _check_seed(seed: int) -> None:
+def _check_seed(seed: int) -> int:
+    """The seed as a Python int, which a report can hold; a non-integer or
+    negative seed is refused."""
+    if not _is_integer(seed):
+        raise ValueError(f"the seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValueError(f"bad --seed {seed}: the seed is a non-negative integer")
+    return int(seed)
 
 
 def cmd_run(
@@ -325,7 +331,10 @@ def cmd_run(
     A dense state above DENSE_OPT_IN_QUBITS qubits needs ``allow_large_dense``;
     that is checked once the inputs are known, before the mode is read.
     """
-    _check_seed(seed)
+    seed = _check_seed(seed)
+    if not _is_integer(senders):
+        raise ValueError(f"the sender count must be an integer, got {senders!r}")
+    senders = int(senders)
     if input_file is not None:
         inputs = load_input_file(input_file)
         if len(inputs) != senders:
@@ -385,7 +394,7 @@ def cmd_run(
 
 def cmd_verify_tables(seed: int = 0) -> dict:
     """Correction-table oracle sweep plus the collapse-catalog checks; ``seed`` is only recorded."""
-    _check_seed(seed)
+    seed = _check_seed(seed)
     result = corrections.verify_tables()
     assertions = [
         check_close("table_word_matches", float(result["n_total"]), float(result["n_matched"]), 0.0),
@@ -420,7 +429,7 @@ def cmd_efficiency() -> dict:
 
 def cmd_verify_expansion(seed: int = 0) -> dict:
     """Adjudicate the global-expansion prefactor on seeded random messages."""
-    _check_seed(seed)
+    seed = _check_seed(seed)
     rng = np.random.default_rng(seed + 0xE4)
     result = adjudicate_expansion_prefactor([protocol.InfoState.random(rng) for _ in range(4)])
     small = PREFACTOR_CANDIDATES["1/(256*sqrt(2))"]

@@ -40,11 +40,14 @@ gives both engines the same outcomes.
 Register order: a sender block holds six qubits, block-local 0..5, as
 [message first, message second, channel sender-side, channel receiver-side,
 channel sender-side', channel receiver-side'], and the controller sits at
-qubit 6s.  The dense engine puts sender block i on qubits
-6(s-1-i)..6(s-1-i)+5 (``DenseState._base``), so block 0, whose Bell pairs
-are measured first, holds the top sender qubits.  ``_BELL_PAIRS`` and
-``_RECEIVER_QUBITS`` name the block-local positions once; the dense engine
-adds its block's base.
+qubit 6s.  The dense engine lays the same qubits out by kind
+(``DenseState._qubit``): sender i's message pair on qubits 2(s-1-i) and
+2(s-1-i)+1, so the 2s message qubits are the lowest, and the channel above
+them on qubits 2s..6s in ``channel``'s construction order.  There channel
+pair j = 2i+w, block i's pair w, sits on 2s+2j (sender-side) and 2s+2j+1
+(receiver-side), and the controller on 6s.  At s=1 the two orders are one.
+``_BELL_PAIRS`` and ``_RECEIVER_QUBITS`` name the block-local positions
+once; the dense engine maps them onto its register.
 """
 from __future__ import annotations
 
@@ -119,11 +122,12 @@ class InfoState:
     A message is immutable: it holds its own read-only copy of the
     coefficients, and the read-only target state on them.  So it can keep
     the sender blocks built from it, one per controller-branch Bell kind
-    (see ``_block_state``), and every state prepared from it shares them and
-    all they keep.  It also keeps the fidelity of each read-only receiver
-    matrix it has scored (``score``).  Messages compare and hash by
-    identity, as the kept blocks and scores belong to one message object: a
-    message rebuilt from the same coefficients starts with none.
+    (see ``_block_state``), and every structured state prepared from it
+    shares them and all they keep.  It also keeps the fidelity of each
+    read-only receiver matrix it has scored (``score``).  Messages compare
+    and hash by identity, as the kept blocks and scores belong to one
+    message object: a message rebuilt from the same coefficients starts
+    with none.
     """
 
     coeffs: np.ndarray
@@ -260,15 +264,16 @@ def _block_state(info: InfoState, kind: BellKind) -> "_Block":
 class DenseState:
     """Dense-engine protocol state over the full 6s+1 qubit register.
 
-    Sender block i sits on qubits 6(s-1-i)..6(s-1-i)+5 (``_base``) and Elle
-    on the top qubit, 6s: the blocks run in reverse, so block 0, whose Bell
-    pairs the protocol measures first, holds the highest sender qubits.  A
-    measured qubit stays fixed, and fixed high qubits leave the live
-    amplitudes in long contiguous runs (2^18 after block 0's first pair at
-    s=4, 2^12 after block 1's); the low blocks are measured last, when few
-    amplitudes are live.  Were block 0 on the low qubits, every live
-    amplitude would sit alone in its 64-byte cache line from its first
-    measurement on.
+    The messages sit on the lowest qubits, sender i's on 2(s-1-i) and
+    2(s-1-i)+1, and the channel above them in ``channel``'s construction
+    order, Elle on the top qubit, 6s (``_qubit`` maps a block's qubits).
+    So the 2^(2s) message amplitudes of each channel configuration are one
+    run, 256 amplitudes at s=4, one 4 KiB page, and share its page fault
+    and cache lines.  A forced branch's preparation writes only the pages
+    of the channel configurations its pairs allow: 256 at s=4, and 32 at
+    s=3, where a page also spans channel pair 0, so that block 0's first
+    Bell pair there writes no new page.  Late in a branch, once the
+    message qubits are measured, each live amplitude has a page to itself.
 
     Every operation runs the ``statevector`` kernels on the one state, which
     they update in place and never copy; ``copy()`` copies it, with the
@@ -296,8 +301,11 @@ class DenseState:
 
     @classmethod
     def prepare(cls, inputs: Sequence[InfoState], z: int | None = None) -> "DenseState":
-        """Both controller branches, (blocks of z, last sender lowest) tensor
-        |z>/sqrt2, built in one array by ``controlled_sum``, Elle on top.
+        """Both controller branches, (messages, last sender lowest, then the
+        2s channel pairs of branch z's Bell kind) tensor |z>/sqrt2, built in
+        one array by ``controlled_sum``, Elle on top.  The factors are each
+        message's ``pair_state`` and ``BELL_COEFFS``'s, so the dense engine
+        reads none of the structured engine's blocks (``_block_state``).
 
         Given ``z``, only branch z: the same half z, value for value, with
         the other half never written and Elle's qubit recorded as fixed at
@@ -314,41 +322,46 @@ class DenseState:
         s = _validate_inputs(inputs)
         if not (z is None or (_is_integer(z) and z in (0, 1))):
             raise ValueError(f"controller bit must be None or the integer 0 or 1, got {z!r}")
-        low0, low1 = ([_block_state(info, kind) for info in reversed(inputs)] for kind in _BRANCH_KINDS)
+        messages = [pair_state(info.coeffs) for info in reversed(inputs)]
+        low0, low1 = (messages + [pair_state(BELL_COEFFS[kind])] * (2 * s) for kind in _BRANCH_KINDS)
         c0, c1 = (_SQRT2_INV if z in (None, k) else 0.0 for k in (0, 1))
         dense = cls(s, controlled_sum(low0, low1, c0, c1))
         if z is not None:
             elle = register_qubits(s) - 1
             dense.state.fixed = (1 << elle, z << elle)
             parity = _parity(_BRANCH_KINDS[z])
-            dense.state.pairs = tuple((dense._base(i) + a, dense._base(i) + b, parity)
+            dense.state.pairs = tuple((dense._qubit(i, a), dense._qubit(i, b), parity)
                                       for i in range(s) for a, b in _CHANNEL_PAIRS)
         return dense
 
     def copy(self) -> "DenseState":
         return DenseState(self.s, self.state.copy())
 
-    def _base(self, i: int) -> int:
-        """The lowest qubit of sender block i."""
-        return 6 * (self.s - 1 - i)
+    def _qubit(self, i: int, q: int) -> int:
+        """The register qubit of sender block i's block-local qubit q: its
+        message pair on 2(s-1-i) and up, its channel pairs 2i and 2i+1 on
+        2s+4i and up."""
+        if q < 2:
+            return 2 * (self.s - 1 - i) + q
+        return 2 * self.s + 4 * i + q - 2
 
     def bsm_pair(self, j: int, *, forced=None, rng=None) -> tuple[int, float]:
         i, which = divmod(j, 2)
-        a, b = (self._base(i) + q for q in _BELL_PAIRS[which])
+        a, b = (self._qubit(i, q) for q in _BELL_PAIRS[which])
         return bsm(self.state, a, b, forced=forced, rng=rng)
 
     def measure_controller(self, *, forced=None, rng=None) -> tuple[int, float]:
         return measure_qubit(self.state, register_qubits(self.s) - 1, forced=forced, rng=rng)
 
     def apply_correction(self, i: int, entry: corrections.CorrectionEntry) -> None:
-        word = [(factor, self._base(i) + q) for factor, q in zip((entry.first, entry.second), _RECEIVER_QUBITS)]
+        word = [(factor, self._qubit(i, q)) for factor, q in zip((entry.first, entry.second), _RECEIVER_QUBITS)]
         apply_pauli_word(self.state, word)
         if entry.phase_pi:
             live = _live(self.state)
             np.negative(live, out=live)
 
     def receiver_dm(self, i: int) -> np.ndarray:
-        return partial_trace(self.state, [self._base(i) + q for q in _RECEIVER_KEEP])
+        return partial_trace(self.state, [self._qubit(i, q) for q in _RECEIVER_KEEP])
 
 
 # H takes output bit x from inputs 0 and 1 with weights H[x, 0] = 1/sqrt2 and
@@ -390,8 +403,9 @@ class _Block(StateVector):
     afresh: the step that reads a split keeps it, and the collapsed blocks
     it makes live in its results.  A prepared block is kept on its message
     (``_block_state``), so every state that holds it reuses what it keeps:
-    all states prepared from that message, of either engine's preparation,
-    and all their copies.
+    all structured states prepared from that message, and all their copies.
+    The dense engine builds its register from the messages, not from the
+    blocks.
     """
 
     __slots__ = ("_corrected_by", "_receiver_by", "_steps")

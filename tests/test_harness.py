@@ -216,19 +216,41 @@ def test_cmd_prepare_channel_peaks_at_two_states():
     assert peak <= 2 * (32 << 20) + (4 << 20)
 
 
-@pytest.mark.parametrize("call", [ch.prepare_channel_circuit, ch.build_channel_analytic, hz.cmd_prepare_channel,
-                                  pr.register_qubits],
-                         ids=["prepare_channel_circuit", "build_channel_analytic", "cmd_prepare_channel",
-                              "register_qubits"])
-def test_pair_and_sender_counts_must_be_integers(call):
+INTEGER_ENTRY_POINTS = {
+    "prepare_channel_circuit": ch.prepare_channel_circuit,
+    "build_channel_analytic": ch.build_channel_analytic,
+    "cmd_prepare_channel": hz.cmd_prepare_channel,
+    "register_qubits": pr.register_qubits,
+    "cmd_run-senders": lambda n: hz.cmd_run(senders=n, mode="sampled:1"),
+    "cmd_run-seed": lambda n: hz.cmd_run(senders=1, seed=n, mode="sampled:1"),
+    "_check_seed": hz._check_seed,
+    "cmd_verify_tables": hz.cmd_verify_tables,
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_ENTRY_POINTS)
+def test_pair_and_sender_counts_must_be_integers(name):
     # 1.0 and True equal 1, and "1" and None mean nothing here: each is
     # refused with one line, by statevector._is_integer's rule, which takes
     # a numpy integer
+    call = INTEGER_ENTRY_POINTS[name]
     for bad in (1.0, np.float64(1.0), True, np.True_, "1", None):
-        with pytest.raises(ValueError, match=r"count must be an integer.*, got ") as err:
+        with pytest.raises(ValueError, match=r"(count|seed) must be an integer.*, got ") as err:
             call(bad)
         assert "\n" not in str(err.value)
     call(np.int64(1))
+
+
+@pytest.mark.parametrize("command", [
+    hz.cmd_prepare_channel,
+    lambda n: hz.cmd_run(senders=n, seed=n, mode="sampled:1"),
+    hz.cmd_verify_tables,
+    hz.cmd_verify_expansion,
+], ids=["prepare-channel", "run", "verify-tables", "verify-expansion"])
+def test_numpy_integer_arguments_render_as_ints(command):
+    # a numpy integer is taken, and the report holds it as a Python int,
+    # which JSON can write: the same report as from the int
+    assert hz.render_report(command(np.int64(2))) == hz.render_report(command(2))
 
 
 # ------------------------------------------------------------------- reports

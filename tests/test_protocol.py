@@ -165,8 +165,8 @@ def test_dense_prepare_equals_the_summed_branches(s):
     branches = []
     for z, kind in enumerate((ch.BellKind.KAPPA_PLUS, ch.BellKind.LAMBDA_MINUS)):
         pair = sv.pair_state(ch.BELL_COEFFS[kind])
-        blocks = [sv.tensor(sv.pair_state(info.coeffs), pair, pair) for info in reversed(inputs)]
-        branches.append(sv.tensor(*blocks, sv.init_basis(1, z)).amps)
+        messages = [sv.pair_state(info.coeffs) for info in reversed(inputs)]
+        branches.append(sv.tensor(*messages, *[pair] * (2 * s), sv.init_basis(1, z)).amps)
     want = (branches[0] + branches[1]) * (1 / np.sqrt(2))
     # values, not bytes: the sum's "+ 0.0" turns a -0.0 part into +0.0,
     # and prepare, which adds nothing, may keep the -0.0
@@ -178,9 +178,10 @@ def test_dense_prepare_equals_the_summed_branches(s):
 def test_forced_dense_prepare_builds_only_half_z(s, z):
     # Elle's bit projected out first: half z of the full preparation, byte
     # for byte, and the other half never written.  Elle's qubit is fixed at
-    # z, and each block's two channel pairs are recorded with the parity of
-    # branch z's Bell kind (κ+ even, λ- odd), so the kernels' live view is
-    # the 2^(4s) amplitudes of half z that those pairs allow
+    # z, and the 2s channel pairs, on qubits 2s..6s-1 above the messages,
+    # are recorded with the parity of branch z's Bell kind (κ+ even, λ-
+    # odd), so the kernels' live view is the 2^(4s) amplitudes of half z
+    # that those pairs allow
     inputs = make_inputs(s, 40 + s)
     full = pr.DenseState.prepare(inputs).state.amps.reshape(2, -1)
     state = pr.DenseState.prepare(inputs, z).state
@@ -188,8 +189,7 @@ def test_forced_dense_prepare_builds_only_half_z(s, z):
     assert halves[z].tobytes() == full[z].tobytes()
     assert halves[1 - z].tobytes() == bytes(halves[1 - z].nbytes)
     assert state.fixed == (1 << 6 * s, z << 6 * s)
-    bases = [6 * (s - 1 - i) for i in range(s)]
-    assert state.pairs == tuple((base + a, base + a + 1, z) for base in bases for a in (2, 4))
+    assert state.pairs == tuple((q, q + 1, z) for q in range(2 * s, 6 * s, 2))
     live = sv._live(state)
     assert live.size == 1 << 4 * s
     assert np.count_nonzero(state.amps) == np.count_nonzero(live) == live.size
@@ -197,20 +197,47 @@ def test_forced_dense_prepare_builds_only_half_z(s, z):
     assert pr.DenseState.prepare(inputs).state.pairs == ()
 
 
+def test_dense_prepare_reads_no_structured_block(monkeypatch):
+    # the dense engine checks the structured one, so it builds its register
+    # from the messages and the Bell pairs, not from the structured blocks:
+    # a sign flipped in every block changes the structured branch alone
+    inputs = make_inputs(2, 59)
+    record = pr.OutcomeRecord((0, 1, 2, 3), 1)
+    dense = pr.DenseState.prepare(inputs).state.amps.tobytes()
+    structured = pr.run_protocol(inputs, forced=record).to_dict()
+    block_state = pr._block_state
+
+    def flipped(info, kind):
+        amps = block_state(info, kind).amps.copy()
+        k = np.abs(amps).argmax()
+        amps[k] = -amps[k]
+        return pr._Block(amps)
+
+    monkeypatch.setattr(pr, "_block_state", flipped)
+    assert pr.run_protocol(inputs, forced=record).to_dict() != structured
+    assert pr.DenseState.prepare(inputs).state.amps.tobytes() == dense
+
+
 def test_dense_prepare_refuses_a_controller_bit_other_than_0_or_1():
     with pytest.raises(ValueError, match="controller bit"):
         pr.DenseState.prepare(make_inputs(1, 40), 2)
 
 
-def test_dense_first_bell_pair_leaves_long_contiguous_live_runs():
-    # block 0, measured first, sits on the top sender qubits (12..17 at s=3):
-    # measuring its first pair fixes qubits 12 and 14, so qubits 0..11 stay
-    # one contiguous run, not one live amplitude per cache line
-    state = pr.DenseState.prepare(make_inputs(3, 23))
+def nonzero_pages(state):
+    """The 4 KiB pages of a state's array that hold a nonzero amplitude."""
+    return set(np.flatnonzero(state.amps.reshape(-1, 4096 // 16).any(axis=1)).tolist())
+
+
+def test_dense_messages_share_their_pages():
+    # the six message qubits of s=3 and channel pair 0 (qubits 6, 7) make up
+    # one page, so a forced preparation's 2^12 nonzero amplitudes fill 32
+    # pages, 128 to a page; block 0's first Bell pair, on qubits 4 and 6,
+    # moves amplitudes only within those pages
+    state = pr.DenseState.prepare(make_inputs(3, 23), 1)
+    prepared = nonzero_pages(state.state)
+    assert len(prepared) == 32
     state.bsm_pair(0, forced=0)
-    live = sv._live(state.state)
-    assert live.strides[-1] == live.itemsize
-    assert live.shape[-1] >= 1 << 12
+    assert nonzero_pages(state.state) <= prepared
 
 
 def test_dense_phase_correction_leaves_earlier_copies_untouched():
@@ -241,34 +268,33 @@ def permute_qubits(state, perm):
 def in_block_order(dense):
     """A dense engine state with sender block i moved to qubits 6i..6i+5.
 
-    The dense register holds the blocks in reverse, block i on qubits
-    6(s-1-i)..6(s-1-i)+5; Elle stays on the top qubit, 6s.
+    The dense register holds sender i's message on qubits 2(s-1-i) and
+    2(s-1-i)+1, block-local 0 and 1, and channel qubit c on qubit 2s+c:
+    pair c//2, which is block c//4's pair c//2 % 2, at block-local
+    2 + c%4.  Elle stays on the top qubit, 6s.
     """
     s = dense.s
-    perm = [6 * (s - 1 - q // 6) + q % 6 for q in range(6 * s)] + [6 * s]
-    return permute_qubits(dense.state, perm)
+    messages = [6 * (s - 1 - q // 2) + q % 2 for q in range(2 * s)]
+    channel = [6 * (c // 4) + 2 + c % 4 for c in range(4 * s)]
+    return permute_qubits(dense.state, messages + channel + [6 * s])
 
 
 def test_dense_assembly_matches_channel_module_construction():
     """Cross-check the protocol register against the channel builder.
 
     The same global state is assembled independently as (messages tensor
-    channel-in-construction-order) and permuted into the block-contiguous
-    protocol order.
+    channel-in-construction-order), and reordered into the dense register:
+    only the messages move, the last sender's to the lowest qubits.
     """
     inputs = make_inputs(2, 31)
     chan = ch.build_channel_analytic(4, +1)
     msgs = [sv.pair_state(i.coeffs) for i in inputs]
     flat = sv.tensor(*msgs, chan)
-    # message pair i sits at 2i,2i+1; channel qubit c at 4 + c in `flat`
-    # qubit -> protocol position: messages to block bases, channel pairs after them
-    perm = {0: 0, 1: 1, 2: 6, 3: 7}
-    perm.update({4 + 0: 2, 4 + 1: 3, 4 + 2: 4, 4 + 3: 5})
-    perm.update({4 + 4: 8, 4 + 5: 9, 4 + 6: 10, 4 + 7: 11})
-    perm.update({4 + 8: 12})
-    reordered = permute_qubits(flat, [perm[q] for q in range(13)])
+    # message pair i sits at 2i,2i+1 in `flat`, at 2(s-1-i),2(s-1-i)+1 in
+    # the register; the channel is on qubits 4..12 in both
+    reordered = permute_qubits(flat, [2, 3, 0, 1] + list(range(4, 13)))
     dense = pr.assemble_global(inputs, "dense")
-    assert np.linalg.norm(reordered.amps - in_block_order(dense).amps) < 1e-12
+    assert np.linalg.norm(reordered.amps - dense.state.amps) < 1e-12
 
 
 def test_channel_pair_marginals_in_assembled_state():
@@ -762,7 +788,7 @@ def test_structured_correction_cache_keeps_each_word_apart():
 
 def test_message_keeps_one_block_per_bell_kind():
     # each message builds its block of each controller-branch kind once, and
-    # every state prepared from it, of either engine, starts from those
+    # every structured state prepared from it starts from those
     first, second = inputs = make_inputs(2, 57)
     for info in inputs:
         blocks = [pr._block_state(info, kind) for kind in pr._BRANCH_KINDS]

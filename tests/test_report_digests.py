@@ -24,7 +24,7 @@ GOLDEN = {
     ),
     "run-s2-exhaustive-dense": (
         lambda: hz.cmd_run(senders=2, seed=0, mode="exhaustive", engine="dense"),
-        "7b8e6587846ba991bf4f7e297b6c5d90dadf84c93ea72f9231fd1b146509a463",
+        "a1c2e96b1d8e3cc08e3cba4078ebb93ec322b1da46bd818b9e5e4d18ba0192a3",
     ),
     "run-s4-sampled64": (
         lambda: hz.cmd_run(senders=4, seed=0, mode="sampled:64"),
@@ -33,7 +33,7 @@ GOLDEN = {
     "run-s3-dense-forced": (
         lambda: hz.cmd_run(senders=3, seed=0, mode="forced:k+,k-,l+,l-,k+,l-,1", engine="dense",
                            allow_large_dense=True),
-        "918ac43b5222721ae005f7813ccee43aa83840cdbdc43438e248370708182e95",
+        "11ff27a41d97596c949bfdfcf001f4c649689444bcf23e0c2d1ecbcd1f1b4fed",
     ),
     "verify-tables-3": (
         lambda: hz.cmd_verify_tables(seed=3),

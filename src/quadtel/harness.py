@@ -206,8 +206,8 @@ def render_report(report: dict) -> str:
     """The report as compact JSON with sorted keys, plus a newline.
 
     A report holds no cycle: ``_report`` builds it from fresh containers, and
-    the shared transcript records of the ``efficiency`` report hold only
-    strings and integers.  So the encoder skips its circular-reference scan."""
+    the transcript records of the ``efficiency`` report hold only strings and
+    integers.  So the encoder skips its circular-reference scan."""
     return json.dumps(report, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 

@@ -203,10 +203,9 @@ class ProtocolReport:
     """One run's outcome and scores.
 
     ``classical_bits_sent`` is the bits of the messages the run sent,
-    counted as it sent them.  ``transcript`` lists those messages, derived
-    from ``outcome`` when read (README, "Report schema"), as records shared
-    by every report of the process (see ``_BSM_MESSAGES``): they are
-    read-only.  ``to_dict`` leaves the transcript out and keeps the count.
+    counted as it sent them.  ``transcript`` lists those messages, records
+    built from ``outcome`` when read (README, "Report schema").  ``to_dict``
+    leaves the transcript out and keeps the count.
     """
 
     outcome: OutcomeRecord
@@ -242,7 +241,8 @@ def _validate_inputs(inputs: Sequence[InfoState]) -> int:
 
 
 def register_qubits(s: int) -> int:
-    """The dense register's size: s six-qubit sender blocks, then Elle on the top qubit."""
+    """The dense register's size: the 2s message qubits lowest, then the 4s
+    channel qubits, then Elle on qubit 6s."""
     if not _is_integer(s):
         raise ValueError(f"the sender count must be an integer, got {s!r}")
     return 6 * s + 1
@@ -316,7 +316,9 @@ class DenseState:
         joint probability of z and its bits, and ``measure_controller``
         then gives z with probability 1, up to ulps.  Half z's 2s channel
         pairs are all of one Bell kind, whose parity ``_parity`` reads from
-        ``BELL_COEFFS``, and are recorded in ``StateVector.pairs``.  Both
+        ``BELL_COEFFS``.  Each sits on two adjacent qubits, 2s+2j and
+        2s+2j+1, so ``StateVector.pairs`` records them all in two ints: bit
+        2s+2j of the mask, and of the parities when the kind is odd.  Both
         halves together record none: there the parity is Elle's bit.
         """
         s = _validate_inputs(inputs)
@@ -329,9 +331,8 @@ class DenseState:
         if z is not None:
             elle = register_qubits(s) - 1
             dense.state.fixed = (1 << elle, z << elle)
-            parity = _parity(_BRANCH_KINDS[z])
-            dense.state.pairs = tuple((dense._qubit(i, a), dense._qubit(i, b), parity)
-                                      for i in range(s) for a, b in _CHANNEL_PAIRS)
+            mask = sum(1 << dense._qubit(i, a) for i in range(s) for a, _ in _CHANNEL_PAIRS)
+            dense.state.pairs = (mask, mask * _parity(_BRANCH_KINDS[z]))
         return dense
 
     def copy(self) -> "DenseState":
@@ -684,22 +685,6 @@ def assemble_global(inputs: Sequence[InfoState], engine: str = "structured"):
 # sender, and the controller bit z from Elle.
 _BSM_BITS, _CONTROLLER_BITS = 2, 1
 
-# Every classical message a run can send, as its report record:
-# _BSM_MESSAGES[i][value] from sender i and _CONTROLLER_MESSAGES[i][z] from
-# Elle, both to receiver i.  Transcripts hold these records, never copies.
-_BSM_MESSAGES = tuple(
-    tuple({"from": SENDERS[i], "to": corrections.RECEIVERS[i], "kind": "bsm", "value": value, "bits": _BSM_BITS}
-          for value in range(4))
-    for i in range(MAX_SENDERS)
-)
-_CONTROLLER_MESSAGES = tuple(
-    tuple({"from": "elle", "to": corrections.RECEIVERS[i], "kind": "controller", "value": z,
-           "bits": _CONTROLLER_BITS}
-          for z in (0, 1))
-    for i in range(MAX_SENDERS)
-)
-
-
 def _bits_sent(bsm_messages: int, controller_messages: int) -> int:
     """The bits of a run's classical messages, given how many of each kind it sent."""
     return bsm_messages * _BSM_BITS + controller_messages * _CONTROLLER_BITS
@@ -708,8 +693,11 @@ def _bits_sent(bsm_messages: int, controller_messages: int) -> int:
 def _build_transcript(s: int, outcomes: Sequence[int], z: int) -> tuple[dict, ...]:
     """The run's classical messages as report records, in canonical party order:
     each sender's two Bell outcomes to its receiver, then Elle's bit to every receiver."""
-    bsm_messages = [_BSM_MESSAGES[j // 2][outcomes[j]] for j in range(2 * s)]
-    return tuple(bsm_messages + [_CONTROLLER_MESSAGES[i][z] for i in range(s)])
+    bsm_messages = [{"from": SENDERS[j // 2], "to": corrections.RECEIVERS[j // 2], "kind": "bsm",
+                     "value": outcomes[j], "bits": _BSM_BITS} for j in range(2 * s)]
+    controller_messages = [{"from": "elle", "to": corrections.RECEIVERS[i], "kind": "controller",
+                            "value": z, "bits": _CONTROLLER_BITS} for i in range(s)]
+    return tuple(bsm_messages + controller_messages)
 
 
 def run_protocol(

@@ -20,15 +20,16 @@ A state records in ``fixed`` the qubits that ``measure_qubit`` left in a
 definite bit, and a caller that prepares a qubit in a definite bit may
 record it there too; ``init_basis`` records every qubit at its bit, so a
 circuit run from a basis state reads only the qubits its gates have
-reached.  It records in ``pairs`` the qubit pairs whose two bits have a
-known parity, as each Bell pair of a prepared channel has (a Z(x)Z
-stabilizer).  Every amplitude with the other bit at a fixed qubit, or
-the other parity at a pair, is exactly 0 in the array, which always holds
-the whole state; a kernel that writes a qubit first drops it from
-``fixed`` and its pair from ``pairs``, and ``copy()`` keeps both.  The
-kernels read and write only the live amplitudes: ``_live`` views the array
-with each fixed qubit taken at its bit and the two qubits of each pair
-stepped together.  A forced four-sender branch, prepared with Elle's qubit
+reached.  It records in ``pairs``, in two bit masks as it does ``fixed``,
+the adjacent qubit pairs (q, q+1) whose two bits have a known parity, as
+each Bell pair of a prepared channel has (a Z(x)Z stabilizer).  Every
+amplitude with the other bit at a fixed qubit, or the other parity at a
+pair, is exactly 0 in the array, which always holds the whole state; a
+kernel that writes a qubit first drops it from ``fixed`` and its pair
+from ``pairs``, and ``copy()`` keeps both.  The kernels read and write
+only the live amplitudes: ``_live`` views the array with each fixed qubit
+taken at its bit and each pair at the two of its four entries that its
+parity allows.  A forced four-sender branch, prepared with Elle's qubit
 fixed and its 8 channel pairs recorded, starts on 2^16 of its 2^25
 amplitudes, its nonzero ones; after the 8 Bell measurements of a sampled
 one (16 measured qubits) the kernels touch 2^9.  A state with nothing
@@ -182,15 +183,16 @@ class StateVector:
     ``fixed`` is a pair of ints ``(mask, bits)``: bit q of ``mask`` is set
     when qubit q is in a definite bit, left there by ``measure_qubit`` or
     recorded by the caller that prepared it so, and bit q of ``bits`` is
-    that bit.  ``pairs`` is a tuple of ``(first, second, parity)``, recorded
-    by the caller that prepared the two qubits with ``first``'s bit XOR
-    ``second``'s always ``parity``.  Every amplitude with the other bit at a
-    fixed qubit, or the other parity at a pair, is exactly 0 in ``amps``, so
-    ``amps`` is always the whole state and the kernels may skip those
+    that bit.  ``pairs`` is a pair of ints ``(mask, parities)``, read the
+    same way: bit q of ``mask`` is set when the caller prepared qubits q
+    and q+1 with their bits' XOR always one parity, and bit q of
+    ``parities`` is that parity.  Every amplitude with the other bit at a
+    fixed qubit, or the other parity at a pair, is exactly 0 in ``amps``,
+    so ``amps`` is always the whole state and the kernels may skip those
     amplitudes (``_live``).  A kernel that writes qubit q drops it, and any
     pair it is in, first, which is always valid: an empty ``fixed`` or
-    ``pairs`` claims nothing.  A measurement keeps every parity, so it
-    drops no pair.
+    ``pairs``, ``(0, 0)``, claims nothing.  A measurement keeps every
+    parity, so it drops no pair.
     """
 
     __slots__ = ("n_qubits", "amps", "fixed", "pairs")
@@ -204,7 +206,7 @@ class StateVector:
         self.n_qubits = n_qubits
         self.amps = arr
         self.fixed = (0, 0)
-        self.pairs = ()
+        self.pairs = (0, 0)
 
     def copy(self) -> "StateVector":
         new = StateVector(self.n_qubits, self.amps)
@@ -320,85 +322,86 @@ def _slabs(v: np.ndarray, kept: int = 0, short: int = _SHORT_AXES) -> Iterator[t
             yield k, index
 
 
+# The entries of a viewed pair's axis of 4, index b_q + 2 b_{q+1} of its
+# qubits (q, q+1), that its parity allows, ordered by qubit q's bit
+_PAIR_ENTRIES = (slice(0, 4, 3), slice(2, 0, -1))
+
+
 @functools.lru_cache(maxsize=1024)
 def _live_plan(
-    n_qubits: int, fixed: tuple[int, int], pairs: tuple[tuple[int, int, int], ...], keep: tuple[int, ...]
-) -> tuple[tuple[int, ...], _Index, tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """How ``_live`` views an n-qubit state: (shape, index, axes, steps).
+    n_qubits: int, fixed: tuple[int, int], pairs: tuple[int, int], keep: tuple[int, ...]
+) -> tuple[tuple[int, ...], _Index, tuple[int, ...]]:
+    """How ``_live`` views an n-qubit state: (shape, index, axes).
 
     ``shape`` splits the amplitudes, top qubit first, into an axis of 2 per
-    kept or fixed qubit or member of a viewed pair, and one axis per run of
+    kept or fixed qubit, one of 4 per viewed pair, and one axis per run of
     adjacent other qubits.  A pair is viewed when neither member is fixed,
-    kept or in a pair viewed before it.  ``index`` takes each fixed qubit
-    not in ``keep`` at its bit, and each viewed pair's second member at the
-    pair's parity (its trailing ``...`` leaves a 0-d view, not a scalar,
-    when every qubit is taken).  ``axes`` then puts the kept qubits first,
-    in ``keep`` order, and the runs and viewed pairs' first members after
-    them, outermost first.  ``steps`` lists, per viewed pair, the axis of
-    its first member and the elements its stride gains, (1 - 2 parity)
-    2^second, so that this axis steps both members.  A plan is made once
-    per (n_qubits, fixed, pairs, keep), since a branch measures the same
-    qubits in the same order.
+    kept or in a pair viewed below it.  ``index`` takes each fixed qubit
+    not in ``keep`` at its bit, and each viewed pair at the two entries its
+    parity allows (``_PAIR_ENTRIES``); its trailing ``...`` leaves a 0-d
+    view, not a scalar, when every qubit is taken.  ``axes`` then puts the
+    kept qubits first, in ``keep`` order, and the runs and viewed pairs
+    after them, outermost first.  A plan is made once per (n_qubits, fixed,
+    pairs, keep), since a branch measures the same qubits in the same order.
     """
     mask, bits = fixed
+    pair_mask, parities = pairs
     taken = mask
     for q in keep:
         taken |= 1 << q
-    firsts = {}  # each viewed pair's first member: the elements its stride gains
-    for first, second, parity in pairs:
-        if not (taken >> first & 1 or taken >> second & 1):
-            taken |= 1 << first | 1 << second
-            bits |= parity << second
-            firsts[first] = (1 - 2 * parity) << second
-    shape, index, kept, runs, steps = [], [], {}, [], []
-    # q is -1 for a run of live qubits outside keep and the viewed pairs
-    for q, group in itertools.groupby(range(n_qubits - 1, -1, -1), lambda q: q if taken >> q & 1 else -1):
-        shape.append(1 << len(list(group)))
+    viewed = 0  # the lower member of each viewed pair
+    for q in range(n_qubits - 1):
+        if pair_mask >> q & 1 and not taken >> q & 3:
+            taken |= 3 << q
+            viewed |= 1 << q
+
+    def group(q: int) -> int:
+        """-1 for a live qubit outside keep and the viewed pairs, the lower
+        member for a viewed pair's qubit, else the qubit itself."""
+        return q - (viewed << 1 >> q & 1) if taken >> q & 1 else -1
+
+    shape, index, kept, runs = [], [], {}, []
+    for q, members in itertools.groupby(range(n_qubits - 1, -1, -1), group):
+        shape.append(1 << len(list(members)))
         if q in keep:
             kept[q] = len(kept) + len(runs)
-        elif q < 0 or q in firsts:
-            if q in firsts:
-                steps.append((len(keep) + len(runs), firsts[q]))
+            index.append(slice(None))
+        elif q < 0 or viewed >> q & 1:
             runs.append(len(kept) + len(runs))
+            index.append(slice(None) if q < 0 else _PAIR_ENTRIES[parities >> q & 1])
         else:
             index.append(bits >> q & 1)
-            continue
-        index.append(slice(None))
-    return tuple(shape), (*index, ...), tuple(kept[q] for q in keep) + tuple(runs), tuple(steps)
+    return tuple(shape), (*index, ...), tuple(kept[q] for q in keep) + tuple(runs)
 
 
 def _live(state: StateVector, keep: tuple[int, ...] = ()) -> np.ndarray:
     """A view of ``state.amps`` that leaves out the amplitudes known to be 0.
 
     Each qubit of ``state.fixed`` not in ``keep`` is taken at its bit, and
-    so is the second member of each pair of ``state.pairs`` whose members
-    are neither fixed nor kept, at the pair's parity; the pair's first
-    member keeps an axis of 2 that steps both members.  The view's axes are
-    one of 2 per qubit of ``keep``, in that order, then one per run of
-    adjacent live qubits or pair, outermost first; with nothing fixed,
-    paired or kept it is the whole array as one axis.  It is built with
-    ``reshape(copy=False)``, basic indexing and, for the pairs,
-    ``as_strided``, so it is always a view and writes through it land in
+    each pair of ``state.pairs`` whose members are neither fixed nor kept
+    is one axis of 2: the two entries of the pair's axis of 4 that its
+    parity allows, (0, 3) for even and (2, 1) for odd, so entry k has its
+    lower member's bit k.  The view's axes are one of 2 per qubit of
+    ``keep``, in that order, then one per run of adjacent live qubits or
+    pair, outermost first; with nothing fixed, paired or kept it is the
+    whole array as one axis.  It is built with ``reshape(copy=False)`` and
+    basic indexing, so it is always a view and writes through it land in
     the state; never a copy.
     """
-    shape, index, axes, steps = _live_plan(state.n_qubits, state.fixed, state.pairs, keep)
-    v = state.amps.reshape(shape, copy=False)[index].transpose(axes)
-    if steps:
-        strides = list(v.strides)
-        for axis, step in steps:
-            strides[axis] += step * v.itemsize
-        v = np.lib.stride_tricks.as_strided(v, strides=strides)
-    return v
+    shape, index, axes = _live_plan(state.n_qubits, state.fixed, state.pairs, keep)
+    return state.amps.reshape(shape, copy=False)[index].transpose(axes)
 
 
 def _unfix(state: StateVector, q: int) -> None:
-    """Drop qubit q from ``state.fixed``, and its pair from ``state.pairs``,
-    before a kernel writes it."""
+    """Drop qubit q from ``state.fixed``, and the pairs at q and q-1 from
+    ``state.pairs``, before a kernel writes it."""
     mask, bits = state.fixed
     if mask >> q & 1:
         state.fixed = (mask & ~(1 << q), bits & ~(1 << q))
-    if state.pairs:
-        state.pairs = tuple(pair for pair in state.pairs if q not in pair[:2])
+    pair_mask, parities = state.pairs
+    dropped = pair_mask & (3 << q) >> 1  # bits q-1 and q, or bit 0 alone at q=0
+    if dropped:
+        state.pairs = (pair_mask & ~dropped, parities & ~dropped)
 
 
 def _apply_matrix_1q(state: StateVector, terms: _Terms, q: int) -> None:

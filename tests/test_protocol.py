@@ -189,12 +189,13 @@ def test_forced_dense_prepare_builds_only_half_z(s, z):
     assert halves[z].tobytes() == full[z].tobytes()
     assert halves[1 - z].tobytes() == bytes(halves[1 - z].nbytes)
     assert state.fixed == (1 << 6 * s, z << 6 * s)
-    assert state.pairs == tuple((q, q + 1, z) for q in range(2 * s, 6 * s, 2))
+    mask = sum(1 << q for q in range(2 * s, 6 * s, 2))
+    assert state.pairs == (mask, z * mask)
     live = sv._live(state)
     assert live.size == 1 << 4 * s
     assert np.count_nonzero(state.amps) == np.count_nonzero(live) == live.size
     # a two-half preparation records none: its parity depends on Elle's bit
-    assert pr.DenseState.prepare(inputs).state.pairs == ()
+    assert pr.DenseState.prepare(inputs).state.pairs == (0, 0)
 
 
 def test_dense_prepare_reads_no_structured_block(monkeypatch):
@@ -983,8 +984,8 @@ def test_reduced_transcript_scales_with_sender_count():
 
 
 def test_transcripts_hold_the_records_every_run_would_build():
-    # transcripts reference records built once at import; for every branch
-    # at s=1..4 they equal the records built field by field per run
+    # for every branch at s=1..4 a transcript equals the records built
+    # field by field from the run's outcomes
     for s in range(1, pr.MAX_SENDERS + 1):
         for outcomes, z in itertools.product(itertools.product(range(4), repeat=2 * s), (0, 1)):
             expected = [

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadtel import statevector as sv
@@ -874,21 +874,28 @@ def test_live_view_is_a_view_that_skips_the_fixed_qubits():
 
 # ------------------------------------------------------- Bell-pair parities
 
-# A 15-qubit state with two pairs recorded: (2, 11) odd and (13, 12) even,
-# the second with its first member above its second.  Every amplitude whose
-# two bits break its pair's parity is 0, so the live view holds 2^13 of the
-# 2^15 amplitudes.  Each kernel runs on it and on a state of the same
-# amplitudes with no pairs, which reads them all.
+# A 15-qubit state with two pairs recorded: qubits (2, 3) odd and (11, 12)
+# even.  Every amplitude whose two bits break its pair's parity is 0, so the
+# live view holds 2^13 of the 2^15 amplitudes.  Each kernel runs on it and
+# on a state of the same amplitudes with no pairs, which reads them all.
 PAIRS_N = 15
-PAIRS = ((2, 11, 1), (13, 12, 0))
+PAIR_PARITIES = {2: 1, 11: 0}  # each pair's lower member: its parity
+
+
+def pairs_record(parities):
+    """``StateVector.pairs`` for the pairs {lower member: parity}."""
+    return sum(1 << q for q in parities), sum(p << q for q, p in parities.items())
+
+
+PAIRS = pairs_record(PAIR_PARITIES)
 
 
 def paired_state(seed):
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(1 << PAIRS_N) + 1j * rng.standard_normal(1 << PAIRS_N)
     idx = np.arange(amps.size)
-    for first, second, parity in PAIRS:
-        amps[(idx >> first ^ idx >> second) & 1 != parity] = 0
+    for q, parity in PAIR_PARITIES.items():
+        amps[(idx >> q ^ idx >> q + 1) & 1 != parity] = 0
     state = sv.StateVector(PAIRS_N, amps / np.linalg.norm(amps))
     state.pairs = PAIRS
     return state
@@ -910,16 +917,76 @@ def test_live_view_of_pairs_is_the_amplitudes_they_allow():
     assert np.count_nonzero(live) == np.count_nonzero(state.amps) == live.size
     assert state.copy().pairs == PAIRS
     # a kept or fixed member leaves its pair out of the view
-    assert sv._live(state, (11,)).size == 1 << PAIRS_N - 1
+    assert sv._live(state, (3,)).size == 1 << PAIRS_N - 1
     sv.measure_qubit(state, 12, forced=1)
     assert sv._live(state).size == 1 << PAIRS_N - 2
 
 
+@st.composite
+def live_cases(draw):
+    """(n, fixed, {pair's lower member: parity}, keep): disjoint adjacent
+    pairs, random fixed bits and a random ordered ``keep``."""
+    n = draw(st.integers(2, 9))
+    parities, q = {}, 0
+    while q < n - 1:
+        if draw(st.booleans()):
+            parities[q] = draw(st.integers(0, 1))
+            q += 1
+        q += 1
+    mask = draw(st.integers(0, (1 << n) - 1))
+    bits = draw(st.integers(0, (1 << n) - 1)) & mask
+    keep = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    return n, (mask, bits), parities, tuple(keep)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(case=live_cases())
+@example(case=(2, (0, 0), {0: 1}, ()))
+@example(case=(9, (0, 0), {0: 0, 3: 1, 7: 1}, ()))
+@example(case=(9, (0b000100000, 0b000100000), {0: 1, 2: 0, 7: 0}, (8, 1)))
+def test_live_view_reads_the_addresses_the_records_allow(case):
+    # the view of a state whose amplitude i is i holds the basis indices
+    # that a brute force over all of them allows: each fixed qubit outside
+    # keep at its bit, and each pair with no fixed or kept member at its
+    # parity
+    n, (mask, bits), parities, keep = case
+    state = sv.StateVector(n, np.arange(1 << n))
+    state.fixed, state.pairs = (mask, bits), pairs_record(parities)
+    taken = mask | sum(1 << q for q in keep)
+    viewed = {q: p for q, p in parities.items() if not taken >> q & 3}
+    allowed = [i for i in range(1 << n)
+               if not (i ^ bits) & mask & ~sum(1 << q for q in keep)
+               and all((i >> q ^ i >> q + 1) & 1 == p for q, p in viewed.items())]
+    v = sv._live(state, keep)
+    assert np.shares_memory(v, state.amps)
+    addresses = v.real.astype(np.int64)
+    assert sorted(addresses.ravel().tolist()) == allowed
+    # each kept axis carries its qubit's bit
+    for axis, q in enumerate(keep):
+        for k in (0, 1):
+            assert (addresses.take(k, axis) >> q & 1 == k).all()
+    # the other axes, outermost first, each step one pair or a run of live
+    # qubits; a pair's entry k has its lower member's bit k
+    steps = [int(np.bitwise_or.reduce((addresses ^ addresses.take([0], axis)).ravel()))
+             for axis in range(len(keep), addresses.ndim)]
+    assert steps == sorted(steps, reverse=True)
+    for q in viewed:
+        (axis,) = [len(keep) + j for j, step in enumerate(steps) if step == 3 << q]
+        for k in (0, 1):
+            assert (addresses.take(k, axis) >> q & 1 == k).all()
+    # a write to qubit q drops exactly the pair it is in, at q or q-1
+    for q in range(n):
+        written = state.copy()
+        sv._unfix(written, q)
+        assert written.pairs == pairs_record({low: p for low, p in parities.items() if q not in (low, low + 1)})
+        assert written.fixed == (mask & ~(1 << q), bits & ~(1 << q))
+
+
 PAIR_WRITES = [  # (kernel call, the qubits it writes), named by the call
     *(pytest.param(lambda s, g=g, q=q: sv.apply_1q(s, g, q), {q}, id=f"{g}{q}")
-      for g in ("H", "X", "Z") for q in (2, 11, 12, 13, 0, 7)),
+      for g in ("H", "X", "Z") for q in (2, 3, 11, 12, 13, 0, 7)),
     *(pytest.param(lambda s, c=c, t=t: sv.apply_cnot(s, c, t), {t}, id=f"CNOT{c}-{t}")
-      for c, t in ((2, 11), (11, 0), (0, 13), (5, 6), (12, 2), (13, 12))),
+      for c, t in ((2, 11), (11, 0), (0, 13), (5, 6), (12, 2), (13, 12), (2, 3), (12, 11))),
     pytest.param(lambda s: sv.apply_pauli_word(s, [("XZ", 12), ("I", 2), ("Z", 7)]), {12, 7}, id="XZ12-I2-Z7"),
     pytest.param(lambda s: sv.apply_pauli_word(s, [("I", 11), ("I", 13), ("X", 14)]), {14}, id="I11-I13-X14"),
 ]
@@ -935,7 +1002,7 @@ def test_gates_on_pairs_give_the_unpaired_values(call, written):
     call(state)
     call(plain)
     assert np.array_equal(state.amps, plain.amps)
-    assert state.pairs == tuple(pair for pair in PAIRS if not written & set(pair[:2]))
+    assert state.pairs == pairs_record({q: p for q, p in PAIR_PARITIES.items() if not written & {q, q + 1}})
     for q in range(PAIRS_N):
         assert_within_ulps(sv.measure_probabilities(state, q), sv.measure_probabilities(plain, q))
 
@@ -962,7 +1029,7 @@ def test_partial_trace_on_pairs_agrees_with_the_unpaired_one(keep):
     # inner dimension, which sums the same terms in another grouping
     state = paired_state(123)
     got, want = sv.partial_trace(state, keep), sv.partial_trace(unpaired(state), keep)
-    if all(set(keep) & set(pair[:2]) for pair in PAIRS):
+    if all(set(keep) & {q, q + 1} for q in PAIR_PARITIES):
         assert np.array_equal(got, want)
     else:
         assert np.abs(got - want).max() <= 4 * np.spacing(1.0)

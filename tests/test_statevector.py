@@ -965,8 +965,9 @@ def test_live_view_reads_the_addresses_the_records_allow(case):
     for axis, q in enumerate(keep):
         for k in (0, 1):
             assert (addresses.take(k, axis) >> q & 1 == k).all()
-    # the other axes, outermost first, each step one pair or a run of live
-    # qubits; a pair's entry k has its lower member's bit k
+    # the other axes come outermost first, so the bits each one steps fall
+    # from axis to axis; a viewed pair's axis steps its two qubits, entry k
+    # with its lower member's bit k
     steps = [int(np.bitwise_or.reduce((addresses ^ addresses.take([0], axis)).ravel()))
              for axis in range(len(keep), addresses.ndim)]
     assert steps == sorted(steps, reverse=True)
